@@ -467,8 +467,7 @@ int Run(int argc, char** argv) {
   }
 
   // Install-time bench: how long until a freshly published file is
-  // servable. v1 decodes and rebuilds the whole index (O(index size));
-  // v2 copy validates and memcpys the image; v2 mmap binds the mapping
+  // servable. Copy validates and memcpys the image; mmap binds the mapping
   // and validates — with the CRC off this is O(1) in index size, the
   // swap cost a production publisher pays.
   struct InstallResult {
@@ -486,9 +485,7 @@ int Run(int argc, char** argv) {
     std::error_code ec;
     fs::create_directories(dir, ec);
     SHOAL_CHECK(!ec) << ec.message();
-    const std::string v1_path = (dir / "v1.idx").string();
     const std::string v2_path = (dir / "v2.idx").string();
-    SHOAL_CHECK(serve::WriteServingIndexFileV1(v1_path, *compiled).ok());
     SHOAL_CHECK(serve::WriteServingIndexFile(v2_path, *compiled).ok());
     index_file_bytes = static_cast<size_t>(fs::file_size(v2_path, ec));
     auto time_load = [](const std::string& path,
@@ -508,7 +505,6 @@ int Run(int argc, char** argv) {
     copy_options.use_mmap = false;
     serve::LoadOptions mmap_nocrc;
     mmap_nocrc.verify_crc = false;
-    installs.push_back({"install/v1_decode", time_load(v1_path, {})});
     installs.push_back({"install/v2_copy", time_load(v2_path, copy_options)});
     installs.push_back({"install/v2_mmap_crc", time_load(v2_path, {})});
     installs.push_back(

@@ -36,10 +36,11 @@ run_checked("${SHOAL_CLI}" build
 # gauges and per-round merge counts.
 run_checked("${JSON_LINT}"
   --expect=shoal.build --expect=shoal.entity_graph --expect=shoal.hac
-  --expect=shoal.taxonomy --expect=hac.round --expect=bsp.superstep
+  --expect=shoal.taxonomy --expect=hac.round --expect=hac.merge
+  --expect=hac.delta_update
   "${WORK_DIR}/trace.json")
 run_checked("${JSON_LINT}"
-  --expect=bsp.pool.peak_queue_depth --expect=hac.round.merges
+  --expect=hac.pool.peak_queue_depth --expect=hac.round.merges
   --expect=hac.rounds --expect=merges_per_round
   "${WORK_DIR}/metrics.json")
 

@@ -388,18 +388,7 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
           .Set(static_cast<double>(local_stats.lsh_emitted_pairs));
     }
     if (pool != nullptr) {
-      const util::ThreadPoolStats pool_stats = pool->GetStats();
-      metrics.GetGauge("entity_graph.pool.queue_depth")
-          .Set(static_cast<double>(pool_stats.queue_depth));
-      metrics.GetGauge("entity_graph.pool.peak_queue_depth")
-          .Set(static_cast<double>(pool_stats.peak_queue_depth));
-      metrics.GetGauge("entity_graph.pool.tasks_executed")
-          .Set(static_cast<double>(pool_stats.tasks_executed));
-      metrics.GetHistogram("entity_graph.pool.task_seconds")
-          .Record(pool_stats.tasks_executed > 0
-                      ? pool_stats.total_task_seconds /
-                            static_cast<double>(pool_stats.tasks_executed)
-                      : 0.0);
+      obs::RecordThreadPoolStats("entity_graph.pool", pool->GetStats());
     }
   }
   return entity_graph;

@@ -14,7 +14,8 @@ namespace shoal::core {
 
 namespace {
 
-// Best edge a vertex has seen during diffusion. Ids are *cluster* ids.
+// An edge between two clusters, as a vertex's best known edge. Ids are
+// *cluster* ids, normalised to u < v.
 struct BestEdge {
   uint32_t u = kNoNode;
   uint32_t v = kNoNode;
@@ -107,7 +108,8 @@ util::Status CommitRound(
 // diffusion modes.
 util::Status FinishRun(const ParallelHacOptions& options,
                        ClusterGraph& clusters, Dendrogram& dendrogram,
-                       ParallelHacStats& local_stats) {
+                       ParallelHacStats& local_stats,
+                       const util::ThreadPool& pool) {
   if (options.checkpoint_hook) {
     SHOAL_TRACE_SPAN("hac.checkpoint");
     SHOAL_RETURN_IF_ERROR(options.checkpoint_hook(
@@ -120,12 +122,13 @@ util::Status FinishRun(const ParallelHacOptions& options,
     metrics.GetCounter("hac.messages").Increment(local_stats.total_messages);
     metrics.GetCounter("hac.supersteps")
         .Increment(local_stats.total_supersteps);
+    obs::RecordThreadPoolStats("hac.pool", pool.GetStats());
   }
   return util::Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// Legacy full-broadcast diffusion (DiffusionMode::kFullBroadcast)
+// Paper-literal diffusion (DiffusionMode::kFullBroadcast)
 // ---------------------------------------------------------------------------
 
 // Per-vertex diffusion state: the best edge seen so far, plus the last
@@ -151,9 +154,10 @@ struct FrontierSnapshot {
 };
 
 // The reference round loop: per-round frontier snapshot, fresh engine,
-// full re-broadcast of every vertex's best edge. Kept as the oracle the
-// delta path is tested against (the two must produce byte-identical
-// dendrograms) and as the simplest statement of the algorithm.
+// full re-broadcast of every vertex's best edge — the paper's k-iteration
+// diffusion as written. Kept as the oracle the default path is tested
+// against (the two must produce byte-identical dendrograms) and as the
+// simplest statement of the algorithm.
 util::Status RunRoundsFullBroadcast(const ParallelHacOptions& options,
                                     ClusterGraph& clusters,
                                     Dendrogram& dendrogram,
@@ -179,8 +183,7 @@ util::Status RunRoundsFullBroadcast(const ParallelHacOptions& options,
   // always equals the number of rounds finished so far — including on
   // resume, where the restored stats make the counter pick up exactly
   // where the interrupted run stopped.
-  for (size_t round = local_stats.rounds; round < options.max_rounds;
-       ++round) {
+  for (size_t round = local_stats.rounds;; ++round) {
     SHOAL_RETURN_IF_ERROR(util::FaultInjector::Global().OnHacRound(round));
     obs::ScopedSpan round_span("hac.round");
     round_span.AddArg("round", static_cast<double>(round));
@@ -325,73 +328,48 @@ util::Status RunRoundsFullBroadcast(const ParallelHacOptions& options,
                                       round_span));
   }
 
-  return FinishRun(options, clusters, dendrogram, local_stats);
+  return FinishRun(options, clusters, dendrogram, local_stats, pool);
 }
 
 // ---------------------------------------------------------------------------
-// Delta diffusion (DiffusionMode::kDelta)
+// Mutual-best candidates + exact k-hop check (DiffusionMode::kDelta)
 // ---------------------------------------------------------------------------
 //
-// The message-economy rework (DESIGN.md §8). One engine lives across all
-// rounds, addressed by cluster id over the full id space [0, 2V-1), and
-// per-vertex adjacency state persists between rounds with only the rows
-// dirtied by a merge batch rebuilt. Three suppression levers cut the
-// full-broadcast flood:
+// The default round finds the paper's local maximal edges without
+// running the diffusion (DESIGN.md §8). Let lb(v) be v's strongest
+// mergeable edge. After k diffusion iterations a vertex holds the best
+// lb within k mergeable hops, and (a,b) merges iff both endpoints hold
+// (a,b). No edge incident to a vertex beats its own lb, so that forces
+// lb(a) == (a,b) == lb(b): every merge is a *mutually-best* pair, and a
+// mutually-best pair merges iff no lb within k hops of a or b beats it.
+// The round computes exactly that, serially and with no messages:
 //
-//   1. *Delta sends.* Each fanout slot remembers the strongest proposal
-//      ever pushed along that edge direction. A vertex re-sends only
-//      when its current best strictly beats what the recipient already
-//      knows, so a quiescent neighbourhood exchanges zero messages.
-//   2. *Source-side pruning.* Proposals are built exclusively from
-//      edges at or above the merge threshold (sub-threshold edges never
-//      enter lb/fanout state), and the known-value check doubles as a
-//      combiner-aware send filter against the receiver's best.
-//   3. *Top-k fanout.* Slots cover only the `fanout_cap` strongest
-//      mergeable neighbours.
+//   1. Candidates. The set of mutually-best pairs is kept across
+//      rounds; mutuality only flips where an lb changed or an endpoint
+//      died, so each round folds just the last merge batch's events
+//      into it.
+//   2. Verification. FindBlocker applies the exact ball-k condition to
+//      each candidate. A rejected pair caches its refutation and parks
+//      until a vertex the refutation depends on dies.
+//   3. Maintenance. After a merge batch only the cached rows that
+//      seated a retired cluster are repaired, and each new cluster's
+//      row is built once.
 //
-// All three under-propagate: a vertex's diffused value B(v) can fall
-// short of the true best edge in its k-hop neighbourhood. The design
-// invariant that keeps the matching exact is the sandwich
-//
-//     lb(v)  <=  B(v)  <=  max { lb(u) : u within k mergeable hops }
-//
-// (lower bound because every round reseeds B(v) = lb(v); upper bound
-// because messages only ever carry some vertex's lb along mergeable
-// edges within one round's k supersteps). For a true locally-maximal
-// edge (a,b) both sides of the sandwich collapse to (a,b), so the
-// mutual-agreement scan can only *over*-report: candidates are a
-// superset of the true matching. The serial verification pass then
-// applies the exact ball-k condition to every candidate, which removes
-// exactly the spurious ones — hence byte-identical dendrograms at any
-// fanout cap, including 0-message quiescent rounds.
+// The ascending candidate walk assigns merge ids in the order a full
+// frontier scan would, so the dendrogram is byte-identical to the
+// full-broadcast path at every k.
 
-// A capped outgoing-adjacency slot: the neighbour, the edge similarity
-// (kept so rebuilds can re-rank), and the strongest proposal this vertex
-// has pushed to — or received from — that neighbour. `known` is the
-// per-edge-direction suppression state: sends along this direction are
-// skipped while `known` is alive and at least as good as the sender's
-// current best.
-struct FanoutSlot {
+// A cached strongest-neighbour slot of a row: the neighbour and the edge
+// similarity (kept so rebuilds can re-rank).
+struct RowSlot {
   uint32_t nbr = kNoNode;
   double similarity = 0.0;
-  BestEdge known;
 };
 
-struct DeltaMessage {
-  BestEdge edge;
-  uint32_t src = kNoNode;
-};
-
-// Engine vertex value: the round-local diffused best edge, stamped with
-// the round that wrote it. The stamp is what makes sparse seeding sound:
-// a vertex woken mid-round by a message finds a stale stamp and resets
-// itself to its current local best before folding anything, so values
-// from earlier rounds — possibly dead, possibly no longer within k
-// mergeable hops — can never propagate or veto a merge.
-struct DeltaValue {
-  BestEdge edge;
-  size_t stamp = 0;
-};
+// How many of its strongest mergeable neighbours each row caches. One
+// keeps repair cheapest; a row whose cached slots all died is rebuilt
+// from its adjacency, and exactness does not depend on the count.
+constexpr size_t kRowSlots = 1;
 
 // Cached refutation of a candidate pair: `blocker` is an edge that beats
 // `pair` and was reachable through the live `witness` chain (anchor
@@ -407,20 +385,18 @@ struct RejectionCache {
   std::vector<uint32_t> witness;
 };
 
-// All cross-round diffusion state for the delta path, indexed by cluster
-// id (dendrogram node id). Allocated once per run.
+// All cross-round state of the default path, indexed by cluster id
+// (dendrogram node id). Allocated once per run.
 class DeltaFrontier {
  public:
   // Trust states of the cached closed-neighbourhood top-2 (see M1()).
   enum : uint8_t { kM1Full = 0, kM1Stale = 1, kM1Top = 2 };
 
-  DeltaFrontier(size_t num_ids, ClusterGraph& clusters, double threshold,
-                size_t fanout_cap)
+  DeltaFrontier(size_t num_ids, ClusterGraph& clusters, double threshold)
       : clusters_(clusters),
         threshold_(threshold),
-        fanout_cap_(fanout_cap),
         lb_(num_ids),
-        fanout_(num_ids),
+        slots_(num_ids),
         m1_(num_ids),
         m1_src_(num_ids, kNoNode),
         m2_(num_ids),
@@ -446,23 +422,11 @@ class DeltaFrontier {
   }
 
   const BestEdge& lb(uint32_t v) const { return lb_[v]; }
-  std::vector<FanoutSlot>& fanout(uint32_t v) { return fanout_[v]; }
 
-  // Rebuilds lb(v) and the fanout slots from v's current adjacency row.
-  // With `preserve_known` the per-direction suppression state of slots
-  // whose neighbour survives is carried over (a rebuild must not make a
-  // vertex forget what it already told a still-living neighbour — that
-  // would re-flood, not break correctness). Thread-safe across distinct
-  // vertices: only v's own slots are touched.
-  void RebuildRow(uint32_t v, bool preserve_known) {
-    auto& slots = fanout_[v];
-    const bool restore = preserve_known && !slots.empty();
-    if (restore) {
-      // Post-merge maintenance is serial, so one scratch buffer suffices;
-      // swapping avoids allocating anything on this per-round hot path.
-      scratch_.swap(slots);
-    }
-    slots.clear();
+  // Rebuilds lb(v) and the cached slots from v's current adjacency row.
+  // Thread-safe across distinct vertices: only v's own state is touched.
+  void RebuildRow(uint32_t v) {
+    slots_[v].clear();
     floor_[v] = -1.0;
     BestEdge lb;
     // Rows keep sub-threshold edges (the linkage rule needs them), but
@@ -479,16 +443,6 @@ class DeltaFrontier {
       InsertSlot(v, e.id, e.similarity);
     }
     lb_[v] = lb;
-    if (restore) {
-      for (FanoutSlot& s : slots) {
-        for (const FanoutSlot& old : scratch_) {
-          if (old.nbr == s.nbr) {
-            s.known = old.known;
-            break;
-          }
-        }
-      }
-    }
   }
 
   // Incremental registration of a newly created mergeable edge (v, c).
@@ -503,19 +457,19 @@ class DeltaFrontier {
   }
 
   // Surgical repair of v's cached row after a merge batch retired some
-  // of its neighbours, in O(cap) with no adjacency scan. Every mergeable
+  // of its neighbours, in O(slots) with no adjacency scan. Every mergeable
   // edge of v outside the slots has similarity <= floor_[v] (the
   // strongest edge ever evicted from or refused a slot), and merges
   // never touch similarities between surviving clusters; so when the
   // best surviving slot strictly beats the floor it is the exact row
   // maximum, and the shrunken slot list remains a valid — merely
-  // smaller — top-k (exactness never depended on the cap). A dead lb
+  // smaller — top-k (exactness never depends on the slot count). A dead lb
   // always names a dead slot (the best edge is always slot material),
   // so the no-deaths case needs no lb repair. When the floor is in
   // reach — the survivors no longer provably dominate the dominated
   // remainder — returns false and the caller falls back to RebuildRow.
   bool PatchRowForDeaths(uint32_t v) {
-    auto& slots = fanout_[v];
+    auto& slots = slots_[v];
     const size_t before = slots.size();
     size_t w = 0;
     for (size_t i = 0; i < before; ++i) {
@@ -828,17 +782,18 @@ class DeltaFrontier {
     m1_stale_[v] = kM1Full;
   }
 
-  // Keeps v's slots sorted by (similarity desc, id asc) and capped. Rows
-  // are scanned in ascending id order, so the stable "no swap on equal
-  // similarity" rule realises the ties-to-smaller-id order. An edge that
-  // is refused a slot or evicted by the cap raises the row's floor: it
-  // still exists in the graph, and PatchRowForDeaths may only trust the
-  // surviving slots while they strictly beat everything pushed out.
+  // Keeps v's slots sorted by (similarity desc, id asc) and capped at
+  // kRowSlots. Rows are scanned in ascending id order, so the stable "no
+  // swap on equal similarity" rule realises the ties-to-smaller-id
+  // order. An edge that is refused a slot or evicted by the cap raises
+  // the row's floor: it still exists in the graph, and PatchRowForDeaths
+  // may only trust the surviving slots while they strictly beat
+  // everything pushed out.
   bool InsertSlot(uint32_t v, uint32_t id, double sim) {
-    auto& slots = fanout_[v];
+    auto& slots = slots_[v];
     size_t pos = slots.size();
     while (pos > 0 && slots[pos - 1].similarity < sim) --pos;
-    if (fanout_cap_ > 0 && slots.size() == fanout_cap_) {
+    if (slots.size() == kRowSlots) {
       if (pos == slots.size()) {
         floor_[v] = std::max(floor_[v], sim);
         return false;
@@ -846,12 +801,12 @@ class DeltaFrontier {
       floor_[v] = std::max(floor_[v], slots.back().similarity);
       slots.pop_back();
     }
-    slots.insert(slots.begin() + pos, FanoutSlot{id, sim, {}});
+    slots.insert(slots.begin() + pos, RowSlot{id, sim});
     return true;
   }
 
   // Reverse slot index: holders_[c] lists every vertex that has (or
-  // once had) c seated in its fanout slots — a small superset of the
+  // once had) c seated in its slots — a small superset of the
   // rows a death of c can invalidate, so post-merge repair visits slot
   // holders instead of whole adjacency rows. Entries are appended on
   // seat and never removed on eviction (PatchRowForDeaths on a row that
@@ -859,7 +814,7 @@ class DeltaFrontier {
   // is drained once and freed.
  public:
   void RecordHolders(uint32_t v) {
-    for (const FanoutSlot& s : fanout_[v]) holders_[s.nbr].push_back(v);
+    for (const RowSlot& s : slots_[v]) holders_[s.nbr].push_back(v);
   }
   void DrainHolders(uint32_t dead, std::vector<uint32_t>& out) {
     auto& h = holders_[dead];
@@ -870,9 +825,8 @@ class DeltaFrontier {
  private:
   ClusterGraph& clusters_;
   const double threshold_;
-  const size_t fanout_cap_;
   std::vector<BestEdge> lb_;
-  std::vector<std::vector<FanoutSlot>> fanout_;
+  std::vector<std::vector<RowSlot>> slots_;
   std::vector<BestEdge> m1_;
   std::vector<uint32_t> m1_src_;
   std::vector<BestEdge> m2_;
@@ -889,7 +843,6 @@ class DeltaFrontier {
   std::vector<uint32_t> bfs_stamp_;
   uint32_t bfs_round_ = 0;
   std::vector<BfsNode> bfs_nodes_;
-  std::vector<FanoutSlot> scratch_;  // RebuildRow reuse (serial path only)
 };
 
 util::Status RunRoundsDelta(const ParallelHacOptions& options,
@@ -901,27 +854,7 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
 
   const size_t num_leaves = dendrogram.num_leaves();
   const size_t num_ids = num_leaves > 0 ? 2 * num_leaves - 1 : 0;
-
-  // The engine is hoisted out of the round loop and addressed directly
-  // by cluster id, so rounds pay for their frontier, not for O(V)
-  // construction. Vertex values are each cluster's diffused best edge,
-  // stamped per round (see DeltaValue).
-  using Engine = engine::BspEngine<DeltaValue, DeltaMessage>;
-  Engine::Options engine_options;
-  engine_options.num_partitions = options.num_partitions;
-  engine_options.num_threads = options.num_threads;
-  engine_options.pool = &pool;
-  engine_options.max_supersteps = k + 1;
-  Engine engine(num_ids, engine_options);
-  engine.SetCombiner([](DeltaMessage& acc, const DeltaMessage& incoming) {
-    if (Beats(incoming.edge, acc.edge)) {
-      acc = incoming;
-    } else if (incoming.edge == acc.edge && incoming.src < acc.src) {
-      acc.src = incoming.src;  // deterministic tie, order-independent
-    }
-  });
-
-  DeltaFrontier frontier(num_ids, clusters, threshold, options.fanout_cap);
+  DeltaFrontier frontier(num_ids, clusters, threshold);
   bool initialized = false;
 
   std::vector<std::pair<uint32_t, uint32_t>> to_merge;
@@ -933,18 +866,14 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
     BestEdge after;
   };
   std::vector<LbChange> lb_changes;
-  // Ascending smaller endpoints of the current mutually-best pairs —
-  // the only pairs diffusion can ever nominate: an engine agreement
-  // B(a) == (a,b) == B(b) forces lb(a) == (a,b) == lb(b), because B is
-  // the fold of the vertex's own lb with received values and no edge
-  // incident to a vertex can beat that vertex's lb. Maintaining the set
-  // incrementally (mutuality only flips where an lb changed or an
-  // endpoint died) replaces the per-round O(frontier) agreement scan
-  // with an O(changes) update — the step that makes round cost track
-  // merge activity instead of frontier size.
+  // Ascending smaller endpoints of the current mutually-best pairs, the
+  // only pairs that can merge (see the section comment). Maintaining the
+  // set incrementally (mutuality only flips where an lb changed or an
+  // endpoint died) replaces a per-round O(frontier) scan with an
+  // O(changes) update, so round cost tracks merge activity instead of
+  // frontier size.
   std::vector<uint32_t> candidates;
   std::vector<uint32_t> affected;
-  std::vector<uint32_t> seed;
   std::vector<uint32_t> rebuild_cands;
   std::vector<uint32_t> scratch_ids;
 
@@ -968,30 +897,26 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
     }
   };
 
-  for (size_t round = local_stats.rounds; round < options.max_rounds;
-       ++round) {
+  for (size_t round = local_stats.rounds;; ++round) {
     SHOAL_RETURN_IF_ERROR(util::FaultInjector::Global().OnHacRound(round));
     obs::ScopedSpan round_span("hac.round");
     round_span.AddArg("round", static_cast<double>(round));
     if (clusters.num_active() < 2) break;
     round_span.AddArg("active_clusters",
                       static_cast<double>(clusters.num_active()));
-    const size_t stamp = round + 1;  // 0 marks never-seeded engine values
 
     if (!initialized) {
       // Fresh run or resume: build every frontier row once, in parallel
-      // (each vertex writes only its own slots), derive the mutual-pair
-      // set with one full scan, and flood-seed the first diffusion.
-      // Resume takes the same path — diffusion state is derived, not
-      // checkpointed, and the exact verification makes the dendrogram
-      // independent of it.
+      // (each vertex writes only its own slots), and derive the
+      // mutual-pair set with one full scan. Resume takes the same path —
+      // this state is derived from the cluster graph, not checkpointed.
       SHOAL_TRACE_SPAN("hac.delta_init");
       std::vector<uint32_t> active = clusters.MergeableClusters();
       if (active.size() < 2) break;
       pool.ParallelForChunked(
           active.size(), [&](size_t begin, size_t end, size_t /*c*/) {
             for (size_t i = begin; i < end; ++i) {
-              frontier.RebuildRow(active[i], /*preserve_known=*/false);
+              frontier.RebuildRow(active[i]);
             }
           });
       // Holder registration is serial: a row's slots name other vertices'
@@ -1003,7 +928,6 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
       }
       dirty.clear();
       parked_events.clear();
-      seed = std::move(active);
       initialized = true;
     } else {
       // Fold last round's lb flips and merge deaths into the mutual
@@ -1025,86 +949,18 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
         scratch_ids.push_back(candidates[ci++]);
       }
       candidates.swap(scratch_ids);
-
-      // Pure delta protocol: a vertex speaks only when its best edge
-      // changed since it last spoke — the merge batch either rebuilt it
-      // to a different maximum or handed it a stronger fresh edge. A
-      // vertex in steady state has nothing to announce: its lb is
-      // unchanged and already known to its whole fanout.
-      seed.clear();
-      for (const LbChange& ch : lb_changes) seed.push_back(ch.v);
-      std::sort(seed.begin(), seed.end());
-      seed.erase(std::unique(seed.begin(), seed.end()), seed.end());
     }
-
-    // Every vertex the round touches re-derives its diffusion value from
-    // its current lb via the stamp check in the compute function (rather
-    // than letting diffused values persist across rounds) — merges can
-    // drop linkage similarities below the threshold and disconnect old
-    // propagation paths, so a held-over value could exceed the true
-    // k-hop maximum and misreport the neighbourhood.
-    round_span.AddArg("seeded", static_cast<double>(seed.size()));
     round_span.AddArg("candidate_pairs",
                       static_cast<double>(candidates.size()));
-    engine.SeedFrontier(seed);
-
-    obs::ScopedSpan diffusion_span("hac.diffusion");
-    auto status = engine.Run([&](Engine::Context& ctx, uint32_t v,
-                                 DeltaValue& value,
-                                 const std::vector<DeltaMessage>& messages) {
-      if (value.stamp != stamp) {
-        value = DeltaValue{frontier.lb(v), stamp};
-      }
-      BestEdge& best = value.edge;
-      auto& slots = frontier.fanout(v);
-      for (const DeltaMessage& m : messages) {
-        const bool improves = Beats(m.edge, best);
-        if (improves) best = m.edge;
-        if (improves || m.edge == best) {
-          // The sender holds this value; remember that so we never echo
-          // it (or anything weaker) back along that direction.
-          for (FanoutSlot& s : slots) {
-            if (s.nbr != m.src) continue;
-            if (Beats(m.edge, s.known)) s.known = m.edge;
-            break;
-          }
-        }
-      }
-      if (best.valid() && ctx.superstep() < k) {
-        for (FanoutSlot& s : slots) {
-          // Delta + pruning: send only what the receiver cannot already
-          // know to be dominated. A known value whose endpoints died is
-          // no longer evidence the receiver holds anything — resend.
-          if (s.known.valid() && frontier.Alive(s.known) &&
-              !Beats(best, s.known)) {
-            continue;
-          }
-          ctx.SendMessage(s.nbr, DeltaMessage{best, v});
-          s.known = best;
-        }
-      }
-      ctx.VoteToHalt();  // reactivated by incoming messages
-    });
-    if (!status.ok()) return status;
-    const uint64_t round_messages = engine.total_messages();
-    local_stats.total_messages += round_messages;
-    local_stats.total_supersteps += engine.superstep();
-    diffusion_span.AddArg("supersteps",
-                          static_cast<double>(engine.superstep()));
-    diffusion_span.AddArg("messages", static_cast<double>(round_messages));
-    diffusion_span.End();
 
     // --- candidate evaluation + exact verification ------------------------
-    // Mutual agreement only nominates: the pair merges iff no mergeable
-    // edge within k hops of either endpoint beats it. The ball-k check
-    // (or a still-live cached refutation) decides that exactly — it is
-    // the serial equivalent of the full-broadcast diffusion veto, which
-    // delivers precisely the ball-k maximum to each endpoint — and the
-    // ascending walk assigns merge ids in the same order a full frontier
-    // scan would, so the matching (and the dendrogram) is byte-identical
-    // to the broadcast path. Every rejected pair parks behind its
-    // refutation: nothing can re-enable it until a watched vertex dies,
-    // so it costs nothing per round while it waits.
+    // A mutually-best pair merges iff no mergeable edge within k hops of
+    // either endpoint beats it. The ball-k check (or a still-live cached
+    // refutation) decides that exactly — it is the serial equivalent of
+    // the diffusion veto, which delivers precisely the ball-k maximum to
+    // each endpoint. Every rejected pair parks behind its refutation:
+    // nothing can re-enable it until a watched vertex dies, so it costs
+    // nothing per round while it waits.
     to_merge.clear();
     merge_similarity.clear();
     for (uint32_t a : candidates) {
@@ -1135,7 +991,7 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
     }
     if (to_merge.empty()) break;
 
-    // Every vertex whose cached lb/fanout might reference a dying
+    // Every vertex whose cached lb/slots might reference a dying
     // cluster seated that cluster in a slot at some point, so the
     // reverse slot index names them all directly — no adjacency-row
     // scans of the retiring endpoints.
@@ -1153,8 +1009,8 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
     const uint32_t first_new_id = static_cast<uint32_t>(dendrogram.num_nodes());
     SHOAL_RETURN_IF_ERROR(CommitRound(options, clusters, dendrogram,
                                       local_stats, to_merge, merge_similarity,
-                                      pool, round_messages, active_before,
-                                      round_span));
+                                      pool, /*round_messages=*/0,
+                                      active_before, round_span));
 
     // --- incremental maintenance: touch only what the batch changed -------
     // Serial: the touched set is O(merges * mergeable degree), tiny next
@@ -1163,9 +1019,9 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
       SHOAL_TRACE_SPAN("hac.delta_update");
       const uint32_t end_id = static_cast<uint32_t>(dendrogram.num_nodes());
       lb_changes.clear();
-      // Repair every survivor adjacent to a retired endpoint in O(cap);
-      // only the rare undecidable row (a capped fanout wiped out whole)
-      // falls back to an adjacency rescan.
+      // Repair every survivor adjacent to a retired endpoint in
+      // O(kRowSlots); only the rare undecidable row (its cached slots
+      // wiped out whole) falls back to an adjacency rescan.
       dirty.clear();
       for (uint32_t v : rebuild_cands) {
         if (!clusters.IsActive(v)) continue;
@@ -1182,7 +1038,7 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
       dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
       for (uint32_t v : dirty) {
         const BestEdge before = frontier.lb(v);
-        frontier.RebuildRow(v, /*preserve_known=*/true);
+        frontier.RebuildRow(v);
         frontier.RecordHolders(v);
         if (!(frontier.lb(v) == before)) {
           lb_changes.push_back({v, before, frontier.lb(v)});
@@ -1191,7 +1047,7 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
       // One pass over each new cluster's mergeable edges builds its own
       // row (the same fold + stable insert a rebuild would run) and
       // hands the reverse edge to each surviving old neighbour, whose
-      // just-repaired row takes the O(cap) incremental insert — unless
+      // just-repaired row takes the O(kRowSlots) incremental insert — unless
       // it fell back to a full rescan above, which already saw the edge.
       // An edge between two new clusters is registered once from each
       // side as their rows are built.
@@ -1244,7 +1100,7 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
     }
   }
 
-  return FinishRun(options, clusters, dendrogram, local_stats);
+  return FinishRun(options, clusters, dendrogram, local_stats, pool);
 }
 
 util::Status RunRounds(const ParallelHacOptions& options,

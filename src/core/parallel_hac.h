@@ -30,10 +30,11 @@ struct HacProgress {
 // Parallel Hierarchical Agglomerative Clustering (Sec 2.2) — the paper's
 // contribution. Each *round*:
 //
-//   1. Graph diffusion on the BSP engine: for `diffusion_iterations`
-//      supersteps every cluster exchanges the best edge it knows with
-//      its neighbours. An edge survives as a *local maximal edge* when
-//      both endpoints still consider it the best edge they have seen.
+//   1. Graph diffusion: for `diffusion_iterations` (k) iterations every
+//      cluster exchanges the best edge it knows with its neighbours. An
+//      edge survives as a *local maximal edge* when both endpoints still
+//      consider it the best edge they have seen — equivalently, when no
+//      mergeable edge within k hops of either endpoint beats it.
 //   2. All local maximal edges (a matching, hence conflict-free) are
 //      merged in parallel; similarities to the merged cluster follow the
 //      linkage rule (Eq. 4 by default).
@@ -43,41 +44,29 @@ struct HacProgress {
 // round -> higher parallel degree (the trade-off of Figure 3); the paper
 // fixes diffusion_iterations = 2.
 //
-// How a round's best-edge proposals travel over the BSP engine. Both
-// modes produce byte-identical dendrograms (the delta path backstops its
-// message suppression with an exact neighbourhood check, DESIGN.md §8);
-// they differ only in message volume and per-round setup cost.
+// How a round finds its local maximal edges. Both modes produce
+// byte-identical dendrograms (DESIGN.md §8); only the full-broadcast
+// mode sends messages or counts supersteps.
 enum class DiffusionMode {
-  // Incremental (default): one engine reused across rounds, proposals
-  // sent only to the top-`fanout_cap` strongest neighbours and only when
-  // the recipient is not already known to hold a value at least as good
-  // (per-edge-direction last-sent tracking). Candidate pairs that the
-  // reduced message flow fails to suppress are rejected by an exact
-  // serial verification pass, so the matching — and the dendrogram — is
-  // identical to full broadcast.
+  // Default: no diffusion. The candidates are the mutually-best pairs
+  // (each endpoint's strongest mergeable edge is the other), kept up to
+  // date from what each merge batch changed, and an exact serial k-hop
+  // check decides each one.
   kDelta,
-  // Legacy reference path: per-round CSR snapshot of the mergeable
-  // frontier and a fresh engine per round; every vertex broadcasts each
-  // improvement to all mergeable neighbours. O(E) messages per round.
+  // Paper-literal reference: a fresh BSP engine per round runs the
+  // k-iteration diffusion over a snapshot of the mergeable frontier,
+  // every vertex broadcasting each improvement to all mergeable
+  // neighbours. O(E) messages per round.
   kFullBroadcast,
 };
 
 struct ParallelHacOptions {
   HacOptions hac;
   size_t diffusion_iterations = 2;
+  // BSP engine partitions; only the full-broadcast mode runs an engine.
   size_t num_partitions = 8;
   size_t num_threads = 2;
-  size_t max_rounds = 100000;
   DiffusionMode diffusion_mode = DiffusionMode::kDelta;
-  // Delta mode only: each vertex exchanges proposals with at most this
-  // many of its strongest mergeable neighbours (by similarity, ties to
-  // the smaller id). 0 means unlimited. Exactness does not depend on the
-  // cap — dropped propagation is caught by verification — so this purely
-  // trades message volume against verification work. The default keeps
-  // only the best edge per vertex: a cap sweep (1/2/4/8) on the
-  // bench_scalability graphs showed cap 1 at or below every other
-  // setting on wall-clock while sending ~17x fewer messages than cap 8.
-  size_t fanout_cap = 1;
   // Invoke `checkpoint_hook` after every `checkpoint_every`-th completed
   // round (0 disables periodic calls). When a hook is set it is also
   // called once after the final round with HacProgress::finished = true.
@@ -90,12 +79,14 @@ struct ParallelHacOptions {
 struct ParallelHacStats {
   size_t rounds = 0;
   size_t total_merges = 0;
-  uint64_t total_messages = 0;    // BSP messages across all rounds
+  // BSP messages and supersteps across all rounds; full-broadcast mode
+  // only (always zero in the default mode, which sends no messages).
+  uint64_t total_messages = 0;
   size_t total_supersteps = 0;
   // Local maximal edges found (== merges) in each round; the parallel
   // degree trace reported by bench_diffusion.
   std::vector<size_t> merges_per_round;
-  // Delta-mode telemetry: mutually-best pairs evaluated across all
+  // Default-mode telemetry: mutually-best pairs evaluated across all
   // rounds, and how many of those were rejected — by the exact ball-k
   // verification or by a still-live cached refutation. A rejected pair
   // parks until a watched vertex dies and is only re-counted when it is

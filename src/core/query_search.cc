@@ -18,15 +18,8 @@ util::Result<QueryTopicIndex> QueryTopicIndex::Build(
   index.vocab_ = vocab;
   index.bm25_ = text::Bm25Index(options.bm25);
 
-  std::vector<uint32_t> topic_ids;
-  if (options.roots_only) {
-    topic_ids = taxonomy.roots();
-  } else {
-    topic_ids.resize(taxonomy.num_topics());
-    for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) topic_ids[t] = t;
-  }
-
-  for (uint32_t t : topic_ids) {
+  // One BM25 document per topic, in topic order: doc id == topic id.
+  for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
     const Topic& topic = taxonomy.topic(t);
     std::vector<uint32_t> doc;
     for (uint32_t e : topic.entities) {
@@ -45,7 +38,6 @@ util::Result<QueryTopicIndex> QueryTopicIndex::Build(
       }
     }
     index.bm25_.AddDocument(doc);
-    index.doc_topic_.push_back(t);
   }
   return index;
 }
@@ -64,7 +56,7 @@ std::vector<QueryTopicIndex::Hit> QueryTopicIndex::Search(
   if (words.empty()) return hits;
   std::vector<double> scores = bm25_.ScoreAll(words);
   for (uint32_t d = 0; d < scores.size(); ++d) {
-    if (scores[d] > 0.0) hits.push_back(Hit{doc_topic_[d], scores[d]});
+    if (scores[d] > 0.0) hits.push_back(Hit{d, scores[d]});
   }
   std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
     if (a.score != b.score) return a.score > b.score;

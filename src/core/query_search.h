@@ -17,11 +17,10 @@ namespace shoal::core {
 // member titles plus the topic's representative queries) with BM25.
 class QueryTopicIndex {
  public:
+  // Every topic is indexed, so sub-topics are searchable too (scenario
+  // (B)).
   struct Options {
     text::Bm25Index::Options bm25;
-    // Index root topics only, or every topic (enables sub-topic search
-    // for scenario (B)).
-    bool roots_only = false;
   };
 
   // `vocab` must be the vocabulary the title/query word ids refer to;
@@ -43,8 +42,7 @@ class QueryTopicIndex {
  private:
   QueryTopicIndex() = default;
 
-  text::Bm25Index bm25_;
-  std::vector<uint32_t> doc_topic_;  // BM25 doc id -> topic id
+  text::Bm25Index bm25_;  // doc id == topic id
   const text::Vocabulary* vocab_ = nullptr;
 };
 

@@ -10,14 +10,12 @@ namespace shoal::core {
 
 namespace {
 
-// Shared body of Describe / DescribeTopics. `doc_topics` feed the BM25
-// corpus (one pseudo-document each); `score_topics` ⊆ doc_topics are the
-// ones actually scored and rewritten. Describe passes the same set for
-// both; DescribeTopics passes every topic as docs and the caller's
-// subset as scores.
+// Shared body of Describe / DescribeTopics. Every topic's pseudo-document
+// enters the BM25 corpus (doc id == topic id); only `score_topics` are
+// scored and rewritten.
 util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
     Taxonomy& taxonomy, const DescriberInput& input,
-    const DescriberOptions& options, const std::vector<uint32_t>& doc_topics,
+    const DescriberOptions& options,
     const std::vector<uint32_t>& score_topics) {
   if (input.taxonomy != nullptr && input.taxonomy != &taxonomy) {
     return util::Status::InvalidArgument(
@@ -41,24 +39,14 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
         "entity titles do not match bipartite graph");
   }
 
-  // Pseudo-document D_t per corpus topic, and the BM25 index.
+  // Pseudo-document D_t per topic, and the BM25 index.
   text::Bm25Index bm25(options.bm25);
-  std::unordered_map<uint32_t, uint32_t> doc_of_topic;  // topic -> doc id
-  for (uint32_t t : doc_topics) {
-    if (t >= taxonomy.num_topics()) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "topic %u is out of range (taxonomy has %zu topics)", t,
-          taxonomy.num_topics()));
-    }
+  for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
     std::vector<uint32_t> doc;
     for (uint32_t e : taxonomy.topic(t).entities) {
       doc.insert(doc.end(), titles[e].begin(), titles[e].end());
     }
-    const auto inserted = doc_of_topic.emplace(t, bm25.AddDocument(doc));
-    if (!inserted.second) {
-      return util::Status::InvalidArgument(
-          util::StringPrintf("topic %u appears twice", t));
-    }
+    bm25.AddDocument(doc);
   }
 
   // Per-topic interaction counts: tf(q, I_t) and tf(I_t); candidates are
@@ -73,10 +61,10 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
   std::unordered_map<uint32_t, SoftmaxCache> softmax_cache;
 
   for (uint32_t t : score_topics) {
-    if (t >= taxonomy.num_topics() || doc_of_topic.find(t) ==
-                                          doc_of_topic.end()) {
+    if (t >= taxonomy.num_topics()) {
       return util::Status::InvalidArgument(util::StringPrintf(
-          "scored topic %u is not part of the BM25 corpus", t));
+          "topic %u is out of range (taxonomy has %zu topics)", t,
+          taxonomy.num_topics()));
     }
     Topic& topic = taxonomy.topic(t);
     std::unordered_map<uint32_t, uint64_t> tf_q;  // query -> interactions
@@ -113,7 +101,7 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
         cache_it = softmax_cache.emplace(q, std::move(cache)).first;
       }
       const SoftmaxCache& cache = cache_it->second;
-      double rel_t = cache.rel[doc_of_topic.at(t)];
+      double rel_t = cache.rel[t];
       double con = std::exp(rel_t - cache.max_rel) / cache.sum_exp;
 
       ScoredQuery scored;
@@ -151,9 +139,7 @@ std::vector<uint32_t> AllTopicIds(const Taxonomy& taxonomy) {
 util::Result<std::vector<std::vector<ScoredQuery>>> TopicDescriber::Describe(
     Taxonomy& taxonomy, const DescriberInput& input,
     const DescriberOptions& options) {
-  const std::vector<uint32_t> topic_ids =
-      options.roots_only ? taxonomy.roots() : AllTopicIds(taxonomy);
-  return DescribeImpl(taxonomy, input, options, topic_ids, topic_ids);
+  return DescribeImpl(taxonomy, input, options, AllTopicIds(taxonomy));
 }
 
 util::Result<std::vector<std::vector<ScoredQuery>>>
@@ -161,8 +147,7 @@ TopicDescriber::DescribeTopics(Taxonomy& taxonomy,
                                const DescriberInput& input,
                                const DescriberOptions& options,
                                const std::vector<uint32_t>& topics_to_score) {
-  return DescribeImpl(taxonomy, input, options, AllTopicIds(taxonomy),
-                      topics_to_score);
+  return DescribeImpl(taxonomy, input, options, topics_to_score);
 }
 
 }  // namespace shoal::core

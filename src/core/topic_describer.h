@@ -26,9 +26,6 @@ namespace shoal::core {
 // is kept by carrying exp(-max) explicitly).
 struct DescriberOptions {
   size_t queries_per_topic = 5;
-  // When true only root topics are described (cheaper); sub-topics
-  // inherit nothing. The pipeline defaults to describing every topic.
-  bool roots_only = false;
   text::Bm25Index::Options bm25;
 };
 
@@ -63,8 +60,7 @@ class TopicDescriber {
   // `topics_to_score` are scored and have their descriptions rewritten.
   // Rankings of unscored topics come back empty; their descriptions are
   // left untouched (the daemon carries them over from the previous
-  // cycle). `options.roots_only` is ignored here — the caller picks the
-  // subset. Duplicate or out-of-range ids are InvalidArgument.
+  // cycle). Out-of-range ids are InvalidArgument.
   static util::Result<std::vector<std::vector<ScoredQuery>>> DescribeTopics(
       Taxonomy& taxonomy, const DescriberInput& input,
       const DescriberOptions& options,

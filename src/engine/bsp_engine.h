@@ -5,9 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,7 +25,7 @@ namespace shoal::engine {
 //  * computation proceeds in supersteps; in each superstep every *active*
 //    vertex runs the user compute function, may read messages sent to it
 //    in the previous superstep, send messages of type M to any vertex,
-//    update aggregators, and vote to halt;
+//    and vote to halt;
 //  * a vertex is reactivated by an incoming message;
 //  * the run terminates when every vertex has halted and no messages are
 //    in flight, or after `max_supersteps`.
@@ -43,9 +41,9 @@ namespace shoal::engine {
 // O(V) barrier costs forever.
 //
 // The worker pool can be injected (`Options::pool`) and shared across
-// many engine instances — ParallelHac creates one engine per round, and
-// without injection every round would spawn and join a fresh set of
-// threads.
+// many engine instances — full-broadcast ParallelHac creates one engine
+// per round, and without injection every round would spawn and join a
+// fresh set of threads.
 template <typename V, typename M>
 class BspEngine {
  public:
@@ -81,14 +79,12 @@ class BspEngine {
       pool_ = owned_pool_.get();
     }
     const uint32_t num_parts = partitioner_.num_partitions();
-    partition_vertices_.resize(num_parts);
     awake_.resize(num_parts);
     awake_next_.resize(num_parts);
     dirty_.resize(num_parts);
     compute_set_.resize(num_parts);
     for (uint32_t p = 0; p < num_parts; ++p) {
-      partition_vertices_[p] = partitioner_.VerticesOf(p);
-      awake_[p] = partition_vertices_[p];  // every vertex starts active
+      awake_[p] = partitioner_.VerticesOf(p);  // every vertex starts active
     }
   }
 
@@ -100,16 +96,9 @@ class BspEngine {
 
   void SetCombiner(CombineFn combine) { combine_ = std::move(combine); }
 
-  // Aggregator value from the *previous* superstep (sum semantics),
-  // 0.0 when never written.
-  double GetAggregate(const std::string& name) const {
-    auto it = prev_aggregates_.find(name);
-    return it == prev_aggregates_.end() ? 0.0 : it->second;
-  }
-
   // Per-vertex execution context handed to the compute function. One
-  // context per partition, reused across supersteps (outbox shards and
-  // aggregate maps keep their capacity between rounds).
+  // context per partition, reused across supersteps (outbox shards keep
+  // their capacity between rounds).
   class Context {
    public:
     Context(BspEngine* engine, uint32_t partition)
@@ -142,20 +131,10 @@ class BspEngine {
     // The current vertex becomes inactive until a message arrives.
     void VoteToHalt() { halt_current_ = true; }
 
-    // Adds into a named global sum aggregator, visible next superstep.
-    void AggregateSum(const std::string& name, double value) {
-      local_aggregates_[name] += value;
-    }
-
-    double GetAggregate(const std::string& name) const {
-      return engine_->GetAggregate(name);
-    }
-
    private:
     friend class BspEngine;
     void ResetForSuperstep() {
       for (auto& shard : shards_) shard.clear();
-      local_aggregates_.clear();
       messages_sent_ = 0;
       invalid_target_ = false;
     }
@@ -164,7 +143,6 @@ class BspEngine {
     uint32_t partition_;
     // Outgoing messages sharded by target partition.
     std::vector<std::vector<std::pair<uint32_t, M>>> shards_;
-    std::map<std::string, double> local_aggregates_;
     uint64_t messages_sent_ = 0;
     bool halt_current_ = false;
     bool invalid_target_ = false;
@@ -234,17 +212,10 @@ class BspEngine {
         delivered += contexts_[p].messages_sent_;
       }
 
-      // --- barrier: merge aggregators (fixed partition order), then
-      // deliver shards in parallel — each target partition clears only
-      // the inboxes its previous dirty list names and drains the shards
-      // addressed to it in source-partition order, which keeps delivery
-      // deterministic without a serial O(V) pass.
-      prev_aggregates_.clear();
-      for (uint32_t p = 0; p < num_parts; ++p) {
-        for (const auto& [name, value] : contexts_[p].local_aggregates_) {
-          prev_aggregates_[name] += value;
-        }
-      }
+      // --- barrier: deliver shards in parallel — each target partition
+      // clears only the inboxes its previous dirty list names and drains
+      // the shards addressed to it in source-partition order, which keeps
+      // delivery deterministic without a serial O(V) pass.
       pool_->ParallelForChunked(
           num_parts, [&](size_t begin, size_t end, size_t /*worker*/) {
             for (size_t target_part = begin; target_part < end;
@@ -304,60 +275,19 @@ class BspEngine {
     return util::Status::OK();  // hit max_supersteps; callers may inspect
   }
 
-  // Wakes every vertex (used between phases of multi-stage algorithms).
-  void ActivateAll() {
-    for (uint32_t p = 0; p < partitioner_.num_partitions(); ++p) {
-      awake_[p] = partition_vertices_[p];
-    }
-  }
-
-  // Replaces the awake frontier with exactly `vertices` (must be sorted
-  // ascending) and drops any undelivered messages left over from a
-  // previous Run. Lets one engine be reused across many runs over the
-  // same vertex space — e.g. ParallelHac's per-merge-round diffusion —
-  // with per-run cost proportional to the seed set plus the stale dirty
-  // lists, never O(V).
-  void SeedFrontier(const std::vector<uint32_t>& vertices) {
-    const uint32_t num_parts = partitioner_.num_partitions();
-    for (uint32_t p = 0; p < num_parts; ++p) {
-      awake_[p].clear();
-      for (uint32_t v : dirty_[p]) inbox_[v].clear();
-      dirty_[p].clear();
-    }
-    // Ascending input keeps each partition's awake list ascending (a
-    // partition's members are a subsequence of the input).
-    for (uint32_t v : vertices) {
-      awake_[partitioner_.PartitionOf(v)].push_back(v);
-    }
-  }
-
   uint64_t total_messages() const { return total_messages_; }
 
  private:
-  // Pushes run totals and the worker pool's queue-depth / task-latency
-  // counters into the global registry after a completed run.
+  // Pushes run totals into the global registry after a completed run.
   void RecordRunMetrics() {
     auto& metrics = obs::MetricsRegistry::Global();
     if (!metrics.enabled()) return;
     metrics.GetCounter("bsp.runs").Increment();
     metrics.GetCounter("bsp.supersteps").Increment(superstep_);
     metrics.GetCounter("bsp.messages").Increment(total_messages_);
-    const util::ThreadPoolStats pool = pool_->GetStats();
-    metrics.GetGauge("bsp.pool.queue_depth")
-        .Set(static_cast<double>(pool.queue_depth));
-    metrics.GetGauge("bsp.pool.peak_queue_depth")
-        .Set(static_cast<double>(pool.peak_queue_depth));
-    metrics.GetGauge("bsp.pool.tasks_executed")
-        .Set(static_cast<double>(pool.tasks_executed));
-    metrics.GetHistogram("bsp.pool.task_seconds")
-        .Record(pool.tasks_executed > 0
-                    ? pool.total_task_seconds /
-                          static_cast<double>(pool.tasks_executed)
-                    : 0.0);
   }
   Options options_;
   Partitioner partitioner_;
-  std::vector<std::vector<uint32_t>> partition_vertices_;
   std::vector<V> values_;
   std::vector<std::vector<M>> inbox_;
   // Frontier state, all ascending per partition: vertices that did not
@@ -371,7 +301,6 @@ class BspEngine {
   util::ThreadPool* pool_ = nullptr;
   std::unique_ptr<util::ThreadPool> owned_pool_;
   CombineFn combine_;
-  std::map<std::string, double> prev_aggregates_;
   size_t superstep_ = 0;
   uint64_t total_messages_ = 0;
 };

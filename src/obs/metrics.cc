@@ -5,6 +5,7 @@
 
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace shoal::obs {
 
@@ -76,7 +77,6 @@ BucketLayout BucketLayout::Log(double lo, double hi, double base) {
   SHOAL_CHECK(lo > 0.0 && hi > lo && base > 1.0)
       << "log bucket layout needs 0 < lo < hi and base > 1";
   BucketLayout layout;
-  layout.kind = Kind::kLog;
   layout.lo = lo;
   layout.hi = hi;
   layout.base = base;
@@ -90,21 +90,6 @@ BucketLayout BucketLayout::Log(double lo, double hi, double base) {
     layout.bounds.push_back(bound);
     SHOAL_CHECK(layout.bounds.size() < 100000)
         << "log bucket layout out of control (base too close to 1?)";
-  }
-  return layout;
-}
-
-BucketLayout BucketLayout::Linear(double lo, double hi, size_t buckets) {
-  SHOAL_CHECK(hi > lo && buckets > 0)
-      << "linear bucket layout needs lo < hi and at least one bucket";
-  BucketLayout layout;
-  layout.kind = Kind::kLinear;
-  layout.lo = lo;
-  layout.hi = hi;
-  layout.linear_buckets = buckets;
-  const double width = (hi - lo) / static_cast<double>(buckets);
-  for (size_t i = 0; i <= buckets; ++i) {
-    layout.bounds.push_back(lo + width * static_cast<double>(i));
   }
   return layout;
 }
@@ -136,8 +121,7 @@ double BucketLayout::LowerBound(size_t i) const {
 }
 
 bool BucketLayout::operator==(const BucketLayout& other) const {
-  return kind == other.kind && lo == other.lo && hi == other.hi &&
-         base == other.base && linear_buckets == other.linear_buckets &&
+  return lo == other.lo && hi == other.hi && base == other.base &&
          bounds == other.bounds;
 }
 
@@ -246,14 +230,11 @@ HistogramMetric::HistogramMetric(BucketLayout layout)
   }
 }
 
-HistogramMetric::HistogramMetric(double lo, double hi, size_t buckets)
-    : HistogramMetric(BucketLayout::Linear(lo, hi, buckets)) {}
-
 void HistogramMetric::Record(double sample) {
   Shard& shard = shards_[ThreadShard(kNumShards)];
   if (!std::isfinite(sample)) {
-    // A poisoned sample must not poison the moments (mirrors
-    // util::RunningStats NaN/Inf hardening).
+    // A poisoned sample must not poison the moments; it is counted
+    // separately instead.
     shard.non_finite.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -338,19 +319,6 @@ HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name) {
   return *slot;
 }
 
-HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name,
-                                               double lo, double hi,
-                                               size_t buckets) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SHOAL_CHECK(!counters_.contains(name) && !gauges_.contains(name))
-      << "metric '" << name << "' already registered with another kind";
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<HistogramMetric>(lo, hi, buckets);
-  }
-  return *slot;
-}
-
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
@@ -385,6 +353,22 @@ util::JsonValue MetricsRegistry::ToJson() const {
 
 std::string MetricsRegistry::ToJsonString(int indent) const {
   return ToJson().Dump(indent);
+}
+
+void RecordThreadPoolStats(const std::string& prefix,
+                           const util::ThreadPoolStats& stats) {
+  auto& metrics = MetricsRegistry::Global();
+  metrics.GetGauge(prefix + ".queue_depth")
+      .Set(static_cast<double>(stats.queue_depth));
+  metrics.GetGauge(prefix + ".peak_queue_depth")
+      .Set(static_cast<double>(stats.peak_queue_depth));
+  metrics.GetGauge(prefix + ".tasks_executed")
+      .Set(static_cast<double>(stats.tasks_executed));
+  metrics.GetHistogram(prefix + ".task_seconds")
+      .Record(stats.tasks_executed > 0
+                  ? stats.total_task_seconds /
+                        static_cast<double>(stats.tasks_executed)
+                  : 0.0);
 }
 
 std::string SanitizeMetricName(const std::string& name) {

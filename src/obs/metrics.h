@@ -12,6 +12,10 @@
 
 #include "util/json.h"
 
+namespace shoal::util {
+struct ThreadPoolStats;
+}  // namespace shoal::util
+
 namespace shoal::obs {
 
 // Monotonic event count. Thread-safe; one relaxed atomic add per
@@ -42,24 +46,16 @@ class Gauge {
   std::atomic<double> max_{0.0};
 };
 
-// Bucket geometry shared by HistogramMetric and its snapshots. Two
-// shapes:
-//
-//  * kLog (the default): HDR-style geometric buckets, bound i at
-//    lo * base^i, covering [lo, hi) plus an underflow bucket (< lo,
-//    including zero and negatives) and an overflow bucket (>= hi). The
-//    default layout spans 1e-6 .. 6e7 at base 1.15 — wide enough that
-//    one layout serves microsecond latencies recorded in either seconds
-//    or microseconds, and message/merge counts up to tens of millions,
-//    with every in-range quantile accurate to one bucket's ~15%
-//    relative width.
-//  * kLinear: `buckets` fixed-width bins over [lo, hi) plus the same
-//    underflow/overflow pair, for explicitly shaped distributions.
+// Bucket geometry shared by HistogramMetric and its snapshots:
+// HDR-style geometric buckets, bound i at lo * base^i, covering [lo, hi)
+// plus an underflow bucket (< lo, including zero and negatives) and an
+// overflow bucket (>= hi). The default layout spans 1e-6 .. 6e7 at base
+// 1.15 — wide enough that one layout serves microsecond latencies
+// recorded in either seconds or microseconds, and message/merge counts
+// up to tens of millions, with every in-range quantile accurate to one
+// bucket's ~15% relative width.
 struct BucketLayout {
-  enum class Kind { kLog, kLinear };
-
   static BucketLayout Log(double lo, double hi, double base);
-  static BucketLayout Linear(double lo, double hi, size_t buckets);
   // The process-wide default: Log(1e-6, 6e7, 1.15).
   static BucketLayout DefaultLog();
 
@@ -76,11 +72,9 @@ struct BucketLayout {
   size_t num_buckets() const { return bounds.size() + 1; }
   bool operator==(const BucketLayout& other) const;
 
-  Kind kind = Kind::kLog;
   double lo = 0.0;
   double hi = 0.0;
-  double base = 0.0;     // log layouts only
-  size_t linear_buckets = 0;  // linear layouts only
+  double base = 0.0;
   // Sorted inner bucket boundaries: bucket i covers
   // [bounds[i-1], bounds[i]), the underflow bucket is (-inf, bounds[0])
   // and the overflow bucket [bounds.back(), +inf).
@@ -131,8 +125,6 @@ class HistogramMetric {
   // every histogram is quantile-capable unless explicitly shaped.
   HistogramMetric();
   explicit HistogramMetric(BucketLayout layout);
-  // Legacy linear shape: `buckets` fixed-width bins over [lo, hi).
-  HistogramMetric(double lo, double hi, size_t buckets);
 
   HistogramMetric(const HistogramMetric&) = delete;
   HistogramMetric& operator=(const HistogramMetric&) = delete;
@@ -176,7 +168,7 @@ class HistogramMetric {
 //
 // Naming convention (see DESIGN.md "Observability"): dotted lowercase
 // paths, `<stage>.<object>.<measure>`, e.g. `hac.round.merges`,
-// `bsp.pool.peak_queue_depth`.
+// `hac.pool.peak_queue_depth`.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -196,9 +188,6 @@ class MetricsRegistry {
   Gauge& GetGauge(const std::string& name);
   // Default log-bucketed layout — quantile-capable out of the box.
   HistogramMetric& GetHistogram(const std::string& name);
-  // Explicit linear shape (legacy); only honoured on first creation.
-  HistogramMetric& GetHistogram(const std::string& name, double lo,
-                                double hi, size_t buckets);
 
   // Zeroes every registered metric. Handles stay valid.
   void Reset();
@@ -223,6 +212,13 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
 };
+
+// Bridges a worker pool's execution statistics into the global registry
+// (util cannot depend on obs): `<prefix>.queue_depth`,
+// `<prefix>.peak_queue_depth` and `<prefix>.tasks_executed` gauges, and
+// the mean task latency into the `<prefix>.task_seconds` histogram.
+void RecordThreadPoolStats(const std::string& prefix,
+                           const util::ThreadPoolStats& stats);
 
 // `name` rewritten to the Prometheus metric-name alphabet: characters
 // outside [a-zA-Z0-9_:] become '_', and a leading digit gets a '_'

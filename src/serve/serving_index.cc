@@ -7,7 +7,6 @@
 #include <new>
 #include <utility>
 
-#include "ckpt/binary_io.h"
 #include "text/normalize.h"
 #include "util/atomic_file.h"
 #include "util/crc32.h"
@@ -264,20 +263,25 @@ util::Status ServingIndex::Bind(const LoadOptions& options,
   auto fail = [&origin](const std::string& message) {
     return util::Status::InvalidArgument(origin + ": " + message);
   };
-  if (size_ < kSectionsStart) {
-    return fail(util::StringPrintf(
-        "serving index image of %zu bytes is smaller than the %zu-byte "
-        "v2 preamble — truncated",
-        size_, kSectionsStart));
-  }
-  if (std::memcmp(base_, kMagic, sizeof(kMagic)) != 0) {
+  // Magic and format first, so a file of another format (including the
+  // retired v1 record stream) gets the actionable error, not "truncated".
+  if (size_ < sizeof(kMagic) + sizeof(uint32_t) ||
+      std::memcmp(base_, kMagic, sizeof(kMagic)) != 0) {
     return fail("not a SHOAL serving index file");
   }
   const uint32_t format = LoadScalar<uint32_t>(base_ + 8);
   if (format != kServingIndexFormatVersion) {
     return fail(util::StringPrintf(
-        "serving index format version %u, the flat loader reads version %u",
+        "serving index format version %u, this build reads only version "
+        "%u; recompile the index from its taxonomy (shoal_cli build "
+        "--serving-index-out)",
         format, kServingIndexFormatVersion));
+  }
+  if (size_ < kSectionsStart) {
+    return fail(util::StringPrintf(
+        "serving index image of %zu bytes is smaller than the %zu-byte "
+        "preamble — truncated",
+        size_, kSectionsStart));
   }
   if (options.verify_crc) {
     const uint32_t stored = LoadScalar<uint32_t>(base_ + 12);
@@ -919,101 +923,6 @@ util::Result<ServingIndexData> BuildServingIndexData(
   return data;
 }
 
-// ---- v1 (legacy, copying) codec -------------------------------------------
-
-std::string EncodeServingIndex(const ServingIndexData& data) {
-  ckpt::BinaryWriter writer;
-  writer.WriteU64(data.version);
-
-  writer.WriteU64(data.parent.size());
-  for (size_t t = 0; t < data.parent.size(); ++t) {
-    writer.WriteU32(data.parent[t]);
-    writer.WriteU32(data.level[t]);
-    writer.WriteU32(data.topic_size[t]);
-    writer.WriteU64(data.descriptions[t].size());
-    for (const std::string& d : data.descriptions[t]) writer.WriteString(d);
-  }
-
-  writer.WriteU64(data.entity_topic.size());
-  for (size_t e = 0; e < data.entity_topic.size(); ++e) {
-    writer.WriteU32(data.entity_topic[e]);
-    writer.WriteU32(data.entity_category[e]);
-  }
-
-  writer.WriteU64(data.query_text.size());
-  for (size_t q = 0; q < data.query_text.size(); ++q) {
-    writer.WriteString(data.query_text[q]);
-    writer.WriteString(data.query_norm[q]);
-    writer.WriteU64(data.posting_list[q].size());
-    for (const Posting& p : data.posting_list[q]) {
-      writer.WriteU32(p.topic);
-      writer.WriteF64(p.score);
-    }
-  }
-  return writer.Take();
-}
-
-util::Result<ServingIndexData> DecodeServingIndex(std::string_view payload) {
-  ckpt::BinaryReader reader(payload);
-  ServingIndexData data;
-  SHOAL_ASSIGN_OR_RETURN(data.version, reader.ReadU64());
-
-  SHOAL_ASSIGN_OR_RETURN(uint64_t num_topics, reader.ReadU64());
-  // u32 parent + u32 level + u32 size + u64 description count.
-  SHOAL_RETURN_IF_ERROR(reader.CheckCount(num_topics, 20));
-  data.parent.resize(num_topics);
-  data.level.resize(num_topics);
-  data.topic_size.resize(num_topics);
-  data.descriptions.resize(num_topics);
-  for (uint64_t t = 0; t < num_topics; ++t) {
-    SHOAL_ASSIGN_OR_RETURN(data.parent[t], reader.ReadU32());
-    SHOAL_ASSIGN_OR_RETURN(data.level[t], reader.ReadU32());
-    SHOAL_ASSIGN_OR_RETURN(data.topic_size[t], reader.ReadU32());
-    SHOAL_ASSIGN_OR_RETURN(uint64_t num_desc, reader.ReadU64());
-    SHOAL_RETURN_IF_ERROR(reader.CheckCount(num_desc, 8));
-    data.descriptions[t].resize(num_desc);
-    for (uint64_t d = 0; d < num_desc; ++d) {
-      SHOAL_ASSIGN_OR_RETURN(data.descriptions[t][d], reader.ReadString());
-    }
-  }
-
-  SHOAL_ASSIGN_OR_RETURN(uint64_t num_entities, reader.ReadU64());
-  SHOAL_RETURN_IF_ERROR(reader.CheckCount(num_entities, 8));
-  data.entity_topic.resize(num_entities);
-  data.entity_category.resize(num_entities);
-  for (uint64_t e = 0; e < num_entities; ++e) {
-    SHOAL_ASSIGN_OR_RETURN(data.entity_topic[e], reader.ReadU32());
-    SHOAL_ASSIGN_OR_RETURN(data.entity_category[e], reader.ReadU32());
-  }
-
-  SHOAL_ASSIGN_OR_RETURN(uint64_t num_queries, reader.ReadU64());
-  // Two length-prefixed strings plus the posting count.
-  SHOAL_RETURN_IF_ERROR(reader.CheckCount(num_queries, 24));
-  data.query_text.resize(num_queries);
-  data.query_norm.resize(num_queries);
-  data.posting_list.resize(num_queries);
-  for (uint64_t q = 0; q < num_queries; ++q) {
-    SHOAL_ASSIGN_OR_RETURN(data.query_text[q], reader.ReadString());
-    SHOAL_ASSIGN_OR_RETURN(data.query_norm[q], reader.ReadString());
-    SHOAL_ASSIGN_OR_RETURN(uint64_t num_postings, reader.ReadU64());
-    SHOAL_RETURN_IF_ERROR(reader.CheckCount(num_postings, 12));
-    data.posting_list[q].resize(num_postings);
-    for (uint64_t p = 0; p < num_postings; ++p) {
-      SHOAL_ASSIGN_OR_RETURN(data.posting_list[q][p].topic,
-                             reader.ReadU32());
-      SHOAL_ASSIGN_OR_RETURN(data.posting_list[q][p].score,
-                             reader.ReadF64());
-    }
-  }
-
-  if (!reader.AtEnd()) {
-    return util::Status::InvalidArgument(
-        "serving index payload has trailing bytes");
-  }
-  SHOAL_RETURN_IF_ERROR(data.Validate());
-  return data;
-}
-
 // ---- file wrappers --------------------------------------------------------
 
 util::Status WriteServingIndexFile(const std::string& path,
@@ -1022,88 +931,13 @@ util::Status WriteServingIndexFile(const std::string& path,
   return util::AtomicWriteFile(path, image);
 }
 
-util::Status WriteServingIndexFileV1(const std::string& path,
-                                     const ServingIndexData& data) {
-  const std::string payload = EncodeServingIndex(data);
-  ckpt::BinaryWriter header;
-  std::string framed;
-  framed.reserve(sizeof(kMagic) + 16 + payload.size());
-  framed.append(kMagic, sizeof(kMagic));
-  header.WriteU32(kServingIndexFormatVersionV1);
-  header.WriteU64(payload.size());
-  header.WriteU32(util::Crc32(payload.data(), payload.size()));
-  framed += header.data();
-  framed.append(payload);
-  return util::AtomicWriteFile(path, framed);
-}
-
-namespace {
-
-// Returns the sniffed format version, rejecting unknown files cleanly.
-util::Result<uint32_t> SniffFormat(std::string_view bytes,
-                                   const std::string& path) {
-  if (bytes.size() < 12 ||
-      bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-    return util::Status::InvalidArgument(path +
-                                         ": not a SHOAL serving index file");
-  }
-  const uint32_t version =
-      LoadScalar<uint32_t>(reinterpret_cast<const uint8_t*>(bytes.data()) + 8);
-  if (version != kServingIndexFormatVersion &&
-      version != kServingIndexFormatVersionV1) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "%s: serving index format version %u, this build reads versions "
-        "%u and %u",
-        path.c_str(), version, kServingIndexFormatVersionV1,
-        kServingIndexFormatVersion));
-  }
-  return version;
-}
-
-// The v1 frame: magic | u32 1 | u64 payload size | u32 crc | payload.
-util::Result<ServingIndexData> ParseV1File(std::string_view bytes,
-                                           const std::string& path) {
-  ckpt::BinaryReader reader(bytes.substr(sizeof(kMagic) + 4));
-  SHOAL_ASSIGN_OR_RETURN(uint64_t payload_size, reader.ReadU64());
-  SHOAL_ASSIGN_OR_RETURN(uint32_t expected_crc, reader.ReadU32());
-  if (payload_size != reader.remaining()) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "%s: header claims %llu payload bytes but %zu are present",
-        path.c_str(), static_cast<unsigned long long>(payload_size),
-        reader.remaining()));
-  }
-  const std::string_view payload = bytes.substr(bytes.size() - payload_size);
-  const uint32_t actual_crc = util::Crc32(payload.data(), payload.size());
-  if (actual_crc != expected_crc) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "%s: payload CRC mismatch (stored %08x, computed %08x) — the "
-        "serving index is corrupt",
-        path.c_str(), expected_crc, actual_crc));
-  }
-  return DecodeServingIndex(payload);
-}
-
-}  // namespace
-
 util::Result<ServingIndex> ReadServingIndexFile(const std::string& path,
                                                 const LoadOptions& options) {
   if (options.use_mmap) {
     SHOAL_ASSIGN_OR_RETURN(util::MmapFile mapped, util::MmapFile::Open(path));
-    const std::string_view bytes(
-        reinterpret_cast<const char*>(mapped.data()), mapped.size());
-    SHOAL_ASSIGN_OR_RETURN(uint32_t format, SniffFormat(bytes, path));
-    if (format == kServingIndexFormatVersionV1) {
-      SHOAL_ASSIGN_OR_RETURN(ServingIndexData data, ParseV1File(bytes, path));
-      return data.Build();
-    }
     return BindServingImage(std::move(mapped), std::string(), options, path);
   }
   SHOAL_ASSIGN_OR_RETURN(std::string bytes, util::ReadTextFile(path));
-  SHOAL_ASSIGN_OR_RETURN(uint32_t format, SniffFormat(bytes, path));
-  if (format == kServingIndexFormatVersionV1) {
-    SHOAL_ASSIGN_OR_RETURN(ServingIndexData data, ParseV1File(bytes, path));
-    return data.Build();
-  }
   return BindServingImage(util::MmapFile(), std::move(bytes), options, path);
 }
 

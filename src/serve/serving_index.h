@@ -209,8 +209,7 @@ class ServingIndex {
 
 // The mutable builder form: plain vectors, free to edit, validated as a
 // whole. CompileServingIndex produces one; Build() freezes it into the
-// flat image a ServingIndex serves from. The v1 (copying) codec also
-// round-trips through this type.
+// flat image a ServingIndex serves from.
 struct ServingIndexData {
   uint64_t version = 0;  // compiler-stamped artefact version
 
@@ -277,41 +276,29 @@ util::Result<ServingIndexData> BuildServingIndexData(
 
 // --- binary format --------------------------------------------------------
 // Both formats open with the same sniffable frame: 8-byte magic
-// "SHOALIDX" then a u32 format version at offset 8.
-//
-//   v2 (current): the flat little-endian image described above —
-//     magic | u32 2 | u32 crc32(bytes[16..end)) | fixed header |
-//     section table | 64-byte-aligned sections — written atomically and
-//     loaded by mmap with CRC + bounds validation over the mapped
-//     region (see DESIGN.md §12 for the layout diagram).
-//   v1 (legacy): magic | u32 1 | u64 payload size | u32 crc32 | a
-//     length-prefixed record stream, fully deserialized on load via the
-//     copying path below. Still readable for compatibility; still
-//     writable for format-skew tests and old consumers.
+// "SHOALIDX" then a u32 format version at offset 8. Version 2 is the
+// flat little-endian image described above — magic | u32 2 |
+// u32 crc32(bytes[16..end)) | fixed header | section table |
+// 64-byte-aligned sections — written atomically and loaded by mmap with
+// CRC + bounds validation over the mapped region (see DESIGN.md §12 for
+// the layout diagram). Any other version (including the retired v1
+// record stream) is rejected with a "recompile" error.
 //
 // Every count and offset read back is bounds-checked against the file,
 // so truncated / bit-flipped / oversized-count images fail with a clean
 // Status, never undefined behaviour.
 
 inline constexpr uint32_t kServingIndexFormatVersion = 2;
-inline constexpr uint32_t kServingIndexFormatVersionV1 = 1;
 
-// v1 payload codec (legacy, copying).
-std::string EncodeServingIndex(const ServingIndexData& data);
-util::Result<ServingIndexData> DecodeServingIndex(std::string_view payload);
-
-// The complete v2 file image for `data` (magic through last section).
+// The complete file image for `data` (magic through last section).
 util::Result<std::string> EncodeServingIndexFile(const ServingIndexData& data);
 
-// Writes the v2 (current) / v1 (legacy) file atomically.
+// Writes the file atomically.
 util::Status WriteServingIndexFile(const std::string& path,
                                    const ServingIndexData& data);
-util::Status WriteServingIndexFileV1(const std::string& path,
-                                     const ServingIndexData& data);
 
-// Loads either format: v2 binds the image in place (mmap by default),
-// v1 falls back to the deserializing path. Always returns a fully
-// validated, ready-to-serve index or a clean error.
+// Loads a file, binding the image in place (mmap by default). Always
+// returns a fully validated, ready-to-serve index or a clean error.
 util::Result<ServingIndex> ReadServingIndexFile(const std::string& path,
                                                 const LoadOptions& options = {});
 

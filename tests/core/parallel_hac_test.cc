@@ -230,7 +230,12 @@ TEST(ParallelHacTest, StatsAccounting) {
   for (size_t m : stats.merges_per_round) sum += m;
   EXPECT_EQ(sum, stats.total_merges);
   EXPECT_EQ(d->num_merges(), stats.total_merges);
-  EXPECT_GT(stats.total_supersteps, 0u);
+  // The default mode decides merges without diffusion: no messages and
+  // no supersteps, only candidate evaluations.
+  EXPECT_EQ(stats.total_messages, 0u);
+  EXPECT_EQ(stats.total_supersteps, 0u);
+  EXPECT_EQ(stats.total_candidates - stats.total_rejected,
+            stats.total_merges);
 }
 
 }  // namespace

@@ -102,28 +102,5 @@ TEST(QueryTopicIndexTest, DescriptionsBoostRetrieval) {
   EXPECT_EQ(hits[0].topic, root);
 }
 
-TEST(QueryTopicIndexTest, RootsOnlyIndexesFewerDocs) {
-  // A taxonomy with sub-topics: roots_only search never returns them.
-  text::Vocabulary vocab;
-  uint32_t w = vocab.AddWord("beach");
-  std::vector<std::vector<uint32_t>> titles(4, std::vector<uint32_t>{w});
-  Dendrogram d(4);
-  uint32_t m01 = d.Merge(0, 1, 0.9).value();
-  uint32_t m23 = d.Merge(2, 3, 0.85).value();
-  (void)d.Merge(m01, m23, 0.7).value();
-  TaxonomyOptions taxonomy_options;
-  taxonomy_options.min_topic_size = 2;
-  auto taxonomy = Taxonomy::Build(d, {1, 1, 1, 1}, taxonomy_options);
-  ASSERT_GT(taxonomy.num_topics(), 1u);
-
-  QueryTopicIndex::Options options;
-  options.roots_only = true;
-  auto index = QueryTopicIndex::Build(taxonomy, titles, &vocab, options);
-  ASSERT_TRUE(index.ok());
-  auto hits = index->Search("beach", 10);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].topic, taxonomy.roots()[0]);
-}
-
 }  // namespace
 }  // namespace shoal::core

@@ -146,35 +146,6 @@ TEST(TopicDescriberTest, RepresentativenessIsGeometricMean) {
   }
 }
 
-TEST(TopicDescriberTest, RootsOnlySkipsSubTopics) {
-  // Build a deeper taxonomy with sub-topics and confirm only roots get
-  // descriptions under roots_only.
-  Dendrogram d(4);
-  uint32_t m01 = d.Merge(0, 1, 0.9).value();
-  uint32_t m23 = d.Merge(2, 3, 0.85).value();
-  (void)d.Merge(m01, m23, 0.7).value();
-  TaxonomyOptions taxonomy_options;
-  taxonomy_options.min_topic_size = 2;
-  taxonomy_options.min_root_size = 2;
-  auto taxonomy = Taxonomy::Build(d, {1, 1, 2, 2}, taxonomy_options);
-  ASSERT_EQ(taxonomy.roots().size(), 1u);
-  ASSERT_GT(taxonomy.num_topics(), 1u);
-
-  DescriberFixture f;  // reuse its bipartite graph and metadata
-  DescriberInput input = f.Input();
-  input.taxonomy = &taxonomy;
-  DescriberOptions options;
-  options.roots_only = true;
-  auto rankings = TopicDescriber::Describe(taxonomy, input, options);
-  ASSERT_TRUE(rankings.ok());
-  uint32_t root = taxonomy.roots()[0];
-  EXPECT_FALSE(taxonomy.topic(root).description.empty());
-  for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
-    if (t == root) continue;
-    EXPECT_TRUE(taxonomy.topic(t).description.empty());
-  }
-}
-
 TEST(TopicDescriberTest, QueriesPerTopicCapRespected) {
   DescriberFixture f;
   DescriberOptions options;

@@ -105,26 +105,6 @@ TEST(BspEngineTest, CombinerFoldsMessages) {
   EXPECT_EQ(engine.VertexValue(0), 90);
 }
 
-TEST(BspEngineTest, AggregatorSumVisibleNextSuperstep) {
-  const size_t n = 5;
-  BspEngine<double, int> engine(n, {4, 2, 1000, PartitionStrategy::kRange});
-  auto status = engine.Run(
-      [](BspEngine<double, int>::Context& ctx, uint32_t v, double& value,
-         const std::vector<int>&) {
-        if (ctx.superstep() == 0) {
-          ctx.AggregateSum("degree", 1.0);
-          ctx.SendMessage(v, 0);  // keep self alive one more step
-        } else {
-          value = ctx.GetAggregate("degree");
-        }
-        ctx.VoteToHalt();
-      });
-  ASSERT_TRUE(status.ok());
-  for (uint32_t v = 0; v < n; ++v) {
-    EXPECT_DOUBLE_EQ(engine.VertexValue(v), 5.0);
-  }
-}
-
 TEST(BspEngineTest, MaxSuperstepsBoundsRunawayPrograms) {
   IntEngine::Options options = SmallOptions();
   options.max_supersteps = 3;
@@ -228,19 +208,6 @@ TEST(BspEngineTest, InjectedPoolMatchesOwnedPoolResults) {
   }
   EXPECT_EQ(borrowed.total_messages(), owned.total_messages());
   EXPECT_EQ(borrowed.superstep(), owned.superstep());
-}
-
-TEST(BspEngineTest, ActivateAllRestartsHaltedVertices) {
-  IntEngine engine(4, SmallOptions());
-  auto once = [](IntEngine::Context& ctx, uint32_t, int& value,
-                 const std::vector<int>&) {
-    ++value;
-    ctx.VoteToHalt();
-  };
-  ASSERT_TRUE(engine.Run(once).ok());
-  engine.ActivateAll();
-  ASSERT_TRUE(engine.Run(once).ok());
-  for (uint32_t v = 0; v < 4; ++v) EXPECT_EQ(engine.VertexValue(v), 2);
 }
 
 }  // namespace

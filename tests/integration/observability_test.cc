@@ -113,9 +113,13 @@ TEST_F(ObservabilityTest, TraceCoversEveryPipelineStageAndHacRound) {
        {"shoal.build", "shoal.word2vec", "shoal.entity_graph", "shoal.hac",
         "shoal.taxonomy", "shoal.describe", "shoal.correlation",
         "shoal.search_index", "entity_graph.candidates",
-        "entity_graph.scoring", "hac.diffusion", "hac.merge",
-        "bsp.superstep"}) {
+        "entity_graph.scoring", "hac.merge", "hac.delta_update"}) {
     EXPECT_GE(by_name[stage], 1u) << "no span named " << stage;
+  }
+  // The default HAC mode runs no diffusion, so no engine spans appear.
+  for (const auto& [name, count] : by_name) {
+    EXPECT_FALSE(name == "hac.diffusion" || name.starts_with("bsp."))
+        << count << " unexpected span(s) named " << name;
   }
   // One hac.round span per round (the final breaking round may add one).
   EXPECT_GE(by_name["hac.round"], model.stats().hac.rounds);
@@ -130,7 +134,7 @@ TEST_F(ObservabilityTest, TraceCoversEveryPipelineStageAndHacRound) {
   EXPECT_EQ(depth_of["shoal.build"], 0u);
   EXPECT_GT(depth_of["shoal.hac"], depth_of["shoal.build"]);
   EXPECT_GT(depth_of["hac.round"], depth_of["shoal.hac"]);
-  EXPECT_GT(depth_of["hac.diffusion"], depth_of["hac.round"]);
+  EXPECT_GT(depth_of["hac.merge"], depth_of["hac.round"]);
 }
 
 TEST_F(ObservabilityTest, MetricsAgreeWithBuildStats) {
@@ -146,7 +150,7 @@ TEST_F(ObservabilityTest, MetricsAgreeWithBuildStats) {
   EXPECT_EQ(registry.GetCounter("hac.merges").value(),
             model.stats().hac.total_merges);
   EXPECT_EQ(registry.GetCounter("shoal.builds").value(), 1u);
-  EXPECT_GT(registry.GetGauge("bsp.pool.peak_queue_depth").max(), 0.0);
+  EXPECT_GT(registry.GetGauge("hac.pool.peak_queue_depth").max(), 0.0);
   EXPECT_EQ(
       registry.GetHistogram("hac.round.merges").Snapshot().count,
       static_cast<size_t>(model.stats().hac.rounds));
@@ -157,7 +161,7 @@ TEST_F(ObservabilityTest, MetricsAgreeWithBuildStats) {
   ASSERT_NE(parsed->Find("counters"), nullptr);
   EXPECT_NE(parsed->Find("counters")->Find("hac.rounds"), nullptr);
   ASSERT_NE(parsed->Find("gauges"), nullptr);
-  EXPECT_NE(parsed->Find("gauges")->Find("bsp.pool.peak_queue_depth"),
+  EXPECT_NE(parsed->Find("gauges")->Find("hac.pool.peak_queue_depth"),
             nullptr);
 }
 
@@ -185,10 +189,22 @@ TEST_F(ObservabilityTest, DisabledObservabilityRecordsNothing) {
   auto bundle = data::MakeShoalInput(dataset);
   (void)Build(bundle, /*num_threads=*/2);
   EXPECT_TRUE(obs::Tracer::Global().CollectEvents().empty());
+  // Reset zeroes values but keeps names, so metrics registered by earlier
+  // tests in the same process may still be listed: what matters is that
+  // none of them recorded anything.
   auto snapshot =
       util::JsonValue::Parse(obs::MetricsRegistry::Global().ToJsonString());
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_TRUE(snapshot->Find("counters")->members().empty());
+  for (const auto& [name, value] : snapshot->Find("counters")->members()) {
+    EXPECT_EQ(value.number(), 0.0) << "counter " << name;
+  }
+  for (const auto& [name, value] : snapshot->Find("gauges")->members()) {
+    EXPECT_EQ(value.Find("max")->number(), 0.0) << "gauge " << name;
+  }
+  for (const auto& [name, value] :
+       snapshot->Find("histograms")->members()) {
+    EXPECT_EQ(value.Find("count")->number(), 0.0) << "histogram " << name;
+  }
 }
 
 }  // namespace

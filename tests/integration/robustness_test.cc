@@ -10,8 +10,6 @@
 
 #include "core/taxonomy_io.h"
 #include "data/log_io.h"
-#include "graph/graph_io.h"
-#include "text/text_io.h"
 #include "text/tokenizer.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -60,40 +58,6 @@ TEST_F(RobustnessTest, TokenizerNeverCrashesAndEmitsCleanTokens) {
         ASSERT_FALSE(std::isupper(static_cast<unsigned char>(c)));
       }
     }
-  }
-}
-
-TEST_F(RobustnessTest, GraphLoaderSurvivesGarbage) {
-  util::Rng rng(405);
-  for (int round = 0; round < 50; ++round) {
-    std::string garbage = RandomBytes(rng, 400);
-    ASSERT_TRUE(util::WriteTextFile(Path("garbage.tsv"), garbage).ok());
-    auto result = graph::LoadGraphTsv(Path("garbage.tsv"));
-    // Either a valid (likely empty) graph from a coincidentally-valid
-    // header, or a clean error. Never a crash.
-    if (!result.ok()) {
-      EXPECT_FALSE(result.status().message().empty());
-    }
-  }
-}
-
-TEST_F(RobustnessTest, EmbeddingsLoaderSurvivesGarbage) {
-  util::Rng rng(406);
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(
-        util::WriteTextFile(Path("vec.tsv"), RandomBytes(rng, 400)).ok());
-    auto result = text::LoadEmbeddings(Path("vec.tsv"));
-    (void)result.ok();
-  }
-}
-
-TEST_F(RobustnessTest, VocabularyLoaderSurvivesGarbage) {
-  util::Rng rng(407);
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(
-        util::WriteTextFile(Path("vocab.tsv"), RandomBytes(rng, 400)).ok());
-    auto result = text::LoadVocabulary(Path("vocab.tsv"));
-    (void)result.ok();
   }
 }
 

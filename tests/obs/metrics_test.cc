@@ -78,7 +78,7 @@ TEST(HistogramMetricTest, DefaultConstructionIsLogBucketed) {
   // The no-arg histogram — what GetHistogram(name) hands out — must be
   // quantile-capable, not the old single-stats fallback.
   HistogramMetric h;
-  EXPECT_EQ(h.layout().kind, BucketLayout::Kind::kLog);
+  EXPECT_EQ(h.layout(), BucketLayout::DefaultLog());
   EXPECT_GT(h.layout().num_buckets(), 100u);
   for (int i = 0; i < 1000; ++i) h.Record(static_cast<double>(i + 1));
   // Quantiles resolve instead of collapsing to min/max.
@@ -145,14 +145,6 @@ TEST(HistogramMetricTest, NonFiniteSamplesAreCountedNotRecorded) {
   EXPECT_EQ(snapshot.count, 1u);
   EXPECT_EQ(snapshot.non_finite, 2u);
   EXPECT_DOUBLE_EQ(snapshot.sum, 2.0);
-}
-
-TEST(HistogramMetricTest, LegacyLinearLayoutStillWorks) {
-  HistogramMetric h(0.0, 100.0, 10);
-  EXPECT_EQ(h.layout().kind, BucketLayout::Kind::kLinear);
-  for (int i = 0; i < 100; ++i) h.Record(static_cast<double>(i));
-  EXPECT_EQ(h.Snapshot().count, 100u);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 10.0);  // one 10-wide bucket
 }
 
 TEST(HistogramMetricTest, ConcurrentShardedRecordingIsExact) {
@@ -267,7 +259,7 @@ TEST(MetricsRegistryTest, ToJsonParsesBackWithAllSections) {
   MetricsRegistry registry;
   registry.GetCounter("stage.events").Increment(5);
   registry.GetGauge("stage.depth").Set(2.0);
-  registry.GetHistogram("stage.latency", 0.0, 1.0, 10).Record(0.25);
+  registry.GetHistogram("stage.latency").Record(0.25);
   auto parsed = util::JsonValue::Parse(registry.ToJsonString());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const util::JsonValue* counters = parsed->Find("counters");

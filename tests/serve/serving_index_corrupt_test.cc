@@ -1,7 +1,7 @@
 // Malformed-index robustness, mirroring tests/ckpt/snapshot_test.cc:
 // every truncation and a bit-flip sweep over a real index file must
 // produce a clean Status — never a crash, hang, or huge allocation
-// (ASan/UBSan runs of this test are part of the CI matrix). The v2
+// (ASan/UBSan runs of this test are part of the CI matrix). The
 // sweeps run twice: once with the CRC on (the normal deployment mode,
 // where every flip outside the stored CRC is caught by the checksum)
 // and once with the CRC off, which forces the structural validators to
@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ckpt/binary_io.h"
 #include "serve/serving_index.h"
 #include "serve_test_util.h"
 #include "util/tsv.h"
@@ -45,18 +44,6 @@ class ServingIndexCorruptTest : public ::testing::Test {
     EXPECT_TRUE(data.ok()) << data.status().ToString();
     const std::string path = Path("sample.idx");
     EXPECT_TRUE(WriteServingIndexFile(path, *data).ok());
-    auto bytes = util::ReadTextFile(path);
-    EXPECT_TRUE(bytes.ok());
-    return bytes.value();
-  }
-
-  // A legacy v1 index file's bytes.
-  std::string WriteSampleV1() {
-    ServeFixture f;
-    auto data = f.Compile();
-    EXPECT_TRUE(data.ok()) << data.status().ToString();
-    const std::string path = Path("sample_v1.idx");
-    EXPECT_TRUE(WriteServingIndexFileV1(path, *data).ok());
     auto bytes = util::ReadTextFile(path);
     EXPECT_TRUE(bytes.ok());
     return bytes.value();
@@ -174,48 +161,6 @@ TEST_F(ServingIndexCorruptTest, RejectsMisalignedSectionTable) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("section table"),
             std::string::npos);
-}
-
-TEST_F(ServingIndexCorruptTest, V1PayloadCrcFlipIsRejected) {
-  std::string full = WriteSampleV1();
-  ASSERT_GT(full.size(), 64u);
-  full[full.size() - 8] = static_cast<char>(full[full.size() - 8] ^ 0x01);
-  const std::string path = Path("v1flip.idx");
-  ASSERT_TRUE(util::WriteTextFile(path, full).ok());
-  auto loaded = ReadServingIndexFile(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("CRC"), std::string::npos);
-}
-
-TEST_F(ServingIndexCorruptTest, EveryV1TruncationFailsCleanly) {
-  const std::string full = WriteSampleV1();
-  const std::string path = Path("v1trunc.idx");
-  const size_t stride = full.size() > 256 ? full.size() / 256 : 1;
-  for (size_t len = 0; len < full.size(); len += stride) {
-    ASSERT_TRUE(util::WriteTextFile(path, full.substr(0, len)).ok());
-    auto loaded = ReadServingIndexFile(path);
-    ASSERT_FALSE(loaded.ok()) << "truncated to " << len << " bytes";
-  }
-}
-
-TEST_F(ServingIndexCorruptTest, DecodeRejectsOversizedCounts) {
-  // A count larger than the remaining payload must error before
-  // allocating.
-  ckpt::BinaryWriter writer;
-  writer.WriteU64(1);                  // artefact version
-  writer.WriteU64(0xffffffffffull);    // absurd topic count
-  auto decoded = DecodeServingIndex(writer.data());
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), util::StatusCode::kOutOfRange);
-}
-
-TEST_F(ServingIndexCorruptTest, DecodeRejectsTrailingBytes) {
-  ServeFixture f;
-  auto data = f.Compile();
-  ASSERT_TRUE(data.ok());
-  std::string payload = EncodeServingIndex(*data);
-  payload += "extra";
-  EXPECT_FALSE(DecodeServingIndex(payload).ok());
 }
 
 }  // namespace

@@ -176,24 +176,6 @@ TEST(ServingIndexBuildTest, FlatImageMatchesBuilderData) {
   }
 }
 
-TEST(ServingIndexCodecTest, EncodeDecodeRoundtrips) {
-  ServeFixture f;
-  auto data = f.Compile();
-  ASSERT_TRUE(data.ok());
-  auto decoded = DecodeServingIndex(EncodeServingIndex(*data));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->version, data->version);
-  EXPECT_EQ(decoded->parent, data->parent);
-  EXPECT_EQ(decoded->level, data->level);
-  EXPECT_EQ(decoded->topic_size, data->topic_size);
-  EXPECT_EQ(decoded->descriptions, data->descriptions);
-  EXPECT_EQ(decoded->entity_topic, data->entity_topic);
-  EXPECT_EQ(decoded->entity_category, data->entity_category);
-  EXPECT_EQ(decoded->query_text, data->query_text);
-  EXPECT_EQ(decoded->query_norm, data->query_norm);
-  EXPECT_EQ(decoded->posting_list, data->posting_list);
-}
-
 class ServingIndexFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -259,21 +241,32 @@ TEST_F(ServingIndexFileTest, DeepValidationPassesOnGoodFile) {
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
 }
 
-// The previous on-disk generation still loads (via decode + rebuild),
-// so serving binaries can roll forward before index publishers do.
-TEST_F(ServingIndexFileTest, V1FileLoadsThroughCompatibilityPath) {
-  ServeFixture f;
-  CompileOptions compile;
-  compile.version = 42;
-  auto data = f.Compile(compile);
-  ASSERT_TRUE(data.ok());
+// A file of the retired v1 format (magic | u32 1 | u64 payload size |
+// u32 crc | record stream) is refused with an actionable error on both
+// load paths: the fix is to recompile the index, not to read it.
+TEST_F(ServingIndexFileTest, V1FileFailsWithRecompileError) {
+  std::string v1("SHOALIDX", 8);
+  const uint32_t format = 1;
+  const uint64_t payload_size = 8;
+  const uint32_t crc = 0;
+  v1.append(reinterpret_cast<const char*>(&format), sizeof(format));
+  v1.append(reinterpret_cast<const char*>(&payload_size),
+            sizeof(payload_size));
+  v1.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  v1.append(payload_size, '\0');
   const std::string path = Path("legacy.idx");
-  ASSERT_TRUE(WriteServingIndexFileV1(path, *data).ok());
-  auto loaded = ReadServingIndexFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version(), 42u);
-  EXPECT_FALSE(loaded->mmap_backed());  // v1 copies + rebuilds
-  ExpectSameContent(*loaded, *data);
+  ASSERT_TRUE(util::WriteTextFile(path, v1).ok());
+  for (bool use_mmap : {true, false}) {
+    LoadOptions options;
+    options.use_mmap = use_mmap;
+    auto loaded = ReadServingIndexFile(path, options);
+    ASSERT_FALSE(loaded.ok()) << "use_mmap=" << use_mmap;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("version 1"), std::string::npos)
+        << loaded.status().message();
+    EXPECT_NE(loaded.status().message().find("recompile"), std::string::npos)
+        << loaded.status().message();
+  }
 }
 
 TEST(ServingIndexValidateTest, RejectsChildBeforeParent) {
