@@ -75,7 +75,7 @@ void BM_BuildContentProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildContentProfile)->Arg(8)->Arg(32);
 
-void BM_Bm25ScoreAll(benchmark::State& state) {
+void BM_Bm25ScoreMatching(benchmark::State& state) {
   const size_t num_docs = static_cast<size_t>(state.range(0));
   util::Rng rng(4);
   text::Bm25Index index;
@@ -88,10 +88,10 @@ void BM_Bm25ScoreAll(benchmark::State& state) {
   }
   std::vector<uint32_t> query = {17, 42, 99};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.ScoreAll(query));
+    benchmark::DoNotOptimize(index.ScoreMatching(query));
   }
 }
-BENCHMARK(BM_Bm25ScoreAll)->Arg(64)->Arg(512);
+BENCHMARK(BM_Bm25ScoreMatching)->Arg(64)->Arg(512);
 
 void BM_Word2VecEpoch(benchmark::State& state) {
   const size_t sentences = static_cast<size_t>(state.range(0));

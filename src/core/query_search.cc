@@ -54,9 +54,8 @@ std::vector<QueryTopicIndex::Hit> QueryTopicIndex::Search(
   }
   std::vector<Hit> hits;
   if (words.empty()) return hits;
-  std::vector<double> scores = bm25_.ScoreAll(words);
-  for (uint32_t d = 0; d < scores.size(); ++d) {
-    if (scores[d] > 0.0) hits.push_back(Hit{d, scores[d]});
+  for (const auto& match : bm25_.ScoreMatching(words)) {
+    if (match.score > 0.0) hits.push_back(Hit{match.doc, match.score});
   }
   std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
     if (a.score != b.score) return a.score > b.score;

@@ -10,6 +10,36 @@ namespace shoal::core {
 
 namespace {
 
+// Stable-softmax denominator pieces of one query over every topic.
+struct Softmax {
+  double max_rel = 0.0;
+  double sum_exp = 0.0;  // exp(0 - max_rel) + sum_t exp(rel_t - max_rel)
+};
+
+Softmax QuerySoftmax(const text::Bm25Index& bm25,
+                     const std::vector<uint32_t>& query_words) {
+  const std::vector<text::Bm25Index::DocScore> matches =
+      bm25.ScoreMatching(query_words);
+  Softmax softmax;
+  for (const auto& m : matches) {
+    softmax.max_rel = std::max(softmax.max_rel, m.score);
+  }
+  // A topic sharing no word with the query scores 0 and adds exactly
+  // exp(0 - max), the same value as the "1 +" term. The terms are added
+  // one per topic in doc order, as a dense loop over every topic would,
+  // so the sum is bit-identical to that loop's.
+  const double zero_term = std::exp(0.0 - softmax.max_rel);
+  softmax.sum_exp = zero_term;
+  uint32_t doc = 0;
+  for (const auto& m : matches) {
+    for (; doc < m.doc; ++doc) softmax.sum_exp += zero_term;
+    softmax.sum_exp += std::exp(m.score - softmax.max_rel);
+    ++doc;
+  }
+  for (; doc < bm25.num_documents(); ++doc) softmax.sum_exp += zero_term;
+  return softmax;
+}
+
 // Shared body of Describe / DescribeTopics. Every topic's pseudo-document
 // enters the BM25 corpus (doc id == topic id); only `score_topics` are
 // scored and rewritten.
@@ -39,6 +69,15 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
         "entity titles do not match bipartite graph");
   }
 
+  // Reject a bad id before any description is rewritten.
+  for (uint32_t t : score_topics) {
+    if (t >= taxonomy.num_topics()) {
+      return util::Status::InvalidArgument(util::StringPrintf(
+          "topic %u is out of range (taxonomy has %zu topics)", t,
+          taxonomy.num_topics()));
+    }
+  }
+
   // Pseudo-document D_t per topic, and the BM25 index.
   text::Bm25Index bm25(options.bm25);
   for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
@@ -49,24 +88,26 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
     bm25.AddDocument(doc);
   }
 
+  // Softmax normaliser of every query linked to a scored topic's items,
+  // one sparse BM25 pass each.
+  std::vector<char> linked(qi.num_left(), 0);
+  for (uint32_t t : score_topics) {
+    for (uint32_t e : taxonomy.topic(t).entities) {
+      for (const auto& link : qi.RightNeighbors(e)) linked[link.id] = 1;
+    }
+  }
+  std::vector<Softmax> softmax(qi.num_left());
+  for (uint32_t q = 0; q < qi.num_left(); ++q) {
+    if (linked[q]) softmax[q] = QuerySoftmax(bm25, query_words[q]);
+  }
+
   // Per-topic interaction counts: tf(q, I_t) and tf(I_t); candidates are
   // the queries actually linked to the topic's items.
   std::vector<std::vector<ScoredQuery>> rankings(taxonomy.num_topics());
-  // Cache of the stable-softmax denominator pieces per query.
-  struct SoftmaxCache {
-    double max_rel = 0.0;
-    double sum_exp = 0.0;  // sum over docs of exp(rel - max_rel)
-    std::vector<double> rel;
-  };
-  std::unordered_map<uint32_t, SoftmaxCache> softmax_cache;
-
   for (uint32_t t : score_topics) {
-    if (t >= taxonomy.num_topics()) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "topic %u is out of range (taxonomy has %zu topics)", t,
-          taxonomy.num_topics()));
-    }
     Topic& topic = taxonomy.topic(t);
+    // A scored topic without clicks ends with an empty description.
+    topic.description.clear();
     std::unordered_map<uint32_t, uint64_t> tf_q;  // query -> interactions
     uint64_t tf_total = 0;
     for (uint32_t e : topic.entities) {
@@ -88,21 +129,10 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
 
       // Concentration: stable softmax of BM25 relevance over all topics,
       // with the paper's +1 term carried as exp(0 - max).
-      auto cache_it = softmax_cache.find(q);
-      if (cache_it == softmax_cache.end()) {
-        SoftmaxCache cache;
-        cache.rel = bm25.ScoreAll(query_words[q]);
-        cache.max_rel = 0.0;
-        for (double r : cache.rel) cache.max_rel = std::max(cache.max_rel, r);
-        cache.sum_exp = std::exp(0.0 - cache.max_rel);  // the "1 +" term
-        for (double r : cache.rel) {
-          cache.sum_exp += std::exp(r - cache.max_rel);
-        }
-        cache_it = softmax_cache.emplace(q, std::move(cache)).first;
-      }
-      const SoftmaxCache& cache = cache_it->second;
-      double rel_t = cache.rel[t];
-      double con = std::exp(rel_t - cache.max_rel) / cache.sum_exp;
+      const Softmax& query_softmax = softmax[q];
+      double rel_t = bm25.Score(query_words[q], t);
+      double con =
+          std::exp(rel_t - query_softmax.max_rel) / query_softmax.sum_exp;
 
       ScoredQuery scored;
       scored.query = q;
@@ -119,7 +149,6 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
                 return a.query < b.query;
               });
 
-    topic.description.clear();
     for (size_t i = 0;
          i < std::min(options.queries_per_topic, ranking.size()); ++i) {
       topic.description.push_back(query_texts[ranking[i].query]);

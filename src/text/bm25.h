@@ -21,6 +21,12 @@ class Bm25Index {
     double b = 0.75;
   };
 
+  // One document's relevance to a query.
+  struct DocScore {
+    uint32_t doc = 0;
+    double score = 0.0;
+  };
+
   Bm25Index() : Bm25Index(Options{}) {}
   explicit Bm25Index(Options options);
 
@@ -33,18 +39,29 @@ class Bm25Index {
   double Score(const std::vector<uint32_t>& query_word_ids,
                uint32_t doc_id) const;
 
-  // Scores the query against every document.
-  std::vector<double> ScoreAll(
+  // Scores the query against the documents that share at least one word
+  // with it, ascending by doc id; every other document scores exactly 0.
+  // Each score is bit-identical to Score(query_word_ids, doc): both add
+  // the per-word terms in query order.
+  std::vector<DocScore> ScoreMatching(
       const std::vector<uint32_t>& query_word_ids) const;
 
  private:
-  double Idf(uint32_t word) const;
+  struct Posting {
+    uint32_t doc;
+    uint32_t tf;
+  };
+
+  double Idf(size_t df) const;
   double AvgDocLength() const;
+  // k1 * (1 - b + b*|D|/avgdl).
+  double LengthNorm(uint32_t doc_id, double avgdl) const;
+  double TermScore(double idf, double tf, double norm) const;
 
   Options options_;
-  // word id -> (doc id -> term frequency)
-  std::unordered_map<uint32_t, std::unordered_map<uint32_t, uint32_t>>
-      postings_;
+  // word id -> postings ascending by doc id (documents are appended in id
+  // order); df(w) is the list length.
+  std::unordered_map<uint32_t, std::vector<Posting>> postings_;
   std::vector<uint32_t> doc_lengths_;
   uint64_t total_length_ = 0;
 };
