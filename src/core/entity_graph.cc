@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <unordered_set>
 
 #include "core/lsh_index.h"
 #include "core/minhash.h"
@@ -21,30 +21,13 @@ namespace {
 
 using graph::BipartiteGraph;
 
-uint64_t PairKey(uint32_t a, uint32_t b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
+// Entity ranges per worker in the exact projection. Head entities have
+// far longer rows than the rest, so workers pull several contiguous
+// ranges each off a shared counter instead of taking one fixed block.
+constexpr size_t kRangesPerWorker = 8;
 
-// One shard's worth of candidate generation: queries [begin, end).
-void CollectShardCandidates(const BipartiteGraph& query_item_graph,
-                            size_t begin, size_t end, size_t cap,
-                            std::unordered_set<uint64_t>* pairs,
-                            size_t* capped_queries) {
-  for (size_t q = begin; q < end; ++q) {
-    bool capped = false;
-    std::vector<uint32_t> items = CappedQueryItems(
-        query_item_graph.LeftNeighbors(static_cast<uint32_t>(q)), cap,
-        &capped);
-    if (capped) ++*capped_queries;
-    for (size_t i = 0; i < items.size(); ++i) {
-      for (size_t j = i + 1; j < items.size(); ++j) {
-        if (items[i] == items[j]) continue;
-        pairs->insert(PairKey(items[i], items[j]));
-      }
-    }
-  }
-}
+// Marker value that no entity id takes.
+constexpr uint32_t kNoEntity = std::numeric_limits<uint32_t>::max();
 
 // One producer batch of the streaming LSH pipeline: the entities of a
 // contiguous range that had a non-empty shingle set, with their band
@@ -217,6 +200,9 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
   if (options.alpha < 0.0 || options.alpha > 1.0) {
     return util::Status::InvalidArgument("alpha must be in [0,1]");
   }
+  if (options.max_items_per_query == 0) {
+    return util::Status::InvalidArgument("max_items_per_query must be > 0");
+  }
 
   EntityGraphStats local_stats;
   util::Stopwatch stage_timer;
@@ -263,11 +249,11 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
 
   // --- Stage 2: candidate pairs ----------------------------------------
   // Either strategy produces one sorted, duplicate-free key vector:
-  // kExact merges per-shard hash sets of co-click pairs; kMinHashLsh
-  // streams MinHash band keys into LSH buckets and collects bucket
-  // pairs. Sorting makes the scoring order (and hence the whole build)
-  // deterministic regardless of strategy, thread count, or the order
-  // buckets emitted candidates.
+  // kExact projects the capped query-item graph onto entities row by
+  // row; kMinHashLsh streams MinHash band keys into LSH buckets and
+  // collects bucket pairs. The sorted order makes the scoring order (and
+  // hence the whole build) deterministic regardless of strategy, thread
+  // count, or the order buckets emitted candidates.
   stage_timer.Restart();
   obs::ScopedSpan candidate_span("entity_graph.candidates");
   std::vector<uint64_t> candidates;
@@ -276,27 +262,78 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
                                         options.lsh, pool.get(),
                                         &local_stats);
   } else {
-    std::vector<std::unordered_set<uint64_t>> shard_pairs(max_shards);
+    // Each query's capped item set, computed once and sorted so that
+    // the partners of an item are the tail of the set after it.
+    std::vector<std::vector<uint32_t>> query_items(
+        query_item_graph.num_left());
     std::vector<size_t> shard_capped(max_shards, 0);
-    for_shards(query_item_graph.num_left(),
+    for_shards(query_items.size(),
                [&](size_t begin, size_t end, size_t shard) {
-                 SHOAL_TRACE_SPAN("entity_graph.candidate_shard");
-                 CollectShardCandidates(query_item_graph, begin, end,
-                                        options.max_items_per_query,
-                                        &shard_pairs[shard],
-                                        &shard_capped[shard]);
+                 for (size_t q = begin; q < end; ++q) {
+                   bool capped = false;
+                   query_items[q] = CappedQueryItems(
+                       query_item_graph.LeftNeighbors(
+                           static_cast<uint32_t>(q)),
+                       options.max_items_per_query, &capped);
+                   std::sort(query_items[q].begin(), query_items[q].end());
+                   if (capped) ++shard_capped[shard];
+                 }
                });
-    size_t total = 0;
-    for (const auto& s : shard_pairs) total += s.size();
-    candidates.reserve(total);
-    for (auto& s : shard_pairs) {
-      candidates.insert(candidates.end(), s.begin(), s.end());
-      s.clear();
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
     for (size_t c : shard_capped) local_stats.capped_queries += c;
+
+    // Row u holds the partners v > u that share a capped set with u,
+    // deduplicated by a per-worker dense marker (last_seen[v] == u once
+    // v is in the row) and then sorted. Rows are concatenated in u
+    // order, so the keys come out ascending and duplicate-free with no
+    // hashing and no global sort.
+    const size_t num_ranges =
+        std::min(num_entities, max_shards * kRangesPerWorker);
+    std::vector<std::vector<uint64_t>> range_keys(num_ranges);
+    std::atomic<size_t> next_range{0};
+    for_shards(max_shards, [&](size_t /*begin*/, size_t /*end*/,
+                               size_t shard) {
+      obs::ScopedSpan shard_span("entity_graph.candidate_shard");
+      std::vector<uint32_t> last_seen(num_entities, kNoEntity);
+      std::vector<uint32_t> row;
+      size_t ranges = 0;
+      size_t pairs = 0;
+      for (size_t r; (r = next_range.fetch_add(1)) < num_ranges;) {
+        std::vector<uint64_t>& keys = range_keys[r];
+        const size_t end = (r + 1) * num_entities / num_ranges;
+        for (size_t e = r * num_entities / num_ranges; e < end; ++e) {
+          const uint32_t u = static_cast<uint32_t>(e);
+          row.clear();
+          for (uint32_t q : queries_of[u]) {
+            const std::vector<uint32_t>& items = query_items[q];
+            auto it = std::lower_bound(items.begin(), items.end(), u);
+            // u may be in q's dropped tail, outside the capped set.
+            if (it == items.end() || *it != u) continue;
+            for (++it; it != items.end(); ++it) {
+              if (last_seen[*it] == u) continue;
+              last_seen[*it] = u;
+              row.push_back(*it);
+            }
+          }
+          std::sort(row.begin(), row.end());
+          for (uint32_t v : row) {
+            keys.push_back((static_cast<uint64_t>(u) << 32) | v);
+          }
+        }
+        ++ranges;
+        pairs += keys.size();
+      }
+      shard_span.AddArg("shard", static_cast<double>(shard));
+      shard_span.AddArg("ranges", static_cast<double>(ranges));
+      shard_span.AddArg("pairs", static_cast<double>(pairs));
+    });
+    size_t total = 0;
+    for (const auto& keys : range_keys) total += keys.size();
+    candidates.reserve(total);
+    for (auto& keys : range_keys) {
+      candidates.insert(candidates.end(), keys.begin(), keys.end());
+      keys.clear();
+      keys.shrink_to_fit();
+    }
   }
   local_stats.candidate_pairs = candidates.size();
   local_stats.candidate_seconds = stage_timer.ElapsedSeconds();

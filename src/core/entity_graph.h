@@ -61,9 +61,9 @@ struct EntityGraphOptions {
   // Worker threads for candidate generation, profile building, and
   // scoring. 1 (the default) runs the single-shard serial reference
   // path; 0 means hardware concurrency. Every setting produces the
-  // same edge set, weights, and stats (timings aside): shards merge
-  // through a sorted deterministic reduction, and the degree cap
-  // orders edges by (similarity desc, u, v).
+  // same edge set, weights, and stats (timings aside): candidates come
+  // out as one sorted key vector, shards concatenate in a fixed order,
+  // and the degree cap orders edges by (similarity desc, u, v).
   size_t num_threads = 1;
   // Candidate generation strategy; kMinHashLsh keeps the same
   // determinism contract (candidates are deduped and sorted before

@@ -1,9 +1,14 @@
 // Serial-vs-parallel equivalence for BuildEntityGraph: the sharded
 // builder must produce the exact edge set, weights, and stats (timings
 // aside) of the num_threads == 1 reference path, at every thread count
-// and across shard boundaries that do not divide the input evenly.
+// and across shard boundaries that do not divide the input evenly. The
+// exact candidate set is also checked against a brute-force oracle, so
+// a pair lost at every thread count cannot pass.
 
+#include <algorithm>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +177,107 @@ TEST(EntityGraphParallelTest, EmptyInputsAtAnyThreadCount) {
     EXPECT_EQ(g->num_edges(), 0u);
     EXPECT_EQ(stats.candidate_pairs, 0u);
     EXPECT_EQ(stats.scored_pairs, 0u);
+  }
+}
+
+// A seeded graph for the brute-force candidate oracle, with the shapes
+// the exact projection has to get right built in: queries with no
+// links, an entity no query links to (the second-to-last), cap-engaged
+// queries whose clicks tie at one or two, and query 0, which links the
+// last entity and nothing else does. Query 0 has cap + 3 links of one
+// click each, so ties drop the largest ids, that entity among them.
+struct CapWorkload {
+  RandomWorkload w;
+  size_t cap = 0;
+};
+
+CapWorkload MakeCapWorkload(uint64_t seed) {
+  CapWorkload c;
+  std::mt19937_64 rng(seed);
+  const size_t num_entities = 30 + rng() % 40;
+  const size_t num_queries = 20 + rng() % 30;
+  c.cap = 2 + rng() % 4;
+  // Titles and vectors from MakeWorkload; the clicks are built here.
+  c.w = MakeWorkload(/*num_queries=*/0, num_entities, /*vocab=*/9, seed);
+  c.w.qi = graph::BipartiteGraph(num_queries, num_entities);
+  const uint32_t tail_only = static_cast<uint32_t>(num_entities - 1);
+  std::uniform_int_distribution<uint32_t> entity(
+      0, static_cast<uint32_t>(num_entities - 3));
+
+  std::vector<uint32_t> head;
+  while (head.size() < c.cap + 2) {
+    const uint32_t e = entity(rng);
+    if (std::find(head.begin(), head.end(), e) == head.end()) {
+      head.push_back(e);
+    }
+  }
+  head.push_back(tail_only);
+  std::shuffle(head.begin(), head.end(), rng);
+  for (uint32_t e : head) EXPECT_TRUE(c.w.qi.AddInteraction(0, e, 1).ok());
+
+  std::uniform_int_distribution<size_t> fanout(0, 2 * c.cap + 2);
+  std::uniform_int_distribution<uint32_t> clicks(1, 2);
+  for (uint32_t q = 1; q < num_queries; ++q) {
+    if (q % 6 == 0) continue;  // an empty query
+    const size_t links = fanout(rng);
+    for (size_t i = 0; i < links; ++i) {
+      EXPECT_TRUE(c.w.qi.AddInteraction(q, entity(rng), clicks(rng)).ok());
+    }
+  }
+  return c;
+}
+
+TEST(EntityGraphParallelTest, ExactCandidatesMatchBruteForce) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const CapWorkload c = MakeCapWorkload(seed);
+    const graph::BipartiteGraph& qi = c.w.qi;
+    const size_t num_entities = qi.num_right();
+    const uint32_t tail_only = static_cast<uint32_t>(num_entities - 1);
+    ASSERT_TRUE(qi.RightNeighbors(tail_only - 1).empty());
+    ASSERT_TRUE(qi.LeftNeighbors(6).empty());
+
+    // Oracle: every pair inside some query's capped item set.
+    std::set<std::pair<uint32_t, uint32_t>> expected;
+    size_t expected_capped = 0;
+    for (uint32_t q = 0; q < qi.num_left(); ++q) {
+      bool capped = false;
+      std::vector<uint32_t> items =
+          CappedQueryItems(qi.LeftNeighbors(q), c.cap, &capped);
+      if (capped) ++expected_capped;
+      if (q == 0) {
+        ASSERT_TRUE(capped);
+        ASSERT_EQ(std::count(items.begin(), items.end(), tail_only), 0);
+      }
+      for (size_t i = 0; i < items.size(); ++i) {
+        for (size_t j = i + 1; j < items.size(); ++j) {
+          expected.insert(std::minmax(items[i], items[j]));
+        }
+      }
+    }
+    ASSERT_GT(expected_capped, 1u) << "cap engaged only on query 0";
+
+    // With no threshold and no effective degree cap, the graph's edge
+    // set is the candidate set.
+    EntityGraphOptions options;
+    options.similarity_threshold = -1.0;
+    options.max_degree = num_entities;
+    options.max_items_per_query = c.cap;
+    for (size_t threads : {1u, 2u, 3u, 5u, 8u, 16u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      options.num_threads = threads;
+      EntityGraphStats stats;
+      auto g = BuildEntityGraph(qi, c.w.titles, c.w.vectors, options,
+                                &stats);
+      ASSERT_TRUE(g.ok());
+      std::set<std::pair<uint32_t, uint32_t>> actual;
+      for (const auto& e : g->AllEdges()) actual.insert({e.u, e.v});
+      EXPECT_EQ(actual, expected);
+      EXPECT_EQ(stats.candidate_pairs, expected.size());
+      EXPECT_EQ(stats.kept_edges, expected.size());
+      EXPECT_EQ(stats.capped_queries, expected_capped);
+      EXPECT_EQ(g->Degree(tail_only), 0u);
+    }
   }
 }
 

@@ -44,6 +44,21 @@ TEST(EntityGraphTest, ValidatesInputs) {
   EXPECT_FALSE(BuildEntityGraph(f.qi, f.titles, f.vectors, options).ok());
 }
 
+TEST(EntityGraphTest, RejectsZeroItemsPerQuery) {
+  // A zero cap would drop every link; the daemon's incremental graph
+  // rejects it, and so must the batch builder, for either strategy.
+  Fixture f;
+  EntityGraphOptions options;
+  options.max_items_per_query = 0;
+  for (CandidateStrategy strategy :
+       {CandidateStrategy::kExact, CandidateStrategy::kMinHashLsh}) {
+    options.candidate_strategy = strategy;
+    auto g = BuildEntityGraph(f.qi, f.titles, f.vectors, options);
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(EntityGraphTest, CoClickedEntitiesGetEdges) {
   Fixture f;
   EntityGraphOptions options;
