@@ -1,10 +1,14 @@
 // M1: google-benchmark microbenchmarks for the kernels the pipeline
 // spends its time in — similarity computation, BM25 scoring, word2vec
-// training throughput, BSP superstep overhead, graph mutation, and
-// union-find.
+// training throughput, BSP superstep overhead, the entity-graph degree
+// cap, and union-find.
+
+#include <algorithm>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "core/entity_graph.h"
 #include "core/hac_common.h"
 #include "core/similarity.h"
 #include "engine/bsp_engine.h"
@@ -146,22 +150,38 @@ void BM_BspSuperstep(benchmark::State& state) {
 BENCHMARK(BM_BspSuperstep)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_GraphEdgeInsert(benchmark::State& state) {
+void BM_ApplyDegreeCap(benchmark::State& state) {
+  // A seeded (u, v)-ascending candidate list: 8 random partners after
+  // each entity (mean degree 16) with scores on a 1/64 grid, so ties are
+  // common. A cap of 8 makes most rows run their top-k selection.
   const size_t n = static_cast<size_t>(state.range(0));
   util::Rng rng(6);
-  for (auto _ : state) {
-    graph::WeightedGraph g(n);
-    for (size_t e = 0; e < n * 4; ++e) {
-      uint32_t u = static_cast<uint32_t>(rng.Uniform(n));
-      uint32_t v = static_cast<uint32_t>(rng.Uniform(n));
-      if (u != v) (void)g.AddOrUpdateEdge(u, v, 0.5);
+  std::vector<core::ScoredEdge> edges;
+  for (uint32_t u = 0; u + 1 < n; ++u) {
+    for (int i = 0; i < 8; ++i) {
+      const uint32_t v = u + 1 + static_cast<uint32_t>(rng.Uniform(n - u - 1));
+      edges.push_back({u, v, static_cast<double>(rng.Uniform(64)) / 64.0});
     }
-    benchmark::DoNotOptimize(g);
+  }
+  const auto by_pair = [](const core::ScoredEdge& a,
+                          const core::ScoredEdge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  std::sort(edges.begin(), edges.end(), by_pair);
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const core::ScoredEdge& a,
+                             const core::ScoredEdge& b) {
+                            return a.u == b.u && a.v == b.v;
+                          }),
+              edges.end());
+  for (auto _ : state) {
+    auto graph = core::ApplyDegreeCap(edges, n, /*max_degree=*/8);
+    benchmark::DoNotOptimize(graph);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * 4);
+                          static_cast<int64_t>(edges.size()));
 }
-BENCHMARK(BM_GraphEdgeInsert)->Arg(1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ApplyDegreeCap)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_UnionFind(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <tuple>
 
 #include "core/lsh_index.h"
 #include "core/minhash.h"
@@ -40,6 +41,41 @@ struct BandKeyBatch {
   std::vector<uint64_t> band_keys;
 };
 
+// Scores candidate rows with Eq. 1-3, one instance per worker. Row u is
+// u's ascending partners v > u; Score appends the pairs at or above the
+// threshold to `out` in row order. Eq. 1's |Q(u) ∩ Q(v)| comes from
+// stamping Q(u) into a dense per-query marker once per row and counting
+// the stamps Q(v) hits, so each pair costs one scan of Q(v) instead of a
+// merge of both sets. The Jaccard is the same ratio of integers
+// QueryJaccard returns, so no score moves by a bit.
+struct RowScorer {
+  const std::vector<std::vector<uint32_t>>& queries_of;
+  const std::vector<ContentProfile>& profiles;
+  const EntityGraphOptions& options;
+  std::vector<uint32_t> query_mark;  // query_mark[q] == u once q ∈ Q(u)
+
+  void Score(uint32_t u, const std::vector<uint32_t>& row,
+             std::vector<ScoredEdge>* out) {
+    const std::vector<uint32_t>& queries_u = queries_of[u];
+    for (uint32_t q : queries_u) query_mark[q] = u;
+    for (uint32_t v : row) {
+      const std::vector<uint32_t>& queries_v = queries_of[v];
+      size_t shared = 0;
+      for (uint32_t q : queries_v) shared += query_mark[q] == u;
+      // Both sets empty only on the LSH path (a title-only candidate);
+      // QueryJaccard scores that 0.
+      const size_t union_size = queries_u.size() + queries_v.size() - shared;
+      const double sq = union_size == 0
+                            ? 0.0
+                            : static_cast<double>(shared) /
+                                  static_cast<double>(union_size);
+      const double sc = ContentSimilarity(profiles[u], profiles[v]);
+      const double s = CombinedSimilarity(sq, sc, options.alpha);
+      if (s >= options.similarity_threshold) out->push_back({u, v, s});
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<uint32_t> CappedQueryItems(
@@ -68,23 +104,75 @@ std::vector<uint32_t> CappedQueryItems(
 
 util::Result<graph::WeightedGraph> ApplyDegreeCap(
     std::vector<ScoredEdge> edges, size_t num_entities, size_t max_degree) {
-  std::sort(edges.begin(), edges.end(),
-            [](const ScoredEdge& a, const ScoredEdge& b) {
-              if (a.s != b.s) return a.s > b.s;
-              if (a.u != b.u) return a.u < b.u;
-              return a.v < b.v;
-            });
-  std::vector<size_t> degree(num_entities, 0);
-  graph::WeightedGraph entity_graph(num_entities);
-  for (const ScoredEdge& e : edges) {
-    if (degree[e.u] >= max_degree && degree[e.v] >= max_degree) {
-      continue;
-    }
-    SHOAL_RETURN_IF_ERROR(entity_graph.AddEdge(e.u, e.v, e.s));
-    ++degree[e.u];
-    ++degree[e.v];
+  if (edges.size() > std::numeric_limits<uint32_t>::max()) {
+    return util::Status::InvalidArgument("too many edges for the degree cap");
   }
-  return entity_graph;
+  // Validate, and count each entity's incident edges for the transpose.
+  std::vector<size_t> offset(num_entities + 1, 0);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const ScoredEdge& e = edges[i];
+    if (e.u >= e.v || e.v >= num_entities ||
+        (i > 0 &&
+         std::tie(edges[i - 1].u, edges[i - 1].v) >= std::tie(e.u, e.v))) {
+      return util::Status::InvalidArgument(util::StringPrintf(
+          "edge %zu (%u,%u) breaks u < v < %zu or strict (u, v) order", i,
+          e.u, e.v, num_entities));
+    }
+    ++offset[e.u + 1];
+    ++offset[e.v + 1];
+  }
+  for (size_t x = 0; x < num_entities; ++x) offset[x + 1] += offset[x];
+
+  // Entity x's incident edges, seen from x. For a fixed x the greedy's
+  // (s desc, u, v) order is (s desc, other endpoint asc).
+  struct Incident {
+    double s;
+    uint32_t other;
+    uint32_t edge;  // index into `edges`
+  };
+  const auto before = [](const Incident& a, const Incident& b) {
+    if (a.s != b.s) return a.s > b.s;
+    return a.other < b.other;
+  };
+  std::vector<Incident> incident(offset[num_entities]);
+  {
+    std::vector<size_t> fill(offset.begin(), offset.end() - 1);
+    for (uint32_t i = 0; i < edges.size(); ++i) {
+      const ScoredEdge& e = edges[i];
+      incident[fill[e.u]++] = {e.s, e.v, i};
+      incident[fill[e.v]++] = {e.s, e.u, i};
+    }
+  }
+
+  // An edge survives iff it ranks within the top `max_degree` of either
+  // endpoint: the greedy meets each endpoint's top k while that endpoint
+  // is still under the cap, and by the time it meets any lower edge both
+  // endpoints' top k have already been kept.
+  std::vector<char> kept(edges.size(), 0);
+  for (size_t x = 0; x < num_entities; ++x) {
+    Incident* first = incident.data() + offset[x];
+    Incident* last = incident.data() + offset[x + 1];
+    if (static_cast<size_t>(last - first) > max_degree) {
+      std::nth_element(first, first + max_degree, last, before);
+      last = first + max_degree;
+    }
+    for (; first != last; ++first) kept[first->edge] = 1;
+  }
+
+  // Row x lists x's kept edges in the greedy's insertion order, so rows
+  // and weighted degrees equal what AddEdge in that order would build.
+  std::vector<std::vector<graph::Edge>> rows(num_entities);
+  for (size_t x = 0; x < num_entities; ++x) {
+    Incident* first = incident.data() + offset[x];
+    Incident* last = std::partition(
+        first, incident.data() + offset[x + 1],
+        [&](const Incident& in) { return kept[in.edge] != 0; });
+    std::sort(first, last, before);
+    std::vector<graph::Edge>& row = rows[x];
+    row.reserve(last - first);
+    for (; first != last; ++first) row.push_back({first->other, first->s});
+  }
+  return graph::WeightedGraph::FromRows(std::move(rows));
 }
 
 std::vector<uint64_t> BuildLshCandidatePairs(
@@ -233,10 +321,10 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
         }
       };
 
-  // --- Stage 1: per-entity query sets ----------------------------------
-  // Needed ahead of candidate generation: exact rescoring reads them for
-  // Eq. 1 and the LSH path shingles them. Each worker writes only its
-  // own entities' slots.
+  // --- Stage 1: per-entity query sets and content profiles -------------
+  // The Eq. 1 and Eq. 2 inputs, needed before any row is scored (the LSH
+  // path also shingles the query sets). Each worker writes only its own
+  // entities' slots.
   obs::ScopedSpan query_sets_span("entity_graph.query_sets");
   std::vector<std::vector<uint32_t>> queries_of(num_entities);
   for_shards(num_entities, [&](size_t begin, size_t end, size_t /*shard*/) {
@@ -244,23 +332,87 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
       queries_of[e] = query_item_graph.QueriesOfItem(static_cast<uint32_t>(e));
     }
   });
-  local_stats.profile_seconds = stage_timer.ElapsedSeconds();
   query_sets_span.End();
+  obs::ScopedSpan profile_span("entity_graph.profiles");
+  const std::vector<ContentProfile> profiles =
+      BuildContentProfiles(word_vectors, title_words, pool.get());
+  local_stats.profile_seconds = stage_timer.ElapsedSeconds();
+  profile_span.End();
 
-  // --- Stage 2: candidate pairs ----------------------------------------
-  // Either strategy produces one sorted, duplicate-free key vector:
-  // kExact projects the capped query-item graph onto entities row by
-  // row; kMinHashLsh streams MinHash band keys into LSH buckets and
-  // collects bucket pairs. The sorted order makes the scoring order (and
-  // hence the whole build) deterministic regardless of strategy, thread
-  // count, or the order buckets emitted candidates.
+  // --- Stage 2: candidate rows, scored as they are built ----------------
+  // Row u is u's ascending partners v > u. Workers pull contiguous entity
+  // ranges off a shared counter (head entities have far longer rows than
+  // the rest, so a fixed block per worker would leave most of them idle),
+  // fill each row through their own `make_row_filler()` instance and
+  // score it at once. Range r's edges land in range_edges[r], so the ranges
+  // concatenate into the (u, v)-sorted edge list: one worker scores each
+  // row in a fixed order, whatever the strategy or thread count.
+  const size_t num_ranges =
+      std::min(num_entities, max_shards * kRangesPerWorker);
+  std::vector<std::vector<ScoredEdge>> range_edges(num_ranges);
+  const auto score_rows = [&](const char* shard_span_name,
+                              const auto& make_row_filler) {
+    std::atomic<size_t> next_range{0};
+    std::vector<size_t> shard_pairs(max_shards, 0);
+    for_shards(max_shards, [&](size_t /*begin*/, size_t /*end*/,
+                               size_t shard) {
+      obs::ScopedSpan shard_span(shard_span_name);
+      RowScorer scorer{queries_of, profiles, options,
+                       std::vector<uint32_t>(query_item_graph.num_left(),
+                                             kNoEntity)};
+      auto fill_row = make_row_filler();
+      std::vector<uint32_t> row;
+      size_t ranges = 0;
+      size_t pairs = 0;
+      size_t kept = 0;
+      for (size_t r; (r = next_range.fetch_add(1)) < num_ranges;) {
+        std::vector<ScoredEdge>& out = range_edges[r];
+        const size_t end = (r + 1) * num_entities / num_ranges;
+        for (size_t e = r * num_entities / num_ranges; e < end; ++e) {
+          const uint32_t u = static_cast<uint32_t>(e);
+          fill_row(u, &row);
+          pairs += row.size();
+          scorer.Score(u, row, &out);
+        }
+        ++ranges;
+        kept += out.size();
+      }
+      shard_pairs[shard] = pairs;
+      shard_span.AddArg("shard", static_cast<double>(shard));
+      shard_span.AddArg("ranges", static_cast<double>(ranges));
+      shard_span.AddArg("pairs", static_cast<double>(pairs));
+      shard_span.AddArg("kept", static_cast<double>(kept));
+    });
+    for (size_t pairs : shard_pairs) local_stats.scored_pairs += pairs;
+  };
+
   stage_timer.Restart();
   obs::ScopedSpan candidate_span("entity_graph.candidates");
-  std::vector<uint64_t> candidates;
   if (options.candidate_strategy == CandidateStrategy::kMinHashLsh) {
-    candidates = BuildLshCandidatePairs(queries_of, title_words,
-                                        options.lsh, pool.get(),
-                                        &local_stats);
+    // LSH emits one sorted, duplicate-free key vector; its runs of equal
+    // u are the rows, scored in a separate parallel region.
+    std::vector<uint64_t> candidates = BuildLshCandidatePairs(
+        queries_of, title_words, options.lsh, pool.get(), &local_stats);
+    local_stats.candidate_pairs = candidates.size();
+    local_stats.candidate_seconds = stage_timer.ElapsedSeconds();
+    candidate_span.AddArg("pairs",
+                          static_cast<double>(local_stats.candidate_pairs));
+    candidate_span.End();
+
+    stage_timer.Restart();
+    obs::ScopedSpan scoring_span("entity_graph.scoring");
+    score_rows("entity_graph.score_shard", [&] {
+      return [&](uint32_t u, std::vector<uint32_t>* row) {
+        row->clear();
+        auto it = std::lower_bound(candidates.begin(), candidates.end(),
+                                   static_cast<uint64_t>(u) << 32);
+        for (; it != candidates.end() && (*it >> 32) == u; ++it) {
+          row->push_back(static_cast<uint32_t>(*it));
+        }
+      };
+    });
+    local_stats.scoring_seconds = stage_timer.ElapsedSeconds();
+    scoring_span.End();
   } else {
     // Each query's capped item set, computed once and sorted so that
     // the partners of an item are the tail of the set after it.
@@ -283,117 +435,49 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
 
     // Row u holds the partners v > u that share a capped set with u,
     // deduplicated by a per-worker dense marker (last_seen[v] == u once
-    // v is in the row) and then sorted. Rows are concatenated in u
-    // order, so the keys come out ascending and duplicate-free with no
-    // hashing and no global sort.
-    const size_t num_ranges =
-        std::min(num_entities, max_shards * kRangesPerWorker);
-    std::vector<std::vector<uint64_t>> range_keys(num_ranges);
-    std::atomic<size_t> next_range{0};
-    for_shards(max_shards, [&](size_t /*begin*/, size_t /*end*/,
-                               size_t shard) {
-      obs::ScopedSpan shard_span("entity_graph.candidate_shard");
-      std::vector<uint32_t> last_seen(num_entities, kNoEntity);
-      std::vector<uint32_t> row;
-      size_t ranges = 0;
-      size_t pairs = 0;
-      for (size_t r; (r = next_range.fetch_add(1)) < num_ranges;) {
-        std::vector<uint64_t>& keys = range_keys[r];
-        const size_t end = (r + 1) * num_entities / num_ranges;
-        for (size_t e = r * num_entities / num_ranges; e < end; ++e) {
-          const uint32_t u = static_cast<uint32_t>(e);
-          row.clear();
-          for (uint32_t q : queries_of[u]) {
-            const std::vector<uint32_t>& items = query_items[q];
-            auto it = std::lower_bound(items.begin(), items.end(), u);
-            // u may be in q's dropped tail, outside the capped set.
-            if (it == items.end() || *it != u) continue;
-            for (++it; it != items.end(); ++it) {
-              if (last_seen[*it] == u) continue;
-              last_seen[*it] = u;
-              row.push_back(*it);
-            }
-          }
-          std::sort(row.begin(), row.end());
-          for (uint32_t v : row) {
-            keys.push_back((static_cast<uint64_t>(u) << 32) | v);
+    // v is in the row) and then sorted: no hashing and no global sort.
+    score_rows("entity_graph.candidate_shard", [&] {
+      return [&, last_seen = std::vector<uint32_t>(num_entities, kNoEntity)](
+                 uint32_t u, std::vector<uint32_t>* row) mutable {
+        row->clear();
+        for (uint32_t q : queries_of[u]) {
+          const std::vector<uint32_t>& items = query_items[q];
+          auto it = std::lower_bound(items.begin(), items.end(), u);
+          // u may be in q's dropped tail, outside the capped set.
+          if (it == items.end() || *it != u) continue;
+          for (++it; it != items.end(); ++it) {
+            if (last_seen[*it] == u) continue;
+            last_seen[*it] = u;
+            row->push_back(*it);
           }
         }
-        ++ranges;
-        pairs += keys.size();
-      }
-      shard_span.AddArg("shard", static_cast<double>(shard));
-      shard_span.AddArg("ranges", static_cast<double>(ranges));
-      shard_span.AddArg("pairs", static_cast<double>(pairs));
+        std::sort(row->begin(), row->end());
+      };
     });
-    size_t total = 0;
-    for (const auto& keys : range_keys) total += keys.size();
-    candidates.reserve(total);
-    for (auto& keys : range_keys) {
-      candidates.insert(candidates.end(), keys.begin(), keys.end());
-      keys.clear();
-      keys.shrink_to_fit();
-    }
+    local_stats.candidate_pairs = local_stats.scored_pairs;
+    local_stats.candidate_seconds = stage_timer.ElapsedSeconds();
+    candidate_span.AddArg("pairs",
+                          static_cast<double>(local_stats.candidate_pairs));
+    candidate_span.End();
   }
-  local_stats.candidate_pairs = candidates.size();
-  local_stats.candidate_seconds = stage_timer.ElapsedSeconds();
-  candidate_span.AddArg("pairs",
-                        static_cast<double>(local_stats.candidate_pairs));
-  candidate_span.End();
-
-  // --- Stage 3: content profiles (Eq. 2 inputs) ------------------------
-  stage_timer.Restart();
-  obs::ScopedSpan profile_span("entity_graph.profiles");
-  std::vector<ContentProfile> profiles =
-      BuildContentProfiles(word_vectors, title_words, pool.get());
-  local_stats.profile_seconds += stage_timer.ElapsedSeconds();
-  profile_span.End();
-
-  // --- Stage 4: score candidates (Eq. 3), keep those above threshold --
-  // Shards scan disjoint ranges of the sorted key vector and emit local
-  // edge lists; concatenating them in shard order reproduces exactly the
-  // serial scan order over the sorted keys.
-  stage_timer.Restart();
-  obs::ScopedSpan scoring_span("entity_graph.scoring");
-  std::vector<std::vector<ScoredEdge>> shard_edges(max_shards);
-  for_shards(candidates.size(), [&](size_t begin, size_t end, size_t shard) {
-    obs::ScopedSpan shard_span("entity_graph.score_shard");
-    shard_span.AddArg("shard", static_cast<double>(shard));
-    shard_span.AddArg("pairs", static_cast<double>(end - begin));
-    std::vector<ScoredEdge>& out = shard_edges[shard];
-    out.reserve((end - begin) / 4 + 1);
-    for (size_t i = begin; i < end; ++i) {
-      const uint64_t key = candidates[i];
-      const uint32_t u = static_cast<uint32_t>(key >> 32);
-      const uint32_t v = static_cast<uint32_t>(key & 0xffffffffULL);
-      const double sq = QueryJaccard(queries_of[u], queries_of[v]);
-      const double sc = ContentSimilarity(profiles[u], profiles[v]);
-      const double s = CombinedSimilarity(sq, sc, options.alpha);
-      if (s >= options.similarity_threshold) out.push_back({u, v, s});
-    }
-  });
-  local_stats.scored_pairs = candidates.size();
   std::vector<ScoredEdge> edges;
   {
     size_t total = 0;
-    for (const auto& s : shard_edges) total += s.size();
+    for (const auto& r : range_edges) total += r.size();
     edges.reserve(total);
-    for (auto& s : shard_edges) {
-      edges.insert(edges.end(), s.begin(), s.end());
-      s.clear();
-      s.shrink_to_fit();
+    for (auto& r : range_edges) {
+      edges.insert(edges.end(), r.begin(), r.end());
+      r.clear();
+      r.shrink_to_fit();
     }
   }
-  local_stats.scoring_seconds = stage_timer.ElapsedSeconds();
-  scoring_span.AddArg("kept", static_cast<double>(edges.size()));
-  scoring_span.End();
 
-  // --- Stage 5: degree cap ---------------------------------------------
+  // --- Stage 3: degree cap ---------------------------------------------
   // Keep each entity's strongest edges only ("one item entity should
   // have only a few neighbor entities", Sec 2.2). An edge survives if it
   // ranks within the cap for *either* endpoint, so the graph stays
-  // connected along strong paths. The (u, v) tie-break pins the greedy
-  // order for equal similarities.
+  // connected along strong paths. The (u, v) tie-break pins the order
+  // for equal similarities.
   stage_timer.Restart();
   SHOAL_TRACE_SPAN("entity_graph.degree_cap");
   auto capped_graph =

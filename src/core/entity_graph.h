@@ -58,16 +58,17 @@ struct EntityGraphOptions {
   double similarity_threshold = 0.35;  // sparsification (Challenge 1)
   size_t max_items_per_query = 256;
   size_t max_degree = 64;        // keep only the best edges per entity
-  // Worker threads for candidate generation, profile building, and
-  // scoring. 1 (the default) runs the single-shard serial reference
-  // path; 0 means hardware concurrency. Every setting produces the
-  // same edge set, weights, and stats (timings aside): candidates come
-  // out as one sorted key vector, shards concatenate in a fixed order,
-  // and the degree cap orders edges by (similarity desc, u, v).
+  // Worker threads for query sets, profiles, and the candidate row
+  // pass. 1 (the default) runs the single-shard serial reference path;
+  // 0 means hardware concurrency. Every setting produces the same edge
+  // set, weights, and stats (timings aside): one worker scores each row
+  // in a fixed order, rows concatenate in u order, and the degree cap
+  // orders edges by (similarity desc, u, v).
   size_t num_threads = 1;
   // Candidate generation strategy; kMinHashLsh keeps the same
   // determinism contract (candidates are deduped and sorted before
-  // rescoring, so the graph is byte-identical at any thread count).
+  // their rows are rescored, so the graph is byte-identical at any
+  // thread count).
   CandidateStrategy candidate_strategy = CandidateStrategy::kExact;
   EntityGraphLshOptions lsh;
 };
@@ -83,11 +84,13 @@ struct EntityGraphStats {
   size_t lsh_skipped_buckets = 0;   // over max_bucket, dropped
   size_t lsh_emitted_pairs = 0;     // bucket pair emissions before dedup
   // Per-stage wall-clock, for scaling curves (bench_scalability).
-  double candidate_seconds = 0.0;   // pair generation + merge (either path)
+  // kExact scores each candidate row as the row pass builds it, so its
+  // candidate_seconds covers Eq. 1-3 too and scoring_seconds stays 0.
+  double candidate_seconds = 0.0;   // pair generation (either path)
   double signature_seconds = 0.0;   // MinHash signing share of the above
   double profile_seconds = 0.0;     // query sets + content profiles
-  double scoring_seconds = 0.0;     // Eq. 1-3 over candidate pairs
-  double degree_cap_seconds = 0.0;  // sort + greedy degree cap
+  double scoring_seconds = 0.0;     // Eq. 1-3 over LSH candidate rows
+  double degree_cap_seconds = 0.0;  // per-entity top-k degree cap
 };
 
 // One scored candidate edge (u < v), the unit of the pre-degree-cap
@@ -114,12 +117,17 @@ std::vector<uint32_t> CappedQueryItems(
     const std::vector<graph::BipartiteGraph::Link>& links, size_t cap,
     bool* capped);
 
-// Stage 5 of BuildEntityGraph, exposed so the incremental maintenance
-// path can finalize its standing edge store through the exact same
-// pass: sort by (similarity desc, u, v) and greedily keep edges while
-// either endpoint is under `max_degree`. Consumes `edges` (sorted in
-// place). Pure function of the edge multiset — byte-identical output
-// for any input order.
+// The last stage of BuildEntityGraph, exposed so the incremental
+// maintenance path can finalize its standing edge store through the
+// exact same pass. Keeps an edge iff it ranks within the top
+// `max_degree` edges of either endpoint under (similarity desc, u, v) —
+// exactly the set the greedy "sort by that order, keep an edge while
+// either endpoint is under `max_degree`" keeps — and lists each row in
+// that order, so rows and weighted degrees equal the greedy's AddEdge
+// sequence. `edges` must be strictly ascending by (u, v) with
+// u < v < num_entities (both callers produce them so); self-loops,
+// reversed or out-of-range ids, repeats and out-of-order edges are
+// rejected with an error Status.
 util::Result<graph::WeightedGraph> ApplyDegreeCap(
     std::vector<ScoredEdge> edges, size_t num_entities, size_t max_degree);
 

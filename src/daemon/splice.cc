@@ -1,11 +1,32 @@
 #include "daemon/splice.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "graph/components.h"
 #include "util/string_util.h"
 
 namespace shoal::daemon {
+namespace {
+
+// The graph's edges (u < v), sorted by (u, v): rows in u order, each
+// row's forward half sorted by v (adjacency rows are in score order).
+std::vector<graph::WeightedGraph::FullEdge> SortedEdges(
+    const graph::WeightedGraph& graph) {
+  std::vector<graph::WeightedGraph::FullEdge> edges;
+  edges.reserve(graph.num_edges());
+  for (uint32_t u = 0; u < graph.num_vertices(); ++u) {
+    const size_t row_begin = edges.size();
+    for (const graph::Edge& e : graph.Neighbors(u)) {
+      if (e.to > u) edges.push_back({u, e.to, e.weight});
+    }
+    std::sort(edges.begin() + row_begin, edges.end(),
+              [](const auto& a, const auto& b) { return a.v < b.v; });
+  }
+  return edges;
+}
+
+}  // namespace
 
 util::Result<SpliceResult> SpliceDendrogram(
     const graph::WeightedGraph& old_graph,
@@ -27,23 +48,40 @@ util::Result<SpliceResult> SpliceDendrogram(
   SpliceResult result;
 
   // ---- 1. edge diff + dirty-component expansion -----------------------
+  // Components over old ∪ new first, then one merge of the two
+  // (u, v)-sorted edge lists: an edge changed when only one graph has it
+  // or its weight moved, and it dirties its whole union component.
+  const std::vector<graph::WeightedGraph::FullEdge> old_edges =
+      SortedEdges(old_graph);
+  const std::vector<graph::WeightedGraph::FullEdge> new_edges =
+      SortedEdges(new_graph);
   graph::UnionFind uf(n);
-  std::vector<std::pair<uint32_t, uint32_t>> changed;
-  for (const graph::WeightedGraph::FullEdge& e : old_graph.AllEdges()) {
-    uf.Union(e.u, e.v);
-    if (!new_graph.HasEdge(e.u, e.v) ||
-        new_graph.EdgeWeight(e.u, e.v) != e.weight) {
-      changed.push_back({e.u, e.v});
+  for (const auto& e : old_edges) uf.Union(e.u, e.v);
+  for (const auto& e : new_edges) uf.Union(e.u, e.v);
+  std::vector<char> dirty_root(n, 0);
+  const auto mark_changed = [&](const graph::WeightedGraph::FullEdge& e) {
+    dirty_root[uf.Find(e.u)] = 1;
+    ++result.stats.changed_edges;
+  };
+  size_t i = 0;
+  size_t j = 0;
+  while (i < old_edges.size() && j < new_edges.size()) {
+    const auto& a = old_edges[i];
+    const auto& b = new_edges[j];
+    if (a.u == b.u && a.v == b.v) {
+      if (a.weight != b.weight) mark_changed(a);
+      ++i;
+      ++j;
+    } else if (std::tie(a.u, a.v) < std::tie(b.u, b.v)) {
+      mark_changed(a);  // removed
+      ++i;
+    } else {
+      mark_changed(b);  // added
+      ++j;
     }
   }
-  for (const graph::WeightedGraph::FullEdge& e : new_graph.AllEdges()) {
-    uf.Union(e.u, e.v);
-    if (!old_graph.HasEdge(e.u, e.v)) changed.push_back({e.u, e.v});
-  }
-  result.stats.changed_edges = changed.size();
-
-  std::vector<char> dirty_root(n, 0);
-  for (const auto& [u, v] : changed) dirty_root[uf.Find(u)] = 1;
+  for (; i < old_edges.size(); ++i) mark_changed(old_edges[i]);
+  for (; j < new_edges.size(); ++j) mark_changed(new_edges[j]);
 
   result.dirty_leaf.assign(n, false);
   size_t dirty_leaves = 0;

@@ -1,10 +1,26 @@
 #include "graph/weighted_graph.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
 namespace shoal::graph {
+
+WeightedGraph WeightedGraph::FromRows(std::vector<std::vector<Edge>> rows) {
+  WeightedGraph graph;
+  graph.adjacency_ = std::move(rows);
+  graph.weighted_degree_.assign(graph.adjacency_.size(), 0.0);
+  size_t entries = 0;
+  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+    for (const Edge& e : graph.adjacency_[u]) {
+      graph.weighted_degree_[u] += e.weight;
+      if (e.to > u) graph.total_weight_ += e.weight;
+    }
+    entries += graph.adjacency_[u].size();
+  }
+  graph.num_edges_ = entries / 2;
+  return graph;
+}
 
 void WeightedGraph::Resize(size_t num_vertices) {
   if (num_vertices > adjacency_.size()) {
@@ -23,12 +39,10 @@ util::Status WeightedGraph::AddEdge(VertexId u, VertexId v, double weight) {
         util::StringPrintf("edge (%u,%u) outside vertex range [0,%zu)", u, v,
                            num_vertices()));
   }
-  uint64_t key = Key(std::min(u, v), std::max(u, v));
-  if (edge_index_.contains(key)) {
+  if (FindEdge(u, v) != nullptr) {
     return util::Status::AlreadyExists(
         util::StringPrintf("edge (%u,%u) already present", u, v));
   }
-  edge_index_.emplace(key, weight);
   adjacency_[u].push_back(Edge{v, weight});
   adjacency_[v].push_back(Edge{u, weight});
   weighted_degree_[u] += weight;
@@ -38,69 +52,23 @@ util::Status WeightedGraph::AddEdge(VertexId u, VertexId v, double weight) {
   return util::Status::OK();
 }
 
-util::Status WeightedGraph::AddOrUpdateEdge(VertexId u, VertexId v,
-                                            double weight) {
-  if (u == v) {
-    return util::Status::InvalidArgument(
-        util::StringPrintf("self-loop on vertex %u", u));
+const Edge* WeightedGraph::FindEdge(VertexId u, VertexId v) const {
+  if (adjacency_[u].size() > adjacency_[v].size()) std::swap(u, v);
+  for (const Edge& e : adjacency_[u]) {
+    if (e.to == v) return &e;
   }
-  if (u >= num_vertices() || v >= num_vertices()) {
-    return util::Status::OutOfRange(
-        util::StringPrintf("edge (%u,%u) outside vertex range [0,%zu)", u, v,
-                           num_vertices()));
-  }
-  uint64_t key = Key(std::min(u, v), std::max(u, v));
-  auto it = edge_index_.find(key);
-  if (it == edge_index_.end()) return AddEdge(u, v, weight);
-  double old = it->second;
-  it->second = weight;
-  for (Edge& e : adjacency_[u]) {
-    if (e.to == v) e.weight = weight;
-  }
-  for (Edge& e : adjacency_[v]) {
-    if (e.to == u) e.weight = weight;
-  }
-  weighted_degree_[u] += weight - old;
-  weighted_degree_[v] += weight - old;
-  total_weight_ += weight - old;
-  return util::Status::OK();
+  return nullptr;
 }
 
 bool WeightedGraph::HasEdge(VertexId u, VertexId v) const {
   if (u == v || u >= num_vertices() || v >= num_vertices()) return false;
-  return edge_index_.contains(Key(std::min(u, v), std::max(u, v)));
+  return FindEdge(u, v) != nullptr;
 }
 
 double WeightedGraph::EdgeWeight(VertexId u, VertexId v) const {
   if (u == v || u >= num_vertices() || v >= num_vertices()) return 0.0;
-  auto it = edge_index_.find(Key(std::min(u, v), std::max(u, v)));
-  return it == edge_index_.end() ? 0.0 : it->second;
-}
-
-size_t WeightedGraph::SparsifyBelow(double threshold) {
-  size_t removed = 0;
-  for (VertexId u = 0; u < num_vertices(); ++u) {
-    auto& adj = adjacency_[u];
-    auto keep_end = std::remove_if(adj.begin(), adj.end(), [&](const Edge& e) {
-      return e.weight < threshold;
-    });
-    adj.erase(keep_end, adj.end());
-  }
-  for (auto it = edge_index_.begin(); it != edge_index_.end();) {
-    if (it->second < threshold) {
-      VertexId u = static_cast<VertexId>(it->first >> 32);
-      VertexId v = static_cast<VertexId>(it->first & 0xffffffffULL);
-      weighted_degree_[u] -= it->second;
-      weighted_degree_[v] -= it->second;
-      total_weight_ -= it->second;
-      it = edge_index_.erase(it);
-      ++removed;
-      --num_edges_;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  const Edge* e = FindEdge(u, v);
+  return e == nullptr ? 0.0 : e->weight;
 }
 
 std::vector<WeightedGraph::FullEdge> WeightedGraph::AllEdges() const {

@@ -2,7 +2,6 @@
 #define SHOAL_GRAPH_WEIGHTED_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/result.h"
@@ -21,14 +20,22 @@ struct Edge {
   bool operator==(const Edge&) const = default;
 };
 
-// Undirected weighted graph over vertices [0, num_vertices). Backed by
-// per-vertex adjacency vectors plus a hash index for O(1) weight lookup.
-// This is the *static* input structure; the HAC cluster graph in
-// shoal::core keeps its own mutable overlay.
+// Undirected weighted graph over vertices [0, num_vertices), backed by
+// per-vertex adjacency rows. Edge lookups scan the shorter of the two
+// endpoint rows. This is the *static* input structure; the HAC cluster
+// graph in shoal::core keeps its own mutable overlay.
 class WeightedGraph {
  public:
   WeightedGraph() = default;
   explicit WeightedGraph(size_t num_vertices) { Resize(num_vertices); }
+
+  // Adopts finished adjacency rows: rows[u] lists u's neighbours in the
+  // order Neighbors(u) reports them, and WeightedDegree(u) sums them in
+  // that order. The rows must already be symmetric (v appears in rows[u]
+  // with weight w exactly when u appears in rows[v] with weight w), with
+  // no self-loops, out-of-range ids or repeats; the caller guarantees
+  // this, it is not checked. TotalEdgeWeight() sums rows in u order.
+  static WeightedGraph FromRows(std::vector<std::vector<Edge>> rows);
 
   // Grows the vertex set to `num_vertices` (never shrinks).
   void Resize(size_t num_vertices);
@@ -38,9 +45,6 @@ class WeightedGraph {
 
   // Adds an undirected edge. Self-loops and duplicate edges are rejected.
   util::Status AddEdge(VertexId u, VertexId v, double weight);
-
-  // Adds the edge or overwrites its weight if present. Self-loops rejected.
-  util::Status AddOrUpdateEdge(VertexId u, VertexId v, double weight);
 
   bool HasEdge(VertexId u, VertexId v) const;
 
@@ -61,9 +65,6 @@ class WeightedGraph {
   // Sum of all edge weights (each undirected edge counted once).
   double TotalEdgeWeight() const { return total_weight_; }
 
-  // Removes edges with weight < threshold. Returns the number removed.
-  size_t SparsifyBelow(double threshold);
-
   // All edges, each reported once with to > from.
   struct FullEdge {
     VertexId u;
@@ -73,13 +74,11 @@ class WeightedGraph {
   std::vector<FullEdge> AllEdges() const;
 
  private:
-  static uint64_t Key(VertexId u, VertexId v) {
-    return (static_cast<uint64_t>(u) << 32) | v;
-  }
+  // The (u, v) entry of the shorter endpoint row, or null when absent.
+  const Edge* FindEdge(VertexId u, VertexId v) const;
 
   std::vector<std::vector<Edge>> adjacency_;
   std::vector<double> weighted_degree_;
-  std::unordered_map<uint64_t, double> edge_index_;  // key: (min,max)
   size_t num_edges_ = 0;
   double total_weight_ = 0.0;
 };

@@ -2,8 +2,10 @@
 // builder must produce the exact edge set, weights, and stats (timings
 // aside) of the num_threads == 1 reference path, at every thread count
 // and across shard boundaries that do not divide the input evenly. The
-// exact candidate set is also checked against a brute-force oracle, so
-// a pair lost at every thread count cannot pass.
+// exact candidate set is also checked against a brute-force oracle (so
+// a pair lost at every thread count cannot pass) and its weights against
+// Eq. 1-3 computed in the test; the per-row degree cap is checked
+// against the greedy it replaced.
 
 #include <algorithm>
 #include <random>
@@ -277,8 +279,93 @@ TEST(EntityGraphParallelTest, ExactCandidatesMatchBruteForce) {
       EXPECT_EQ(stats.kept_edges, expected.size());
       EXPECT_EQ(stats.capped_queries, expected_capped);
       EXPECT_EQ(g->Degree(tail_only), 0u);
+      // Every weight is Eq. 3 over Eq. 1-2 computed here independently,
+      // not the builder's own serial run.
+      for (const auto& e : g->AllEdges()) {
+        const double sq = QueryJaccard(qi.QueriesOfItem(e.u),
+                                       qi.QueriesOfItem(e.v));
+        const double sc = ContentSimilarity(
+            BuildContentProfile(c.w.vectors, c.w.titles[e.u]),
+            BuildContentProfile(c.w.vectors, c.w.titles[e.v]));
+        EXPECT_EQ(e.weight, CombinedSimilarity(sq, sc, options.alpha))
+            << "edge (" << e.u << "," << e.v << ")";
+      }
     }
   }
+}
+
+// The greedy degree cap ApplyDegreeCap replaced, as the reference: sort
+// by (s desc, u, v), keep an edge while either endpoint is under the
+// cap, and insert it with AddEdge.
+graph::WeightedGraph GreedyDegreeCap(std::vector<ScoredEdge> edges,
+                                     size_t num_entities,
+                                     size_t max_degree) {
+  std::sort(edges.begin(), edges.end(),
+            [](const ScoredEdge& a, const ScoredEdge& b) {
+              if (a.s != b.s) return a.s > b.s;
+              if (a.u != b.u) return a.u < b.u;
+              return a.v < b.v;
+            });
+  std::vector<size_t> degree(num_entities, 0);
+  graph::WeightedGraph g(num_entities);
+  for (const ScoredEdge& e : edges) {
+    if (degree[e.u] >= max_degree && degree[e.v] >= max_degree) continue;
+    EXPECT_TRUE(g.AddEdge(e.u, e.v, e.s).ok());
+    ++degree[e.u];
+    ++degree[e.v];
+  }
+  return g;
+}
+
+TEST(EntityGraphParallelTest, DegreeCapMatchesGreedyReference) {
+  // Scores from three values, so most rows hold ties that only the
+  // (u, v) tie-break orders.
+  const double kScores[] = {0.25, 0.5, 0.75};
+  size_t capped_rows = 0;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    const size_t n = 2 + rng() % 40;
+    const uint64_t density = 5 + rng() % 60;  // percent of all pairs
+    std::vector<ScoredEdge> edges;
+    for (uint32_t u = 0; u < n; ++u) {
+      for (uint32_t v = u + 1; v < n; ++v) {
+        if (rng() % 100 < density) edges.push_back({u, v, kScores[rng() % 3]});
+      }
+    }
+    for (size_t max_degree : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                              size_t{7}, n}) {
+      SCOPED_TRACE(testing::Message() << "max_degree " << max_degree);
+      const graph::WeightedGraph expected =
+          GreedyDegreeCap(edges, n, max_degree);
+      auto actual = ApplyDegreeCap(edges, n, max_degree);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      EXPECT_EQ(actual->num_vertices(), n);
+      EXPECT_EQ(actual->num_edges(), expected.num_edges());
+      for (uint32_t x = 0; x < n; ++x) {
+        EXPECT_EQ(actual->Neighbors(x), expected.Neighbors(x))
+            << "row " << x;
+        EXPECT_EQ(actual->WeightedDegree(x), expected.WeightedDegree(x))
+            << "row " << x;
+        if (expected.Degree(x) > max_degree) ++capped_rows;
+      }
+    }
+  }
+  EXPECT_GT(capped_rows, 0u) << "no row kept more than its own top k";
+
+  // Malformed input is an error, not a silently different graph.
+  const auto rejects = [](std::vector<ScoredEdge> edges) {
+    return !ApplyDegreeCap(std::move(edges), /*num_entities=*/4,
+                           /*max_degree=*/2)
+                .ok();
+  };
+  EXPECT_FALSE(rejects({{0, 1, 0.5}, {0, 3, 0.5}, {2, 3, 0.5}}));
+  EXPECT_TRUE(rejects({{0, 1, 0.5}, {2, 2, 0.5}}));   // self-loop
+  EXPECT_TRUE(rejects({{0, 1, 0.5}, {1, 4, 0.5}}));   // out of range
+  EXPECT_TRUE(rejects({{0, 1, 0.5}, {0, 1, 0.7}}));   // duplicate
+  EXPECT_TRUE(rejects({{0, 2, 0.5}, {0, 1, 0.5}}));   // out of order
+  EXPECT_TRUE(rejects({{1, 2, 0.5}, {0, 3, 0.5}}));   // out of order
+  EXPECT_TRUE(rejects({{2, 1, 0.5}}));                // u > v
 }
 
 TEST(EntityGraphParallelTest, BatchProfilesMatchSingleProfiles) {

@@ -4,9 +4,12 @@
 // with changed edges, and the whole operation is deterministic at any
 // thread count.
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -215,6 +218,102 @@ TEST(SpliceTest, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(reference->stats.replayed_merges,
               variant->stats.replayed_merges);
     EXPECT_EQ(reference->stats.hac_merges, variant->stats.hac_merges);
+  }
+}
+
+using EdgeMap = std::map<std::pair<uint32_t, uint32_t>, double>;
+
+// Inserts `edges` in a shuffled order with random orientation, so rows
+// come out neither id-sorted nor in the map's order.
+graph::WeightedGraph ShuffledGraph(size_t num_vertices, const EdgeMap& edges,
+                                   std::mt19937_64& rng) {
+  std::vector<std::pair<std::pair<uint32_t, uint32_t>, double>> order(
+      edges.begin(), edges.end());
+  std::shuffle(order.begin(), order.end(), rng);
+  graph::WeightedGraph g(num_vertices);
+  for (const auto& [pair, weight] : order) {
+    const auto [u, v] = rng() % 2 ? pair : std::make_pair(pair.second,
+                                                          pair.first);
+    EXPECT_TRUE(g.AddEdge(u, v, weight).ok());
+  }
+  return g;
+}
+
+TEST(SpliceTest, ChangedEdgesMatchBruteForceDiff) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    const uint32_t n = 20 + rng() % 40;
+    std::uniform_int_distribution<uint32_t> vertex(0, n - 1);
+    std::uniform_real_distribution<double> weight(0.31, 1.0);
+
+    EdgeMap old_edges;
+    while (old_edges.size() < n) {
+      const uint32_t u = vertex(rng), v = vertex(rng);
+      if (u != v) old_edges[std::minmax(u, v)] = weight(rng);
+    }
+    // Each old edge is removed, reweighted or kept; then a few are added.
+    EdgeMap new_edges;
+    for (const auto& [pair, w] : old_edges) {
+      switch (rng() % 4) {
+        case 0:
+          break;  // removed
+        case 1:
+          new_edges[pair] = w + 0.001;  // reweighted
+          break;
+        default:
+          new_edges[pair] = w;  // unchanged
+      }
+    }
+    for (int i = 0; i < 6; ++i) {
+      const uint32_t u = vertex(rng), v = vertex(rng);
+      if (u != v) new_edges.emplace(std::minmax(u, v), weight(rng));
+    }
+
+    // Brute-force diff over the two maps.
+    std::vector<std::pair<uint32_t, uint32_t>> changed;
+    for (const auto& [pair, w] : old_edges) {
+      auto it = new_edges.find(pair);
+      if (it == new_edges.end() || it->second != w) changed.push_back(pair);
+    }
+    for (const auto& [pair, w] : new_edges) {
+      if (!old_edges.contains(pair)) changed.push_back(pair);
+    }
+    ASSERT_FALSE(changed.empty());
+    // Components of old ∪ new by label propagation; a component is dirty
+    // when it holds a changed edge.
+    std::vector<uint32_t> label(n);
+    for (uint32_t v = 0; v < n; ++v) label[v] = v;
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (const EdgeMap* edges : {&old_edges, &new_edges}) {
+        for (const auto& [pair, w] : *edges) {
+          const uint32_t low = std::min(label[pair.first], label[pair.second]);
+          for (uint32_t end : {pair.first, pair.second}) {
+            if (label[end] != low) {
+              label[end] = low;
+              moved = true;
+            }
+          }
+        }
+      }
+    }
+    std::vector<bool> expected_dirty(n, false);
+    for (const auto& [u, v] : changed) {
+      for (uint32_t x = 0; x < n; ++x) {
+        if (label[x] == label[u]) expected_dirty[x] = true;
+      }
+    }
+
+    const graph::WeightedGraph old_graph = ShuffledGraph(n, old_edges, rng);
+    const graph::WeightedGraph new_graph = ShuffledGraph(n, new_edges, rng);
+    auto standing = core::ParallelHac(old_graph, TestHac());
+    ASSERT_TRUE(standing.ok());
+    auto spliced = SpliceDendrogram(old_graph, *standing, new_graph,
+                                    TestHac());
+    ASSERT_TRUE(spliced.ok());
+    EXPECT_EQ(spliced->stats.changed_edges, changed.size());
+    EXPECT_EQ(spliced->dirty_leaf, expected_dirty);
   }
 }
 

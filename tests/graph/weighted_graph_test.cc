@@ -1,5 +1,7 @@
 #include "graph/weighted_graph.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace shoal::graph {
@@ -49,16 +51,40 @@ TEST(WeightedGraphTest, DuplicateEdgeRejected) {
   EXPECT_DOUBLE_EQ(g.EdgeWeight(0, 1), 0.5);
 }
 
-TEST(WeightedGraphTest, AddOrUpdateOverwrites) {
-  WeightedGraph g(2);
-  ASSERT_TRUE(g.AddOrUpdateEdge(0, 1, 0.5).ok());
-  ASSERT_TRUE(g.AddOrUpdateEdge(1, 0, 0.8).ok());
-  EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(0, 1), 0.8);
-  EXPECT_DOUBLE_EQ(g.WeightedDegree(0), 0.8);
-  EXPECT_DOUBLE_EQ(g.TotalEdgeWeight(), 0.8);
-  // Adjacency list weight must be updated too.
-  EXPECT_DOUBLE_EQ(g.Neighbors(0)[0].weight, 0.8);
+TEST(WeightedGraphTest, DuplicateFoundThroughEitherRow) {
+  // The duplicate check scans the shorter endpoint row; make each side
+  // the shorter one in turn.
+  WeightedGraph g(5);
+  ASSERT_TRUE(g.AddEdge(0, 1, 0.5).ok());
+  ASSERT_TRUE(g.AddEdge(0, 2, 0.5).ok());
+  ASSERT_TRUE(g.AddEdge(0, 3, 0.5).ok());
+  EXPECT_EQ(g.AddEdge(0, 3, 0.9).code(), util::StatusCode::kAlreadyExists);
+  EXPECT_EQ(g.AddEdge(3, 0, 0.9).code(), util::StatusCode::kAlreadyExists);
+  ASSERT_TRUE(g.AddEdge(3, 4, 0.5).ok());
+  ASSERT_TRUE(g.AddEdge(4, 1, 0.5).ok());
+  ASSERT_TRUE(g.AddEdge(4, 2, 0.5).ok());
+  EXPECT_EQ(g.AddEdge(4, 3, 0.9).code(), util::StatusCode::kAlreadyExists);
+  EXPECT_EQ(g.num_edges(), 6u);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(3, 4), 0.5);
+  EXPECT_FALSE(g.HasEdge(1, 2));
+}
+
+TEST(WeightedGraphTest, FromRowsKeepsRowOrder) {
+  std::vector<std::vector<Edge>> rows = {
+      {{2, 0.25}, {1, 0.5}}, {{0, 0.5}}, {{0, 0.25}}, {}};
+  WeightedGraph g = WeightedGraph::FromRows(rows);
+  EXPECT_EQ(g.num_vertices(), 4u);
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(g.Neighbors(0), rows[0]);
+  EXPECT_EQ(g.Neighbors(2), rows[2]);
+  EXPECT_EQ(g.WeightedDegree(0), 0.25 + 0.5);
+  EXPECT_EQ(g.WeightedDegree(3), 0.0);
+  EXPECT_EQ(g.TotalEdgeWeight(), 0.75);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(1, 0), 0.5);
+  // A graph built from rows takes further edges like any other.
+  ASSERT_TRUE(g.AddEdge(3, 1, 1.0).ok());
+  EXPECT_EQ(g.AddEdge(2, 0, 1.0).code(), util::StatusCode::kAlreadyExists);
+  EXPECT_EQ(g.num_edges(), 3u);
 }
 
 TEST(WeightedGraphTest, DegreesTrackEdges) {
@@ -86,22 +112,6 @@ TEST(WeightedGraphTest, ResizeGrowsOnly) {
   EXPECT_EQ(g.num_vertices(), 5u);
   g.Resize(1);
   EXPECT_EQ(g.num_vertices(), 5u);
-}
-
-TEST(WeightedGraphTest, SparsifyRemovesWeakEdges) {
-  WeightedGraph g(4);
-  ASSERT_TRUE(g.AddEdge(0, 1, 0.9).ok());
-  ASSERT_TRUE(g.AddEdge(1, 2, 0.2).ok());
-  ASSERT_TRUE(g.AddEdge(2, 3, 0.4).ok());
-  size_t removed = g.SparsifyBelow(0.35);
-  EXPECT_EQ(removed, 1u);
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_FALSE(g.HasEdge(1, 2));
-  EXPECT_TRUE(g.HasEdge(0, 1));
-  EXPECT_TRUE(g.HasEdge(2, 3));
-  EXPECT_DOUBLE_EQ(g.TotalEdgeWeight(), 1.3);
-  EXPECT_DOUBLE_EQ(g.WeightedDegree(1), 0.9);
-  EXPECT_EQ(g.Neighbors(1).size(), 1u);
 }
 
 TEST(WeightedGraphTest, AllEdgesReportsEachOnce) {

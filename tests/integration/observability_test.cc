@@ -113,7 +113,7 @@ TEST_F(ObservabilityTest, TraceCoversEveryPipelineStageAndHacRound) {
        {"shoal.build", "shoal.word2vec", "shoal.entity_graph", "shoal.hac",
         "shoal.taxonomy", "shoal.describe", "shoal.correlation",
         "shoal.search_index", "entity_graph.candidates",
-        "entity_graph.scoring", "hac.merge", "hac.delta_update"}) {
+        "entity_graph.degree_cap", "hac.merge", "hac.delta_update"}) {
     EXPECT_GE(by_name[stage], 1u) << "no span named " << stage;
   }
   // The default HAC mode runs no diffusion, so no engine spans appear.
