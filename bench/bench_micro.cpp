@@ -1,7 +1,6 @@
 // M1: google-benchmark microbenchmarks for the kernels the pipeline
 // spends its time in — similarity computation, BM25 scoring, word2vec
-// training throughput, BSP superstep overhead, the entity-graph degree
-// cap, and union-find.
+// training throughput, the entity-graph degree cap, and union-find.
 
 #include <algorithm>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "core/entity_graph.h"
 #include "core/hac_common.h"
 #include "core/similarity.h"
-#include "engine/bsp_engine.h"
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "text/bm25.h"
@@ -123,32 +121,6 @@ void BM_Word2VecEpoch(benchmark::State& state) {
                           static_cast<int64_t>(sentences));
 }
 BENCHMARK(BM_Word2VecEpoch)->Arg(200)->Unit(benchmark::kMillisecond);
-
-void BM_BspSuperstep(benchmark::State& state) {
-  const size_t vertices = static_cast<size_t>(state.range(0));
-  using Engine = engine::BspEngine<int, int>;
-  for (auto _ : state) {
-    Engine::Options options;
-    options.num_partitions = 8;
-    options.num_threads = 2;
-    options.max_supersteps = 4;
-    Engine engine(vertices, options);
-    auto status = engine.Run([vertices](Engine::Context& ctx, uint32_t v,
-                                        int& value,
-                                        const std::vector<int>& messages) {
-      for (int m : messages) value += m;
-      if (ctx.superstep() < 3) {
-        ctx.SendMessage((v + 1) % vertices, 1);
-      }
-      ctx.VoteToHalt();
-    });
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(vertices) * 4);
-}
-BENCHMARK(BM_BspSuperstep)->Arg(1000)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ApplyDegreeCap(benchmark::State& state) {
   // A seeded (u, v)-ascending candidate list: 8 random partners after

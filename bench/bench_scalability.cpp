@@ -3,7 +3,7 @@
 // naive HAC cannot scale (Challenge 2). This bench measures, at laptop
 // scale, Parallel HAC vs the exact sequential baseline on the same
 // entity graphs: wall-clock, rounds vs merges, and throughput; plus the
-// effect of worker threads on the BSP engine.
+// effect of worker threads on Parallel HAC.
 
 #include <algorithm>
 #include <cstdint>
@@ -206,10 +206,6 @@ int Run(int argc, char** argv) {
   flags.AddString("graph_threads", "1,2,4,8",
                   "thread counts for the entity-graph stage sweep");
   flags.AddInt64("seed", 2019, "random seed");
-  flags.AddString("diffusion", "delta",
-                  "HAC diffusion mode: 'delta' (mutual-best candidates + "
-                  "exact k-hop check, default) or 'full' (paper-literal "
-                  "broadcast diffusion reference path)");
   flags.AddString("candidate_strategy", "exact",
                   "'exact' runs the HAC scalability sweeps; 'lsh' instead "
                   "compares exact vs MinHash/LSH candidate generation "
@@ -250,23 +246,16 @@ int Run(int argc, char** argv) {
       "Parallel HAC generates the taxonomy for 200M entities within 4h on "
       "ODPS; naive HAC does not scale (one merge per scan)");
 
-  const core::DiffusionMode diffusion_mode =
-      flags.GetString("diffusion") == "full"
-          ? core::DiffusionMode::kFullBroadcast
-          : core::DiffusionMode::kDelta;
-
   util::JsonValue json = util::JsonValue::Object();
   util::JsonValue json_sizes = util::JsonValue::Array();
   util::JsonValue json_threads = util::JsonValue::Array();
   // Smallest size where parallel wall-clock is at or below sequential;
-  // -1 when parallel never catches up. The headline number of the delta
-  // diffusion rework: full broadcast never crossed over at these sizes.
+  // -1 when parallel never catches up.
   double crossover_entities = -1.0;
 
-  std::printf(
-      "%-10s %-10s %-12s %-12s %-12s %-14s %-14s %-8s\n", "entities",
-      "edges", "par_time_s", "seq_time_s", "par_rounds",
-      "merges(par/seq)", "msgs/merge", "NMI_gap");
+  std::printf("%-10s %-10s %-12s %-12s %-12s %-16s %-8s\n", "entities",
+              "edges", "par_time_s", "seq_time_s", "par_rounds",
+              "merges(par/seq)", "NMI_gap");
   for (size_t entities : sizes) {
     auto workload = bench::BuildWorkload(
         bench::ScaledDataset(entities,
@@ -277,8 +266,6 @@ int Run(int argc, char** argv) {
     // Parallel HAC (re-run standalone so timing excludes the pipeline).
     core::ParallelHacOptions par_options;
     par_options.num_threads = 2;
-    par_options.num_partitions = 8;
-    par_options.diffusion_mode = diffusion_mode;
     core::ParallelHacStats par_stats;
     util::Stopwatch par_timer;
     auto par = core::ParallelHac(graph, par_options, &par_stats);
@@ -298,20 +285,13 @@ int Run(int argc, char** argv) {
         seq->FlatClusters(), workload.dataset.EntityIntentLabels());
     SHOAL_CHECK(nmi_par.ok() && nmi_seq.ok());
 
-    // Message economy: BSP messages spent per merge decision (0 in the
-    // default mode). The identity-gated quantity in perf_diff --mode
-    // messages.
-    const double messages_per_merge =
-        static_cast<double>(par_stats.total_messages) /
-        static_cast<double>(std::max<size_t>(1, par_stats.total_merges));
     if (crossover_entities < 0.0 && par_seconds <= seq_seconds) {
       crossover_entities = static_cast<double>(entities);
     }
-    std::printf(
-        "%-10zu %-10zu %-12.3f %-12.3f %-12zu %zu/%-10zu %-14.1f %+-8.3f\n",
-        entities, graph.num_edges(), par_seconds, seq_seconds,
-        par_stats.rounds, par_stats.total_merges, seq_stats.merges,
-        messages_per_merge, nmi_par.value() - nmi_seq.value());
+    std::printf("%-10zu %-10zu %-12.3f %-12.3f %-12zu %zu/%-12zu %+-8.3f\n",
+                entities, graph.num_edges(), par_seconds, seq_seconds,
+                par_stats.rounds, par_stats.total_merges, seq_stats.merges,
+                nmi_par.value() - nmi_seq.value());
     {
       util::JsonValue row = util::JsonValue::Object();
       row.Set("entities", util::JsonValue::Number(
@@ -324,14 +304,6 @@ int Run(int argc, char** argv) {
                             static_cast<double>(par_stats.rounds)));
       row.Set("merges", util::JsonValue::Number(
                             static_cast<double>(par_stats.total_merges)));
-      row.Set("messages",
-              util::JsonValue::Number(
-                  static_cast<double>(par_stats.total_messages)));
-      row.Set("supersteps",
-              util::JsonValue::Number(
-                  static_cast<double>(par_stats.total_supersteps)));
-      row.Set("messages_per_merge",
-              util::JsonValue::Number(messages_per_merge));
       row.Set("nmi_gap",
               util::JsonValue::Number(nmi_par.value() - nmi_seq.value()));
       json_sizes.Append(std::move(row));
@@ -343,8 +315,7 @@ int Run(int argc, char** argv) {
   }
 
   std::printf("\nworker-thread scaling at 4000 entities:\n");
-  std::printf("%-10s %-12s %-12s %-14s\n", "threads", "time_s", "rounds",
-              "msgs");
+  std::printf("%-10s %-12s %-12s\n", "threads", "time_s", "rounds");
   {
     auto workload = bench::BuildWorkload(
         bench::ScaledDataset(4000,
@@ -355,30 +326,19 @@ int Run(int argc, char** argv) {
       size_t threads = std::strtoull(thread_text.c_str(), nullptr, 10);
       core::ParallelHacOptions options;
       options.num_threads = threads;
-      options.num_partitions = std::max<size_t>(8, threads * 4);
-      options.diffusion_mode = diffusion_mode;
       core::ParallelHacStats stats;
       util::Stopwatch timer;
       auto d = core::ParallelHac(workload.model.entity_graph(), options,
                                  &stats);
       SHOAL_CHECK(d.ok()) << d.status().ToString();
       double seconds = timer.ElapsedSeconds();
-      std::printf("%-10zu %-12.3f %-12zu %-14llu\n", threads, seconds,
-                  stats.rounds,
-                  static_cast<unsigned long long>(stats.total_messages));
+      std::printf("%-10zu %-12.3f %-12zu\n", threads, seconds, stats.rounds);
       util::JsonValue row = util::JsonValue::Object();
       row.Set("threads",
               util::JsonValue::Number(static_cast<double>(threads)));
       row.Set("seconds", util::JsonValue::Number(seconds));
       row.Set("rounds", util::JsonValue::Number(
                             static_cast<double>(stats.rounds)));
-      row.Set("messages", util::JsonValue::Number(
-                              static_cast<double>(stats.total_messages)));
-      row.Set("messages_per_merge",
-              util::JsonValue::Number(
-                  static_cast<double>(stats.total_messages) /
-                  static_cast<double>(
-                      std::max<size_t>(1, stats.total_merges))));
       json_threads.Append(std::move(row));
     }
   }
@@ -450,8 +410,6 @@ int Run(int argc, char** argv) {
     json.Set("hardware_threads",
              util::JsonValue::Number(static_cast<double>(
                  std::thread::hardware_concurrency())));
-    json.Set("diffusion", util::JsonValue::Str(
-                              flags.GetString("diffusion")));
     json.Set("crossover_entities",
              util::JsonValue::Number(crossover_entities));
     json.Set("sizes", std::move(json_sizes));
@@ -474,12 +432,8 @@ int Run(int argc, char** argv) {
       "  (1) parallel quality == exact greedy quality (NMI_gap ~ 0);\n"
       "  (2) rounds << merges: sequential HAC's critical path is one\n"
       "      strictly-serial heap operation per merge, while Parallel\n"
-      "      HAC's is one BSP round for *many* merges — the quantity\n"
-      "      that distribution divides by machine count.\n"
-      "  (3) message economy: the default mode finds each round's\n"
-      "      local maximal edges without diffusion (msgs/merge = 0);\n"
-      "      --diffusion=full runs the paper's broadcast diffusion for\n"
-      "      comparison — byte-identical dendrograms.\n");
+      "      HAC's is one round for *many* merges — the quantity\n"
+      "      that distribution divides by machine count.\n");
   bench::FinishObs(flags);
   return 0;
 }

@@ -8,7 +8,7 @@ rather than by index, so a run with an extra size row still lines up.
 
 Leaves split into two classes with different CI semantics:
 
-  * identity leaves (rounds, merges, messages, supersteps, edges) —
+  * identity leaves (rounds, merges, edges) —
     counters that are a pure function of the input and the algorithm.
     Any change means the candidate run is computing something different
     from the baseline, which is a hard failure, never machine noise.
@@ -16,21 +16,14 @@ Leaves split into two classes with different CI semantics:
     with runner hardware, so the diff is informational unless an
     explicit --fail_above bound is requested.
 
-A third mode, `--mode messages`, gates the delta-diffusion message
-economy across *intentional* protocol changes, where the exact-match
-identity gate cannot be used because message counts legitimately moved:
-it fails only when a messages_per_merge leaf regresses (grows) by more
-than --messages_tolerance percent. Message counts are deterministic, so
-any regression is algorithmic, never machine noise.
-
-A fourth mode, `--mode latency`, gates serving-latency coverage: every
+A third mode, `--mode latency`, gates serving-latency coverage: every
 quantile leaf (p50_us/p90_us/p99_us/p999_us) present in the baseline
 must still be reported by the candidate — a harness change that stops
 reporting tail quantiles is a coverage regression even when nothing got
 slower. Quantile *values* vary with runner hardware, so they diff
 informationally unless --latency_fail_above bounds the allowed growth.
 
-A fifth mode, `--mode recall`, gates the MinHash/LSH candidate
+A fourth mode, `--mode recall`, gates the MinHash/LSH candidate
 generation of BENCH_lsh.json runs: every lsh_recall leaf present in the
 baseline must still be reported by the candidate (coverage), and every
 candidate lsh_recall leaf must stay at or above --min_recall. Recall is
@@ -39,7 +32,7 @@ floor is an algorithmic regression, never machine noise; the companion
 count leaves (lsh_candidate_pairs, exact_edges, lsh_edges, common_edges,
 thread_identical) are identity leaves and gate under --mode identity.
 
-A sixth mode, `--mode incremental`, gates the taxonomy daemon's
+A fifth mode, `--mode incremental`, gates the taxonomy daemon's
 update-vs-rebuild contract in BENCH_incremental.json runs: every
 stability and speedup leaf present in the baseline must still be
 reported by the candidate (coverage), every candidate stability leaf —
@@ -57,12 +50,11 @@ dirty_entities, *_topics, graph_identical, thread_identical) are
 identity leaves and gate under --mode identity.
 
 Usage: perf_diff.py OLD.json NEW.json
-           [--mode all|identity|timing|messages|latency|recall|incremental]
+           [--mode all|identity|timing|latency|recall|incremental]
 
 Exit codes: 0 clean; 1 identity mismatch (modes all/identity) or a
 timing regression beyond --fail_above; 2 usage/IO errors (argparse);
-3 messages_per_merge regression (mode messages); 4 missing quantile
-coverage or a latency regression beyond --latency_fail_above (mode
+4 missing quantile coverage or a latency regression beyond --latency_fail_above (mode
 latency); 5 missing lsh_recall coverage or recall below --min_recall
 (mode recall); 6 missing stability/speedup coverage, stability below
 --min_stability, or gated speedup below --min_speedup (mode
@@ -84,12 +76,10 @@ _ID_KEYS = ("entities", "threads", "name", "bench", "day")
 # different index version is not a timing data point; and because
 # endpoint rows are keyed by "name", a missing endpoint surfaces as a
 # missing identity leaf rather than silently shrinking the diff.
-# messages_per_merge is a pure ratio of two identity counters, and
 # crossover_entities reports which baseline-table size (if any) first
-# has parallel at or below sequential — both are part of the committed
-# run identity, so drift is a gate failure, not a perf footnote.
-_INVARIANT_KEYS = {"rounds", "merges", "messages", "supersteps", "edges",
-                   "errors", "index_version", "messages_per_merge",
+# has parallel at or below sequential — part of the committed run
+# identity, so drift is a gate failure, not a perf footnote.
+_INVARIANT_KEYS = {"rounds", "merges", "edges", "errors", "index_version",
                    "crossover_entities", "lsh_candidate_pairs",
                    "exact_candidate_pairs", "exact_edges", "lsh_edges",
                    "common_edges", "thread_identical",
@@ -100,9 +90,6 @@ _INVARIANT_KEYS = {"rounds", "merges", "messages", "supersteps", "edges",
                    "delta_entries", "dirty_entities", "num_topics",
                    "touched_topics", "carried_topics", "untouched_topics",
                    "stable_topics", "graph_identical"}
-
-# Leaves the `messages` mode gates (see module docstring).
-_MESSAGE_GATE_KEYS = {"messages_per_merge"}
 
 # Leaves the `latency` mode gates: the coordinated-omission-safe
 # quantiles the serving harness must keep reporting.
@@ -154,29 +141,6 @@ def check_identity(old, new):
             problems.append(f"{path}: missing from baseline "
                             f"(candidate {new[path]:g})")
         elif old[path] != new[path]:
-            problems.append(f"{path}: {old[path]:g} -> {new[path]:g}")
-    return problems
-
-
-def check_messages(old, new, tolerance):
-    """Returns a list of messages-per-merge regressions beyond tolerance%."""
-    problems = []
-    gate_paths = sorted(
-        p for p in set(old) | set(new)
-        if p.rsplit("/", 1)[-1] in _MESSAGE_GATE_KEYS)
-    for path in gate_paths:
-        if path not in new:
-            problems.append(f"{path}: missing from candidate "
-                            f"(baseline {old[path]:g})")
-        elif path not in old:
-            # New coverage cannot regress anything; report nothing.
-            continue
-        elif old[path] > 0:
-            pct = (new[path] - old[path]) / old[path] * 100.0
-            if pct > tolerance:
-                problems.append(f"{path}: {old[path]:g} -> {new[path]:g} "
-                                f"({pct:+.1f}% > {tolerance:.1f}%)")
-        elif new[path] > old[path]:
             problems.append(f"{path}: {old[path]:g} -> {new[path]:g}")
     return problems
 
@@ -320,14 +284,12 @@ def main():
     parser.add_argument("old", help="baseline metrics JSON")
     parser.add_argument("new", help="candidate metrics JSON")
     parser.add_argument("--mode",
-                        choices=("all", "identity", "timing", "messages",
-                                 "latency", "recall", "incremental"),
+                        choices=("all", "identity", "timing", "latency",
+                                 "recall", "incremental"),
                         default="all",
                         help="identity: hard-fail determinism check only; "
                              "timing: informational perf diff only; "
-                             "all: both (default); messages: gate "
-                             "messages_per_merge regressions only "
-                             "(exit 3 on regression); latency: gate "
+                             "all: both (default); latency: gate "
                              "p50/p90/p99/p999_us coverage and optional "
                              "regressions (exit 4); recall: gate "
                              "lsh_recall coverage and the --min_recall "
@@ -341,9 +303,6 @@ def main():
     parser.add_argument("--fail_above", type=float, default=None,
                         help="exit 1 if any *_seconds leaf regresses by "
                              "more than this percent (timing/all modes)")
-    parser.add_argument("--messages_tolerance", type=float, default=0.0,
-                        help="messages mode: allowed messages_per_merge "
-                             "growth in percent before exit 3 (default 0)")
     parser.add_argument("--latency_fail_above", type=float, default=None,
                         help="latency mode: exit 4 if any gated quantile "
                              "grows by more than this percent (default: "
@@ -458,20 +417,6 @@ def main():
               f"(stability >= {args.min_stability:g}, speedup >= "
               f"{args.min_speedup:g} at >= {args.speedup_min_entities} "
               f"entities)")
-        return 0
-
-    if args.mode == "messages":
-        problems = check_messages(old, new, args.messages_tolerance)
-        if problems:
-            print("MESSAGE ECONOMY REGRESSION — "
-                  "messages_per_merge leaves grew:")
-            for problem in problems:
-                print(f"  {problem}")
-            return 3
-        gated = sum(1 for p in old
-                    if p.rsplit("/", 1)[-1] in _MESSAGE_GATE_KEYS)
-        print(f"messages: {gated} leaves within "
-              f"{args.messages_tolerance:.1f}% tolerance")
         return 0
 
     if args.mode in ("all", "identity"):

@@ -20,10 +20,8 @@ _BASELINE = {
     "hac": {"rounds": 12, "merges": 340, "hac_seconds": 1.0},
     "crossover_entities": -1.0,
     "sweep": [
-        {"entities": 500, "build_seconds": 0.5, "edges": 9000,
-         "messages_per_merge": 4.7},
-        {"entities": 1000, "build_seconds": 1.5, "edges": 21000,
-         "messages_per_merge": 4.9},
+        {"entities": 500, "build_seconds": 0.5, "edges": 9000},
+        {"entities": 1000, "build_seconds": 1.5, "edges": 21000},
     ],
 }
 
@@ -214,54 +212,13 @@ class PerfDiffExitCodes(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stdout)
 
     def test_message_economy_fields_are_identity(self):
-        # messages_per_merge and crossover_entities join the hard gate:
-        # both are deterministic functions of the run, so any drift is
-        # an identity failure in the default CI comparison.
-        chattier = _with(_BASELINE, **{"sweep.0.messages_per_merge": 9.4})
-        result = self._run(_BASELINE, chattier, "--mode", "identity")
-        self.assertEqual(result.returncode, 1, result.stdout)
-        self.assertIn("messages_per_merge", result.stdout)
-
+        # crossover_entities joins the hard gate: it is a deterministic
+        # function of the run, so any drift is an identity failure in
+        # the default CI comparison.
         crossed = _with(_BASELINE, **{"crossover_entities": 500.0})
         result = self._run(_BASELINE, crossed, "--mode", "identity")
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("crossover_entities", result.stdout)
-
-    def test_messages_mode_gates_regressions_with_exit_3(self):
-        # Equal or improved message economy passes...
-        quieter = _with(_BASELINE, **{"sweep.0.messages_per_merge": 3.1})
-        for candidate in (_BASELINE, quieter):
-            result = self._run(_BASELINE, candidate, "--mode", "messages")
-            self.assertEqual(result.returncode, 0, result.stdout)
-        # ...growth beyond tolerance exits 3 (distinct from identity's 1).
-        chattier = _with(_BASELINE, **{"sweep.0.messages_per_merge": 9.4})
-        result = self._run(_BASELINE, chattier, "--mode", "messages")
-        self.assertEqual(result.returncode, 3, result.stdout)
-        self.assertIn("MESSAGE ECONOMY REGRESSION", result.stdout)
-
-    def test_messages_mode_tolerance_allows_small_growth(self):
-        slightly = _with(_BASELINE, **{"sweep.0.messages_per_merge": 4.8})
-        ok = self._run(_BASELINE, slightly, "--mode", "messages",
-                       "--messages_tolerance", "5")
-        self.assertEqual(ok.returncode, 0, ok.stdout)
-        bad = self._run(_BASELINE, slightly, "--mode", "messages",
-                        "--messages_tolerance", "1")
-        self.assertEqual(bad.returncode, 3, bad.stdout)
-
-    def test_messages_mode_ignores_timing_and_counters(self):
-        # Only messages_per_merge is gated: timing drift and even raw
-        # counter drift (identity's job) do not trip the messages gate.
-        drifted = _with(_BASELINE, **{"hac.hac_seconds": 42.0,
-                                      "hac.merges": 341})
-        result = self._run(_BASELINE, drifted, "--mode", "messages")
-        self.assertEqual(result.returncode, 0, result.stdout)
-
-    def test_messages_mode_missing_leaf_is_regression(self):
-        pruned = json.loads(json.dumps(_BASELINE))
-        del pruned["sweep"][0]["messages_per_merge"]
-        result = self._run(_BASELINE, pruned, "--mode", "messages")
-        self.assertEqual(result.returncode, 3, result.stdout)
-        self.assertIn("missing from candidate", result.stdout)
 
     def test_latency_mode_values_are_informational(self):
         # Hardware-dependent quantile drift passes without a bound...

@@ -44,6 +44,14 @@ double MergedSimilarity(LinkageRule rule, double s_ac, double s_bc,
   return 0.0;
 }
 
+util::Status ValidateHacOptions(const HacOptions& options) {
+  if (!std::isfinite(options.threshold) || options.threshold <= 0.0) {
+    return util::Status::InvalidArgument(util::StringPrintf(
+        "threshold must be finite and positive, got %g", options.threshold));
+  }
+  return util::Status::OK();
+}
+
 bool EdgeBeats(uint32_t cu, uint32_t cv, double cs, uint32_t iu, uint32_t iv,
                double is) {
   if (cs != is) return cs > is;

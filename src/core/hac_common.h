@@ -42,6 +42,11 @@ struct HacOptions {
   LinkageRule linkage = LinkageRule::kSqrtNormalized;
 };
 
+// InvalidArgument unless the threshold is finite and positive. Every
+// HAC entry point checks this first: a NaN threshold passes a `<= 0`
+// test, then fails every `>=` comparison and builds an empty dendrogram.
+util::Status ValidateHacOptions(const HacOptions& options);
+
 // One entry of a cluster's adjacency row.
 struct ClusterEdge {
   uint32_t id = kNoNode;

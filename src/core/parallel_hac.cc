@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine/bsp_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
@@ -40,13 +39,10 @@ void FoldMax(BestEdge& acc, const BestEdge& other) {
 
 // Validates the option fields shared by fresh and resumed runs.
 util::Status ValidateOptions(const ParallelHacOptions& options) {
-  if (options.hac.threshold <= 0.0) {
-    return util::Status::InvalidArgument("threshold must be positive");
-  }
+  SHOAL_RETURN_IF_ERROR(ValidateHacOptions(options.hac));
   if (options.diffusion_iterations == 0) {
-    // Guards the k - 1 "last send superstep" arithmetic below from
-    // size_t underflow, and k = 0 diffusion is meaningless anyway: a
-    // vertex that exchanges no proposals can never agree with a partner.
+    // FindBlocker always consults the endpoints' closed neighbourhoods,
+    // so k = 0 would silently run as k = 1.
     return util::Status::InvalidArgument(
         "diffusion_iterations must be >= 1");
   }
@@ -57,16 +53,15 @@ util::Status ValidateOptions(const ParallelHacOptions& options) {
   return util::Status::OK();
 }
 
-// Per-round bookkeeping shared by both diffusion modes: apply the round's
-// matching to the cluster graph and dendrogram, accumulate stats, and
-// fire the periodic checkpoint hook.
+// Per-round bookkeeping: apply the round's matching to the cluster graph
+// and dendrogram, accumulate stats, and fire the periodic checkpoint
+// hook.
 util::Status CommitRound(
     const ParallelHacOptions& options, ClusterGraph& clusters,
     Dendrogram& dendrogram, ParallelHacStats& local_stats,
     const std::vector<std::pair<uint32_t, uint32_t>>& to_merge,
     const std::vector<double>& merge_similarity, util::ThreadPool& pool,
-    uint64_t round_messages, size_t active_clusters,
-    obs::ScopedSpan& round_span) {
+    size_t active_clusters, obs::ScopedSpan& round_span) {
   {
     SHOAL_TRACE_SPAN("hac.merge");
     const uint32_t first_new_id =
@@ -91,8 +86,6 @@ util::Status CommitRound(
         .Record(static_cast<double>(to_merge.size()));
     metrics.GetHistogram("hac.round.active_clusters")
         .Record(static_cast<double>(active_clusters));
-    metrics.GetHistogram("hac.round.messages")
-        .Record(static_cast<double>(round_messages));
   }
   if (options.checkpoint_every > 0 &&
       local_stats.rounds % options.checkpoint_every == 0) {
@@ -104,8 +97,7 @@ util::Status CommitRound(
   return util::Status::OK();
 }
 
-// Final checkpoint-hook invocation and run-level metrics, shared by both
-// diffusion modes.
+// Final checkpoint-hook invocation and run-level metrics.
 util::Status FinishRun(const ParallelHacOptions& options,
                        ClusterGraph& clusters, Dendrogram& dendrogram,
                        ParallelHacStats& local_stats,
@@ -119,224 +111,17 @@ util::Status FinishRun(const ParallelHacOptions& options,
   if (obs::MetricsRegistry::Global().enabled()) {
     auto& metrics = obs::MetricsRegistry::Global();
     metrics.GetCounter("hac.runs").Increment();
-    metrics.GetCounter("hac.messages").Increment(local_stats.total_messages);
-    metrics.GetCounter("hac.supersteps")
-        .Increment(local_stats.total_supersteps);
     obs::RecordThreadPoolStats("hac.pool", pool.GetStats());
   }
   return util::Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// Paper-literal diffusion (DiffusionMode::kFullBroadcast)
-// ---------------------------------------------------------------------------
-
-// Per-vertex diffusion state: the best edge seen so far, plus the last
-// value broadcast to neighbours (so unchanged values are not re-sent).
-struct DiffusionState {
-  BestEdge best;
-  BestEdge sent;
-};
-
-// Flat CSR snapshot of the mergeable frontier's adjacency, rebuilt into
-// the same buffers every round: snapshot targets are compact indices
-// [0, n) into the round's frontier, so the diffusion kernel runs on
-// dense, cache-friendly spans instead of per-cluster hash maps.
-struct FrontierSnapshot {
-  std::vector<size_t> offsets;                         // n + 1
-  std::vector<std::pair<uint32_t, double>> entries;    // (compact id, sim)
-
-  std::pair<const std::pair<uint32_t, double>*,
-            const std::pair<uint32_t, double>*>
-  Row(uint32_t i) const {
-    return {entries.data() + offsets[i], entries.data() + offsets[i + 1]};
-  }
-};
-
-// The reference round loop: per-round frontier snapshot, fresh engine,
-// full re-broadcast of every vertex's best edge — the paper's k-iteration
-// diffusion as written. Kept as the oracle the default path is tested
-// against (the two must produce byte-identical dendrograms) and as the
-// simplest statement of the algorithm.
-util::Status RunRoundsFullBroadcast(const ParallelHacOptions& options,
-                                    ClusterGraph& clusters,
-                                    Dendrogram& dendrogram,
-                                    ParallelHacStats& local_stats) {
-  const double threshold = options.hac.threshold;
-
-  // One worker pool for the whole run, shared by the snapshot build,
-  // every round's BSP engine, and the batch merge — without it each
-  // round would spawn and join a fresh set of threads.
-  util::ThreadPool pool(std::max<size_t>(1, options.num_threads));
-
-  // Dense cluster-id -> compact-frontier-index map, sized once for every
-  // id HAC can ever create (leaves + one internal node per merge); only
-  // slots named by the current frontier are ever read.
-  const size_t num_leaves = dendrogram.num_leaves();
-  std::vector<uint32_t> compact(num_leaves > 0 ? 2 * num_leaves - 1 : 0, 0);
-  FrontierSnapshot snapshot;
-  std::vector<size_t> chunk_sums;
-  std::vector<std::pair<uint32_t, uint32_t>> to_merge;
-  std::vector<double> merge_similarity;
-
-  // A completed round increments local_stats.rounds, so the loop index
-  // always equals the number of rounds finished so far — including on
-  // resume, where the restored stats make the counter pick up exactly
-  // where the interrupted run stopped.
-  for (size_t round = local_stats.rounds;; ++round) {
-    SHOAL_RETURN_IF_ERROR(util::FaultInjector::Global().OnHacRound(round));
-    obs::ScopedSpan round_span("hac.round");
-    round_span.AddArg("round", static_cast<double>(round));
-    // --- snapshot the *mergeable frontier*: only clusters that still
-    // have an edge >= threshold participate in this round's diffusion.
-    // Late rounds involve a shrinking fraction of the graph, so the
-    // per-round cost tracks the remaining work instead of O(V + E).
-    std::vector<uint32_t> active = clusters.MergeableClusters();
-    const size_t n = active.size();
-    if (n < 2) break;
-    round_span.AddArg("active_clusters", static_cast<double>(n));
-    for (uint32_t i = 0; i < n; ++i) compact[active[i]] = i;
-
-    {
-      SHOAL_TRACE_SPAN("hac.snapshot");
-      // Count, prefix-sum, then fill — each frontier cluster's span is
-      // independent, so all three passes parallelize without contention.
-      // The prefix sum is folded into the counting pass: each chunk
-      // records its total, a serial scan over the O(threads) chunk
-      // totals assigns chunk bases, and the fill-offset pass turns the
-      // per-row counts into absolute offsets. Chunk boundaries are a
-      // pure function of (n, pool size), so offsets are identical to a
-      // serial scan's.
-      const size_t num_chunks = std::min(n, pool.num_threads());
-      snapshot.offsets.assign(n + 1, 0);
-      chunk_sums.assign(num_chunks + 1, 0);
-      pool.ParallelForChunked(n, [&](size_t begin, size_t end, size_t c) {
-        size_t sum = 0;
-        for (size_t i = begin; i < end; ++i) {
-          size_t count = 0;
-          for (const ClusterEdge& e : clusters.Neighbors(active[i])) {
-            if (e.similarity >= threshold) ++count;
-          }
-          snapshot.offsets[i + 1] = count;
-          sum += count;
-        }
-        chunk_sums[c + 1] = sum;
-      });
-      for (size_t c = 0; c < num_chunks; ++c) {
-        chunk_sums[c + 1] += chunk_sums[c];
-      }
-      pool.ParallelForChunked(n, [&](size_t begin, size_t end, size_t c) {
-        size_t running = chunk_sums[c];
-        for (size_t i = begin; i < end; ++i) {
-          running += snapshot.offsets[i + 1];
-          snapshot.offsets[i + 1] = running;
-        }
-      });
-      snapshot.entries.resize(snapshot.offsets[n]);
-      pool.ParallelForChunked(n, [&](size_t begin, size_t end, size_t /*c*/) {
-        for (size_t i = begin; i < end; ++i) {
-          size_t at = snapshot.offsets[i];
-          for (const ClusterEdge& e : clusters.Neighbors(active[i])) {
-            if (e.similarity < threshold) continue;
-            // Both endpoints of a mergeable edge are mergeable clusters,
-            // so the compact slot is always valid.
-            snapshot.entries[at++] = {compact[e.id], e.similarity};
-          }
-        }
-      });
-    }
-
-    // --- diffusion on the BSP engine -------------------------------------
-    // Superstep 0: every vertex with a mergeable edge proposes its best
-    // incident edge to its neighbours. Supersteps 1..k-1: fold received
-    // proposals into the running best and forward improvements. After the
-    // final superstep each vertex knows the best edge within its
-    // k-hop neighbourhood (restricted to mergeable edges).
-    using Engine = engine::BspEngine<DiffusionState, BestEdge>;
-    Engine::Options engine_options;
-    engine_options.num_partitions = options.num_partitions;
-    engine_options.num_threads = options.num_threads;
-    engine_options.pool = &pool;
-    // k message exchanges need k+1 supersteps (send on 0..k-1, final fold
-    // on superstep k).
-    engine_options.max_supersteps = options.diffusion_iterations + 1;
-    Engine engine(n, engine_options);
-    engine.SetCombiner(
-        [](BestEdge& acc, const BestEdge& incoming) { FoldMax(acc, incoming); });
-
-    const size_t last_send_superstep = options.diffusion_iterations - 1;
-    obs::ScopedSpan diffusion_span("hac.diffusion");
-    auto status = engine.Run([&](Engine::Context& ctx, uint32_t v,
-                                 DiffusionState& state,
-                                 const std::vector<BestEdge>& messages) {
-      auto [row, row_end] = snapshot.Row(v);
-      if (ctx.superstep() == 0) {
-        // Best incident edge, expressed in original cluster ids and
-        // normalised to u < v so both endpoints describe it identically.
-        for (auto* e = row; e != row_end; ++e) {
-          uint32_t a = std::min(active[v], active[e->first]);
-          uint32_t b = std::max(active[v], active[e->first]);
-          FoldMax(state.best, BestEdge{a, b, e->second});
-        }
-      }
-      for (const BestEdge& m : messages) FoldMax(state.best, m);
-      if (ctx.superstep() > last_send_superstep || row == row_end) {
-        ctx.VoteToHalt();
-        return;
-      }
-      // Broadcast only improvements; neighbours already hold anything
-      // sent before, so unchanged values would be wasted messages.
-      if (state.best.valid() && !(state.best == state.sent)) {
-        for (auto* e = row; e != row_end; ++e) {
-          ctx.SendMessage(e->first, state.best);
-        }
-        state.sent = state.best;
-      }
-      ctx.VoteToHalt();  // reactivated by incoming messages
-    });
-    if (!status.ok()) return status;
-    local_stats.total_messages += engine.total_messages();
-    local_stats.total_supersteps += engine.superstep();
-    diffusion_span.AddArg("supersteps",
-                          static_cast<double>(engine.superstep()));
-    diffusion_span.AddArg("messages",
-                          static_cast<double>(engine.total_messages()));
-    diffusion_span.End();
-
-    // --- collect local maximal edges: both endpoints agree ----------------
-    // Each vertex's value is the best edge in its k-hop neighbourhood;
-    // edge (a,b) is locally maximal iff it is the best for both a and b.
-    to_merge.clear();
-    merge_similarity.clear();
-    for (uint32_t i = 0; i < n; ++i) {
-      const BestEdge& mine = engine.VertexValue(i).best;
-      if (!mine.valid()) continue;
-      // Edges are normalised (u < v); the smaller endpoint reports, which
-      // also deduplicates each agreeing pair.
-      if (mine.u != active[i]) continue;
-      const BestEdge& theirs = engine.VertexValue(compact[mine.v]).best;
-      if (theirs.valid() && theirs.u == mine.u && theirs.v == mine.v) {
-        to_merge.emplace_back(mine.u, mine.v);
-        merge_similarity.push_back(mine.similarity);
-      }
-    }
-    if (to_merge.empty()) break;
-
-    SHOAL_RETURN_IF_ERROR(CommitRound(options, clusters, dendrogram,
-                                      local_stats, to_merge, merge_similarity,
-                                      pool, engine.total_messages(), n,
-                                      round_span));
-  }
-
-  return FinishRun(options, clusters, dendrogram, local_stats, pool);
-}
-
-// ---------------------------------------------------------------------------
-// Mutual-best candidates + exact k-hop check (DiffusionMode::kDelta)
+// Mutual-best candidates + exact k-hop check
 // ---------------------------------------------------------------------------
 //
-// The default round finds the paper's local maximal edges without
-// running the diffusion (DESIGN.md §8). Let lb(v) be v's strongest
+// Each round finds the paper's local maximal edges without running the
+// diffusion (DESIGN.md §8). Let lb(v) be v's strongest
 // mergeable edge. After k diffusion iterations a vertex holds the best
 // lb within k mergeable hops, and (a,b) merges iff both endpoints hold
 // (a,b). No edge incident to a vertex beats its own lb, so that forces
@@ -355,9 +140,9 @@ util::Status RunRoundsFullBroadcast(const ParallelHacOptions& options,
 //      seated a retired cluster are repaired, and each new cluster's
 //      row is built once.
 //
-// The ascending candidate walk assigns merge ids in the order a full
-// frontier scan would, so the dendrogram is byte-identical to the
-// full-broadcast path at every k.
+// The ascending candidate walk assigns merge ids in ascending
+// smaller-endpoint order, so the dendrogram is byte-identical to the
+// brute-force statement of the round (DESIGN.md §8) at every k.
 
 // A cached strongest-neighbour slot of a row: the neighbour and the edge
 // similarity (kept so rebuilds can re-rank).
@@ -845,9 +630,9 @@ class DeltaFrontier {
   std::vector<BfsNode> bfs_nodes_;
 };
 
-util::Status RunRoundsDelta(const ParallelHacOptions& options,
-                            ClusterGraph& clusters, Dendrogram& dendrogram,
-                            ParallelHacStats& local_stats) {
+util::Status RunRounds(const ParallelHacOptions& options,
+                       ClusterGraph& clusters, Dendrogram& dendrogram,
+                       ParallelHacStats& local_stats) {
   const double threshold = options.hac.threshold;
   const size_t k = options.diffusion_iterations;
   util::ThreadPool pool(std::max<size_t>(1, options.num_threads));
@@ -1009,8 +794,7 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
     const uint32_t first_new_id = static_cast<uint32_t>(dendrogram.num_nodes());
     SHOAL_RETURN_IF_ERROR(CommitRound(options, clusters, dendrogram,
                                       local_stats, to_merge, merge_similarity,
-                                      pool, /*round_messages=*/0,
-                                      active_before, round_span));
+                                      pool, active_before, round_span));
 
     // --- incremental maintenance: touch only what the batch changed -------
     // Serial: the touched set is O(merges * mergeable degree), tiny next
@@ -1101,15 +885,6 @@ util::Status RunRoundsDelta(const ParallelHacOptions& options,
   }
 
   return FinishRun(options, clusters, dendrogram, local_stats, pool);
-}
-
-util::Status RunRounds(const ParallelHacOptions& options,
-                       ClusterGraph& clusters, Dendrogram& dendrogram,
-                       ParallelHacStats& local_stats) {
-  if (options.diffusion_mode == DiffusionMode::kFullBroadcast) {
-    return RunRoundsFullBroadcast(options, clusters, dendrogram, local_stats);
-  }
-  return RunRoundsDelta(options, clusters, dendrogram, local_stats);
 }
 
 }  // namespace

@@ -25,9 +25,7 @@ struct HeapEdge {
 util::Result<Dendrogram> SequentialHac(const graph::WeightedGraph& graph,
                                        const HacOptions& options,
                                        SequentialHacStats* stats) {
-  if (options.threshold <= 0.0) {
-    return util::Status::InvalidArgument("threshold must be positive");
-  }
+  SHOAL_RETURN_IF_ERROR(ValidateHacOptions(options));
   Dendrogram dendrogram(graph.num_vertices());
   ClusterGraph clusters(graph);
   SequentialHacStats local_stats;

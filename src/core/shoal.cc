@@ -54,10 +54,10 @@ util::JsonValue ShoalBuildStats::ToJson() const {
   hac_json.Set("rounds", JsonValue::Number(static_cast<double>(hac.rounds)));
   hac_json.Set("total_merges",
                JsonValue::Number(static_cast<double>(hac.total_merges)));
-  hac_json.Set("total_messages",
-               JsonValue::Number(static_cast<double>(hac.total_messages)));
-  hac_json.Set("total_supersteps",
-               JsonValue::Number(static_cast<double>(hac.total_supersteps)));
+  hac_json.Set("total_candidates",
+               JsonValue::Number(static_cast<double>(hac.total_candidates)));
+  hac_json.Set("total_rejected",
+               JsonValue::Number(static_cast<double>(hac.total_rejected)));
   JsonValue merges = JsonValue::Array();
   for (size_t m : hac.merges_per_round) {
     merges.Append(JsonValue::Number(static_cast<double>(m)));

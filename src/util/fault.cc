@@ -42,13 +42,10 @@ void FaultInjector::Reset() {
   armed_.store(false, std::memory_order_release);
   round_action_ = Action::kNone;
   round_trigger_ = 0;
-  superstep_action_ = Action::kNone;
-  superstep_trigger_ = 0;
   stage_action_ = Action::kNone;
   stage_trigger_.clear();
   fail_write_probability_ = 0.0;
   fail_write_at_ = 0;
-  supersteps_seen_.store(0, std::memory_order_relaxed);
   writes_seen_.store(0, std::memory_order_relaxed);
 }
 
@@ -74,12 +71,6 @@ Status FaultInjector::Configure(std::string_view spec) {
         return Status::InvalidArgument("bad round: " + std::string(d));
       }
       round_action_ =
-          name[0] == 'c' ? Action::kCrash : Action::kAbort;
-    } else if (name == "crash_at_superstep" || name == "abort_at_superstep") {
-      if (!ParseSize(arg, &superstep_trigger_)) {
-        return Status::InvalidArgument("bad superstep: " + std::string(d));
-      }
-      superstep_action_ =
           name[0] == 'c' ? Action::kCrash : Action::kAbort;
     } else if (name == "crash_at_stage" || name == "abort_at_stage") {
       if (arg.empty()) {
@@ -137,20 +128,6 @@ Status FaultInjector::OnHacRoundSlow(size_t round) {
   }
   return Status::Internal(
       StringPrintf("fault injected: abort_at_round:%zu", round));
-}
-
-Status FaultInjector::OnBspSuperstepSlow(size_t superstep) {
-  if (superstep_action_ == Action::kNone) return Status::OK();
-  const uint64_t seen =
-      supersteps_seen_.fetch_add(1, std::memory_order_relaxed);
-  if (seen != superstep_trigger_) return Status::OK();
-  if (superstep_action_ == Action::kCrash) {
-    Crash(StringPrintf("crash_at_superstep:%llu (engine superstep %zu)",
-                       static_cast<unsigned long long>(seen), superstep));
-  }
-  return Status::Internal(
-      StringPrintf("fault injected: abort_at_superstep:%llu",
-                   static_cast<unsigned long long>(seen)));
 }
 
 Status FaultInjector::OnStageSlow(std::string_view stage) {

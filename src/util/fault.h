@@ -13,15 +13,13 @@ namespace shoal::util {
 
 // Process-wide fault injection for crash-safety testing. Disabled it
 // costs one relaxed atomic load per hook call; the pipeline threads hook
-// calls through the HAC round loop, the BSP superstep loop, the
-// stage boundaries of BuildShoal, and every atomic file write.
+// calls through the HAC round loop, the stage boundaries of BuildShoal,
+// and every atomic file write.
 //
 // A fault spec is a comma-separated list of directives:
 //
 //   crash_at_round:N        _Exit(kCrashExitCode) entering HAC round N
 //   abort_at_round:N        same point, but return an Internal Status
-//   crash_at_superstep:N    _Exit at the Nth BSP superstep (cumulative
-//   abort_at_superstep:N      across engine runs), or fail cleanly
 //   crash_at_stage:NAME     _Exit after pipeline stage NAME completes
 //   abort_at_stage:NAME       (word2vec, entity_graph, hac, taxonomy,
 //                             describe, correlation), or fail cleanly
@@ -65,13 +63,6 @@ class FaultInjector {
     if (!armed()) return Status::OK();
     return OnHacRoundSlow(round);
   }
-  // Called at the top of each BSP superstep (the injector counts calls
-  // cumulatively — `superstep` resets per engine run and is only used
-  // for the error message).
-  Status OnBspSuperstep(size_t superstep) {
-    if (!armed()) return Status::OK();
-    return OnBspSuperstepSlow(superstep);
-  }
   // Called after pipeline stage `stage` completes.
   Status OnStage(std::string_view stage) {
     if (!armed()) return Status::OK();
@@ -89,7 +80,6 @@ class FaultInjector {
   enum class Action : uint8_t { kNone, kCrash, kAbort };
 
   Status OnHacRoundSlow(size_t round);
-  Status OnBspSuperstepSlow(size_t superstep);
   Status OnStageSlow(std::string_view stage);
   bool ShouldFailWriteSlow();
 
@@ -99,15 +89,12 @@ class FaultInjector {
   mutable std::mutex mu_;
   Action round_action_ = Action::kNone;
   size_t round_trigger_ = 0;
-  Action superstep_action_ = Action::kNone;
-  size_t superstep_trigger_ = 0;
   Action stage_action_ = Action::kNone;
   std::string stage_trigger_;
   double fail_write_probability_ = 0.0;
   uint64_t fail_write_at_ = 0;
 
   // Runtime counters (hooks may run concurrently).
-  std::atomic<uint64_t> supersteps_seen_{0};
   std::atomic<uint64_t> writes_seen_{0};
   std::atomic<bool> armed_{false};
 };

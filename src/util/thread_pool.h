@@ -18,7 +18,7 @@ namespace shoal::util {
 // are wall-clock per task body. The counters cost two clock reads and a
 // few arithmetic ops per task — tasks are chunk-sized (one per worker
 // per ParallelFor), so this is noise next to the queue mutex itself.
-// Consumers (BSP engine, entity-graph builder) bridge a snapshot into
+// Consumers (Parallel HAC, entity-graph builder) bridge a snapshot into
 // `obs::MetricsRegistry` gauges after each run; util deliberately does
 // not depend on obs.
 struct ThreadPoolStats {
@@ -29,8 +29,9 @@ struct ThreadPoolStats {
   double max_task_seconds = 0.0;
 };
 
-// Fixed-size worker pool with a simple FIFO queue. Used by the BSP engine
-// and by Hogwild word2vec training. Tasks must not throw.
+// Fixed-size worker pool with a simple FIFO queue. Used by Parallel HAC,
+// the entity-graph builder and Hogwild word2vec training. Tasks must not
+// throw.
 class ThreadPool {
  public:
   // `num_threads` == 0 means "hardware concurrency, at least 1".

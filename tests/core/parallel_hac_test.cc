@@ -1,5 +1,8 @@
 #include "core/parallel_hac.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -10,7 +13,6 @@ namespace {
 
 ParallelHacOptions FastOptions() {
   ParallelHacOptions options;
-  options.num_partitions = 4;
   options.num_threads = 2;
   return options;
 }
@@ -20,14 +22,20 @@ TEST(ParallelHacTest, ValidatesOptions) {
   ParallelHacOptions options = FastOptions();
   options.hac.threshold = 0.0;
   EXPECT_FALSE(ParallelHac(g, options).ok());
+  // A NaN threshold would otherwise build an empty dendrogram (it fails
+  // every `>=` test) and make every resume fail its threshold match.
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    options.hac.threshold = bad;
+    EXPECT_FALSE(ParallelHac(g, options).ok()) << bad;
+    EXPECT_FALSE(ResumeParallelHac(options, HacResumeState{}).ok()) << bad;
+  }
   options = FastOptions();
   options.diffusion_iterations = 0;
   EXPECT_FALSE(ParallelHac(g, options).ok());
 }
 
 // The resume entry point shares ValidateOptions with the fresh path: a
-// zero diffusion depth must be rejected before any state is touched,
-// not fall into the k - 1 superstep arithmetic.
+// zero diffusion depth must be rejected before any state is touched.
 TEST(ParallelHacTest, ResumeValidatesDiffusionIterations) {
   ParallelHacOptions options = FastOptions();
   options.diffusion_iterations = 0;
@@ -184,17 +192,16 @@ TEST(ParallelHacTest, TerminatesWithNoMergeableEdgesLeft) {
 TEST(ParallelHacTest, DeterministicAcrossThreadCounts) {
   auto g = graph::GenerateErdosRenyi(100, 0.1, 19);
   ASSERT_TRUE(g.ok());
-  auto run = [&](size_t threads, size_t partitions) {
+  auto run = [&](size_t threads) {
     ParallelHacOptions options;
     options.num_threads = threads;
-    options.num_partitions = partitions;
     options.hac.threshold = 0.3;
     auto d = ParallelHac(*g, options);
     EXPECT_TRUE(d.ok());
     return d->FlatClusters();
   };
-  auto a = run(1, 2);
-  auto b = run(4, 8);
+  auto a = run(1);
+  auto b = run(4);
   EXPECT_EQ(a, b);
 }
 
@@ -230,8 +237,8 @@ TEST(ParallelHacTest, StatsAccounting) {
   for (size_t m : stats.merges_per_round) sum += m;
   EXPECT_EQ(sum, stats.total_merges);
   EXPECT_EQ(d->num_merges(), stats.total_merges);
-  // The default mode decides merges without diffusion: no messages and
-  // no supersteps, only candidate evaluations.
+  // Rounds decide merges without diffusion: no messages and no
+  // supersteps, only candidate evaluations.
   EXPECT_EQ(stats.total_messages, 0u);
   EXPECT_EQ(stats.total_supersteps, 0u);
   EXPECT_EQ(stats.total_candidates - stats.total_rejected,

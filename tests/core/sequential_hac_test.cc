@@ -1,5 +1,8 @@
 #include "core/sequential_hac.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -13,6 +16,12 @@ TEST(SequentialHacTest, RejectsNonPositiveThreshold) {
   HacOptions options;
   options.threshold = 0.0;
   EXPECT_FALSE(SequentialHac(g, options).ok());
+  // NaN passes a `<= 0` test and then fails every `>=` comparison, which
+  // would build an empty dendrogram instead of an error.
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    options.threshold = bad;
+    EXPECT_FALSE(SequentialHac(g, options).ok()) << bad;
+  }
 }
 
 TEST(SequentialHacTest, EmptyGraphNoMerges) {

@@ -57,7 +57,6 @@ TEST_P(HacPropertyTest, ParallelHacInvariants) {
   options.hac.threshold = c.threshold;
   options.hac.linkage = c.linkage;
   options.diffusion_iterations = c.diffusion_iterations;
-  options.num_partitions = 4;
   options.num_threads = 2;
   ParallelHacStats stats;
   auto d = ParallelHac(planted.graph, options, &stats);

@@ -116,9 +116,10 @@ TEST_F(ObservabilityTest, TraceCoversEveryPipelineStageAndHacRound) {
         "entity_graph.degree_cap", "hac.merge", "hac.delta_update"}) {
     EXPECT_GE(by_name[stage], 1u) << "no span named " << stage;
   }
-  // The default HAC mode runs no diffusion, so no engine spans appear.
+  // HAC runs no diffusion, so no diffusion, snapshot or engine spans.
   for (const auto& [name, count] : by_name) {
-    EXPECT_FALSE(name == "hac.diffusion" || name.starts_with("bsp."))
+    EXPECT_FALSE(name == "hac.diffusion" || name == "hac.snapshot" ||
+                 name.starts_with("bsp."))
         << count << " unexpected span(s) named " << name;
   }
   // One hac.round span per round (the final breaking round may add one).

@@ -16,7 +16,6 @@ TEST_F(FaultTest, DisarmedByDefaultAfterReset) {
   FaultInjector::Global().Reset();
   EXPECT_FALSE(FaultInjector::Global().armed());
   EXPECT_TRUE(FaultInjector::Global().OnHacRound(0).ok());
-  EXPECT_TRUE(FaultInjector::Global().OnBspSuperstep(0).ok());
   EXPECT_TRUE(FaultInjector::Global().OnStage("hac").ok());
   EXPECT_FALSE(FaultInjector::Global().ShouldFailWrite());
 }
@@ -38,6 +37,11 @@ TEST_F(FaultTest, MalformedSpecsRejectedAndDisarmed) {
   EXPECT_FALSE(FaultInjector::Global().Configure("abort_at_round:x").ok());
   EXPECT_FALSE(FaultInjector::Global().Configure("fail_write:2.0").ok());
   EXPECT_FALSE(FaultInjector::Global().Configure("fail_write:-0.5").ok());
+  // No hook point fires per superstep, so these would arm a fault that
+  // can never trigger: they are unknown directives.
+  EXPECT_FALSE(FaultInjector::Global().Configure("crash_at_superstep:1").ok());
+  EXPECT_FALSE(FaultInjector::Global().Configure("abort_at_superstep:1").ok());
+  EXPECT_FALSE(FaultInjector::Global().armed());
 }
 
 TEST_F(FaultTest, AbortAtRoundTriggersOnlyAtThatRound) {
@@ -48,19 +52,6 @@ TEST_F(FaultTest, AbortAtRoundTriggersOnlyAtThatRound) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("fault injected"), std::string::npos);
   EXPECT_TRUE(FaultInjector::Global().OnHacRound(4).ok());
-}
-
-TEST_F(FaultTest, AbortAtSuperstepCountsCumulatively) {
-  ASSERT_TRUE(
-      FaultInjector::Global().Configure("abort_at_superstep:4").ok());
-  // Two engine runs of 3 supersteps each; the 5th call (index 4,
-  // 0-based cumulative) fails even though the per-run counter reset.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(FaultInjector::Global().OnBspSuperstep(i).ok());
-  }
-  EXPECT_TRUE(FaultInjector::Global().OnBspSuperstep(0).ok());
-  EXPECT_EQ(FaultInjector::Global().OnBspSuperstep(1).code(),
-            StatusCode::kInternal);
 }
 
 TEST_F(FaultTest, AbortAtStageMatchesByName) {
