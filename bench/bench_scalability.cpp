@@ -18,185 +18,10 @@
 #include "text/word2vec.h"
 #include "util/flags.h"
 #include "util/json.h"
-#include "util/random.h"
 
 namespace {
 
 using namespace shoal;
-
-// Sorted (u << 32) | v keys of a graph's edge set, for recall overlap.
-std::vector<uint64_t> EdgeKeys(const graph::WeightedGraph& g) {
-  std::vector<uint64_t> keys;
-  keys.reserve(g.num_edges());
-  for (const auto& e : g.AllEdges()) {
-    keys.push_back((static_cast<uint64_t>(e.u) << 32) | e.v);
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-// --candidate_strategy=lsh: exact vs MinHash/LSH candidate generation on
-// the same planted workloads — candidate-stage wall-clock, edge overlap
-// (recall; exact rescoring means LSH loses edges but never invents
-// them), and the thread-count byte-identity contract. Word vectors are
-// a deterministic pseudo-random table rather than a word2vec run: both
-// strategies score with the same vectors, and the stage under test is
-// candidate generation, not embedding training. Skips the HAC sweeps —
-// the JSON this writes (BENCH_lsh.json) is the baseline for the CI
-// lsh-recall-gate (perf_diff --mode recall / --mode identity).
-int RunLshCompare(const util::FlagParser& flags,
-                  const std::vector<size_t>& sizes) {
-  bench::PrintHeader(
-      "E2 bench_scalability --candidate_strategy=lsh",
-      "streaming MinHash/LSH candidate generation vs the exact co-click "
-      "path: sub-quadratic wall-clock, CI-gated recall");
-
-  util::JsonValue json_sizes = util::JsonValue::Array();
-  std::printf("%-10s %-12s %-12s %-10s %-12s %-12s %-10s %-8s\n",
-              "entities", "exact_cand_s", "lsh_cand_s", "speedup",
-              "exact_edges", "lsh_edges", "recall", "thr_id");
-  for (size_t entities : sizes) {
-    auto dataset = data::GenerateDataset(bench::ScaledDataset(
-        entities, static_cast<uint64_t>(flags.GetInt64("seed"))));
-    SHOAL_CHECK(dataset.ok()) << dataset.status().ToString();
-    auto bundle = data::MakeShoalInput(*dataset);
-    // Deterministic stand-in vectors (SplitMix64, no platform-dependent
-    // distributions), identical for both strategies.
-    const size_t vocab = dataset->lexicon.vocab().size();
-    text::EmbeddingTable vectors(vocab, 8);
-    uint64_t state = static_cast<uint64_t>(flags.GetInt64("seed")) ^
-                     0x1c5ba1f00dULL;
-    for (size_t v = 0; v < vocab; ++v) {
-      for (size_t d = 0; d < 8; ++d) {
-        const uint64_t bits = util::SplitMix64(state);
-        vectors.Row(v)[d] =
-            static_cast<float>(bits >> 40) / 8388608.0f - 1.0f;
-      }
-    }
-
-    core::EntityGraphOptions exact_options;
-    core::EntityGraphStats exact_stats;
-    auto exact = core::BuildEntityGraph(bundle.query_item_graph,
-                                        bundle.entity_title_words, vectors,
-                                        exact_options, &exact_stats);
-    SHOAL_CHECK(exact.ok()) << exact.status().ToString();
-
-    core::EntityGraphOptions lsh_options;
-    lsh_options.candidate_strategy = core::CandidateStrategy::kMinHashLsh;
-    lsh_options.lsh.minhash.bands =
-        static_cast<size_t>(flags.GetInt64("lsh_bands"));
-    lsh_options.lsh.minhash.rows =
-        static_cast<size_t>(flags.GetInt64("lsh_rows"));
-    core::EntityGraphStats lsh_stats;
-    auto lsh = core::BuildEntityGraph(bundle.query_item_graph,
-                                      bundle.entity_title_words, vectors,
-                                      lsh_options, &lsh_stats);
-    SHOAL_CHECK(lsh.ok()) << lsh.status().ToString();
-
-    const auto exact_keys = EdgeKeys(*exact);
-    const auto lsh_keys = EdgeKeys(*lsh);
-    std::vector<uint64_t> common;
-    std::set_intersection(exact_keys.begin(), exact_keys.end(),
-                          lsh_keys.begin(), lsh_keys.end(),
-                          std::back_inserter(common));
-    const double recall =
-        exact_keys.empty()
-            ? 1.0
-            : static_cast<double>(common.size()) /
-                  static_cast<double>(exact_keys.size());
-
-    // Byte-identity across the CI thread matrix: every thread count must
-    // reproduce the single-thread LSH graph bit for bit.
-    bool thread_identical = true;
-    for (size_t threads : {2u, 4u, 8u}) {
-      lsh_options.num_threads = threads;
-      auto g = core::BuildEntityGraph(bundle.query_item_graph,
-                                      bundle.entity_title_words, vectors,
-                                      lsh_options, nullptr);
-      SHOAL_CHECK(g.ok()) << g.status().ToString();
-      const auto base_edges = lsh->AllEdges();
-      const auto edges = g->AllEdges();
-      if (edges.size() != base_edges.size()) {
-        thread_identical = false;
-        continue;
-      }
-      for (size_t i = 0; i < edges.size(); ++i) {
-        if (edges[i].u != base_edges[i].u ||
-            edges[i].v != base_edges[i].v ||
-            edges[i].weight != base_edges[i].weight) {
-          thread_identical = false;
-          break;
-        }
-      }
-    }
-
-    const double speedup =
-        lsh_stats.candidate_seconds > 0.0
-            ? exact_stats.candidate_seconds / lsh_stats.candidate_seconds
-            : 0.0;
-    std::printf("%-10zu %-12.3f %-12.3f %-10.2f %-12zu %-12zu %-10.4f "
-                "%-8s\n",
-                entities, exact_stats.candidate_seconds,
-                lsh_stats.candidate_seconds, speedup, exact_keys.size(),
-                lsh_keys.size(), recall,
-                thread_identical ? "yes" : "NO");
-
-    util::JsonValue row = util::JsonValue::Object();
-    row.Set("entities",
-            util::JsonValue::Number(static_cast<double>(entities)));
-    row.Set("exact_candidate_seconds",
-            util::JsonValue::Number(exact_stats.candidate_seconds));
-    row.Set("lsh_candidate_seconds",
-            util::JsonValue::Number(lsh_stats.candidate_seconds));
-    row.Set("lsh_signature_seconds",
-            util::JsonValue::Number(lsh_stats.signature_seconds));
-    row.Set("candidate_speedup", util::JsonValue::Number(speedup));
-    row.Set("exact_candidate_pairs",
-            util::JsonValue::Number(
-                static_cast<double>(exact_stats.candidate_pairs)));
-    row.Set("lsh_candidate_pairs",
-            util::JsonValue::Number(
-                static_cast<double>(lsh_stats.candidate_pairs)));
-    row.Set("exact_edges", util::JsonValue::Number(
-                               static_cast<double>(exact_keys.size())));
-    row.Set("lsh_edges", util::JsonValue::Number(
-                             static_cast<double>(lsh_keys.size())));
-    row.Set("common_edges", util::JsonValue::Number(
-                                static_cast<double>(common.size())));
-    row.Set("lsh_recall", util::JsonValue::Number(recall));
-    row.Set("thread_identical",
-            util::JsonValue::Number(thread_identical ? 1.0 : 0.0));
-    json_sizes.Append(std::move(row));
-  }
-
-  if (!flags.GetString("json_out").empty()) {
-    util::JsonValue json = util::JsonValue::Object();
-    json.Set("bench", util::JsonValue::Str("bench_scalability"));
-    json.Set("mode", util::JsonValue::Str("lsh"));
-    json.Set("seed", util::JsonValue::Number(
-                         static_cast<double>(flags.GetInt64("seed"))));
-    json.Set("hardware_threads",
-             util::JsonValue::Number(static_cast<double>(
-                 std::thread::hardware_concurrency())));
-    json.Set("sizes", std::move(json_sizes));
-    auto write_status =
-        util::WriteJsonFile(flags.GetString("json_out"), json);
-    SHOAL_CHECK(write_status.ok()) << write_status.ToString();
-    std::printf("\nwrote %s\n", flags.GetString("json_out").c_str());
-  }
-
-  std::printf(
-      "\nnote: LSH candidates are exactly rescored (Eq. 1-3), so the LSH\n"
-      "graph trades recall (CI floor 0.95, perf_diff --mode recall) for a\n"
-      "candidate stage that scales with emitted collisions instead of the\n"
-      "square of per-query fanout; thr_id checks the byte-identity\n"
-      "contract across {2,4,8} worker threads against 1. exact_cand_s\n"
-      "includes Eq. 1-3 scoring (the exact row pass scores each row as it\n"
-      "builds it); lsh_cand_s stops at the deduped key vector, whose rows\n"
-      "are scored afterwards, so speedup flatters LSH.\n");
-  bench::FinishObs(flags);
-  return 0;
-}
 
 int Run(int argc, char** argv) {
   util::FlagParser flags;
@@ -206,16 +31,6 @@ int Run(int argc, char** argv) {
   flags.AddString("graph_threads", "1,2,4,8",
                   "thread counts for the entity-graph stage sweep");
   flags.AddInt64("seed", 2019, "random seed");
-  flags.AddString("candidate_strategy", "exact",
-                  "'exact' runs the HAC scalability sweeps; 'lsh' instead "
-                  "compares exact vs MinHash/LSH candidate generation "
-                  "(wall-clock, recall, thread identity) at each size");
-  flags.AddInt64("lsh_bands",
-                 static_cast<int64_t>(core::MinHashConfig().bands),
-                 "LSH bands (candidate_strategy=lsh)");
-  flags.AddInt64("lsh_rows",
-                 static_cast<int64_t>(core::MinHashConfig().rows),
-                 "MinHash rows per band (candidate_strategy=lsh)");
   flags.AddBool("json_stats", false,
                 "print each pipeline run's ShoalBuildStats as JSON");
   flags.AddString("json_out", "",
@@ -235,11 +50,6 @@ int Run(int argc, char** argv) {
     sizes.push_back(std::strtoull(size_text.c_str(), nullptr, 10));
   }
   SHOAL_CHECK(!sizes.empty()) << "--sizes must name at least one size";
-
-  const std::string& strategy = flags.GetString("candidate_strategy");
-  SHOAL_CHECK(strategy == "exact" || strategy == "lsh")
-      << "--candidate_strategy must be 'exact' or 'lsh'";
-  if (strategy == "lsh") return RunLshCompare(flags, sizes);
 
   bench::PrintHeader(
       "E2 bench_scalability",

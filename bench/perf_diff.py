@@ -23,16 +23,7 @@ reporting tail quantiles is a coverage regression even when nothing got
 slower. Quantile *values* vary with runner hardware, so they diff
 informationally unless --latency_fail_above bounds the allowed growth.
 
-A fourth mode, `--mode recall`, gates the MinHash/LSH candidate
-generation of BENCH_lsh.json runs: every lsh_recall leaf present in the
-baseline must still be reported by the candidate (coverage), and every
-candidate lsh_recall leaf must stay at or above --min_recall. Recall is
-deterministic (fixed seeds, fixed hash functions), so a drop below the
-floor is an algorithmic regression, never machine noise; the companion
-count leaves (lsh_candidate_pairs, exact_edges, lsh_edges, common_edges,
-thread_identical) are identity leaves and gate under --mode identity.
-
-A fifth mode, `--mode incremental`, gates the taxonomy daemon's
+A fourth mode, `--mode incremental`, gates the taxonomy daemon's
 update-vs-rebuild contract in BENCH_incremental.json runs: every
 stability and speedup leaf present in the baseline must still be
 reported by the candidate (coverage), every candidate stability leaf —
@@ -50,13 +41,12 @@ dirty_entities, *_topics, graph_identical, thread_identical) are
 identity leaves and gate under --mode identity.
 
 Usage: perf_diff.py OLD.json NEW.json
-           [--mode all|identity|timing|latency|recall|incremental]
+           [--mode all|identity|timing|latency|incremental]
 
 Exit codes: 0 clean; 1 identity mismatch (modes all/identity) or a
 timing regression beyond --fail_above; 2 usage/IO errors (argparse);
 4 missing quantile coverage or a latency regression beyond --latency_fail_above (mode
-latency); 5 missing lsh_recall coverage or recall below --min_recall
-(mode recall); 6 missing stability/speedup coverage, stability below
+latency); 6 missing stability/speedup coverage, stability below
 --min_stability, or gated speedup below --min_speedup (mode
 incremental).
 """
@@ -80,23 +70,18 @@ _ID_KEYS = ("entities", "threads", "name", "bench", "day")
 # has parallel at or below sequential — part of the committed run
 # identity, so drift is a gate failure, not a perf footnote.
 _INVARIANT_KEYS = {"rounds", "merges", "edges", "errors", "index_version",
-                   "crossover_entities", "lsh_candidate_pairs",
-                   "exact_candidate_pairs", "exact_edges", "lsh_edges",
-                   "common_edges", "thread_identical",
+                   "crossover_entities",
                    # bench_incremental daemon-cycle counters: the drift
                    # workload is seeded and every maintenance stage is
                    # deterministic, so these are pure functions of the
                    # committed flags on any machine.
                    "delta_entries", "dirty_entities", "num_topics",
                    "touched_topics", "carried_topics", "untouched_topics",
-                   "stable_topics", "graph_identical"}
+                   "stable_topics", "graph_identical", "thread_identical"}
 
 # Leaves the `latency` mode gates: the coordinated-omission-safe
 # quantiles the serving harness must keep reporting.
 _LATENCY_GATE_KEYS = {"p50_us", "p90_us", "p99_us", "p999_us"}
-
-# Leaves the `recall` mode gates (see module docstring).
-_RECALL_GATE_KEYS = {"lsh_recall"}
 
 # Leaves the `incremental` mode gates (see module docstring).
 _INCREMENTAL_GATE_KEYS = {"stability", "speedup"}
@@ -182,34 +167,6 @@ def check_latency(old, new, fail_above, gate_quantiles=None, floor_us=0.0):
     return coverage, regressions, rows
 
 
-def check_recall(old, new, min_recall):
-    """Returns (coverage_problems, floor_problems, info_rows).
-
-    Coverage: every baseline lsh_recall leaf must survive in the
-    candidate — a bench change that stops measuring recall at a size
-    tier is a regression even if the surviving tiers pass. Floor: every
-    candidate lsh_recall leaf (including new tiers the baseline lacks)
-    must be >= min_recall.
-    """
-    gate_paths = sorted(
-        p for p in set(old) | set(new)
-        if p.rsplit("/", 1)[-1] in _RECALL_GATE_KEYS)
-    coverage, floors, rows = [], [], []
-    for path in gate_paths:
-        if path not in new:
-            coverage.append(f"{path}: missing from candidate "
-                            f"(baseline {old[path]:g})")
-            continue
-        value = new[path]
-        if path in old:
-            rows.append(f"{path}: {old[path]:g} -> {value:g}")
-        else:
-            rows.append(f"{path}: new coverage = {value:g}")
-        if value < min_recall:
-            floors.append(f"{path}: {value:g} < {min_recall:g}")
-    return coverage, floors, rows
-
-
 def _path_entities(path):
     """Returns the entities=N tier a leaf belongs to, or None."""
     match = re.search(r"entities=(\d+)", path)
@@ -285,15 +242,13 @@ def main():
     parser.add_argument("new", help="candidate metrics JSON")
     parser.add_argument("--mode",
                         choices=("all", "identity", "timing", "latency",
-                                 "recall", "incremental"),
+                                 "incremental"),
                         default="all",
                         help="identity: hard-fail determinism check only; "
                              "timing: informational perf diff only; "
                              "all: both (default); latency: gate "
                              "p50/p90/p99/p999_us coverage and optional "
-                             "regressions (exit 4); recall: gate "
-                             "lsh_recall coverage and the --min_recall "
-                             "floor (exit 5); incremental: gate "
+                             "regressions (exit 4); incremental: gate "
                              "stability/speedup coverage and the "
                              "--min_stability/--min_speedup floors "
                              "(exit 6)")
@@ -317,10 +272,6 @@ def main():
                         help="latency mode: waive a growth regression while "
                              "the candidate value stays below this many "
                              "microseconds (default 0 = never waive)")
-    parser.add_argument("--min_recall", type=float, default=0.95,
-                        help="recall mode: exit 5 if any candidate "
-                             "lsh_recall leaf is below this floor "
-                             "(default 0.95)")
     parser.add_argument("--min_stability", type=float, default=0.95,
                         help="incremental mode: exit 6 if any candidate "
                              "stability leaf is below this floor "
@@ -369,27 +320,6 @@ def main():
         gated = sum(1 for p in old
                     if p.rsplit("/", 1)[-1] in _LATENCY_GATE_KEYS)
         print(f"latency: {gated} quantile leaves covered")
-        return 0
-
-    if args.mode == "recall":
-        coverage, floors, rows = check_recall(old, new, args.min_recall)
-        for row in rows:
-            print(f"  {row}")
-        if coverage:
-            print("RECALL COVERAGE REGRESSION — lsh_recall leaves "
-                  "disappeared from the candidate:")
-            for problem in coverage:
-                print(f"  {problem}")
-            return 5
-        if floors:
-            print(f"RECALL REGRESSION — lsh_recall below "
-                  f"{args.min_recall:g}:")
-            for problem in floors:
-                print(f"  {problem}")
-            return 5
-        gated = sum(1 for p in new
-                    if p.rsplit("/", 1)[-1] in _RECALL_GATE_KEYS)
-        print(f"recall: {gated} leaves at or above {args.min_recall:g}")
         return 0
 
     if args.mode == "incremental":

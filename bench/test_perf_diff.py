@@ -46,28 +46,6 @@ _SERVING = {
 }
 
 
-# A BENCH_lsh.json-shaped document: per-size LSH-vs-exact rows with the
-# lsh_recall leaves the recall mode gates and the deterministic counter
-# leaves the identity mode pins.
-_LSH = {
-    "bench": "bench_scalability",
-    "mode": "lsh",
-    "seed": 2019,
-    "sizes": [
-        {"entities": 2000, "exact_candidate_seconds": 0.16,
-         "lsh_candidate_seconds": 0.015, "candidate_speedup": 10.4,
-         "exact_candidate_pairs": 221000, "lsh_candidate_pairs": 195000,
-         "exact_edges": 26624, "lsh_edges": 26557, "common_edges": 26557,
-         "lsh_recall": 0.9975, "thread_identical": 1},
-        {"entities": 4000, "exact_candidate_seconds": 0.35,
-         "lsh_candidate_seconds": 0.038, "candidate_speedup": 9.2,
-         "exact_candidate_pairs": 450000, "lsh_candidate_pairs": 401000,
-         "exact_edges": 47985, "lsh_edges": 47772, "common_edges": 47772,
-         "lsh_recall": 0.9956, "thread_identical": 1},
-    ],
-}
-
-
 # A BENCH_incremental.json-shaped document: per-tier daemon-vs-rebuild
 # rows with the stability/speedup leaves the incremental mode gates,
 # per-cycle breakdowns keyed by "day", and the deterministic counter
@@ -307,60 +285,6 @@ class PerfDiffExitCodes(unittest.TestCase):
                            "--latency_fail_above", "5")
         self.assertEqual(result.returncode, 0, result.stdout)
 
-
-    def test_recall_mode_passes_at_or_above_floor(self):
-        result = self._run(_LSH, _LSH, "--mode", "recall")
-        self.assertEqual(result.returncode, 0, result.stdout)
-        self.assertIn("lsh_recall", result.stdout)
-        # Recall improvements pass too.
-        better = _with(_LSH, **{"sizes.0.lsh_recall": 1.0})
-        result = self._run(_LSH, better, "--mode", "recall")
-        self.assertEqual(result.returncode, 0, result.stdout)
-
-    def test_recall_below_floor_exits_5(self):
-        starved = _with(_LSH, **{"sizes.1.lsh_recall": 0.82})
-        result = self._run(_LSH, starved, "--mode", "recall")
-        self.assertEqual(result.returncode, 5, result.stdout)
-        self.assertIn("RECALL REGRESSION", result.stdout)
-        self.assertIn("0.82", result.stdout)
-        # The same value passes under an explicitly lowered floor.
-        ok = self._run(_LSH, starved, "--mode", "recall",
-                       "--min_recall", "0.8")
-        self.assertEqual(ok.returncode, 0, ok.stdout)
-
-    def test_recall_missing_coverage_exits_5(self):
-        # Dropping a measured tier (or just its lsh_recall leaf) means
-        # the bench silently stopped measuring — coverage failure.
-        pruned = json.loads(json.dumps(_LSH))
-        del pruned["sizes"][1]["lsh_recall"]
-        result = self._run(_LSH, pruned, "--mode", "recall")
-        self.assertEqual(result.returncode, 5, result.stdout)
-        self.assertIn("missing from candidate", result.stdout)
-
-    def test_recall_new_tier_is_floor_checked(self):
-        # A tier the baseline lacks still has its floor enforced.
-        grown = json.loads(json.dumps(_LSH))
-        grown["sizes"].append(dict(grown["sizes"][1],
-                                   entities=8000, lsh_recall=0.5))
-        result = self._run(_LSH, grown, "--mode", "recall")
-        self.assertEqual(result.returncode, 5, result.stdout)
-        self.assertIn("8000", result.stdout)
-
-    def test_recall_mode_ignores_timing_and_counters(self):
-        # Counter drift is identity's job; timing drift is nobody's.
-        drifted = _with(_LSH, **{"sizes.0.lsh_candidate_pairs": 1,
-                                 "sizes.0.exact_candidate_seconds": 99.0})
-        result = self._run(_LSH, drifted, "--mode", "recall")
-        self.assertEqual(result.returncode, 0, result.stdout)
-
-    def test_lsh_counters_and_thread_identity_are_identity(self):
-        for leaf, value in (("sizes.0.lsh_candidate_pairs", 1),
-                            ("sizes.0.exact_edges", 1),
-                            ("sizes.1.thread_identical", 0)):
-            drifted = _with(_LSH, **{leaf: value})
-            result = self._run(_LSH, drifted, "--mode", "identity")
-            self.assertEqual(result.returncode, 1,
-                             f"{leaf}: {result.stdout}")
 
     def test_incremental_mode_passes_within_floors(self):
         result = self._run(_INCREMENTAL, _INCREMENTAL,

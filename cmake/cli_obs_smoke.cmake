@@ -2,7 +2,8 @@
 # examples/CMakeLists.txt): drives shoal_cli generate -> build with
 # --trace-out / --metrics-out / --log-level and validates that both
 # artefacts are well-formed JSON carrying the expected span / metric
-# names, using the json_lint binary (no external JSON tooling needed).
+# names, using the json_lint binary (no external JSON tooling needed),
+# then checks that builds with invalid knobs exit 1.
 #
 # Required -D variables: SHOAL_CLI, JSON_LINT, WORK_DIR.
 
@@ -44,16 +45,18 @@ run_checked("${JSON_LINT}"
   --expect=hac.rounds --expect=merges_per_round
   "${WORK_DIR}/metrics.json")
 
-# Same build through the MinHash/LSH candidate path: the entity_graph
-# lsh.* gauges must land in the metrics snapshot.
-run_checked("${SHOAL_CLI}" build
-  "--in=${WORK_DIR}/log" "--out=${WORK_DIR}/taxonomy_lsh"
-  --candidate-strategy=lsh
-  "--metrics-out=${WORK_DIR}/metrics_lsh.json")
-run_checked("${JSON_LINT}"
-  --expect=entity_graph.lsh.candidate_pairs
-  --expect=entity_graph.lsh.signed_entities
-  --expect=entity_graph.lsh.buckets
-  "${WORK_DIR}/metrics_lsh.json")
+# Knobs no build can honour exit 1 instead of building an empty or a
+# whole-log taxonomy: a window that is not finite and positive, and an
+# Eq. 3 alpha that is not finite.
+foreach(bad --window_days=0 --window_days=-1 --window_days=nan
+            --window_days=inf --alpha=nan --alpha=inf)
+  execute_process(COMMAND "${SHOAL_CLI}" build
+    "--in=${WORK_DIR}/log" "--out=${WORK_DIR}/rejected" ${bad}
+    RESULT_VARIABLE rv OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rv EQUAL 1)
+    message(FATAL_ERROR "cli_obs_smoke: build ${bad} exited with ${rv}, not 1")
+  endif()
+endforeach()
 
-message(STATUS "cli_obs_smoke: trace.json and metrics.json validated")
+message(STATUS "cli_obs_smoke: trace.json and metrics.json validated, "
+  "invalid knobs rejected")

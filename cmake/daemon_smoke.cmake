@@ -64,6 +64,15 @@ file(COPY "${STAGE}/items.tsv" "${STAGE}/queries.tsv"
   "${STAGE}/day-0000.clicks.tsv" "${STAGE}/day-0001.clicks.tsv"
   DESTINATION "${SPOOL}")
 
+# A negative --threads is rejected (exit 1) before any daemon state is
+# built, rather than cast to a huge worker count.
+execute_process(COMMAND "${SHOAL_DAEMON}"
+  "--spool=${SPOOL}" "--index=${WORK_DIR}/rejected.idx" --once --threads=-1
+  RESULT_VARIABLE rv OUTPUT_QUIET ERROR_QUIET)
+if(NOT rv EQUAL 1)
+  message(FATAL_ERROR "daemon_smoke: --threads=-1 exited with ${rv}, not 1")
+endif()
+
 run_checked("${SHOAL_DAEMON}"
   "--spool=${SPOOL}" "--index=${WORK_DIR}/taxonomy.idx"
   "--snapshot=${WORK_DIR}/daemon.snap" --once --threads=2)

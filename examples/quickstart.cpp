@@ -27,14 +27,6 @@ int Run(int argc, char** argv) {
   flags.AddInt64("clicks", 75000, "click-log events");
   flags.AddInt64("seed", 2019, "random seed");
   flags.AddDouble("alpha", 0.7, "query/content similarity mix (Eq. 3)");
-  flags.AddString("candidate-strategy", "exact",
-                  "entity-graph candidate generation: 'exact' or 'lsh'");
-  flags.AddInt64("lsh-bands",
-                 static_cast<int64_t>(shoal::core::MinHashConfig().bands),
-                 "LSH bands (candidate-strategy=lsh)");
-  flags.AddInt64("lsh-rows",
-                 static_cast<int64_t>(shoal::core::MinHashConfig().rows),
-                 "MinHash rows per band (candidate-strategy=lsh)");
   flags.AddDouble("threshold", 0.35, "HAC merge threshold");
   flags.AddInt64("threads", 0,
                  "pipeline worker threads (0 = per-stage defaults)");
@@ -86,20 +78,6 @@ int Run(int argc, char** argv) {
   // 3. Full SHOAL pipeline.
   shoal::core::ShoalOptions options;
   options.entity_graph.alpha = flags.GetDouble("alpha");
-  const std::string& strategy = flags.GetString("candidate-strategy");
-  SHOAL_CHECK(strategy == "exact" || strategy == "lsh")
-      << "--candidate-strategy must be 'exact' or 'lsh'";
-  if (strategy == "lsh") {
-    options.entity_graph.candidate_strategy =
-        shoal::core::CandidateStrategy::kMinHashLsh;
-  }
-  SHOAL_CHECK(flags.GetInt64("lsh-bands") >= 1 &&
-              flags.GetInt64("lsh-rows") >= 1)
-      << "--lsh-bands and --lsh-rows must be >= 1";
-  options.entity_graph.lsh.minhash.bands =
-      static_cast<size_t>(flags.GetInt64("lsh-bands"));
-  options.entity_graph.lsh.minhash.rows =
-      static_cast<size_t>(flags.GetInt64("lsh-rows"));
   options.hac.hac.threshold = flags.GetDouble("threshold");
   options.correlation.min_strength = 1;  // small demo; paper uses 10
   SHOAL_CHECK(flags.GetInt64("threads") >= 0) << "--threads must be >= 0";

@@ -19,6 +19,7 @@
 // with the same flags picks up from the newest readable snapshot.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -127,24 +128,6 @@ int Generate(util::FlagParser& flags) {
 bool OptionsFromFlags(const util::FlagParser& flags,
                       core::ShoalOptions& options) {
   options.entity_graph.alpha = flags.GetDouble("alpha");
-  const std::string& strategy = flags.GetString("candidate-strategy");
-  if (strategy == "lsh") {
-    options.entity_graph.candidate_strategy =
-        core::CandidateStrategy::kMinHashLsh;
-  } else if (strategy != "exact") {
-    std::fprintf(stderr,
-                 "--candidate-strategy must be 'exact' or 'lsh', got '%s'\n",
-                 strategy.c_str());
-    return false;
-  }
-  if (flags.GetInt64("lsh-bands") < 1 || flags.GetInt64("lsh-rows") < 1) {
-    std::fprintf(stderr, "--lsh-bands and --lsh-rows must be >= 1\n");
-    return false;
-  }
-  options.entity_graph.lsh.minhash.bands =
-      static_cast<size_t>(flags.GetInt64("lsh-bands"));
-  options.entity_graph.lsh.minhash.rows =
-      static_cast<size_t>(flags.GetInt64("lsh-rows"));
   options.hac.hac.threshold = flags.GetDouble("threshold");
   options.correlation.min_strength =
       static_cast<uint32_t>(flags.GetInt64("min_strength"));
@@ -235,8 +218,13 @@ int Build(util::FlagParser& flags, bool resume) {
               log->items.size(), log->queries.size(), log->clicks.size(),
               log->vocab.size());
 
-  auto bundle =
-      data::MakeShoalInputFromLog(*log, flags.GetDouble("window_days"));
+  const double window_days = flags.GetDouble("window_days");
+  if (!std::isfinite(window_days) || window_days <= 0.0) {
+    std::fprintf(stderr, "--window_days must be finite and > 0, got %g\n",
+                 window_days);
+    return 1;
+  }
+  auto bundle = data::MakeShoalInputFromLog(*log, window_days);
   core::ShoalOptions options;
   if (!OptionsFromFlags(flags, options)) return 1;
   const std::string& ckpt_dir = flags.GetString("checkpoint-dir");
@@ -317,17 +305,8 @@ int Run(int argc, char** argv) {
   flags.AddString("taxonomy", "shoal_out",
                   "taxonomy directory for 'inspect'");
   flags.AddDouble("alpha", 0.7, "similarity mix (Eq. 3)");
-  flags.AddString("candidate-strategy", "exact",
-                  "entity-graph candidate generation: 'exact' (all co-click "
-                  "pairs) or 'lsh' (MinHash/LSH, sub-quadratic)");
-  flags.AddInt64("lsh-bands",
-                 static_cast<int64_t>(core::MinHashConfig().bands),
-                 "LSH bands (candidate-strategy=lsh)");
-  flags.AddInt64("lsh-rows",
-                 static_cast<int64_t>(core::MinHashConfig().rows),
-                 "MinHash rows per band (candidate-strategy=lsh)");
   flags.AddDouble("threshold", 0.35, "HAC merge threshold");
-  flags.AddDouble("window_days", 7.0, "sliding window length");
+  flags.AddDouble("window_days", 7.0, "sliding window length in days (> 0)");
   flags.AddInt64("min_strength", 1, "correlation threshold (paper: 10)");
   flags.AddInt64("threads", 0,
                  "pipeline worker threads (0 = per-stage defaults)");

@@ -139,15 +139,13 @@ int Run(int argc, char** argv) {
   flags.AddInt64("window-days", 7, "days kept in the sliding window");
   flags.AddInt64("threads", 1,
                  "worker threads for delta rescoring and HAC "
-                 "(0 = hardware concurrency; results are identical at any "
+                 "(0 = per-stage defaults; results are identical at any "
                  "setting)");
   flags.AddBool("once", false,
                 "drain every pending day file and exit instead of watching");
   flags.AddInt64("poll-sec", 2, "spool poll interval while watching");
   flags.AddInt64("max-cycles", 0,
                  "stop after this many cycles in this run (0 = unlimited)");
-  flags.AddBool("lsh", true,
-                "LSH-assisted candidate discovery for brand-new entities");
   flags.AddString("log-level", "info",
                   "log verbosity: debug, info, warning, error");
   // Workload generator mode (ignores the daemon flags above).
@@ -182,6 +180,10 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "--spool and --index are required\n");
     return 1;
   }
+  if (flags.GetInt64("threads") < 0) {
+    std::fprintf(stderr, "--threads must be >= 0\n");
+    return 1;
+  }
   obs::MetricsRegistry::Global().Enable();
 
   daemon::DaemonOptions options;
@@ -190,7 +192,6 @@ int Run(int argc, char** argv) {
   options.snapshot_path = flags.GetString("snapshot");
   options.window_days = static_cast<size_t>(flags.GetInt64("window-days"));
   options.num_threads = static_cast<size_t>(flags.GetInt64("threads"));
-  options.lsh_discovery = flags.GetBool("lsh");
 
   auto created = daemon::TaxonomyDaemon::Create(options);
   if (!created.ok()) {

@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <tuple>
 
-#include "core/lsh_index.h"
-#include "core/minhash.h"
 #include "core/similarity.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/bounded_queue.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -29,17 +27,6 @@ constexpr size_t kRangesPerWorker = 8;
 
 // Marker value that no entity id takes.
 constexpr uint32_t kNoEntity = std::numeric_limits<uint32_t>::max();
-
-// One producer batch of the streaming LSH pipeline: the entities of a
-// contiguous range that had a non-empty shingle set, with their band
-// keys laid out back to back (`bands` keys per entity). Signatures
-// themselves never leave the producer — only the folded band keys
-// travel, so the n × (bands·rows) signature matrix is never
-// materialized.
-struct BandKeyBatch {
-  std::vector<uint32_t> entities;
-  std::vector<uint64_t> band_keys;
-};
 
 // Scores candidate rows with Eq. 1-3, one instance per worker. Row u is
 // u's ascending partners v > u; Score appends the pairs at or above the
@@ -62,13 +49,10 @@ struct RowScorer {
       const std::vector<uint32_t>& queries_v = queries_of[v];
       size_t shared = 0;
       for (uint32_t q : queries_v) shared += query_mark[q] == u;
-      // Both sets empty only on the LSH path (a title-only candidate);
-      // QueryJaccard scores that 0.
-      const size_t union_size = queries_u.size() + queries_v.size() - shared;
-      const double sq = union_size == 0
-                            ? 0.0
-                            : static_cast<double>(shared) /
-                                  static_cast<double>(union_size);
+      // A candidate pair shares a query, so the union is never empty.
+      const double sq =
+          static_cast<double>(shared) /
+          static_cast<double>(queries_u.size() + queries_v.size() - shared);
       const double sc = ContentSimilarity(profiles[u], profiles[v]);
       const double s = CombinedSimilarity(sq, sc, options.alpha);
       if (s >= options.similarity_threshold) out->push_back({u, v, s});
@@ -175,103 +159,21 @@ util::Result<graph::WeightedGraph> ApplyDegreeCap(
   return graph::WeightedGraph::FromRows(std::move(rows));
 }
 
-std::vector<uint64_t> BuildLshCandidatePairs(
-    const std::vector<std::vector<uint32_t>>& queries_of,
-    const std::vector<std::vector<uint32_t>>& title_words,
-    const EntityGraphLshOptions& options, util::ThreadPool* pool,
-    EntityGraphStats* stats) {
-  const MinHasher hasher(options.minhash);
-  const size_t bands = hasher.bands();
-  const size_t num_entities = queries_of.size();
-  const size_t batch_entities = std::max<size_t>(1, options.batch_entities);
-
-  util::Stopwatch sign_timer;
-  obs::ScopedSpan sign_span("entity_graph.lsh.sign");
-
-  // Signs entities [begin, end), appending full batches through `push`.
-  // A pure function of the inputs: which thread signs an entity never
-  // changes its band keys.
-  const auto sign_range = [&](size_t begin, size_t end,
-                              const std::function<void(BandKeyBatch&&)>&
-                                  push) {
-    std::vector<uint64_t> shingles;
-    std::vector<uint64_t> signature;
-    std::vector<uint64_t> band_keys;
-    BandKeyBatch batch;
-    for (size_t e = begin; e < end; ++e) {
-      shingles.clear();
-      AppendQueryShingles(queries_of[e], &shingles);
-      AppendTitleShingles(title_words[e], options.title_shingle_len,
-                          &shingles);
-      if (!hasher.BandKeys(shingles, &signature, &band_keys)) continue;
-      batch.entities.push_back(static_cast<uint32_t>(e));
-      batch.band_keys.insert(batch.band_keys.end(), band_keys.begin(),
-                             band_keys.end());
-      if (batch.entities.size() >= batch_entities) {
-        push(std::move(batch));
-        batch = BandKeyBatch{};
-      }
-    }
-    if (!batch.entities.empty()) push(std::move(batch));
-  };
-
-  LshIndex index(bands);
-  size_t signed_entities = 0;
-  const auto insert_batch = [&](const BandKeyBatch& batch) {
-    for (size_t i = 0; i < batch.entities.size(); ++i) {
-      index.Insert(batch.entities[i], batch.band_keys.data() + i * bands);
-    }
-    signed_entities += batch.entities.size();
-  };
-
-  if (pool != nullptr && num_entities > batch_entities) {
-    // Producer/consumer over a bounded queue: pool workers sign
-    // fixed-size entity ranges and stream band-key batches to the
-    // calling thread, which is the single bucket-insert consumer.
-    // Backpressure (queue_capacity slots) bounds the in-flight batches
-    // regardless of how far the producers run ahead. Producers
-    // decrement the remaining-counter only after their last Push, so
-    // Close() cannot drop a batch.
-    util::BoundedQueue<BandKeyBatch> queue(
-        std::max<size_t>(1, options.queue_capacity));
-    const size_t num_ranges =
-        (num_entities + batch_entities - 1) / batch_entities;
-    std::atomic<size_t> remaining{num_ranges};
-    for (size_t r = 0; r < num_ranges; ++r) {
-      const size_t begin = r * batch_entities;
-      const size_t end = std::min(num_entities, begin + batch_entities);
-      pool->Submit([&, begin, end] {
-        sign_range(begin, end,
-                   [&](BandKeyBatch&& batch) { queue.Push(std::move(batch)); });
-        if (remaining.fetch_sub(1) == 1) queue.Close();
-      });
-    }
-    BandKeyBatch batch;
-    while (queue.Pop(&batch)) insert_batch(batch);
-    pool->Wait();
-  } else {
-    sign_range(0, num_entities,
-               [&](BandKeyBatch&& batch) { insert_batch(batch); });
+util::Status ValidateEntityGraphOptions(const EntityGraphOptions& options) {
+  // Negated so that NaN, which fails every comparison, is rejected too.
+  if (!(options.alpha >= 0.0 && options.alpha <= 1.0)) {
+    return util::Status::InvalidArgument(util::StringPrintf(
+        "alpha must be finite and in [0,1], got %g", options.alpha));
   }
-  const double signature_seconds = sign_timer.ElapsedSeconds();
-  sign_span.AddArg("signed", static_cast<double>(signed_entities));
-  sign_span.End();
-
-  obs::ScopedSpan emit_span("entity_graph.lsh.emit");
-  LshStats lsh_stats;
-  std::vector<uint64_t> pairs =
-      index.CandidatePairs(options.max_bucket, pool, &lsh_stats);
-  emit_span.AddArg("pairs", static_cast<double>(pairs.size()));
-  emit_span.End();
-
-  if (stats != nullptr) {
-    stats->lsh_signed_entities = signed_entities;
-    stats->lsh_buckets = lsh_stats.buckets;
-    stats->lsh_skipped_buckets = lsh_stats.skipped_buckets;
-    stats->lsh_emitted_pairs = lsh_stats.emitted_pairs;
-    stats->signature_seconds = signature_seconds;
+  if (!std::isfinite(options.similarity_threshold)) {
+    return util::Status::InvalidArgument(util::StringPrintf(
+        "similarity_threshold must be finite, got %g",
+        options.similarity_threshold));
   }
-  return pairs;
+  if (options.max_items_per_query == 0) {
+    return util::Status::InvalidArgument("max_items_per_query must be > 0");
+  }
+  return util::Status::OK();
 }
 
 util::Result<graph::WeightedGraph> BuildEntityGraph(
@@ -285,12 +187,7 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
         "title_words size %zu != entity count %zu", title_words.size(),
         num_entities));
   }
-  if (options.alpha < 0.0 || options.alpha > 1.0) {
-    return util::Status::InvalidArgument("alpha must be in [0,1]");
-  }
-  if (options.max_items_per_query == 0) {
-    return util::Status::InvalidArgument("max_items_per_query must be > 0");
-  }
+  SHOAL_RETURN_IF_ERROR(ValidateEntityGraphOptions(options));
 
   EntityGraphStats local_stats;
   util::Stopwatch stage_timer;
@@ -322,9 +219,8 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
       };
 
   // --- Stage 1: per-entity query sets and content profiles -------------
-  // The Eq. 1 and Eq. 2 inputs, needed before any row is scored (the LSH
-  // path also shingles the query sets). Each worker writes only its own
-  // entities' slots.
+  // The Eq. 1 and Eq. 2 inputs, needed before any row is scored. Each
+  // worker writes only its own entities' slots.
   obs::ScopedSpan query_sets_span("entity_graph.query_sets");
   std::vector<std::vector<uint32_t>> queries_of(num_entities);
   for_shards(num_entities, [&](size_t begin, size_t end, size_t /*shard*/) {
@@ -340,106 +236,54 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
   profile_span.End();
 
   // --- Stage 2: candidate rows, scored as they are built ----------------
-  // Row u is u's ascending partners v > u. Workers pull contiguous entity
-  // ranges off a shared counter (head entities have far longer rows than
-  // the rest, so a fixed block per worker would leave most of them idle),
-  // fill each row through their own `make_row_filler()` instance and
-  // score it at once. Range r's edges land in range_edges[r], so the ranges
+  stage_timer.Restart();
+  obs::ScopedSpan candidate_span("entity_graph.candidates");
+  // Each query's capped item set, computed once and sorted so that the
+  // partners of an item are the tail of the set after it.
+  std::vector<std::vector<uint32_t>> query_items(query_item_graph.num_left());
+  std::vector<size_t> shard_capped(max_shards, 0);
+  for_shards(query_items.size(), [&](size_t begin, size_t end, size_t shard) {
+    for (size_t q = begin; q < end; ++q) {
+      bool capped = false;
+      query_items[q] = CappedQueryItems(
+          query_item_graph.LeftNeighbors(static_cast<uint32_t>(q)),
+          options.max_items_per_query, &capped);
+      std::sort(query_items[q].begin(), query_items[q].end());
+      if (capped) ++shard_capped[shard];
+    }
+  });
+  for (size_t c : shard_capped) local_stats.capped_queries += c;
+
+  // Row u holds the partners v > u that share a capped set with u,
+  // deduplicated by a per-worker dense marker (last_seen[v] == u once v
+  // is in the row) and then sorted: no hashing and no global sort.
+  // Workers pull contiguous entity ranges off a shared counter (head
+  // entities have far longer rows than the rest, so a fixed block per
+  // worker would leave most of them idle) and score each row as soon as
+  // it is built. Range r's edges land in range_edges[r], so the ranges
   // concatenate into the (u, v)-sorted edge list: one worker scores each
-  // row in a fixed order, whatever the strategy or thread count.
+  // row in a fixed order, whatever the thread count.
   const size_t num_ranges =
       std::min(num_entities, max_shards * kRangesPerWorker);
   std::vector<std::vector<ScoredEdge>> range_edges(num_ranges);
-  const auto score_rows = [&](const char* shard_span_name,
-                              const auto& make_row_filler) {
-    std::atomic<size_t> next_range{0};
-    std::vector<size_t> shard_pairs(max_shards, 0);
-    for_shards(max_shards, [&](size_t /*begin*/, size_t /*end*/,
-                               size_t shard) {
-      obs::ScopedSpan shard_span(shard_span_name);
-      RowScorer scorer{queries_of, profiles, options,
-                       std::vector<uint32_t>(query_item_graph.num_left(),
-                                             kNoEntity)};
-      auto fill_row = make_row_filler();
-      std::vector<uint32_t> row;
-      size_t ranges = 0;
-      size_t pairs = 0;
-      size_t kept = 0;
-      for (size_t r; (r = next_range.fetch_add(1)) < num_ranges;) {
-        std::vector<ScoredEdge>& out = range_edges[r];
-        const size_t end = (r + 1) * num_entities / num_ranges;
-        for (size_t e = r * num_entities / num_ranges; e < end; ++e) {
-          const uint32_t u = static_cast<uint32_t>(e);
-          fill_row(u, &row);
-          pairs += row.size();
-          scorer.Score(u, row, &out);
-        }
-        ++ranges;
-        kept += out.size();
-      }
-      shard_pairs[shard] = pairs;
-      shard_span.AddArg("shard", static_cast<double>(shard));
-      shard_span.AddArg("ranges", static_cast<double>(ranges));
-      shard_span.AddArg("pairs", static_cast<double>(pairs));
-      shard_span.AddArg("kept", static_cast<double>(kept));
-    });
-    for (size_t pairs : shard_pairs) local_stats.scored_pairs += pairs;
-  };
-
-  stage_timer.Restart();
-  obs::ScopedSpan candidate_span("entity_graph.candidates");
-  if (options.candidate_strategy == CandidateStrategy::kMinHashLsh) {
-    // LSH emits one sorted, duplicate-free key vector; its runs of equal
-    // u are the rows, scored in a separate parallel region.
-    std::vector<uint64_t> candidates = BuildLshCandidatePairs(
-        queries_of, title_words, options.lsh, pool.get(), &local_stats);
-    local_stats.candidate_pairs = candidates.size();
-    local_stats.candidate_seconds = stage_timer.ElapsedSeconds();
-    candidate_span.AddArg("pairs",
-                          static_cast<double>(local_stats.candidate_pairs));
-    candidate_span.End();
-
-    stage_timer.Restart();
-    obs::ScopedSpan scoring_span("entity_graph.scoring");
-    score_rows("entity_graph.score_shard", [&] {
-      return [&](uint32_t u, std::vector<uint32_t>* row) {
-        row->clear();
-        auto it = std::lower_bound(candidates.begin(), candidates.end(),
-                                   static_cast<uint64_t>(u) << 32);
-        for (; it != candidates.end() && (*it >> 32) == u; ++it) {
-          row->push_back(static_cast<uint32_t>(*it));
-        }
-      };
-    });
-    local_stats.scoring_seconds = stage_timer.ElapsedSeconds();
-    scoring_span.End();
-  } else {
-    // Each query's capped item set, computed once and sorted so that
-    // the partners of an item are the tail of the set after it.
-    std::vector<std::vector<uint32_t>> query_items(
-        query_item_graph.num_left());
-    std::vector<size_t> shard_capped(max_shards, 0);
-    for_shards(query_items.size(),
-               [&](size_t begin, size_t end, size_t shard) {
-                 for (size_t q = begin; q < end; ++q) {
-                   bool capped = false;
-                   query_items[q] = CappedQueryItems(
-                       query_item_graph.LeftNeighbors(
-                           static_cast<uint32_t>(q)),
-                       options.max_items_per_query, &capped);
-                   std::sort(query_items[q].begin(), query_items[q].end());
-                   if (capped) ++shard_capped[shard];
-                 }
-               });
-    for (size_t c : shard_capped) local_stats.capped_queries += c;
-
-    // Row u holds the partners v > u that share a capped set with u,
-    // deduplicated by a per-worker dense marker (last_seen[v] == u once
-    // v is in the row) and then sorted: no hashing and no global sort.
-    score_rows("entity_graph.candidate_shard", [&] {
-      return [&, last_seen = std::vector<uint32_t>(num_entities, kNoEntity)](
-                 uint32_t u, std::vector<uint32_t>* row) mutable {
-        row->clear();
+  std::atomic<size_t> next_range{0};
+  std::vector<size_t> shard_pairs(max_shards, 0);
+  for_shards(max_shards, [&](size_t /*begin*/, size_t /*end*/, size_t shard) {
+    obs::ScopedSpan shard_span("entity_graph.candidate_shard");
+    RowScorer scorer{queries_of, profiles, options,
+                     std::vector<uint32_t>(query_item_graph.num_left(),
+                                           kNoEntity)};
+    std::vector<uint32_t> last_seen(num_entities, kNoEntity);
+    std::vector<uint32_t> row;
+    size_t ranges = 0;
+    size_t pairs = 0;
+    size_t kept = 0;
+    for (size_t r; (r = next_range.fetch_add(1)) < num_ranges;) {
+      std::vector<ScoredEdge>& out = range_edges[r];
+      const size_t end = (r + 1) * num_entities / num_ranges;
+      for (size_t e = r * num_entities / num_ranges; e < end; ++e) {
+        const uint32_t u = static_cast<uint32_t>(e);
+        row.clear();
         for (uint32_t q : queries_of[u]) {
           const std::vector<uint32_t>& items = query_items[q];
           auto it = std::lower_bound(items.begin(), items.end(), u);
@@ -448,18 +292,29 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
           for (++it; it != items.end(); ++it) {
             if (last_seen[*it] == u) continue;
             last_seen[*it] = u;
-            row->push_back(*it);
+            row.push_back(*it);
           }
         }
-        std::sort(row->begin(), row->end());
-      };
-    });
-    local_stats.candidate_pairs = local_stats.scored_pairs;
-    local_stats.candidate_seconds = stage_timer.ElapsedSeconds();
-    candidate_span.AddArg("pairs",
-                          static_cast<double>(local_stats.candidate_pairs));
-    candidate_span.End();
-  }
+        std::sort(row.begin(), row.end());
+        pairs += row.size();
+        scorer.Score(u, row, &out);
+      }
+      ++ranges;
+      kept += out.size();
+    }
+    shard_pairs[shard] = pairs;
+    shard_span.AddArg("shard", static_cast<double>(shard));
+    shard_span.AddArg("ranges", static_cast<double>(ranges));
+    shard_span.AddArg("pairs", static_cast<double>(pairs));
+    shard_span.AddArg("kept", static_cast<double>(kept));
+  });
+  for (size_t pairs : shard_pairs) local_stats.candidate_pairs += pairs;
+  local_stats.scored_pairs = local_stats.candidate_pairs;
+  local_stats.candidate_seconds = stage_timer.ElapsedSeconds();
+  candidate_span.AddArg("pairs",
+                        static_cast<double>(local_stats.candidate_pairs));
+  candidate_span.End();
+
   std::vector<ScoredEdge> edges;
   {
     size_t total = 0;
@@ -496,18 +351,6 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
         .Set(static_cast<double>(local_stats.kept_edges));
     metrics.GetCounter("entity_graph.capped_queries")
         .Increment(local_stats.capped_queries);
-    if (options.candidate_strategy == CandidateStrategy::kMinHashLsh) {
-      metrics.GetGauge("entity_graph.lsh.candidate_pairs")
-          .Set(static_cast<double>(local_stats.candidate_pairs));
-      metrics.GetGauge("entity_graph.lsh.signed_entities")
-          .Set(static_cast<double>(local_stats.lsh_signed_entities));
-      metrics.GetGauge("entity_graph.lsh.buckets")
-          .Set(static_cast<double>(local_stats.lsh_buckets));
-      metrics.GetGauge("entity_graph.lsh.skipped_buckets")
-          .Set(static_cast<double>(local_stats.lsh_skipped_buckets));
-      metrics.GetGauge("entity_graph.lsh.emitted_pairs")
-          .Set(static_cast<double>(local_stats.lsh_emitted_pairs));
-    }
     if (pool != nullptr) {
       obs::RecordThreadPoolStats("entity_graph.pool", pool->GetStats());
     }

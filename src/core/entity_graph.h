@@ -4,44 +4,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/minhash.h"
 #include "graph/bipartite_graph.h"
 #include "graph/weighted_graph.h"
 #include "text/embedding.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace shoal::core {
-
-// How candidate pairs are generated before exact Eq. 1-3 rescoring.
-//
-//   kExact      — every pair of entities co-clicked under at least one
-//                 query (the reference path; cost grows with the square
-//                 of per-query fanout and is the scaling wall before
-//                 the paper's 200M-entity regime).
-//   kMinHashLsh — streaming MinHash signatures over query sets (Eq. 1
-//                 signal) and title token shingles (Eq. 2 signal),
-//                 banded LSH buckets emit candidates, exact rescoring
-//                 keeps precision. Sub-quadratic; recall vs the exact
-//                 graph is measured and CI-gated (bench_scalability
-//                 --candidate_strategy=lsh, perf_diff --mode recall).
-enum class CandidateStrategy { kExact, kMinHashLsh };
-
-// Knobs of the kMinHashLsh pipeline (DESIGN.md §6.1). With b bands of
-// r rows, a pair whose shingle-set Jaccard is j collides somewhere
-// with probability 1 - (1 - j^r)^b.
-struct EntityGraphLshOptions {
-  MinHashConfig minhash;        // bands / rows / hash seed
-  // Title token n-gram length for the Eq. 2 content shingles.
-  size_t title_shingle_len = 2;
-  // Buckets larger than this are skipped (degenerate collisions);
-  // 0 = unlimited.
-  size_t max_bucket = 1024;
-  // Streaming granularity: entities per producer batch and queue slots
-  // between the signature producers and the bucket-insert consumer.
-  size_t batch_entities = 2048;
-  size_t queue_capacity = 16;
-};
 
 // Builds the item entity graph G(V, E, S) of Sec 2.1.
 //
@@ -65,31 +33,27 @@ struct EntityGraphOptions {
   // in a fixed order, rows concatenate in u order, and the degree cap
   // orders edges by (similarity desc, u, v).
   size_t num_threads = 1;
-  // Candidate generation strategy; kMinHashLsh keeps the same
-  // determinism contract (candidates are deduped and sorted before
-  // their rows are rescored, so the graph is byte-identical at any
-  // thread count).
-  CandidateStrategy candidate_strategy = CandidateStrategy::kExact;
-  EntityGraphLshOptions lsh;
 };
 
+// Checks the Eq. 3 knobs and the head-query cap: `alpha` finite and in
+// [0, 1], `similarity_threshold` finite, `max_items_per_query` > 0.
+// BuildEntityGraph and the incremental maintenance path both call it,
+// so a value one rejects the other rejects too.
+util::Status ValidateEntityGraphOptions(const EntityGraphOptions& options);
+
 struct EntityGraphStats {
-  size_t candidate_pairs = 0;  // deduped candidates, either strategy
+  size_t candidate_pairs = 0;  // deduped candidate pairs
   size_t scored_pairs = 0;
   size_t kept_edges = 0;
   size_t capped_queries = 0;
-  // LSH candidate stage (CandidateStrategy::kMinHashLsh runs only).
-  size_t lsh_signed_entities = 0;   // entities with a non-empty shingle set
-  size_t lsh_buckets = 0;           // >= 2-member buckets across bands
-  size_t lsh_skipped_buckets = 0;   // over max_bucket, dropped
-  size_t lsh_emitted_pairs = 0;     // bucket pair emissions before dedup
-  // Per-stage wall-clock, for scaling curves (bench_scalability).
-  // kExact scores each candidate row as the row pass builds it, so its
-  // candidate_seconds covers Eq. 1-3 too and scoring_seconds stays 0.
-  double candidate_seconds = 0.0;   // pair generation (either path)
-  double signature_seconds = 0.0;   // MinHash signing share of the above
+  // Per-stage wall-clock, for scaling curves (bench_scalability). The
+  // row pass scores each candidate row as it builds it, so
+  // candidate_seconds covers Eq. 1-3 too.
+  double candidate_seconds = 0.0;   // candidate rows, built and scored
   double profile_seconds = 0.0;     // query sets + content profiles
-  double scoring_seconds = 0.0;     // Eq. 1-3 over LSH candidate rows
+  // Always 0: no stage scores apart from the row pass. Kept because
+  // perfbench reports it as core.entity_graph.scoring_s.
+  double scoring_seconds = 0.0;
   double degree_cap_seconds = 0.0;  // per-entity top-k degree cap
 };
 
@@ -130,17 +94,6 @@ std::vector<uint32_t> CappedQueryItems(
 // rejected with an error Status.
 util::Result<graph::WeightedGraph> ApplyDegreeCap(
     std::vector<ScoredEdge> edges, size_t num_entities, size_t max_degree);
-
-// The kMinHashLsh candidate stage, exposed for tests and diagnostics:
-// returns the deduped, ascending `(u << 32) | v`-packed pairs that
-// BuildEntityGraph would rescore. `queries_of[e]` are the sorted query
-// ids of entity e (see BipartiteGraph::QueriesOfItem). `pool` may be
-// null (serial reference path); the result is identical either way.
-std::vector<uint64_t> BuildLshCandidatePairs(
-    const std::vector<std::vector<uint32_t>>& queries_of,
-    const std::vector<std::vector<uint32_t>>& title_words,
-    const EntityGraphLshOptions& options, util::ThreadPool* pool,
-    EntityGraphStats* stats = nullptr);
 
 // `title_words[i]` are the title token ids of entity i; `word_vectors`
 // is the trained word2vec table indexed by those ids. The bipartite

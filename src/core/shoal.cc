@@ -32,18 +32,8 @@ util::JsonValue ShoalBuildStats::ToJson() const {
                            entity_graph.kept_edges)));
   eg.Set("capped_queries", JsonValue::Number(static_cast<double>(
                                entity_graph.capped_queries)));
-  eg.Set("lsh_signed_entities", JsonValue::Number(static_cast<double>(
-                                    entity_graph.lsh_signed_entities)));
-  eg.Set("lsh_buckets", JsonValue::Number(static_cast<double>(
-                            entity_graph.lsh_buckets)));
-  eg.Set("lsh_skipped_buckets", JsonValue::Number(static_cast<double>(
-                                    entity_graph.lsh_skipped_buckets)));
-  eg.Set("lsh_emitted_pairs", JsonValue::Number(static_cast<double>(
-                                  entity_graph.lsh_emitted_pairs)));
   eg.Set("candidate_seconds",
          JsonValue::Number(entity_graph.candidate_seconds));
-  eg.Set("signature_seconds",
-         JsonValue::Number(entity_graph.signature_seconds));
   eg.Set("profile_seconds", JsonValue::Number(entity_graph.profile_seconds));
   eg.Set("scoring_seconds", JsonValue::Number(entity_graph.scoring_seconds));
   eg.Set("degree_cap_seconds",

@@ -97,7 +97,6 @@ util::Result<std::unique_ptr<TaxonomyDaemon>> TaxonomyDaemon::Create(
 
   IncrementalGraphOptions graph_options;
   graph_options.entity_graph = daemon->options_.entity_graph;
-  graph_options.lsh_discovery = daemon->options_.lsh_discovery;
   auto graph = IncrementalEntityGraph::Create(
       num_queries, daemon->title_words_, daemon->word2vec_->vectors(),
       graph_options);

@@ -37,7 +37,9 @@ struct DaemonOptions {
   size_t window_days = 7;
 
   // Worker threads for delta rescoring and HAC — both stages produce
-  // identical results at any setting. 0 = hardware concurrency.
+  // identical results at any setting. > 0 overrides
+  // entity_graph.num_threads and hac.num_threads (clamped to 256); 0
+  // keeps those per-stage settings, as ShoalOptions::num_threads does.
   // Deliberately does not touch word2vec: the daemon always trains its
   // catalog embedding single-threaded so the standing graph is a
   // deterministic function of the spool.
@@ -48,7 +50,6 @@ struct DaemonOptions {
   core::TaxonomyOptions taxonomy;
   core::DescriberOptions describer;
   text::Word2VecOptions word2vec;
-  bool lsh_discovery = true;
 
   // Version stamped on the first publish; each later cycle increments.
   uint64_t first_version = 1;

@@ -36,18 +36,13 @@ util::Result<IncrementalEntityGraph> IncrementalEntityGraph::Create(
     const std::vector<std::vector<uint32_t>>& title_words,
     const text::EmbeddingTable& word_vectors,
     const IncrementalGraphOptions& options) {
-  if (options.entity_graph.max_items_per_query == 0) {
-    return util::Status::InvalidArgument("max_items_per_query must be > 0");
-  }
+  SHOAL_RETURN_IF_ERROR(core::ValidateEntityGraphOptions(options.entity_graph));
   IncrementalEntityGraph graph;
   graph.options_ = options;
-  graph.word_vectors_ = &word_vectors;
-  graph.title_words_ = &title_words;
   graph.query_counts_.resize(num_queries);
   graph.queries_of_.resize(title_words.size());
   graph.profiles_ =
       core::BuildContentProfiles(word_vectors, title_words, nullptr);
-  graph.lsh_.config = options.entity_graph.lsh.minhash;
   return graph;
 }
 
@@ -75,28 +70,6 @@ double IncrementalEntityGraph::Score(uint32_t u, uint32_t v) const {
   const double sq = core::QueryJaccard(queries_of_[u], queries_of_[v]);
   const double sc = core::ContentSimilarity(profiles_[u], profiles_[v]);
   return core::CombinedSimilarity(sq, sc, options_.entity_graph.alpha);
-}
-
-void IncrementalEntityGraph::BuildLshIndex() const {
-  if (lsh_.built) return;
-  core::MinHasher hasher(lsh_.config);
-  std::vector<uint64_t> shingles;
-  std::vector<uint64_t> signature;
-  std::vector<uint64_t> band_keys;
-  lsh_.keys_of.resize(title_words_->size());
-  for (uint32_t e = 0; e < title_words_->size(); ++e) {
-    shingles.clear();
-    core::AppendTitleShingles((*title_words_)[e],
-                              options_.entity_graph.lsh.title_shingle_len,
-                              &shingles);
-    std::sort(shingles.begin(), shingles.end());
-    shingles.erase(std::unique(shingles.begin(), shingles.end()),
-                   shingles.end());
-    if (!hasher.BandKeys(shingles, &signature, &band_keys)) continue;
-    lsh_.keys_of[e] = band_keys;
-    for (uint64_t key : band_keys) lsh_.buckets[key].push_back(e);
-  }
-  lsh_.built = true;
 }
 
 bool IncrementalEntityGraph::IsCandidate(
@@ -299,39 +272,6 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
       const uint32_t u = static_cast<uint32_t>(key >> 32);
       const uint32_t v = static_cast<uint32_t>(key);
       if (is_dirty[u] || is_dirty[v]) pairs.push_back(key);
-    }
-  }
-
-  // (d) LSH-assisted discovery for entities entering the window: probe
-  // the catalog's title-shingle buckets, keep probes that pass exact
-  // candidacy. Confirmed probes are a subset of (b), so this changes no
-  // output — it feeds the discovery counters and keeps the new-entity
-  // path honest about what a sub-quadratic candidate stage would see.
-  if (options_.lsh_discovery && !new_entities.empty()) {
-    BuildLshIndex();
-    const size_t max_bucket = options_.entity_graph.lsh.max_bucket;
-    for (uint32_t e : new_entities) {
-      std::vector<uint32_t> partners;
-      for (uint64_t key : lsh_.keys_of[e]) {
-        const auto it = lsh_.buckets.find(key);
-        if (it == lsh_.buckets.end()) continue;
-        if (max_bucket > 0 && it->second.size() > max_bucket) continue;
-        for (uint32_t other : it->second) {
-          if (other == e || queries_of_[other].empty()) continue;
-          partners.push_back(other);
-        }
-      }
-      std::sort(partners.begin(), partners.end());
-      partners.erase(std::unique(partners.begin(), partners.end()),
-                     partners.end());
-      local.lsh_probe_pairs += partners.size();
-      for (uint32_t other : partners) {
-        if (IsCandidate(std::min(e, other), std::max(e, other), capped_cache,
-                        capped_valid)) {
-          ++local.lsh_confirmed_pairs;
-          add_pair(e, other);
-        }
-      }
     }
   }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/entity_graph.h"
-#include "core/minhash.h"
 #include "core/similarity.h"
 #include "graph/bipartite_graph.h"
 #include "graph/weighted_graph.h"
@@ -30,19 +29,11 @@ struct ClickDelta {
 };
 
 struct IncrementalGraphOptions {
-  // The Eq. 1-3 scoring knobs shared with BuildEntityGraph. The
-  // candidate_strategy field is ignored: the standing store reproduces
-  // the exact (kExact) candidacy rule by construction — that is what
+  // The Eq. 1-3 scoring knobs shared with BuildEntityGraph, checked by
+  // the same ValidateEntityGraphOptions. The standing store reproduces
+  // BuildEntityGraph's candidacy rule by construction — that is what
   // makes the maintained graph byte-identical to a from-scratch build.
   core::EntityGraphOptions entity_graph;
-  // LSH-assisted discovery for brand-new entities: probe the
-  // title-shingle band buckets of the catalog for likely partners of
-  // each entity entering the window, then keep only probes that pass
-  // the exact candidacy rule. Identity-preserving (confirmed probes are
-  // a subset of what the dirty-entity sweep finds anyway); it exists to
-  // surface new-entity neighbourhoods early and cheaply, and its
-  // counters let the daemon report discovery pressure.
-  bool lsh_discovery = true;
 };
 
 // Per-ApplyDelta telemetry.
@@ -56,8 +47,6 @@ struct DeltaStats {
   size_t edges_added = 0;          // scored-store transitions
   size_t edges_updated = 0;
   size_t edges_removed = 0;
-  size_t lsh_probe_pairs = 0;      // band-bucket pair emissions
-  size_t lsh_confirmed_pairs = 0;  // probes passing exact candidacy
 };
 
 // A standing item entity graph maintained under sliding-window click
@@ -93,8 +82,8 @@ struct DeltaStats {
 class IncrementalEntityGraph {
  public:
   // `title_words` / `word_vectors` describe the static catalog; content
-  // profiles are computed once here (titles do not drift). The
-  // embedding table is borrowed and must outlive the graph.
+  // profiles are computed once here (titles do not drift), and neither
+  // is kept. Fails on options ValidateEntityGraphOptions rejects.
   static util::Result<IncrementalEntityGraph> Create(
       size_t num_queries,
       const std::vector<std::vector<uint32_t>>& title_words,
@@ -147,7 +136,6 @@ class IncrementalEntityGraph {
   double Score(uint32_t u, uint32_t v) const;
 
   IncrementalGraphOptions options_;
-  const text::EmbeddingTable* word_vectors_ = nullptr;
   std::vector<core::ContentProfile> profiles_;
 
   // Window state: per-query (entity -> count), and per-entity sorted
@@ -158,19 +146,6 @@ class IncrementalEntityGraph {
   // The standing scored edge store: packed (u<<32|v), u < v -> Eq. 3
   // score.
   std::unordered_map<uint64_t, double> store_;
-
-  // Static title-shingle LSH index over the catalog (built lazily on
-  // the first delta that needs it).
-  struct LshIndex {
-    core::MinHashConfig config;
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-    std::vector<std::vector<uint64_t>> keys_of;  // per entity
-    bool built = false;
-  };
-  mutable LshIndex lsh_;
-  const std::vector<std::vector<uint32_t>>* title_words_ = nullptr;
-
-  void BuildLshIndex() const;
 };
 
 }  // namespace shoal::daemon

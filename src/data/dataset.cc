@@ -287,12 +287,19 @@ graph::BipartiteGraph BuildQueryItemGraph(const Dataset& dataset,
   return graph;
 }
 
+uint64_t WindowBeginSec(uint64_t end_sec, double days) {
+  const double span = days * 86400.0;
+  if (!(span > 0.0)) return end_sec;
+  // Converting a double at or above 2^64 to uint64_t is undefined.
+  if (span >= 18446744073709551616.0) return 0;
+  const uint64_t whole = static_cast<uint64_t>(span);
+  return whole >= end_sec ? 0 : end_sec - whole;
+}
+
 graph::BipartiteGraph BuildRecentQueryItemGraph(const Dataset& dataset,
                                                 double days) {
-  uint64_t end = dataset.options.log_end_time_sec;
-  uint64_t span = static_cast<uint64_t>(days * 86400.0);
-  uint64_t begin = span > end ? 0 : end - span;
-  return BuildQueryItemGraph(dataset, begin, end);
+  const uint64_t end = dataset.options.log_end_time_sec;
+  return BuildQueryItemGraph(dataset, WindowBeginSec(end, days), end);
 }
 
 std::vector<std::vector<uint32_t>> BuildTrainingCorpus(

@@ -112,6 +112,11 @@ graph::BipartiteGraph BuildQueryItemGraph(const Dataset& dataset,
                                           uint64_t window_begin_sec,
                                           uint64_t window_end_sec);
 
+// Start of the trailing `days`-day window [begin, end_sec). A window at
+// least as long as [0, end_sec) starts at 0 and takes every click; a
+// NaN or non-positive one is empty (begin == end_sec).
+uint64_t WindowBeginSec(uint64_t end_sec, double days);
+
 // Convenience: the trailing `days`-day window of the dataset's log.
 graph::BipartiteGraph BuildRecentQueryItemGraph(const Dataset& dataset,
                                                 double days = 7.0);

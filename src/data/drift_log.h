@@ -25,8 +25,8 @@ namespace shoal::data {
 //     demand; these are the edges a cycle actually changes);
 //   * *births* — a slice of catalog entities/queries first appears on
 //     each day after day 0, seeded with introduction clicks (new
-//     listings / first-seen queries, exercising the daemon's LSH-
-//     assisted discovery of brand-new entities).
+//     listings / first-seen queries, exercising the daemon's path for
+//     entities entering the window).
 //
 // The catalog (entity titles, query texts, ontology) is static across
 // days: day d > 0 reveals pre-generated rows rather than minting new

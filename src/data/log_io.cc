@@ -135,9 +135,9 @@ util::Result<SearchLog> ImportSearchLog(const std::string& dir) {
 ShoalInputBundle MakeShoalInputFromLog(const SearchLog& log,
                                        double window_days) {
   ShoalInputBundle bundle;
-  uint64_t end = log.clicks.empty() ? 0 : log.clicks.back().timestamp_sec + 1;
-  uint64_t span = static_cast<uint64_t>(window_days * 86400.0);
-  uint64_t begin = span > end ? 0 : end - span;
+  const uint64_t end =
+      log.clicks.empty() ? 0 : log.clicks.back().timestamp_sec + 1;
+  const uint64_t begin = WindowBeginSec(end, window_days);
 
   bundle.query_item_graph =
       graph::BipartiteGraph(log.queries.size(), log.items.size());

@@ -39,7 +39,8 @@ util::Result<SearchLog> ImportSearchLog(const std::string& dir);
 // Builds a pipeline-ready input bundle from a raw log: tokenises
 // titles/queries against the log's vocabulary and assembles the
 // query-item bipartite graph from clicks in the trailing
-// `window_days`-day window (relative to the newest click).
+// `window_days`-day window (relative to the newest click; see
+// WindowBeginSec for windows longer than the log, NaN and <= 0).
 // The SearchLog must outlive the bundle (the vocab is borrowed).
 ShoalInputBundle MakeShoalInputFromLog(const SearchLog& log,
                                        double window_days = 7.0);

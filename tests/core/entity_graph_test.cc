@@ -1,6 +1,7 @@
 #include "core/entity_graph.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -40,23 +41,41 @@ TEST(EntityGraphTest, ValidatesInputs) {
   std::vector<std::vector<uint32_t>> wrong_titles = {{0}};
   EXPECT_FALSE(
       BuildEntityGraph(f.qi, wrong_titles, f.vectors, options).ok());
-  options.alpha = 1.5;
-  EXPECT_FALSE(BuildEntityGraph(f.qi, f.titles, f.vectors, options).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // NaN passes a range check written as `alpha < 0 || alpha > 1` and
+  // then fails every `s >= threshold`: an empty graph, not an error.
+  for (double alpha : {-0.1, 1.5, nan, inf, -inf}) {
+    options = EntityGraphOptions();
+    options.alpha = alpha;
+    auto g = BuildEntityGraph(f.qi, f.titles, f.vectors, options);
+    ASSERT_FALSE(g.ok()) << "alpha " << alpha;
+    EXPECT_EQ(g.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  for (double threshold : {nan, inf, -inf}) {
+    options = EntityGraphOptions();
+    options.similarity_threshold = threshold;
+    auto g = BuildEntityGraph(f.qi, f.titles, f.vectors, options);
+    ASSERT_FALSE(g.ok()) << "threshold " << threshold;
+    EXPECT_EQ(g.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  // The closed ends of the range stay valid.
+  for (double alpha : {0.0, 1.0}) {
+    options = EntityGraphOptions();
+    options.alpha = alpha;
+    EXPECT_TRUE(BuildEntityGraph(f.qi, f.titles, f.vectors, options).ok());
+  }
 }
 
 TEST(EntityGraphTest, RejectsZeroItemsPerQuery) {
   // A zero cap would drop every link; the daemon's incremental graph
-  // rejects it, and so must the batch builder, for either strategy.
+  // rejects it, and so must the batch builder.
   Fixture f;
   EntityGraphOptions options;
   options.max_items_per_query = 0;
-  for (CandidateStrategy strategy :
-       {CandidateStrategy::kExact, CandidateStrategy::kMinHashLsh}) {
-    options.candidate_strategy = strategy;
-    auto g = BuildEntityGraph(f.qi, f.titles, f.vectors, options);
-    ASSERT_FALSE(g.ok());
-    EXPECT_EQ(g.status().code(), util::StatusCode::kInvalidArgument);
-  }
+  auto g = BuildEntityGraph(f.qi, f.titles, f.vectors, options);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(EntityGraphTest, CoClickedEntitiesGetEdges) {

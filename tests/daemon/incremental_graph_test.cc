@@ -2,10 +2,11 @@
 // window deltas, the standing store must be byte-identical to what
 // BuildEntityGraph computes from scratch over the same window — the
 // invariant everything else in src/daemon leans on. Also covers thread
-// invariance, the identity-preservation of LSH discovery, and the
+// invariance, option validation shared with the builder, and the
 // negative-count guard.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <utility>
@@ -32,8 +33,8 @@ struct Workload {
 };
 
 // Deterministic catalog + day streams. Later days introduce entities
-// from the top of the id range ("births") so new-entity discovery has
-// something to discover.
+// from the top of the id range ("births"), so deltas also carry
+// entities entering the window.
 Workload MakeWorkload(size_t num_queries, size_t num_entities, size_t vocab,
                       size_t num_days, uint64_t seed) {
   Workload w;
@@ -206,38 +207,38 @@ TEST(IncrementalGraphTest, IdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(IncrementalGraphTest, LshDiscoveryIsIdentityPreserving) {
-  auto w = MakeWorkload(/*num_queries=*/29, /*num_entities=*/48,
-                        /*vocab=*/11, /*num_days=*/5, /*seed=*/23);
-  const size_t window = 3;
-  std::vector<graph::WeightedGraph> variants;
-  size_t probes_when_on = 0;
-  for (bool lsh : {true, false}) {
-    IncrementalGraphOptions options = TestOptions();
-    options.lsh_discovery = lsh;
-    auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
-                                                  w.vectors, options);
-    ASSERT_TRUE(created.ok());
-    IncrementalEntityGraph graph = std::move(created).value();
-    for (size_t d = 0; d < w.days.size(); ++d) {
-      const DayCounts* retiring = d >= window ? &w.days[d - window] : nullptr;
-      DeltaStats stats;
-      ASSERT_TRUE(
-          graph.ApplyDelta(MakeDelta(&w.days[d], retiring), &stats).ok());
-      if (lsh) probes_when_on += stats.lsh_probe_pairs;
-      if (!lsh) {
-        EXPECT_EQ(stats.lsh_probe_pairs, 0u);
-        EXPECT_EQ(stats.lsh_confirmed_pairs, 0u);
-      }
-    }
-    auto materialized = graph.Materialize();
-    ASSERT_TRUE(materialized.ok());
-    variants.push_back(std::move(materialized).value());
+TEST(IncrementalGraphTest, RejectsOptionsTheBuilderRejects) {
+  // The daemon and a batch build must agree on what is a valid Eq. 3
+  // knob: an alpha outside [0, 1], a non-finite alpha or threshold, and
+  // a zero head-query cap fail both, with InvalidArgument.
+  auto w = MakeWorkload(/*num_queries=*/7, /*num_entities=*/9,
+                        /*vocab=*/5, /*num_days=*/1, /*seed=*/1);
+  const graph::BipartiteGraph window = AggregateWindow(w, 0, 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<IncrementalGraphOptions> bad;
+  for (double alpha : {1.5, -0.1, nan, inf, -inf}) {
+    bad.push_back(TestOptions());
+    bad.back().entity_graph.alpha = alpha;
   }
-  // Discovery may only surface pairs the exact sweep finds anyway.
-  ExpectSameGraph(variants[0], variants[1], "lsh on vs off");
-  // The workload plants newborn entities, so discovery must have fired.
-  EXPECT_GT(probes_when_on, 0u);
+  for (double threshold : {nan, inf, -inf}) {
+    bad.push_back(TestOptions());
+    bad.back().entity_graph.similarity_threshold = threshold;
+  }
+  bad.push_back(TestOptions());
+  bad.back().entity_graph.max_items_per_query = 0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
+                                                  w.vectors, bad[i]);
+    ASSERT_FALSE(created.ok()) << "case " << i;
+    EXPECT_EQ(created.status().code(), util::StatusCode::kInvalidArgument)
+        << "case " << i;
+    auto built = core::BuildEntityGraph(window, w.titles, w.vectors,
+                                        bad[i].entity_graph);
+    ASSERT_FALSE(built.ok()) << "case " << i;
+    EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
 }
 
 TEST(IncrementalGraphTest, WindowGraphMatchesAggregate) {

@@ -1,6 +1,7 @@
 #include "data/log_io.h"
 
 #include <filesystem>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +125,30 @@ TEST_F(LogIoTest, WindowFiltersClicks) {
   auto narrow = MakeShoalInputFromLog(*log, 2.0);
   EXPECT_GT(wide.query_item_graph.total_interactions(),
             narrow.query_item_graph.total_interactions());
+}
+
+TEST_F(LogIoTest, WindowLongerThanLogTakesEveryClick) {
+  Dataset dataset = MakeDataset();
+  ASSERT_TRUE(ExportSearchLog(dataset, dir_).ok());
+  auto log = ImportSearchLog(dir_);
+  ASSERT_TRUE(log.ok());
+  // 1e300 days is far past 2^64 seconds: the window must still cover
+  // the whole log, not wrap to an empty one.
+  for (double days : {1e6, 1e300, std::numeric_limits<double>::infinity()}) {
+    auto bundle = MakeShoalInputFromLog(*log, days);
+    EXPECT_EQ(bundle.query_item_graph.total_interactions(),
+              log->clicks.size())
+        << days;
+  }
+  // A window that is NaN or not positive takes no click.
+  for (double days : {0.0, -1.0, -1e300,
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    auto bundle = MakeShoalInputFromLog(*log, days);
+    EXPECT_EQ(bundle.query_item_graph.total_interactions(), 0u) << days;
+  }
+  // In range, the window still starts exactly `days` before the end.
+  EXPECT_EQ(WindowBeginSec(10 * 86400, 7.0), 3u * 86400);
+  EXPECT_EQ(WindowBeginSec(7 * 86400, 7.0), 0u);
 }
 
 }  // namespace
