@@ -46,15 +46,30 @@ run_checked("${JSON_LINT}"
   "${WORK_DIR}/metrics.json")
 
 # Knobs no build can honour exit 1 instead of building an empty or a
-# whole-log taxonomy: a window that is not finite and positive, and an
-# Eq. 3 alpha that is not finite.
+# whole-log taxonomy: a window that is not finite and positive, an Eq. 3
+# alpha that is not finite, and a correlation threshold outside uint32.
 foreach(bad --window_days=0 --window_days=-1 --window_days=nan
-            --window_days=inf --alpha=nan --alpha=inf)
+            --window_days=inf --alpha=nan --alpha=inf --min_strength=-1
+            --min_strength=4294967296)
   execute_process(COMMAND "${SHOAL_CLI}" build
     "--in=${WORK_DIR}/log" "--out=${WORK_DIR}/rejected" ${bad}
     RESULT_VARIABLE rv OUTPUT_QUIET ERROR_QUIET)
   if(NOT rv EQUAL 1)
     message(FATAL_ERROR "cli_obs_smoke: build ${bad} exited with ${rv}, not 1")
+  endif()
+endforeach()
+# `resume` reads the same knobs. It gets a checkpoint to resume from, so
+# only the knob can make it fail.
+run_checked("${SHOAL_CLI}" build
+  "--in=${WORK_DIR}/log" "--out=${WORK_DIR}/checkpointed"
+  "--checkpoint-dir=${WORK_DIR}/ckpt")
+foreach(bad --min_strength=-1 --min_strength=4294967296)
+  execute_process(COMMAND "${SHOAL_CLI}" resume
+    "--in=${WORK_DIR}/log" "--out=${WORK_DIR}/rejected"
+    "--checkpoint-dir=${WORK_DIR}/ckpt" ${bad}
+    RESULT_VARIABLE rv OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rv EQUAL 1)
+    message(FATAL_ERROR "cli_obs_smoke: resume ${bad} exited with ${rv}, not 1")
   endif()
 endforeach()
 

@@ -64,14 +64,17 @@ file(COPY "${STAGE}/items.tsv" "${STAGE}/queries.tsv"
   "${STAGE}/day-0000.clicks.tsv" "${STAGE}/day-0001.clicks.tsv"
   DESTINATION "${SPOOL}")
 
-# A negative --threads is rejected (exit 1) before any daemon state is
-# built, rather than cast to a huge worker count.
-execute_process(COMMAND "${SHOAL_DAEMON}"
-  "--spool=${SPOOL}" "--index=${WORK_DIR}/rejected.idx" --once --threads=-1
-  RESULT_VARIABLE rv OUTPUT_QUIET ERROR_QUIET)
-if(NOT rv EQUAL 1)
-  message(FATAL_ERROR "daemon_smoke: --threads=-1 exited with ${rv}, not 1")
-endif()
+# A negative --threads or a window under one day is rejected (exit 1)
+# before any daemon state is built, rather than cast to a huge worker
+# count or a window that never retires a day.
+foreach(bad --threads=-1 --window-days=0 --window-days=-1)
+  execute_process(COMMAND "${SHOAL_DAEMON}"
+    "--spool=${SPOOL}" "--index=${WORK_DIR}/rejected.idx" --once ${bad}
+    RESULT_VARIABLE rv OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rv EQUAL 1)
+    message(FATAL_ERROR "daemon_smoke: ${bad} exited with ${rv}, not 1")
+  endif()
+endforeach()
 
 run_checked("${SHOAL_DAEMON}"
   "--spool=${SPOOL}" "--index=${WORK_DIR}/taxonomy.idx"

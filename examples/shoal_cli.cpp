@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -129,8 +130,13 @@ bool OptionsFromFlags(const util::FlagParser& flags,
                       core::ShoalOptions& options) {
   options.entity_graph.alpha = flags.GetDouble("alpha");
   options.hac.hac.threshold = flags.GetDouble("threshold");
-  options.correlation.min_strength =
-      static_cast<uint32_t>(flags.GetInt64("min_strength"));
+  const int64_t min_strength = flags.GetInt64("min_strength");
+  if (min_strength < 0 || min_strength > int64_t{UINT32_MAX}) {
+    std::fprintf(stderr, "--min_strength must be in [0, %u], got %lld\n",
+                 UINT32_MAX, static_cast<long long>(min_strength));
+    return false;
+  }
+  options.correlation.min_strength = static_cast<uint32_t>(min_strength);
   if (flags.GetInt64("threads") < 0) {
     std::fprintf(stderr, "--threads must be >= 0\n");
     return false;

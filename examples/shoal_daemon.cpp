@@ -184,6 +184,10 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "--threads must be >= 0\n");
     return 1;
   }
+  if (flags.GetInt64("window-days") < 1) {
+    std::fprintf(stderr, "--window-days must be >= 1\n");
+    return 1;
+  }
   obs::MetricsRegistry::Global().Enable();
 
   daemon::DaemonOptions options;

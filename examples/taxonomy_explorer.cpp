@@ -154,14 +154,12 @@ class Explorer {
 
   // Item -> entity -> topic, mirroring GET /v1/item/<id>.
   void Item(const std::string& arg) {
-    char* end = nullptr;
-    unsigned long value = std::strtoul(arg.c_str(), &end, 10);
-    if (end == arg.c_str() || value >= index_.num_entities()) {
+    uint32_t e = 0;
+    if (!shoal::util::ParseUnsigned(arg, &e) || e >= index_.num_entities()) {
       std::printf("expected an item id in [0, %zu)\n",
                   index_.num_entities());
       return;
     }
-    const uint32_t e = static_cast<uint32_t>(value);
     const uint32_t topic = index_.entity_topic(e);
     if (topic == kNoTopic) {
       std::printf("item %u is not clustered into any topic\n", e);
@@ -238,13 +236,13 @@ class Explorer {
   }
 
   bool ParseTopicId(const std::string& text, uint32_t* id) {
-    char* end = nullptr;
-    unsigned long value = std::strtoul(text.c_str(), &end, 10);
-    if (end == text.c_str() || value >= index_.num_topics()) {
+    uint32_t value = 0;
+    if (!shoal::util::ParseUnsigned(text, &value) ||
+        value >= index_.num_topics()) {
       std::printf("expected a topic id in [0, %zu)\n", index_.num_topics());
       return false;
     }
-    *id = static_cast<uint32_t>(value);
+    *id = value;
     return true;
   }
 

@@ -46,10 +46,7 @@ struct ShoalOptions {
   // One knob for the pipeline's deterministic parallel stages: when
   // > 0, overrides the entity-graph and parallel-HAC thread counts
   // (both produce identical results at any thread count). 0 leaves the
-  // per-stage settings untouched. Deliberately does NOT touch
-  // word2vec.num_threads — Hogwild training races by design, so
-  // raising it sacrifices run-to-run reproducibility; opt in through
-  // the word2vec options directly.
+  // per-stage settings untouched. Word2vec always trains serially.
   size_t num_threads = 0;
   // Called once with the freshly built entity graph, before HAC starts.
   // The checkpoint subsystem (src/ckpt) installs a snapshot writer here;

@@ -1,7 +1,6 @@
 #include "core/taxonomy_io.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <unordered_map>
 
@@ -14,10 +13,6 @@ namespace {
 
 std::string PathOf(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
-}
-
-uint32_t ParseU32(const std::string& text) {
-  return static_cast<uint32_t>(std::strtoul(text.c_str(), nullptr, 10));
 }
 
 util::Status ExpectFields(const std::vector<std::string>& row,
@@ -197,9 +192,15 @@ util::Result<LoadedTaxonomy> LoadTaxonomy(const std::string& dir) {
   for (const auto& row : topic_rows) {
     SHOAL_RETURN_IF_ERROR(ExpectFields(row, 4, "topics.tsv"));
     Topic topic;
-    topic.id = ParseU32(row[0]);
-    topic.parent = row[1] == "-" ? kNoTopic : ParseU32(row[1]);
-    topic.level = ParseU32(row[2]);
+    const size_t r = topics.size();
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("topics.tsv", r, row[0], &topic.id));
+    if (row[1] != "-") {
+      SHOAL_RETURN_IF_ERROR(
+          util::ParseTsvField("topics.tsv", r, row[1], &topic.parent));
+    }
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("topics.tsv", r, row[2], &topic.level));
     topics.push_back(std::move(topic));
   }
 
@@ -209,46 +210,78 @@ util::Result<LoadedTaxonomy> LoadTaxonomy(const std::string& dir) {
                          util::ReadTextFile(PathOf(dir, "members.tsv")));
   size_t num_entities = 0;
   {
-    size_t pos = members_raw.find("num_entities=");
+    constexpr std::string_view kKey = "num_entities=";
+    const size_t pos = members_raw.find(kKey);
     if (pos == std::string::npos) {
       return util::Status::InvalidArgument(
           "members.tsv missing num_entities header");
     }
-    num_entities = std::strtoull(members_raw.c_str() + pos + 13, nullptr, 10);
+    const size_t begin = pos + kKey.size();
+    const size_t end = std::min(members_raw.find('\n', begin),
+                                members_raw.size());
+    const std::string_view value(members_raw.data() + begin, end - begin);
+    if (!util::ParseUnsigned(util::Trim(value), &num_entities)) {
+      return util::Status::InvalidArgument(
+          "members.tsv: bad num_entities header '" + std::string(value) +
+          "'");
+    }
   }
   SHOAL_ASSIGN_OR_RETURN(auto member_rows,
                          util::ReadTsv(PathOf(dir, "members.tsv")));
-  for (const auto& row : member_rows) {
+  for (size_t r = 0; r < member_rows.size(); ++r) {
+    const auto& row = member_rows[r];
     SHOAL_RETURN_IF_ERROR(ExpectFields(row, 2, "members.tsv"));
-    uint32_t t = ParseU32(row[0]);
+    uint32_t t = 0;
+    uint32_t entity = 0;
+    SHOAL_RETURN_IF_ERROR(util::ParseTsvField("members.tsv", r, row[0], &t));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("members.tsv", r, row[1], &entity));
     if (t >= topics.size()) {
       return util::Status::InvalidArgument("members.tsv: unknown topic");
     }
-    topics[t].entities.push_back(ParseU32(row[1]));
+    topics[t].entities.push_back(entity);
   }
 
   SHOAL_ASSIGN_OR_RETURN(auto category_rows,
                          util::ReadTsv(PathOf(dir, "categories.tsv")));
-  for (const auto& row : category_rows) {
+  for (size_t r = 0; r < category_rows.size(); ++r) {
+    const auto& row = category_rows[r];
     SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "categories.tsv"));
-    uint32_t t = ParseU32(row[0]);
+    uint32_t t = 0;
+    uint32_t category = 0;
+    size_t count = 0;
+    SHOAL_RETURN_IF_ERROR(util::ParseTsvField("categories.tsv", r, row[0], &t));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("categories.tsv", r, row[1], &category));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("categories.tsv", r, row[2], &count));
     if (t >= topics.size()) {
       return util::Status::InvalidArgument("categories.tsv: unknown topic");
     }
-    topics[t].categories.emplace_back(ParseU32(row[1]),
-                                      std::strtoull(row[2].c_str(), nullptr,
-                                                    10));
+    topics[t].categories.emplace_back(category, count);
   }
 
   SHOAL_ASSIGN_OR_RETURN(auto description_rows,
                          util::ReadTsv(PathOf(dir, "descriptions.tsv")));
-  for (const auto& row : description_rows) {
+  for (size_t r = 0; r < description_rows.size(); ++r) {
+    const auto& row = description_rows[r];
     SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "descriptions.tsv"));
-    uint32_t t = ParseU32(row[0]);
-    size_t rank = std::strtoull(row[1].c_str(), nullptr, 10);
+    uint32_t t = 0;
+    size_t rank = 0;
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("descriptions.tsv", r, row[0], &t));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("descriptions.tsv", r, row[1], &rank));
     if (t >= topics.size()) {
       return util::Status::InvalidArgument(
           "descriptions.tsv: unknown topic");
+    }
+    // SaveTaxonomy writes each topic's ranks as 0..k-1, so every rank is
+    // below the row count; the check also bounds the resize below.
+    if (rank >= description_rows.size()) {
+      return util::Status::InvalidArgument(util::StringPrintf(
+          "descriptions.tsv: row %zu: rank %zu is not below the row count "
+          "%zu", r, rank, description_rows.size()));
     }
     auto& description = topics[t].description;
     if (description.size() <= rank) description.resize(rank + 1);
@@ -258,10 +291,17 @@ util::Result<LoadedTaxonomy> LoadTaxonomy(const std::string& dir) {
   SHOAL_ASSIGN_OR_RETURN(auto pair_rows,
                          util::ReadTsv(PathOf(dir, "correlations.tsv")));
   std::vector<CategoryCorrelation::Pair> pairs;
-  for (const auto& row : pair_rows) {
+  for (size_t r = 0; r < pair_rows.size(); ++r) {
+    const auto& row = pair_rows[r];
     SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "correlations.tsv"));
-    pairs.push_back(CategoryCorrelation::Pair{
-        ParseU32(row[0]), ParseU32(row[1]), ParseU32(row[2])});
+    CategoryCorrelation::Pair pair{};
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("correlations.tsv", r, row[0], &pair.c1));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("correlations.tsv", r, row[1], &pair.c2));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("correlations.tsv", r, row[2], &pair.strength));
+    pairs.push_back(pair);
   }
 
   LoadedTaxonomy loaded;

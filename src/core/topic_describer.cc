@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/string_util.h"
 
@@ -80,11 +79,13 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
 
   // Pseudo-document D_t per topic, and the BM25 index.
   text::Bm25Index bm25(options.bm25);
+  size_t word_span = 0;  // 1 + the largest word id of any D_t
   for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
     std::vector<uint32_t> doc;
     for (uint32_t e : taxonomy.topic(t).entities) {
       doc.insert(doc.end(), titles[e].begin(), titles[e].end());
     }
+    for (uint32_t w : doc) word_span = std::max(word_span, size_t{w} + 1);
     bm25.AddDocument(doc);
   }
 
@@ -101,17 +102,25 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
     if (linked[q]) softmax[q] = QuerySoftmax(bm25, query_words[q]);
   }
 
-  // Per-topic interaction counts: tf(q, I_t) and tf(I_t); candidates are
-  // the queries actually linked to the topic's items.
+  // Per-topic interaction counts, tf(q, I_t) and tf(I_t), and D_t's word
+  // counts, in dense arrays cleared after each topic. Candidates are the
+  // queries actually linked to the topic's items; the ranking's sort is a
+  // total order, so the order they are visited in moves no byte.
+  std::vector<uint64_t> tf_q(qi.num_left(), 0);  // query -> interactions
+  std::vector<uint32_t> topic_queries;            // queries with tf_q > 0
+  std::vector<uint32_t> doc_tf(word_span, 0);     // word -> tf(w, D_t)
+  std::vector<uint32_t> doc_words;                // words with doc_tf > 0
   std::vector<std::vector<ScoredQuery>> rankings(taxonomy.num_topics());
   for (uint32_t t : score_topics) {
     Topic& topic = taxonomy.topic(t);
     // A scored topic without clicks ends with an empty description.
     topic.description.clear();
-    std::unordered_map<uint32_t, uint64_t> tf_q;  // query -> interactions
     uint64_t tf_total = 0;
     for (uint32_t e : topic.entities) {
+      // Every link count is > 0 (BipartiteGraph rejects 0), so a zero
+      // counter marks a query not yet seen in this topic.
       for (const auto& link : qi.RightNeighbors(e)) {
+        if (tf_q[link.id] == 0) topic_queries.push_back(link.id);
         tf_q[link.id] += link.count;
         tf_total += link.count;
       }
@@ -119,10 +128,17 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
     if (tf_total == 0) continue;
     const double log_tf_total =
         std::log(static_cast<double>(tf_total) + 1.0);
+    for (uint32_t e : topic.entities) {
+      for (uint32_t w : titles[e]) {
+        if (doc_tf[w]++ == 0) doc_words.push_back(w);
+      }
+    }
 
     auto& ranking = rankings[t];
-    ranking.reserve(tf_q.size());
-    for (const auto& [q, tf] : tf_q) {
+    ranking.reserve(topic_queries.size());
+    for (uint32_t q : topic_queries) {
+      const uint64_t tf = tf_q[q];
+      tf_q[q] = 0;
       // Popularity: log-normalised frequency of q within the topic.
       double pop = (std::log(static_cast<double>(tf)) + 1.0) / log_tf_total;
       pop = std::clamp(pop, 0.0, 1.0);
@@ -130,7 +146,7 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
       // Concentration: stable softmax of BM25 relevance over all topics,
       // with the paper's +1 term carried as exp(0 - max).
       const Softmax& query_softmax = softmax[q];
-      double rel_t = bm25.Score(query_words[q], t);
+      double rel_t = bm25.ScoreDocument(query_words[q], t, doc_tf);
       double con =
           std::exp(rel_t - query_softmax.max_rel) / query_softmax.sum_exp;
 
@@ -141,6 +157,9 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
       scored.representativeness = std::sqrt(pop * con);
       ranking.push_back(scored);
     }
+    topic_queries.clear();
+    for (uint32_t w : doc_words) doc_tf[w] = 0;
+    doc_words.clear();
     std::sort(ranking.begin(), ranking.end(),
               [](const ScoredQuery& a, const ScoredQuery& b) {
                 if (a.representativeness != b.representativeness) {

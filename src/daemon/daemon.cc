@@ -78,18 +78,17 @@ util::Result<std::unique_ptr<TaxonomyDaemon>> TaxonomyDaemon::Create(
   }
 
   // Catalog embedding, trained once: titles then queries, the same
-  // corpus order the batch pipeline uses. Single-threaded SGD so the
-  // vectors — and through them every standing edge score — are a
-  // deterministic function of the catalog.
+  // corpus order the batch pipeline uses, so the vectors — and through
+  // them every standing edge score — are a deterministic function of the
+  // catalog.
   {
     obs::ScopedSpan span("daemon.word2vec");
     std::vector<std::vector<uint32_t>> corpus;
     corpus.reserve(num_entities + num_queries);
     for (const auto& title : daemon->title_words_) corpus.push_back(title);
     for (const auto& words : daemon->query_words_) corpus.push_back(words);
-    text::Word2VecOptions w2v = daemon->options_.word2vec;
-    w2v.num_threads = 1;
-    auto trained = text::Word2Vec::Train(daemon->catalog_.vocab, corpus, w2v);
+    auto trained = text::Word2Vec::Train(daemon->catalog_.vocab, corpus,
+                                         daemon->options_.word2vec);
     if (!trained.ok()) return trained.status();
     daemon->word2vec_ =
         std::make_unique<text::Word2Vec>(std::move(trained).value());

@@ -40,9 +40,8 @@ struct DaemonOptions {
   // identical results at any setting. > 0 overrides
   // entity_graph.num_threads and hac.num_threads (clamped to 256); 0
   // keeps those per-stage settings, as ShoalOptions::num_threads does.
-  // Deliberately does not touch word2vec: the daemon always trains its
-  // catalog embedding single-threaded so the standing graph is a
-  // deterministic function of the spool.
+  // Word2vec trains serially, so the standing graph is a deterministic
+  // function of the spool.
   size_t num_threads = 1;
 
   core::EntityGraphOptions entity_graph;

@@ -134,7 +134,6 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
 
   // ---- pass 2: apply the count changes ---------------------------------
   std::vector<uint32_t> dirty_entities;  // membership changed
-  std::vector<uint32_t> new_entities;    // empty -> non-empty
   {
     std::vector<char> entity_seen(queries_of_.size(), 0);
     for (const ClickDelta::Entry& entry : delta.entries) {
@@ -157,13 +156,11 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
       }
       // Membership transitions drive the Eq. 1 query sets.
       if (old_count == 0 && new_count > 0) {
-        const bool was_empty = queries_of_[entry.entity].empty();
         SortedInsert(queries_of_[entry.entity], entry.query);
         if (!entity_seen[entry.entity]) {
           entity_seen[entry.entity] = 1;
           dirty_entities.push_back(entry.entity);
         }
-        if (was_empty) new_entities.push_back(entry.entity);
       } else if (old_count > 0 && new_count == 0) {
         SortedErase(queries_of_[entry.entity], entry.query);
         if (!entity_seen[entry.entity]) {
@@ -175,16 +172,7 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
     }
   }
   std::sort(dirty_entities.begin(), dirty_entities.end());
-  std::sort(new_entities.begin(), new_entities.end());
-  new_entities.erase(std::unique(new_entities.begin(), new_entities.end()),
-                     new_entities.end());
-  // An entity that appeared and fully retired within one delta is not new.
-  new_entities.erase(
-      std::remove_if(new_entities.begin(), new_entities.end(),
-                     [&](uint32_t e) { return queries_of_[e].empty(); }),
-      new_entities.end());
   local.dirty_entities = dirty_entities.size();
-  local.new_entities = new_entities.size();
 
   // ---- pass 3: post-delta capped sets for every query we may touch -----
   std::vector<std::vector<uint32_t>> capped_cache(query_counts_.size());

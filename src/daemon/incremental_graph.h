@@ -41,7 +41,6 @@ struct DeltaStats {
   size_t delta_entries = 0;
   size_t dirty_queries = 0;        // any count change
   size_t dirty_entities = 0;       // query-set membership change
-  size_t new_entities = 0;         // empty -> non-empty query set
   size_t retired_entities = 0;     // non-empty -> empty query set
   size_t pairs_rescored = 0;
   size_t edges_added = 0;          // scored-store transitions

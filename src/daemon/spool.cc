@@ -1,7 +1,6 @@
 #include "daemon/spool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 
 #include "text/tokenizer.h"
@@ -14,10 +13,6 @@ namespace {
 
 std::string PathOf(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
-}
-
-uint32_t ParseU32(const std::string& text) {
-  return static_cast<uint32_t>(std::strtoul(text.c_str(), nullptr, 10));
 }
 
 constexpr const char kDaySuffix[] = ".clicks.tsv";
@@ -35,13 +30,15 @@ util::Result<SpoolCatalog> ImportSpoolCatalog(const std::string& dir) {
           "items.tsv: expected 3 fields, got %zu", row.size()));
     }
     data::ItemEntity item;
-    item.id = ParseU32(row[0]);
-    if (item.id != catalog.items.size()) {
+    const size_t r = catalog.items.size();
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("items.tsv", r, row[0], &item.id));
+    if (item.id != r) {
       return util::Status::InvalidArgument(util::StringPrintf(
-          "items.tsv: ids must be dense; got %u at row %zu", item.id,
-          catalog.items.size()));
+          "items.tsv: ids must be dense; got %u at row %zu", item.id, r));
     }
-    item.category = ParseU32(row[1]);
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("items.tsv", r, row[1], &item.category));
     item.title = row[2];
     for (const std::string& token : text::Tokenize(item.title)) {
       item.title_words.push_back(catalog.vocab.AddWord(token));
@@ -60,11 +57,12 @@ util::Result<SpoolCatalog> ImportSpoolCatalog(const std::string& dir) {
           "queries.tsv: expected 2 fields, got %zu", row.size()));
     }
     data::SearchQuery query;
-    query.id = ParseU32(row[0]);
-    if (query.id != catalog.queries.size()) {
+    const size_t r = catalog.queries.size();
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("queries.tsv", r, row[0], &query.id));
+    if (query.id != r) {
       return util::Status::InvalidArgument(util::StringPrintf(
-          "queries.tsv: ids must be dense; got %u at row %zu", query.id,
-          catalog.queries.size()));
+          "queries.tsv: ids must be dense; got %u at row %zu", query.id, r));
     }
     query.text = row[1];
     for (const std::string& token : text::Tokenize(query.text)) {
@@ -89,9 +87,11 @@ util::Result<std::vector<data::ClickEvent>> ReadDayClicks(
           "%s: expected 3 fields, got %zu", path.c_str(), row.size()));
     }
     data::ClickEvent click;
-    click.query = ParseU32(row[0]);
-    click.entity = ParseU32(row[1]);
-    click.timestamp_sec = std::strtoull(row[2].c_str(), nullptr, 10);
+    const size_t r = clicks.size();
+    SHOAL_RETURN_IF_ERROR(util::ParseTsvField(path, r, row[0], &click.query));
+    SHOAL_RETURN_IF_ERROR(util::ParseTsvField(path, r, row[1], &click.entity));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField(path, r, row[2], &click.timestamp_sec));
     if (click.query >= num_queries) {
       return util::Status::InvalidArgument(
           util::StringPrintf("%s: unknown query id %u", path.c_str(),

@@ -1,7 +1,6 @@
 #include "data/log_io.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 
 #include "text/tokenizer.h"
@@ -14,10 +13,6 @@ namespace {
 
 std::string PathOf(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
-}
-
-uint32_t ParseU32(const std::string& text) {
-  return static_cast<uint32_t>(std::strtoul(text.c_str(), nullptr, 10));
 }
 
 }  // namespace
@@ -65,13 +60,15 @@ util::Result<SearchLog> ImportSearchLog(const std::string& dir) {
           "items.tsv: expected 3 fields, got %zu", row.size()));
     }
     ItemEntity item;
-    item.id = ParseU32(row[0]);
-    if (item.id != log.items.size()) {
+    const size_t r = log.items.size();
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("items.tsv", r, row[0], &item.id));
+    if (item.id != r) {
       return util::Status::InvalidArgument(util::StringPrintf(
-          "items.tsv: ids must be dense; got %u at row %zu", item.id,
-          log.items.size()));
+          "items.tsv: ids must be dense; got %u at row %zu", item.id, r));
     }
-    item.category = ParseU32(row[1]);
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("items.tsv", r, row[1], &item.category));
     item.title = row[2];
     for (const std::string& token : text::Tokenize(item.title)) {
       item.title_words.push_back(log.vocab.AddWord(token));
@@ -90,11 +87,12 @@ util::Result<SearchLog> ImportSearchLog(const std::string& dir) {
           "queries.tsv: expected 2 fields, got %zu", row.size()));
     }
     SearchQuery query;
-    query.id = ParseU32(row[0]);
-    if (query.id != log.queries.size()) {
+    const size_t r = log.queries.size();
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("queries.tsv", r, row[0], &query.id));
+    if (query.id != r) {
       return util::Status::InvalidArgument(util::StringPrintf(
-          "queries.tsv: ids must be dense; got %u at row %zu", query.id,
-          log.queries.size()));
+          "queries.tsv: ids must be dense; got %u at row %zu", query.id, r));
     }
     query.text = row[1];
     for (const std::string& token : text::Tokenize(query.text)) {
@@ -114,9 +112,13 @@ util::Result<SearchLog> ImportSearchLog(const std::string& dir) {
           "clicks.tsv: expected 3 fields, got %zu", row.size()));
     }
     ClickEvent click;
-    click.query = ParseU32(row[0]);
-    click.entity = ParseU32(row[1]);
-    click.timestamp_sec = std::strtoull(row[2].c_str(), nullptr, 10);
+    const size_t r = log.clicks.size();
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("clicks.tsv", r, row[0], &click.query));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("clicks.tsv", r, row[1], &click.entity));
+    SHOAL_RETURN_IF_ERROR(
+        util::ParseTsvField("clicks.tsv", r, row[2], &click.timestamp_sec));
     if (click.query >= log.queries.size()) {
       return util::Status::InvalidArgument("clicks.tsv: unknown query id");
     }

@@ -64,6 +64,24 @@ double Bm25Index::Score(const std::vector<uint32_t>& query_word_ids,
   return score;
 }
 
+double Bm25Index::ScoreDocument(const std::vector<uint32_t>& query_word_ids,
+                                uint32_t doc_id,
+                                const std::vector<uint32_t>& doc_tf) const {
+  if (doc_id >= num_documents()) return 0.0;
+  const double avgdl = AvgDocLength();
+  if (avgdl == 0.0) return 0.0;
+  const double norm = LengthNorm(doc_id, avgdl);
+  double score = 0.0;
+  for (uint32_t w : query_word_ids) {
+    if (w >= doc_tf.size() || doc_tf[w] == 0) continue;
+    auto it = postings_.find(w);
+    if (it == postings_.end()) continue;
+    score += TermScore(Idf(it->second.size()),
+                       static_cast<double>(doc_tf[w]), norm);
+  }
+  return score;
+}
+
 std::vector<Bm25Index::DocScore> Bm25Index::ScoreMatching(
     const std::vector<uint32_t>& query_word_ids) const {
   std::vector<DocScore> scores;

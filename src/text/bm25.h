@@ -35,9 +35,18 @@ class Bm25Index {
 
   size_t num_documents() const { return doc_lengths_.size(); }
 
-  // BM25 relevance of the query (bag of word ids) to one document.
+  // BM25 relevance of the query (bag of word ids) to one document. The
+  // reference the other scorers are checked against.
   double Score(const std::vector<uint32_t>& query_word_ids,
                uint32_t doc_id) const;
+
+  // Score(query_word_ids, doc_id), given that document's term counts:
+  // doc_tf[w] is tf(w, D) for w < doc_tf.size() and 0 beyond. Adds the
+  // same per-word terms in query order, so the result is bit-identical,
+  // without a posting-list search per query word.
+  double ScoreDocument(const std::vector<uint32_t>& query_word_ids,
+                       uint32_t doc_id,
+                       const std::vector<uint32_t>& doc_tf) const;
 
   // Scores the query against the documents that share at least one word
   // with it, ascending by doc id; every other document scores exactly 0.

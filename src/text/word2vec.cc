@@ -1,7 +1,6 @@
 #include "text/word2vec.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "util/random.h"
@@ -37,6 +36,43 @@ class SigmoidTable {
 const SigmoidTable& Sigmoid() {
   static const SigmoidTable* table = new SigmoidTable();
   return *table;
+}
+
+// A power of two, so drawing a slot (`Next() % size`) needs no division.
+constexpr size_t kNegativeTableSize = size_t{1} << 20;
+
+// dots[k] = Dot(in, rows[k], dim) for each of N rows, bit for bit: every
+// sum runs over d ascending in its own accumulator, and the N independent
+// chains share one pass over `in`.
+template <size_t N>
+void DotBlock(const float* in, float* const* rows, size_t dim, float* dots) {
+  float acc[N] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    for (size_t k = 0; k < N; ++k) acc[k] += in[d] * rows[k][d];
+  }
+  for (size_t k = 0; k < N; ++k) dots[k] = acc[k];
+}
+
+void BatchDot(const float* in, float* const* rows, size_t n, size_t dim,
+              float* dots) {
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) DotBlock<4>(in, rows + k, dim, dots + k);
+  switch (n - k) {
+    case 3: DotBlock<3>(in, rows + k, dim, dots + k); break;
+    case 2: DotBlock<2>(in, rows + k, dim, dots + k); break;
+    case 1: DotBlock<1>(in, rows + k, dim, dots + k); break;
+    default: break;
+  }
+}
+
+// One sample's SGD step: grad += g * out, then out += g * in, elementwise,
+// so the gradient takes the output row from before its update.
+void ApplySample(float g, const float* __restrict in, float* __restrict out,
+                 float* __restrict grad, size_t dim) {
+  for (size_t d = 0; d < dim; ++d) {
+    grad[d] += g * out[d];
+    out[d] += g * in[d];
+  }
 }
 
 // Negative-sampling table over the unigram distribution raised to 3/4.
@@ -77,6 +113,9 @@ util::Result<Word2Vec> Word2Vec::Train(
   if (options.dim == 0) {
     return util::Status::InvalidArgument("embedding dim must be > 0");
   }
+  if (options.window == 0) {
+    return util::Status::InvalidArgument("context window must be > 0");
+  }
   for (const auto& sentence : sentences) {
     for (uint32_t id : sentence) {
       if (id >= vocab.size()) {
@@ -103,7 +142,7 @@ util::Result<Word2Vec> Word2Vec::Train(
   }
 
   const std::vector<uint32_t> negative_table =
-      BuildNegativeTable(vocab, 1 << 20);
+      BuildNegativeTable(vocab, kNegativeTableSize);
   if (negative_table.empty()) {
     return util::Status::Internal("failed to build negative-sampling table");
   }
@@ -122,26 +161,27 @@ util::Result<Word2Vec> Word2Vec::Train(
     }
   }
 
+  const SigmoidTable& sigmoid = Sigmoid();
   const uint64_t total_updates =
       std::max<uint64_t>(1, options.epochs * sentences.size());
-  std::atomic<uint64_t> progress{0};
-
-  auto train_range = [&](size_t begin, size_t end, size_t worker,
-                         size_t epoch) {
-    util::Rng rng(options.seed ^ (0x9e3779b97f4a7c15ULL * (worker + 1)) ^
+  uint64_t done = 0;
+  std::vector<uint32_t> kept;
+  std::vector<float> grad(dim);
+  // The output rows of one (target, context) step: the target first,
+  // then the negatives it keeps, with their dot products.
+  std::vector<float*> rows(options.negative_samples + 1);
+  std::vector<float> dots(options.negative_samples + 1);
+  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
+    util::Rng rng(options.seed ^ 0x9e3779b97f4a7c15ULL ^
                   (epoch * 0x2545f4914f6cdd1dULL));
-    std::vector<float> grad(dim);
-    for (size_t s = begin; s < end; ++s) {
-      const auto& sentence = sentences[s];
-      uint64_t done = progress.fetch_add(1, std::memory_order_relaxed);
+    for (const auto& sentence : sentences) {
       float lr = static_cast<float>(std::max(
           options.min_learning_rate,
           options.learning_rate *
-              (1.0 - static_cast<double>(done) / total_updates)));
+              (1.0 - static_cast<double>(done++) / total_updates)));
 
       // Subsampled view of the sentence.
-      std::vector<uint32_t> kept;
-      kept.reserve(sentence.size());
+      kept.clear();
       for (uint32_t id : sentence) {
         if (vocab.CountOf(id) < options.min_count) continue;
         if (keep_prob[id] >= 1.0f ||
@@ -158,47 +198,35 @@ util::Result<Word2Vec> Word2Vec::Train(
         uint32_t target = kept[pos];
         for (size_t c = lo; c < hi; ++c) {
           if (c == pos) continue;
-          uint32_t context = kept[c];
-          float* in = model.input_vectors_.Row(context);
+          // Every draw of the step comes first; none depends on a score.
+          size_t num_samples = 0;
+          bool distinct = true;
+          rows[num_samples++] = output_vectors.Row(target);
+          for (size_t n = 0; n < options.negative_samples; ++n) {
+            uint32_t sample = negative_table[rng.Uniform(kNegativeTableSize)];
+            if (sample == target) continue;
+            float* row = output_vectors.Row(sample);
+            for (size_t k = 1; k < num_samples; ++k) {
+              distinct = distinct && rows[k] != row;
+            }
+            rows[num_samples++] = row;
+          }
+          // A row drawn twice must show its first update to its second
+          // dot product, so only distinct rows take their dots up front.
+          float* in = model.input_vectors_.Row(kept[c]);
+          if (distinct) {
+            BatchDot(in, rows.data(), num_samples, dim, dots.data());
+          }
           std::fill(grad.begin(), grad.end(), 0.0f);
-          // Positive sample plus `negative_samples` negatives.
-          for (size_t n = 0; n <= options.negative_samples; ++n) {
-            uint32_t sample;
-            float label;
-            if (n == 0) {
-              sample = target;
-              label = 1.0f;
-            } else {
-              sample = negative_table[rng.Uniform(negative_table.size())];
-              if (sample == target) continue;
-              label = 0.0f;
-            }
-            float* out = output_vectors.Row(sample);
-            float score = Sigmoid()(Dot(in, out, dim));
-            float g = (label - score) * lr;
-            for (size_t d = 0; d < dim; ++d) {
-              grad[d] += g * out[d];
-              out[d] += g * in[d];
-            }
+          for (size_t k = 0; k < num_samples; ++k) {
+            const float dot = distinct ? dots[k] : Dot(in, rows[k], dim);
+            const float label = k == 0 ? 1.0f : 0.0f;
+            const float g = (label - sigmoid(dot)) * lr;
+            ApplySample(g, in, rows[k], grad.data(), dim);
           }
           for (size_t d = 0; d < dim; ++d) in[d] += grad[d];
         }
       }
-    }
-  };
-
-  if (options.num_threads <= 1) {
-    for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-      train_range(0, sentences.size(), 0, epoch);
-    }
-  } else {
-    util::ThreadPool pool(options.num_threads);
-    for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-      pool.ParallelForChunked(
-          sentences.size(),
-          [&](size_t begin, size_t end, size_t worker) {
-            train_range(begin, end, worker, epoch);
-          });
     }
   }
   return model;

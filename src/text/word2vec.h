@@ -7,15 +7,14 @@
 #include "text/embedding.h"
 #include "text/vocabulary.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace shoal::text {
 
-// Skip-gram with negative sampling (SGNS) word2vec, trained with
-// lock-free (Hogwild-style) SGD over multiple threads. The paper uses
-// word2vec vectors of title tokens as input to the content-driven
-// similarity (Eq. 2); this is a from-scratch substitute for the
-// production embeddings.
+// Skip-gram with negative sampling (SGNS) word2vec, trained with serial
+// SGD, so the vectors are a deterministic function of the corpus, the
+// vocabulary and the options. The paper uses word2vec vectors of title
+// tokens as input to the content-driven similarity (Eq. 2); this is a
+// from-scratch substitute for the production embeddings.
 struct Word2VecOptions {
   size_t dim = 32;
   size_t window = 4;            // max context window (sampled per target)
@@ -25,7 +24,6 @@ struct Word2VecOptions {
   double min_learning_rate = 1e-4;
   double subsample_threshold = 1e-3;  // frequent-word subsampling `t`
   uint64_t min_count = 1;             // drop words rarer than this
-  size_t num_threads = 1;
   uint64_t seed = 7;
 };
 

@@ -1,8 +1,11 @@
 #ifndef SHOAL_UTIL_STRING_UTIL_H_
 #define SHOAL_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace shoal::util {
@@ -24,6 +27,21 @@ std::string ToLower(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
+
+// Parses all of `text` as a base-10 unsigned integer: one or more ASCII
+// digits and nothing else (no sign, whitespace or trailing bytes), and no
+// value above T's maximum. Returns false, with *value untouched,
+// otherwise.
+template <typename T>
+bool ParseUnsigned(std::string_view text, T* value) {
+  static_assert(std::is_unsigned_v<T>);
+  const char* end = text.data() + text.size();
+  T parsed = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
+  *value = parsed;
+  return true;
+}
 
 // printf-style formatting into a std::string.
 std::string StringPrintf(const char* format, ...)

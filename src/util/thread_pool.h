@@ -29,9 +29,8 @@ struct ThreadPoolStats {
   double max_task_seconds = 0.0;
 };
 
-// Fixed-size worker pool with a simple FIFO queue. Used by Parallel HAC,
-// the entity-graph builder and Hogwild word2vec training. Tasks must not
-// throw.
+// Fixed-size worker pool with a simple FIFO queue. Used by Parallel HAC
+// and the entity-graph builder. Tasks must not throw.
 class ThreadPool {
  public:
   // `num_threads` == 0 means "hardware concurrency, at least 1".

@@ -22,6 +22,30 @@ Result<std::vector<std::vector<std::string>>> ReadTsv(
   return rows;
 }
 
+namespace {
+
+template <typename T>
+Status ParseField(std::string_view file, size_t row, std::string_view field,
+                  T* value) {
+  if (ParseUnsigned(field, value)) return Status::OK();
+  return Status::InvalidArgument(StringPrintf(
+      "%.*s: row %zu: '%.*s' is not an unsigned decimal integer in range",
+      static_cast<int>(file.size()), file.data(), row,
+      static_cast<int>(field.size()), field.data()));
+}
+
+}  // namespace
+
+Status ParseTsvField(std::string_view file, size_t row,
+                     std::string_view field, uint32_t* value) {
+  return ParseField(file, row, field, value);
+}
+
+Status ParseTsvField(std::string_view file, size_t row,
+                     std::string_view field, uint64_t* value) {
+  return ParseField(file, row, field, value);
+}
+
 Status WriteTsv(const std::string& path,
                 const std::vector<std::vector<std::string>>& rows) {
   // Rendered to memory first so the file write is all-or-nothing: a

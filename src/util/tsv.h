@@ -1,7 +1,9 @@
 #ifndef SHOAL_UTIL_TSV_H_
 #define SHOAL_UTIL_TSV_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -13,6 +15,14 @@ namespace shoal::util {
 // with '#' and blank lines are skipped.
 Result<std::vector<std::vector<std::string>>> ReadTsv(
     const std::string& path);
+
+// Parses one ReadTsv field with ParseUnsigned. A bad field returns
+// InvalidArgument naming `file`, the 0-based data row `row` (as ReadTsv
+// returns rows) and the field text.
+Status ParseTsvField(std::string_view file, size_t row,
+                     std::string_view field, uint32_t* value);
+Status ParseTsvField(std::string_view file, size_t row,
+                     std::string_view field, uint64_t* value);
 
 // Writes rows as tab-separated lines; fields must not contain tabs or
 // newlines (checked).

@@ -106,6 +106,52 @@ TEST_F(TaxonomyIoTest, CorruptParentRejected) {
   EXPECT_FALSE(LoadTaxonomy(dir_).ok());
 }
 
+TEST_F(TaxonomyIoTest, MalformedFieldsRejected) {
+  struct Case {
+    const char* file;
+    size_t row;
+    size_t field;
+    const char* text;
+  };
+  const Case cases[] = {
+      {"topics.tsv", 0, 0, "0x"},          {"topics.tsv", 1, 1, "-1"},
+      {"topics.tsv", 1, 2, "4294967296"},  {"members.tsv", 0, 0, ""},
+      {"members.tsv", 2, 1, "4294967298"}, {"categories.tsv", 0, 1, "1 0"},
+      {"categories.tsv", 0, 2, "-2"},      {"descriptions.tsv", 0, 1, "one"},
+      {"descriptions.tsv", 1, 1, "18446744073709551615"},
+      {"descriptions.tsv", 1, 1, "2"},     {"correlations.tsv", 0, 2, "5x"}};
+  for (const Case& c : cases) {
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(SaveTaxonomy(MakeTaxonomy(), MakeCorrelations(), dir_).ok());
+    const std::string path = dir_ + "/" + c.file;
+    auto rows = util::ReadTsv(path).value();
+    rows[c.row][c.field] = c.text;
+    ASSERT_TRUE(util::WriteTsv(path, rows).ok());
+    auto loaded = LoadTaxonomy(dir_);
+    ASSERT_FALSE(loaded.ok()) << c.file << " row " << c.row << " field "
+                              << c.field << " '" << c.text
+                              << "' was accepted";
+    EXPECT_NE(loaded.status().message().find(c.file), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST_F(TaxonomyIoTest, MalformedEntityCountHeaderRejected) {
+  for (const char* header : {"num_entities=", "num_entities=8x",
+                             "num_entities=-8",
+                             "num_entities=18446744073709551616"}) {
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(SaveTaxonomy(MakeTaxonomy(), MakeCorrelations(), dir_).ok());
+    const std::string path = dir_ + "/members.tsv";
+    std::string text = util::ReadTextFile(path).value();
+    const size_t begin = text.find("num_entities=");
+    const size_t end = text.find('\n', begin);
+    text.replace(begin, end - begin, header);
+    ASSERT_TRUE(util::WriteTextFile(path, text).ok());
+    EXPECT_FALSE(LoadTaxonomy(dir_).ok()) << header;
+  }
+}
+
 TEST_F(TaxonomyIoTest, ParentCycleRejected) {
   std::vector<Topic> topics(2);
   topics[0].id = 0;

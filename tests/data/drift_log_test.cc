@@ -13,6 +13,7 @@
 
 #include "daemon/spool.h"
 #include "data/drift_log.h"
+#include "util/tsv.h"
 
 namespace shoal::data {
 namespace {
@@ -205,6 +206,38 @@ TEST(DriftLogTest, SpoolExportRoundTrips) {
     EXPECT_EQ(expected, actual) << "day " << d;
   }
 
+  fs::remove_all(dir);
+}
+
+// Each row is read by ReadDayClicks alone, against 10 queries and 10
+// items: an id or timestamp field must be all digits and in range.
+TEST(DriftLogTest, ReadDayClicksRejectsMalformedFields) {
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() /
+       (std::string("shoal_drift_spool_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+          .string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/" + DriftDayFileName(0);
+  auto read_row = [&](const std::string& row) {
+    EXPECT_TRUE(util::WriteTextFile(path, row + "\n").ok());
+    return daemon::ReadDayClicks(path, 10, 10);
+  };
+  auto good = read_row("3\t4\t100");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ((*good)[0].query, 3u);
+  EXPECT_EQ((*good)[0].timestamp_sec, 100u);
+  for (const char* bad :
+       {"4294967301\t3\t100", "7x\t2junk\t5", "\t1\t9", "1\t2\t-5",
+        "1\t2\t18446744073709551616", " 1\t2\t5", "1\t2\t5 "}) {
+    auto clicks = read_row(bad);
+    ASSERT_FALSE(clicks.ok()) << "row '" << bad << "' was accepted";
+    EXPECT_EQ(clicks.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(clicks.status().message().find(path), std::string::npos)
+        << clicks.status().ToString();
+  }
   fs::remove_all(dir);
 }
 

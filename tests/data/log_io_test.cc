@@ -2,6 +2,9 @@
 
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +94,48 @@ TEST_F(LogIoTest, UnknownClickIdsRejected) {
   ASSERT_TRUE(
       util::WriteTsv(dir_ + "/clicks.tsv", {{"0", "9", "100"}}).ok());
   EXPECT_FALSE(ImportSearchLog(dir_).ok());
+}
+
+TEST_F(LogIoTest, MalformedFieldsRejected) {
+  std::filesystem::create_directories(dir_);
+  const std::vector<std::vector<std::string>> items = {{"0", "1", "beach"},
+                                                       {"1", "1", "dress"}};
+  const std::vector<std::vector<std::string>> queries = {{"0", "beach"},
+                                                         {"1", "dress"}};
+  const std::vector<std::vector<std::string>> clicks = {{"0", "1", "100"},
+                                                        {"1", "0", "200"}};
+  auto import = [&](const std::string& file, size_t row, size_t field,
+                    const std::string& text) {
+    auto tables = std::map<std::string, std::vector<std::vector<std::string>>>{
+        {"items.tsv", items}, {"queries.tsv", queries}, {"clicks.tsv", clicks}};
+    if (!file.empty()) tables[file][row][field] = text;
+    for (const auto& [name, rows] : tables) {
+      EXPECT_TRUE(util::WriteTsv(dir_ + "/" + name, rows).ok());
+    }
+    return ImportSearchLog(dir_);
+  };
+  ASSERT_TRUE(import("", 0, 0, "").ok());
+  struct Case {
+    const char* file;
+    size_t row;
+    size_t field;
+    const char* text;
+  };
+  const Case cases[] = {
+      {"items.tsv", 1, 0, "1x"},        {"items.tsv", 0, 1, "-1"},
+      {"items.tsv", 1, 1, "4294967297"}, {"queries.tsv", 1, 0, " 1"},
+      {"queries.tsv", 0, 0, ""},         {"clicks.tsv", 1, 0, "4294967297"},
+      {"clicks.tsv", 0, 1, "1junk"},     {"clicks.tsv", 1, 2, "2e2"},
+      {"clicks.tsv", 0, 2, "+100"}};
+  for (const Case& c : cases) {
+    auto log = import(c.file, c.row, c.field, c.text);
+    ASSERT_FALSE(log.ok()) << c.file << " row " << c.row << " field "
+                           << c.field << " '" << c.text << "' was accepted";
+    const std::string message = log.status().message();
+    EXPECT_NE(message.find(c.file), std::string::npos) << message;
+    EXPECT_NE(message.find("row " + std::to_string(c.row)), std::string::npos)
+        << message;
+  }
 }
 
 TEST_F(LogIoTest, EmptyItemsRejected) {

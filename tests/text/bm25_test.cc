@@ -135,9 +135,9 @@ TEST(Bm25Test, ScoreAllMatchesIndividualScores) {
 
 // Seeded random corpora with duplicate words in documents and queries,
 // empty documents, query words no document holds, and a word in every
-// document (the smallest idf the formula gives): the sparse pass must
-// equal the dense oracle, and Score() the from-scratch formula, bit for
-// bit.
+// document (the smallest idf the formula gives): the sparse pass and
+// ScoreDocument() must equal the dense oracle, and Score() the
+// from-scratch formula, bit for bit.
 TEST(Bm25Test, ScoreMatchingEqualsDenseOracleOnRandomCorpora) {
   constexpr uint32_t kVocab = 40;
   constexpr uint32_t kEverywhere = kVocab;   // planted in every doc
@@ -175,6 +175,11 @@ TEST(Bm25Test, ScoreMatchingEqualsDenseOracleOnRandomCorpora) {
           << "seed " << seed << " trial " << trial;
       for (uint32_t d = 0; d < docs.size(); ++d) {
         EXPECT_EQ(dense[d], ReferenceScore(docs, options, query, d))
+            << "seed " << seed << " trial " << trial << " doc " << d;
+        // Dense counts up to kEverywhere; kNowhere lies beyond them.
+        std::vector<uint32_t> doc_tf(kVocab + 1, 0);
+        for (uint32_t w : docs[d]) ++doc_tf[w];
+        EXPECT_EQ(index.ScoreDocument(query, d, doc_tf), dense[d])
             << "seed " << seed << " trial " << trial << " doc " << d;
       }
       // Exactly the documents sharing a word with the query, in doc order.

@@ -65,6 +65,24 @@ TEST(StartsEndsWithTest, Basics) {
   EXPECT_TRUE(EndsWith("x", ""));
 }
 
+TEST(ParseUnsignedTest, AcceptsOnlyWholeInRangeDecimals) {
+  uint32_t u32 = 7;
+  EXPECT_TRUE(ParseUnsigned("0", &u32));
+  EXPECT_EQ(u32, 0u);
+  EXPECT_TRUE(ParseUnsigned("4294967295", &u32));
+  EXPECT_EQ(u32, 4294967295u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "7x", "2junk", "0x10",
+                          "1.0", "4294967296", "4294967301"}) {
+    u32 = 7;
+    EXPECT_FALSE(ParseUnsigned(bad, &u32)) << "'" << bad << "'";
+    EXPECT_EQ(u32, 7u) << "'" << bad << "'";
+  }
+  uint64_t u64 = 0;
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615", &u64));
+  EXPECT_EQ(u64, 18446744073709551615ull);
+  EXPECT_FALSE(ParseUnsigned("18446744073709551616", &u64));
+}
+
 TEST(StringPrintfTest, FormatsLikePrintf) {
   EXPECT_EQ(StringPrintf("%d items in %s", 7, "topic"), "7 items in topic");
   EXPECT_EQ(StringPrintf("%.2f", 1.005), "1.00");
