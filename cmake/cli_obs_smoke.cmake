@@ -32,10 +32,11 @@ run_checked("${SHOAL_CLI}" build
   "--metrics-out=${WORK_DIR}/metrics.json"
   --log-level=debug)
 
-# The trace must contain at least one span per pipeline stage and the
-# per-round HAC spans; the metrics snapshot must carry the thread-pool
-# gauges and per-round merge counts.
+# The trace must contain the import span, at least one span per
+# pipeline stage and the per-round HAC spans; the metrics snapshot must
+# carry the thread-pool gauges and per-round merge counts.
 run_checked("${JSON_LINT}"
+  --expect=log_io.import
   --expect=shoal.build --expect=shoal.entity_graph --expect=shoal.hac
   --expect=shoal.taxonomy --expect=hac.round --expect=hac.merge
   --expect=hac.delta_update

@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace shoal::core {
 
@@ -400,7 +399,7 @@ util::Status ClusterGraph::ValidateMatching(
 
 util::Status ClusterGraph::MergeBatch(
     const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    uint32_t first_new_id, LinkageRule rule, util::ThreadPool* pool) {
+    uint32_t first_new_id, LinkageRule rule) {
   if (pairs.empty()) return util::Status::OK();
   // Everything is validated before any mutation so a bad matching leaves
   // the graph (and therefore the caller's dendrogram) untouched.
@@ -412,8 +411,7 @@ util::Status ClusterGraph::MergeBatch(
   }
   const bool track = track_threshold_ > 0.0;
 
-  // Phase 1 — merged rows, computed in parallel against the pre-round
-  // state. The matching is vertex-disjoint so row reads never race.
+  // Phase 1 — merged rows, computed against the pre-round state.
   // Neighbours that are themselves endpoints of a *later* pair k > m are
   // recorded as cross contributions: the serial ordering applies pair
   // m's linkage weights first and pair k's second, so the earlier pair
@@ -444,16 +442,7 @@ util::Status ClusterGraph::MergeBatch(
                 // pair k's scan.
               });
   };
-  if (pool != nullptr && num_merges > 1) {
-    pool->ParallelForChunked(num_merges,
-                             [&](size_t begin, size_t end, size_t /*w*/) {
-                               for (size_t m = begin; m < end; ++m) {
-                                 scan_pair(m);
-                               }
-                             });
-  } else {
-    for (size_t m = 0; m < num_merges; ++m) scan_pair(m);
-  }
+  for (size_t m = 0; m < num_merges; ++m) scan_pair(m);
 
   // Phase 2 — resolve cross-pair similarities. For pairs m < k the
   // serial result is MergedSimilarity over the two inner values with
@@ -494,8 +483,7 @@ util::Status ClusterGraph::MergeBatch(
   // Phase 3 — neighbour patches as a deterministic cluster-id-ordered
   // reduction: every (neighbour, pair, similarity) triple, stably sorted
   // by neighbour id (pairs stay ascending within a neighbour, so the
-  // appended entries keep rows id-sorted). Groups touch disjoint rows
-  // and can be applied in parallel.
+  // appended entries keep rows id-sorted). Groups touch disjoint rows.
   struct Patch {
     uint32_t c;
     uint32_t pair;
@@ -600,16 +588,7 @@ util::Status ClusterGraph::MergeBatch(
     }
   };
   const size_t num_groups = group_starts.size() - 1;
-  if (pool != nullptr && num_groups > 1) {
-    pool->ParallelForChunked(num_groups,
-                             [&](size_t begin, size_t end, size_t /*w*/) {
-                               for (size_t g = begin; g < end; ++g) {
-                                 apply_group(g);
-                               }
-                             });
-  } else {
-    for (size_t g = 0; g < num_groups; ++g) apply_group(g);
-  }
+  for (size_t g = 0; g < num_groups; ++g) apply_group(g);
 
   // Phase 4 — commit the new clusters and retire the merged ones.
   for (uint32_t m = 0; m < num_merges; ++m) {

@@ -9,10 +9,6 @@
 #include "graph/weighted_graph.h"
 #include "util/result.h"
 
-namespace shoal::util {
-class ThreadPool;
-}  // namespace shoal::util
-
 namespace shoal::core {
 
 // Rule for computing S(AB, C) when clusters A and B merge. The paper's
@@ -168,18 +164,16 @@ class ClusterGraph {
 
   // Applies a whole round's matching at once: pair m receives id
   // `first_new_id + m`. Produces state bit-identical to calling Merge()
-  // on each pair in order, but computes the merged rows in parallel on
-  // `pool` (matched pairs are vertex-disjoint, so each merged row
-  // depends only on the pre-round rows plus a deterministic cross-pair
-  // combination) and applies neighbour patches in a deterministic
-  // cluster-id-ordered reduction. The full matching is validated before
-  // any mutation: on error the graph is untouched, so a failed round
-  // cannot leave this graph and the dendrogram divergent. `pool` may be
-  // nullptr for a serial batch.
+  // on each pair in order: each merged row depends only on the pre-round
+  // rows plus a deterministic cross-pair combination (matched pairs are
+  // vertex-disjoint), and neighbour patches apply in a cluster-id-ordered
+  // reduction. Runs on the calling thread (DESIGN.md §8 has the
+  // measurements against a pooled batch). The full matching is validated
+  // before any mutation: on error the graph is untouched, so a failed
+  // round cannot leave this graph and the dendrogram divergent.
   util::Status MergeBatch(
       const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-      uint32_t first_new_id, LinkageRule rule,
-      util::ThreadPool* pool = nullptr);
+      uint32_t first_new_id, LinkageRule rule);
 
   // Highest-similarity edge among active clusters, or similarity < 0 if
   // the graph has no remaining edges. Ties break toward the

@@ -60,14 +60,14 @@ util::Status CommitRound(
     const ParallelHacOptions& options, ClusterGraph& clusters,
     Dendrogram& dendrogram, ParallelHacStats& local_stats,
     const std::vector<std::pair<uint32_t, uint32_t>>& to_merge,
-    const std::vector<double>& merge_similarity, util::ThreadPool& pool,
-    size_t active_clusters, obs::ScopedSpan& round_span) {
+    const std::vector<double>& merge_similarity, size_t active_clusters,
+    obs::ScopedSpan& round_span) {
   {
     SHOAL_TRACE_SPAN("hac.merge");
     const uint32_t first_new_id =
         static_cast<uint32_t>(dendrogram.num_nodes());
-    SHOAL_RETURN_IF_ERROR(clusters.MergeBatch(to_merge, first_new_id,
-                                              options.hac.linkage, &pool));
+    SHOAL_RETURN_IF_ERROR(
+        clusters.MergeBatch(to_merge, first_new_id, options.hac.linkage));
     for (size_t m = 0; m < to_merge.size(); ++m) {
       auto merged = dendrogram.Merge(to_merge[m].first, to_merge[m].second,
                                      merge_similarity[m]);
@@ -794,7 +794,7 @@ util::Status RunRounds(const ParallelHacOptions& options,
     const uint32_t first_new_id = static_cast<uint32_t>(dendrogram.num_nodes());
     SHOAL_RETURN_IF_ERROR(CommitRound(options, clusters, dendrogram,
                                       local_stats, to_merge, merge_similarity,
-                                      pool, active_before, round_span));
+                                      active_before, round_span));
 
     // --- incremental maintenance: touch only what the batch changed -------
     // Serial: the touched set is O(merges * mergeable degree), tiny next

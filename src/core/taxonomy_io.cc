@@ -15,8 +15,9 @@ std::string PathOf(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
 }
 
-util::Status ExpectFields(const std::vector<std::string>& row,
-                          size_t expected, const char* file) {
+using TsvRow = std::span<const std::string_view>;
+
+util::Status ExpectFields(TsvRow row, size_t expected, const char* file) {
   if (row.size() != expected) {
     return util::Status::InvalidArgument(util::StringPrintf(
         "%s: expected %zu fields, got %zu", file, expected, row.size()));
@@ -185,124 +186,131 @@ util::Result<CategoryCorrelation> CorrelationFromPairs(
 }
 
 util::Result<LoadedTaxonomy> LoadTaxonomy(const std::string& dir) {
-  SHOAL_ASSIGN_OR_RETURN(auto topic_rows,
-                         util::ReadTsv(PathOf(dir, "topics.tsv")));
   std::vector<Topic> topics;
-  topics.reserve(topic_rows.size());
-  for (const auto& row : topic_rows) {
-    SHOAL_RETURN_IF_ERROR(ExpectFields(row, 4, "topics.tsv"));
-    Topic topic;
-    const size_t r = topics.size();
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("topics.tsv", r, row[0], &topic.id));
-    if (row[1] != "-") {
-      SHOAL_RETURN_IF_ERROR(
-          util::ParseTsvField("topics.tsv", r, row[1], &topic.parent));
-    }
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("topics.tsv", r, row[2], &topic.level));
-    topics.push_back(std::move(topic));
-  }
+  SHOAL_RETURN_IF_ERROR(util::ReadTsvRows(
+      PathOf(dir, "topics.tsv"), [&](size_t r, TsvRow row) {
+        SHOAL_RETURN_IF_ERROR(ExpectFields(row, 4, "topics.tsv"));
+        Topic topic;
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("topics.tsv", r, row[0], &topic.id));
+        if (row[1] != "-") {
+          SHOAL_RETURN_IF_ERROR(
+              util::ParseTsvField("topics.tsv", r, row[1], &topic.parent));
+        }
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("topics.tsv", r, row[2], &topic.level));
+        topics.push_back(std::move(topic));
+        return util::Status::OK();
+      }));
 
-  // members.tsv carries the entity count in a header comment; ReadTsv
-  // strips comments, so read it separately.
-  SHOAL_ASSIGN_OR_RETURN(std::string members_raw,
+  // members.tsv carries the entity count in a header comment, which the
+  // row walk skips, so the header is read from the same bytes first.
+  SHOAL_ASSIGN_OR_RETURN(const std::string members,
                          util::ReadTextFile(PathOf(dir, "members.tsv")));
   size_t num_entities = 0;
   {
     constexpr std::string_view kKey = "num_entities=";
-    const size_t pos = members_raw.find(kKey);
+    const size_t pos = members.find(kKey);
     if (pos == std::string::npos) {
       return util::Status::InvalidArgument(
           "members.tsv missing num_entities header");
     }
     const size_t begin = pos + kKey.size();
-    const size_t end = std::min(members_raw.find('\n', begin),
-                                members_raw.size());
-    const std::string_view value(members_raw.data() + begin, end - begin);
+    const size_t end = std::min(members.find('\n', begin), members.size());
+    const std::string_view value(members.data() + begin, end - begin);
     if (!util::ParseUnsigned(util::Trim(value), &num_entities)) {
       return util::Status::InvalidArgument(
           "members.tsv: bad num_entities header '" + std::string(value) +
           "'");
     }
   }
-  SHOAL_ASSIGN_OR_RETURN(auto member_rows,
-                         util::ReadTsv(PathOf(dir, "members.tsv")));
-  for (size_t r = 0; r < member_rows.size(); ++r) {
-    const auto& row = member_rows[r];
-    SHOAL_RETURN_IF_ERROR(ExpectFields(row, 2, "members.tsv"));
-    uint32_t t = 0;
-    uint32_t entity = 0;
-    SHOAL_RETURN_IF_ERROR(util::ParseTsvField("members.tsv", r, row[0], &t));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("members.tsv", r, row[1], &entity));
-    if (t >= topics.size()) {
-      return util::Status::InvalidArgument("members.tsv: unknown topic");
-    }
-    topics[t].entities.push_back(entity);
-  }
+  SHOAL_RETURN_IF_ERROR(
+      util::ForEachTsvRow(members, [&](size_t r, TsvRow row) {
+        SHOAL_RETURN_IF_ERROR(ExpectFields(row, 2, "members.tsv"));
+        uint32_t t = 0;
+        uint32_t entity = 0;
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("members.tsv", r, row[0], &t));
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("members.tsv", r, row[1], &entity));
+        if (t >= topics.size()) {
+          return util::Status::InvalidArgument("members.tsv: unknown topic");
+        }
+        topics[t].entities.push_back(entity);
+        return util::Status::OK();
+      }));
 
-  SHOAL_ASSIGN_OR_RETURN(auto category_rows,
-                         util::ReadTsv(PathOf(dir, "categories.tsv")));
-  for (size_t r = 0; r < category_rows.size(); ++r) {
-    const auto& row = category_rows[r];
-    SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "categories.tsv"));
-    uint32_t t = 0;
-    uint32_t category = 0;
-    size_t count = 0;
-    SHOAL_RETURN_IF_ERROR(util::ParseTsvField("categories.tsv", r, row[0], &t));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("categories.tsv", r, row[1], &category));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("categories.tsv", r, row[2], &count));
-    if (t >= topics.size()) {
-      return util::Status::InvalidArgument("categories.tsv: unknown topic");
-    }
-    topics[t].categories.emplace_back(category, count);
-  }
+  SHOAL_RETURN_IF_ERROR(util::ReadTsvRows(
+      PathOf(dir, "categories.tsv"), [&](size_t r, TsvRow row) {
+        SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "categories.tsv"));
+        uint32_t t = 0;
+        uint32_t category = 0;
+        size_t count = 0;
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("categories.tsv", r, row[0], &t));
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("categories.tsv", r, row[1], &category));
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("categories.tsv", r, row[2], &count));
+        if (t >= topics.size()) {
+          return util::Status::InvalidArgument(
+              "categories.tsv: unknown topic");
+        }
+        topics[t].categories.emplace_back(category, count);
+        return util::Status::OK();
+      }));
 
-  SHOAL_ASSIGN_OR_RETURN(auto description_rows,
-                         util::ReadTsv(PathOf(dir, "descriptions.tsv")));
-  for (size_t r = 0; r < description_rows.size(); ++r) {
-    const auto& row = description_rows[r];
-    SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "descriptions.tsv"));
-    uint32_t t = 0;
-    size_t rank = 0;
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("descriptions.tsv", r, row[0], &t));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("descriptions.tsv", r, row[1], &rank));
-    if (t >= topics.size()) {
-      return util::Status::InvalidArgument(
-          "descriptions.tsv: unknown topic");
-    }
-    // SaveTaxonomy writes each topic's ranks as 0..k-1, so every rank is
-    // below the row count; the check also bounds the resize below.
-    if (rank >= description_rows.size()) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "descriptions.tsv: row %zu: rank %zu is not below the row count "
-          "%zu", r, rank, description_rows.size()));
-    }
-    auto& description = topics[t].description;
-    if (description.size() <= rank) description.resize(rank + 1);
-    description[rank] = row[2];
-  }
+  // The rank check below needs the row count, so the bytes are walked
+  // once to count and once to parse.
+  SHOAL_ASSIGN_OR_RETURN(const std::string descriptions,
+                         util::ReadTextFile(PathOf(dir, "descriptions.tsv")));
+  size_t num_descriptions = 0;
+  SHOAL_RETURN_IF_ERROR(
+      util::ForEachTsvRow(descriptions, [&](size_t, TsvRow) {
+        ++num_descriptions;
+        return util::Status::OK();
+      }));
+  SHOAL_RETURN_IF_ERROR(
+      util::ForEachTsvRow(descriptions, [&](size_t r, TsvRow row) {
+        SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "descriptions.tsv"));
+        uint32_t t = 0;
+        size_t rank = 0;
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("descriptions.tsv", r, row[0], &t));
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("descriptions.tsv", r, row[1], &rank));
+        if (t >= topics.size()) {
+          return util::Status::InvalidArgument(
+              "descriptions.tsv: unknown topic");
+        }
+        // SaveTaxonomy writes each topic's ranks as 0..k-1, so every rank
+        // is below the row count; the check also bounds the resize below.
+        if (rank >= num_descriptions) {
+          return util::Status::InvalidArgument(util::StringPrintf(
+              "descriptions.tsv: row %zu: rank %zu is not below the row "
+              "count %zu",
+              r, rank, num_descriptions));
+        }
+        auto& description = topics[t].description;
+        if (description.size() <= rank) description.resize(rank + 1);
+        description[rank] = row[2];
+        return util::Status::OK();
+      }));
 
-  SHOAL_ASSIGN_OR_RETURN(auto pair_rows,
-                         util::ReadTsv(PathOf(dir, "correlations.tsv")));
   std::vector<CategoryCorrelation::Pair> pairs;
-  for (size_t r = 0; r < pair_rows.size(); ++r) {
-    const auto& row = pair_rows[r];
-    SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "correlations.tsv"));
-    CategoryCorrelation::Pair pair{};
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("correlations.tsv", r, row[0], &pair.c1));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("correlations.tsv", r, row[1], &pair.c2));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("correlations.tsv", r, row[2], &pair.strength));
-    pairs.push_back(pair);
-  }
+  SHOAL_RETURN_IF_ERROR(util::ReadTsvRows(
+      PathOf(dir, "correlations.tsv"), [&](size_t r, TsvRow row) {
+        SHOAL_RETURN_IF_ERROR(ExpectFields(row, 3, "correlations.tsv"));
+        CategoryCorrelation::Pair pair{};
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("correlations.tsv", r, row[0], &pair.c1));
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("correlations.tsv", r, row[1], &pair.c2));
+        SHOAL_RETURN_IF_ERROR(util::ParseTsvField("correlations.tsv", r,
+                                                  row[2], &pair.strength));
+        pairs.push_back(pair);
+        return util::Status::OK();
+      }));
 
   LoadedTaxonomy loaded;
   SHOAL_ASSIGN_OR_RETURN(loaded.taxonomy,

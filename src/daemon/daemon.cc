@@ -1,6 +1,7 @@
 #include "daemon/daemon.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <unordered_map>
 #include <utility>
@@ -61,7 +62,7 @@ util::Result<std::unique_ptr<TaxonomyDaemon>> TaxonomyDaemon::Create(
   }
 
   SHOAL_ASSIGN_OR_RETURN(daemon->catalog_,
-                         ImportSpoolCatalog(options.spool_dir));
+                         data::ImportSearchCatalog(options.spool_dir));
   const size_t num_entities = daemon->catalog_.items.size();
   const size_t num_queries = daemon->catalog_.queries.size();
   daemon->title_words_.reserve(num_entities);
@@ -278,43 +279,56 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   report.day_file = *next;
 
   // ---- ingest: read + aggregate the incoming day ----------------------
-  SHOAL_ASSIGN_OR_RETURN(
-      std::vector<data::ClickEvent> clicks,
-      ReadDayClicks(SpoolPath(options_.spool_dir, *next),
-                    graph_->num_queries(), graph_->num_entities()));
-  std::unordered_map<uint64_t, uint32_t> day_counts;
-  day_counts.reserve(clicks.size());
-  for (const data::ClickEvent& click : clicks) {
-    ++day_counts[PairKey(click.query, click.entity)];
+  // Count the day by sorting its (query, entity) keys: runs of equal
+  // keys are the pairs, already in the window's (query, entity) order.
+  std::vector<uint64_t> keys;
+  {
+    SHOAL_ASSIGN_OR_RETURN(
+        std::vector<data::ClickEvent> clicks,
+        ReadDayClicks(SpoolPath(options_.spool_dir, *next),
+                      graph_->num_queries(), graph_->num_entities()));
+    keys.reserve(clicks.size());
+    for (const data::ClickEvent& click : clicks) {
+      keys.push_back(PairKey(click.query, click.entity));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  size_t num_pairs = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i == 0 || keys[i] != keys[i - 1]) ++num_pairs;
   }
   ckpt::DaemonWindowData::WindowDay day;
   day.name = *next;
-  day.pairs.reserve(day_counts.size());
-  for (const auto& [key, count] : day_counts) {
-    day.pairs.push_back({static_cast<uint32_t>(key >> 32),
-                         static_cast<uint32_t>(key & 0xffffffffu), count});
+  day.pairs.reserve(num_pairs);
+  for (size_t i = 0; i < keys.size();) {
+    size_t j = i + 1;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    day.pairs.push_back({static_cast<uint32_t>(keys[i] >> 32),
+                         static_cast<uint32_t>(keys[i] & 0xffffffffu),
+                         static_cast<uint32_t>(j - i)});
+    i = j;
   }
-  std::sort(day.pairs.begin(), day.pairs.end(),
-            [](const auto& a, const auto& b) {
-              if (a.query != b.query) return a.query < b.query;
-              return a.entity < b.entity;
-            });
 
   // ---- diff: incoming counts minus the retiring day's ------------------
+  // One merge of two (query, entity)-sorted pair lists (decoding a
+  // snapshot checks its days sorted), so the delta comes out sorted.
   const bool retire = window_.size() == options_.window_days;
-  std::unordered_map<uint64_t, int64_t> delta_map;
-  delta_map.reserve(day.pairs.size());
-  for (const auto& pair : day.pairs) {
-    delta_map[PairKey(pair.query, pair.entity)] += pair.count;
-  }
-  if (retire) {
-    for (const auto& pair : window_.front().pairs) {
-      delta_map[PairKey(pair.query, pair.entity)] -= pair.count;
-    }
-  }
+  const std::vector<ckpt::DaemonWindowData::WindowDay::Pair> no_pairs;
+  const auto& incoming = day.pairs;
+  const auto& retiring = retire ? window_.front().pairs : no_pairs;
   ClickDelta delta;
-  delta.entries.reserve(delta_map.size());
-  for (const auto& [key, value] : delta_map) {
+  delta.entries.reserve(incoming.size() + retiring.size());
+  for (size_t a = 0, b = 0; a < incoming.size() || b < retiring.size();) {
+    const uint64_t key_a =
+        a < incoming.size() ? PairKey(incoming[a].query, incoming[a].entity)
+                            : UINT64_MAX;
+    const uint64_t key_b =
+        b < retiring.size() ? PairKey(retiring[b].query, retiring[b].entity)
+                            : UINT64_MAX;
+    const uint64_t key = std::min(key_a, key_b);
+    int64_t value = 0;
+    if (a < incoming.size() && key_a == key) value += incoming[a++].count;
+    if (b < retiring.size() && key_b == key) value -= retiring[b++].count;
     // The stationary head of traffic cancels exactly here; zero-delta
     // pairs must not reach ApplyDelta (they would dirty for nothing).
     if (value == 0) continue;
@@ -322,11 +336,6 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
                              static_cast<uint32_t>(key & 0xffffffffu),
                              value});
   }
-  std::sort(delta.entries.begin(), delta.entries.end(),
-            [](const ClickDelta::Entry& a, const ClickDelta::Entry& b) {
-              if (a.query != b.query) return a.query < b.query;
-              return a.entity < b.entity;
-            });
   report.ingest_seconds = watch.ElapsedSeconds();
 
   // ---- graph: apply the delta to the standing store --------------------

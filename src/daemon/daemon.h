@@ -16,6 +16,7 @@
 #include "daemon/incremental_graph.h"
 #include "daemon/splice.h"
 #include "daemon/spool.h"
+#include "data/log_io.h"
 #include "text/word2vec.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -116,7 +117,7 @@ class TaxonomyDaemon {
   uint64_t cycles_done() const { return cycles_done_; }
   uint64_t published_version() const { return published_version_; }
   bool restored_from_snapshot() const { return restored_; }
-  const SpoolCatalog& catalog() const { return catalog_; }
+  const data::SearchCatalog& catalog() const { return catalog_; }
   // Static catalog inputs, exposed so tests and the bench can run the
   // from-scratch reference pipeline over the exact same embedding.
   const std::vector<std::vector<uint32_t>>& title_words() const {
@@ -145,7 +146,7 @@ class TaxonomyDaemon {
   DaemonOptions options_;
 
   // Static catalog state, fixed at Create.
-  SpoolCatalog catalog_;
+  data::SearchCatalog catalog_;
   std::vector<std::vector<uint32_t>> title_words_;
   std::vector<uint32_t> entity_categories_;
   std::vector<std::vector<uint32_t>> query_words_;

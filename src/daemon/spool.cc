@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "text/tokenizer.h"
 #include "util/string_util.h"
 #include "util/tsv.h"
 
@@ -11,99 +10,42 @@ namespace shoal::daemon {
 
 namespace {
 
-std::string PathOf(const std::string& dir, const char* file) {
-  return (std::filesystem::path(dir) / file).string();
-}
-
 constexpr const char kDaySuffix[] = ".clicks.tsv";
 
 }  // namespace
 
-util::Result<SpoolCatalog> ImportSpoolCatalog(const std::string& dir) {
-  SpoolCatalog catalog;
-
-  SHOAL_ASSIGN_OR_RETURN(auto item_rows,
-                         util::ReadTsv(PathOf(dir, "items.tsv")));
-  for (const auto& row : item_rows) {
-    if (row.size() != 3) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "items.tsv: expected 3 fields, got %zu", row.size()));
-    }
-    data::ItemEntity item;
-    const size_t r = catalog.items.size();
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("items.tsv", r, row[0], &item.id));
-    if (item.id != r) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "items.tsv: ids must be dense; got %u at row %zu", item.id, r));
-    }
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("items.tsv", r, row[1], &item.category));
-    item.title = row[2];
-    for (const std::string& token : text::Tokenize(item.title)) {
-      item.title_words.push_back(catalog.vocab.AddWord(token));
-    }
-    catalog.items.push_back(std::move(item));
-  }
-  if (catalog.items.empty()) {
-    return util::Status::InvalidArgument("items.tsv has no items");
-  }
-
-  SHOAL_ASSIGN_OR_RETURN(auto query_rows,
-                         util::ReadTsv(PathOf(dir, "queries.tsv")));
-  for (const auto& row : query_rows) {
-    if (row.size() != 2) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "queries.tsv: expected 2 fields, got %zu", row.size()));
-    }
-    data::SearchQuery query;
-    const size_t r = catalog.queries.size();
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("queries.tsv", r, row[0], &query.id));
-    if (query.id != r) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "queries.tsv: ids must be dense; got %u at row %zu", query.id, r));
-    }
-    query.text = row[1];
-    for (const std::string& token : text::Tokenize(query.text)) {
-      query.words.push_back(catalog.vocab.AddWord(token));
-    }
-    catalog.queries.push_back(std::move(query));
-  }
-  if (catalog.queries.empty()) {
-    return util::Status::InvalidArgument("queries.tsv has no queries");
-  }
-  return catalog;
-}
-
 util::Result<std::vector<data::ClickEvent>> ReadDayClicks(
     const std::string& path, size_t num_queries, size_t num_items) {
-  SHOAL_ASSIGN_OR_RETURN(auto rows, util::ReadTsv(path));
+  SHOAL_ASSIGN_OR_RETURN(const std::string bytes, util::ReadTextFile(path));
   std::vector<data::ClickEvent> clicks;
-  clicks.reserve(rows.size());
-  for (const auto& row : rows) {
-    if (row.size() != 3) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "%s: expected 3 fields, got %zu", path.c_str(), row.size()));
-    }
-    data::ClickEvent click;
-    const size_t r = clicks.size();
-    SHOAL_RETURN_IF_ERROR(util::ParseTsvField(path, r, row[0], &click.query));
-    SHOAL_RETURN_IF_ERROR(util::ParseTsvField(path, r, row[1], &click.entity));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField(path, r, row[2], &click.timestamp_sec));
-    if (click.query >= num_queries) {
-      return util::Status::InvalidArgument(
-          util::StringPrintf("%s: unknown query id %u", path.c_str(),
-                             click.query));
-    }
-    if (click.entity >= num_items) {
-      return util::Status::InvalidArgument(
-          util::StringPrintf("%s: unknown item id %u", path.c_str(),
-                             click.entity));
-    }
-    clicks.push_back(click);
-  }
+  clicks.reserve(
+      static_cast<size_t>(std::count(bytes.begin(), bytes.end(), '\n')) + 1);
+  SHOAL_RETURN_IF_ERROR(util::ForEachTsvRow(
+      bytes, [&](size_t r, std::span<const std::string_view> row) {
+        if (row.size() != 3) {
+          return util::Status::InvalidArgument(util::StringPrintf(
+              "%s: expected 3 fields, got %zu", path.c_str(), row.size()));
+        }
+        data::ClickEvent click;
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField(path, r, row[0], &click.query));
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField(path, r, row[1], &click.entity));
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField(path, r, row[2], &click.timestamp_sec));
+        if (click.query >= num_queries) {
+          return util::Status::InvalidArgument(
+              util::StringPrintf("%s: unknown query id %u", path.c_str(),
+                                 click.query));
+        }
+        if (click.entity >= num_items) {
+          return util::Status::InvalidArgument(
+              util::StringPrintf("%s: unknown item id %u", path.c_str(),
+                                 click.entity));
+        }
+        clicks.push_back(click);
+        return util::Status::OK();
+      }));
   std::sort(clicks.begin(), clicks.end(),
             [](const data::ClickEvent& a, const data::ClickEvent& b) {
               if (a.timestamp_sec != b.timestamp_sec) {

@@ -5,14 +5,14 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "text/vocabulary.h"
 #include "util/result.h"
 
 namespace shoal::daemon {
 
 // The daemon's on-disk inbox. A spool directory holds the static
 // catalog (items.tsv + queries.tsv, the log_io exchange format minus
-// clicks.tsv) and one clicks file per arriving day:
+// clicks.tsv, read by data::ImportSearchCatalog) and one clicks file
+// per arriving day:
 //
 //   <spool>/items.tsv              item_id  category_id  title
 //   <spool>/queries.tsv            query_id  text
@@ -23,18 +23,6 @@ namespace shoal::daemon {
 // that order, one update cycle per file. A producer publishes a day by
 // writing the file under a temp name and renaming it into the spool —
 // the same atomic-appearance convention the serving index uses.
-
-// The static catalog: every entity/query id the window will ever
-// reference, with text tokenised into a vocabulary in file order
-// (items first, then queries — the same order the pipeline's word2vec
-// corpus uses).
-struct SpoolCatalog {
-  std::vector<data::ItemEntity> items;     // intent fields left kNoIntent
-  std::vector<data::SearchQuery> queries;  // intent fields left kNoIntent
-  text::Vocabulary vocab;
-};
-
-util::Result<SpoolCatalog> ImportSpoolCatalog(const std::string& dir);
 
 // One day's clicks, sorted by (timestamp, query, entity); ids are
 // validated against the catalog bounds.

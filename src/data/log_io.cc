@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "obs/trace.h"
 #include "text/tokenizer.h"
 #include "util/string_util.h"
 #include "util/tsv.h"
@@ -49,88 +50,107 @@ util::Status ExportSearchLog(const Dataset& dataset,
   return util::Status::OK();
 }
 
-util::Result<SearchLog> ImportSearchLog(const std::string& dir) {
-  SearchLog log;
+util::Result<SearchCatalog> ImportSearchCatalog(const std::string& dir) {
+  SearchCatalog catalog;
 
-  SHOAL_ASSIGN_OR_RETURN(auto item_rows,
-                         util::ReadTsv(PathOf(dir, "items.tsv")));
-  for (const auto& row : item_rows) {
-    if (row.size() != 3) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "items.tsv: expected 3 fields, got %zu", row.size()));
-    }
-    ItemEntity item;
-    const size_t r = log.items.size();
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("items.tsv", r, row[0], &item.id));
-    if (item.id != r) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "items.tsv: ids must be dense; got %u at row %zu", item.id, r));
-    }
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("items.tsv", r, row[1], &item.category));
-    item.title = row[2];
-    for (const std::string& token : text::Tokenize(item.title)) {
-      item.title_words.push_back(log.vocab.AddWord(token));
-    }
-    log.items.push_back(std::move(item));
-  }
-  if (log.items.empty()) {
+  SHOAL_RETURN_IF_ERROR(util::ReadTsvRows(
+      PathOf(dir, "items.tsv"),
+      [&](size_t r, std::span<const std::string_view> row) {
+        if (row.size() != 3) {
+          return util::Status::InvalidArgument(util::StringPrintf(
+              "items.tsv: expected 3 fields, got %zu", row.size()));
+        }
+        ItemEntity item;
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("items.tsv", r, row[0], &item.id));
+        if (item.id != r) {
+          return util::Status::InvalidArgument(util::StringPrintf(
+              "items.tsv: ids must be dense; got %u at row %zu", item.id,
+              r));
+        }
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("items.tsv", r, row[1], &item.category));
+        item.title = row[2];
+        for (const std::string& token : text::Tokenize(item.title)) {
+          item.title_words.push_back(catalog.vocab.AddWord(token));
+        }
+        catalog.items.push_back(std::move(item));
+        return util::Status::OK();
+      }));
+  if (catalog.items.empty()) {
     return util::Status::InvalidArgument("items.tsv has no items");
   }
 
-  SHOAL_ASSIGN_OR_RETURN(auto query_rows,
-                         util::ReadTsv(PathOf(dir, "queries.tsv")));
-  for (const auto& row : query_rows) {
-    if (row.size() != 2) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "queries.tsv: expected 2 fields, got %zu", row.size()));
-    }
-    SearchQuery query;
-    const size_t r = log.queries.size();
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("queries.tsv", r, row[0], &query.id));
-    if (query.id != r) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "queries.tsv: ids must be dense; got %u at row %zu", query.id, r));
-    }
-    query.text = row[1];
-    for (const std::string& token : text::Tokenize(query.text)) {
-      query.words.push_back(log.vocab.AddWord(token));
-    }
-    log.queries.push_back(std::move(query));
-  }
-  if (log.queries.empty()) {
+  SHOAL_RETURN_IF_ERROR(util::ReadTsvRows(
+      PathOf(dir, "queries.tsv"),
+      [&](size_t r, std::span<const std::string_view> row) {
+        if (row.size() != 2) {
+          return util::Status::InvalidArgument(util::StringPrintf(
+              "queries.tsv: expected 2 fields, got %zu", row.size()));
+        }
+        SearchQuery query;
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("queries.tsv", r, row[0], &query.id));
+        if (query.id != r) {
+          return util::Status::InvalidArgument(util::StringPrintf(
+              "queries.tsv: ids must be dense; got %u at row %zu", query.id,
+              r));
+        }
+        query.text = row[1];
+        for (const std::string& token : text::Tokenize(query.text)) {
+          query.words.push_back(catalog.vocab.AddWord(token));
+        }
+        catalog.queries.push_back(std::move(query));
+        return util::Status::OK();
+      }));
+  if (catalog.queries.empty()) {
     return util::Status::InvalidArgument("queries.tsv has no queries");
   }
+  return catalog;
+}
 
-  SHOAL_ASSIGN_OR_RETURN(auto click_rows,
-                         util::ReadTsv(PathOf(dir, "clicks.tsv")));
-  for (const auto& row : click_rows) {
-    if (row.size() != 3) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "clicks.tsv: expected 3 fields, got %zu", row.size()));
-    }
-    ClickEvent click;
-    const size_t r = log.clicks.size();
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("clicks.tsv", r, row[0], &click.query));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("clicks.tsv", r, row[1], &click.entity));
-    SHOAL_RETURN_IF_ERROR(
-        util::ParseTsvField("clicks.tsv", r, row[2], &click.timestamp_sec));
-    if (click.query >= log.queries.size()) {
-      return util::Status::InvalidArgument("clicks.tsv: unknown query id");
-    }
-    if (click.entity >= log.items.size()) {
-      return util::Status::InvalidArgument("clicks.tsv: unknown item id");
-    }
-    log.clicks.push_back(click);
-  }
+util::Result<SearchLog> ImportSearchLog(const std::string& dir) {
+  obs::ScopedSpan span("log_io.import");
+  SearchLog log;
+  SHOAL_ASSIGN_OR_RETURN(static_cast<SearchCatalog&>(log),
+                         ImportSearchCatalog(dir));
+
+  SHOAL_ASSIGN_OR_RETURN(const std::string bytes,
+                         util::ReadTextFile(PathOf(dir, "clicks.tsv")));
+  // One row per line at most: reserving that keeps the click vector from
+  // doubling past the log's size.
+  log.clicks.reserve(
+      static_cast<size_t>(std::count(bytes.begin(), bytes.end(), '\n')) + 1);
+  SHOAL_RETURN_IF_ERROR(util::ForEachTsvRow(
+      bytes, [&](size_t r, std::span<const std::string_view> row) {
+        if (row.size() != 3) {
+          return util::Status::InvalidArgument(util::StringPrintf(
+              "clicks.tsv: expected 3 fields, got %zu", row.size()));
+        }
+        ClickEvent click;
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("clicks.tsv", r, row[0], &click.query));
+        SHOAL_RETURN_IF_ERROR(
+            util::ParseTsvField("clicks.tsv", r, row[1], &click.entity));
+        SHOAL_RETURN_IF_ERROR(util::ParseTsvField("clicks.tsv", r, row[2],
+                                                  &click.timestamp_sec));
+        if (click.query >= log.queries.size()) {
+          return util::Status::InvalidArgument(
+              "clicks.tsv: unknown query id");
+        }
+        if (click.entity >= log.items.size()) {
+          return util::Status::InvalidArgument("clicks.tsv: unknown item id");
+        }
+        log.clicks.push_back(click);
+        return util::Status::OK();
+      }));
   std::sort(log.clicks.begin(), log.clicks.end(),
             [](const ClickEvent& a, const ClickEvent& b) {
               return a.timestamp_sec < b.timestamp_sec;
             });
+  span.AddArg("items", static_cast<double>(log.items.size()));
+  span.AddArg("queries", static_cast<double>(log.queries.size()));
+  span.AddArg("clicks", static_cast<double>(log.clicks.size()));
   return log;
 }
 

@@ -24,16 +24,26 @@ namespace shoal::data {
 // the exchange format. Useful for demos and round-trip testing.
 util::Status ExportSearchLog(const Dataset& dataset, const std::string& dir);
 
-// A raw log loaded from the exchange format, plus the vocabulary built
-// from its text (needed by the pipeline).
-struct SearchLog {
+// The catalog half of the exchange format (items.tsv + queries.tsv),
+// with text tokenised into one vocabulary in file order: items first,
+// then queries, the order the pipeline's word2vec corpus uses.
+struct SearchCatalog {
   std::vector<ItemEntity> items;     // intent fields left kNoIntent
   std::vector<SearchQuery> queries;  // intent fields left kNoIntent
-  std::vector<ClickEvent> clicks;    // sorted by timestamp
   text::Vocabulary vocab;
 };
 
-// Loads and validates the exchange format.
+// A raw log loaded from the exchange format: the catalog plus its
+// clicks. The vocabulary is the one the pipeline needs.
+struct SearchLog : SearchCatalog {
+  std::vector<ClickEvent> clicks;  // sorted by timestamp
+};
+
+// Loads and validates items.tsv and queries.tsv.
+util::Result<SearchCatalog> ImportSearchCatalog(const std::string& dir);
+
+// Loads and validates the exchange format, under a "log_io.import" trace
+// span with the item, query and click counts as args.
 util::Result<SearchLog> ImportSearchLog(const std::string& dir);
 
 // Builds a pipeline-ready input bundle from a raw log: tokenises

@@ -1,26 +1,16 @@
 #include "util/tsv.h"
 
-#include <fstream>
-#include <sstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 
 #include "util/atomic_file.h"
 #include "util/string_util.h"
 
 namespace shoal::util {
-
-Result<std::vector<std::vector<std::string>>> ReadTsv(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    rows.push_back(Split(line, '\t'));
-  }
-  return rows;
-}
 
 namespace {
 
@@ -71,11 +61,36 @@ Status WriteTextFile(const std::string& path, const std::string& contents) {
 }
 
 Result<std::string> ReadTextFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open for reading: " + path);
+  struct stat st;
+  std::string bytes;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    bytes.resize(static_cast<size_t>(st.st_size));
+  }
+  size_t filled = 0;
+  while (true) {
+    // A full buffer is probed through a small stack chunk, so a file
+    // that did not grow since fstat costs no reallocation.
+    char probe[4096];
+    const bool full = filled == bytes.size();
+    const ssize_t n =
+        full ? ::read(fd, probe, sizeof(probe))
+             : ::read(fd, bytes.data() + filled, bytes.size() - filled);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const int err = errno;
+      ::close(fd);
+      return Status::IoError("cannot read " + path + ": " +
+                             std::strerror(err));
+    }
+    if (n == 0) break;
+    if (full) bytes.append(probe, static_cast<size_t>(n));
+    filled += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(filled);
+  return bytes;
 }
 
 }  // namespace shoal::util

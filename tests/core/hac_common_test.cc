@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/thread_pool.h"
 
 namespace shoal::core {
 namespace {
@@ -281,24 +280,6 @@ TEST(ClusterGraphTest, MergeBatchMatchesSerialMerges) {
       EXPECT_EQ(batched.Neighbors(c), serial.Neighbors(c))
           << "row " << c << " rule " << LinkageRuleName(rule);
     }
-  }
-}
-
-TEST(ClusterGraphTest, MergeBatchWithPoolMatchesSerial) {
-  util::ThreadPool pool(4);
-  auto g = TwoPairGraph();
-  ClusterGraph serial(g);
-  ASSERT_TRUE(serial.Merge(0, 1, 6, LinkageRule::kSqrtNormalized).ok());
-  ASSERT_TRUE(serial.Merge(3, 4, 7, LinkageRule::kSqrtNormalized).ok());
-  ClusterGraph batched(g);
-  ASSERT_TRUE(
-      batched
-          .MergeBatch({{0, 1}, {3, 4}}, 6, LinkageRule::kSqrtNormalized,
-                      &pool)
-          .ok());
-  for (uint32_t c = 0; c < serial.num_nodes(); ++c) {
-    if (!serial.IsActive(c)) continue;
-    EXPECT_EQ(batched.Neighbors(c), serial.Neighbors(c)) << c;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testutil/tsv_reference.h"
 #include "util/tsv.h"
 
 namespace shoal::core {
@@ -100,7 +101,7 @@ TEST_F(TaxonomyIoTest, MissingDirectoryFails) {
 TEST_F(TaxonomyIoTest, CorruptParentRejected) {
   ASSERT_TRUE(SaveTaxonomy(MakeTaxonomy(), MakeCorrelations(), dir_).ok());
   // Rewrite topics.tsv with a parent pointing at a nonexistent topic.
-  auto rows = util::ReadTsv(dir_ + "/topics.tsv").value();
+  auto rows = testutil::ReferenceReadTsv(dir_ + "/topics.tsv").value();
   rows[1][1] = "999";
   ASSERT_TRUE(util::WriteTsv(dir_ + "/topics.tsv", rows).ok());
   EXPECT_FALSE(LoadTaxonomy(dir_).ok());
@@ -124,7 +125,7 @@ TEST_F(TaxonomyIoTest, MalformedFieldsRejected) {
     std::filesystem::remove_all(dir_);
     ASSERT_TRUE(SaveTaxonomy(MakeTaxonomy(), MakeCorrelations(), dir_).ok());
     const std::string path = dir_ + "/" + c.file;
-    auto rows = util::ReadTsv(path).value();
+    auto rows = testutil::ReferenceReadTsv(path).value();
     rows[c.row][c.field] = c.text;
     ASSERT_TRUE(util::WriteTsv(path, rows).ok());
     auto loaded = LoadTaxonomy(dir_);

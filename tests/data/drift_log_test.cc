@@ -13,6 +13,7 @@
 
 #include "daemon/spool.h"
 #include "data/drift_log.h"
+#include "data/log_io.h"
 #include "util/tsv.h"
 
 namespace shoal::data {
@@ -177,7 +178,7 @@ TEST(DriftLogTest, SpoolExportRoundTrips) {
   ASSERT_TRUE(ExportDriftDay(*log, 0, dir).ok());
   EXPECT_EQ(DriftDayFileName(0), "day-0000.clicks.tsv");
 
-  auto catalog = daemon::ImportSpoolCatalog(dir);
+  auto catalog = ImportSearchCatalog(dir);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
   ASSERT_EQ(catalog->items.size(), log->catalog.entities.size());
   ASSERT_EQ(catalog->queries.size(), log->catalog.queries.size());
