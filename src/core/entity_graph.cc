@@ -87,7 +87,8 @@ std::vector<uint32_t> CappedQueryItems(
 }
 
 util::Result<graph::WeightedGraph> ApplyDegreeCap(
-    std::vector<ScoredEdge> edges, size_t num_entities, size_t max_degree) {
+    const std::vector<ScoredEdge>& edges, size_t num_entities,
+    size_t max_degree) {
   if (edges.size() > std::numeric_limits<uint32_t>::max()) {
     return util::Status::InvalidArgument("too many edges for the degree cap");
   }
@@ -335,8 +336,7 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
   // for equal similarities.
   stage_timer.Restart();
   SHOAL_TRACE_SPAN("entity_graph.degree_cap");
-  auto capped_graph =
-      ApplyDegreeCap(std::move(edges), num_entities, options.max_degree);
+  auto capped_graph = ApplyDegreeCap(edges, num_entities, options.max_degree);
   if (!capped_graph.ok()) return capped_graph.status();
   graph::WeightedGraph entity_graph = std::move(capped_graph).value();
   local_stats.kept_edges = entity_graph.num_edges();

@@ -93,7 +93,8 @@ std::vector<uint32_t> CappedQueryItems(
 // reversed or out-of-range ids, repeats and out-of-order edges are
 // rejected with an error Status.
 util::Result<graph::WeightedGraph> ApplyDegreeCap(
-    std::vector<ScoredEdge> edges, size_t num_entities, size_t max_degree);
+    const std::vector<ScoredEdge>& edges, size_t num_entities,
+    size_t max_degree);
 
 // `title_words[i]` are the title token ids of entity i; `word_vectors`
 // is the trained word2vec table indexed by those ids. The bipartite

@@ -272,6 +272,8 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   }
   if (next == nullptr) return std::optional<CycleReport>();
 
+  // Each phase is a child span of daemon.cycle, so a trace splits the
+  // cycle the way the report does (graph = delta + materialize).
   obs::ScopedSpan cycle_span("daemon.cycle");
   util::Stopwatch total_watch;
   util::Stopwatch watch;
@@ -279,6 +281,7 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   report.day_file = *next;
 
   // ---- ingest: read + aggregate the incoming day ----------------------
+  obs::ScopedSpan ingest_span("daemon.ingest");
   // Count the day by sorting its (query, entity) keys: runs of equal
   // keys are the pairs, already in the window's (query, entity) order.
   std::vector<uint64_t> keys;
@@ -337,16 +340,22 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
                              value});
   }
   report.ingest_seconds = watch.ElapsedSeconds();
+  ingest_span.End();
 
   // ---- graph: apply the delta to the standing store --------------------
   watch.Restart();
+  obs::ScopedSpan delta_span("daemon.delta");
   SHOAL_RETURN_IF_ERROR(graph_->ApplyDelta(delta, &report.delta));
+  delta_span.End();
+  obs::ScopedSpan materialize_span("daemon.materialize");
   SHOAL_ASSIGN_OR_RETURN(graph::WeightedGraph new_graph,
                          graph_->Materialize());
+  materialize_span.End();
   report.graph_seconds = watch.ElapsedSeconds();
 
   // ---- cluster: splice the standing dendrogram -------------------------
   watch.Restart();
+  obs::ScopedSpan splice_span("daemon.splice");
   core::Dendrogram dendrogram;
   std::vector<uint32_t> old_to_new_node;
   const size_t num_entities = graph_->num_entities();
@@ -371,9 +380,11 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
                                 static_cast<double>(num_entities);
   }
   report.cluster_seconds = watch.ElapsedSeconds();
+  splice_span.End();
 
   // ---- describe: re-score touched topics, carry the rest ---------------
   watch.Restart();
+  obs::ScopedSpan describe_span("daemon.describe");
   core::Taxonomy taxonomy = core::Taxonomy::Build(
       dendrogram, entity_categories_, options_.taxonomy);
   report.num_topics = taxonomy.num_topics();
@@ -424,9 +435,11 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
         taxonomy_.topic(old_topic).description;
   }
   report.describe_seconds = watch.ElapsedSeconds();
+  describe_span.End();
 
   // ---- publish: compile + atomic write, hot-reloadable -----------------
   watch.Restart();
+  obs::ScopedSpan publish_span("daemon.publish");
   const uint64_t version = published_version_ == 0
                                ? options_.first_version
                                : published_version_ + 1;
@@ -440,6 +453,7 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   SHOAL_RETURN_IF_ERROR(
       serve::WriteServingIndexFile(options_.index_path, index_data.value()));
   report.publish_seconds = watch.ElapsedSeconds();
+  publish_span.End();
   report.published_version = version;
 
   // ---- commit the standing state ---------------------------------------
@@ -455,9 +469,11 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   has_model_ = true;
 
   watch.Restart();
+  obs::ScopedSpan snapshot_span("daemon.snapshot");
   if (!options_.snapshot_path.empty()) {
     SHOAL_RETURN_IF_ERROR(SaveSnapshot());
   }
+  snapshot_span.End();
   report.snapshot_seconds = watch.ElapsedSeconds();
   report.total_seconds = total_watch.ElapsedSeconds();
 

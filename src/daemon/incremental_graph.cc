@@ -29,6 +29,8 @@ bool SortedContains(const std::vector<uint32_t>& v, uint32_t x) {
   return std::binary_search(v.begin(), v.end(), x);
 }
 
+using Link = graph::BipartiteGraph::Link;
+
 }  // namespace
 
 util::Result<IncrementalEntityGraph> IncrementalEntityGraph::Create(
@@ -39,7 +41,7 @@ util::Result<IncrementalEntityGraph> IncrementalEntityGraph::Create(
   SHOAL_RETURN_IF_ERROR(core::ValidateEntityGraphOptions(options.entity_graph));
   IncrementalEntityGraph graph;
   graph.options_ = options;
-  graph.query_counts_.resize(num_queries);
+  graph.query_links_.resize(num_queries);
   graph.queries_of_.resize(title_words.size());
   graph.profiles_ =
       core::BuildContentProfiles(word_vectors, title_words, nullptr);
@@ -47,21 +49,11 @@ util::Result<IncrementalEntityGraph> IncrementalEntityGraph::Create(
 }
 
 std::vector<uint32_t> IncrementalEntityGraph::CappedSetOf(uint32_t q) const {
-  const auto& counts = query_counts_[q];
-  std::vector<graph::BipartiteGraph::Link> links;
-  links.reserve(counts.size());
-  for (const auto& [entity, count] : counts) {
-    links.push_back({entity, count});
-  }
-  // CappedQueryItems selects a set independent of link order, but give
-  // it the canonical ascending order anyway so the under-cap fast path
-  // returns sorted ids directly.
-  std::sort(links.begin(), links.end(),
-            [](const graph::BipartiteGraph::Link& a,
-               const graph::BipartiteGraph::Link& b) { return a.id < b.id; });
+  // The links are ascending by entity, so the under-cap path returns
+  // sorted ids directly; only a capped selection needs sorting.
   bool capped = false;
   std::vector<uint32_t> items = core::CappedQueryItems(
-      links, options_.entity_graph.max_items_per_query, &capped);
+      query_links_[q], options_.entity_graph.max_items_per_query, &capped);
   if (capped) std::sort(items.begin(), items.end());
   return items;
 }
@@ -111,9 +103,9 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
   // ---- pass 1: dirty queries and their pre-delta capped sets ----------
   std::vector<uint32_t> dirty_queries;
   {
-    std::vector<char> seen(query_counts_.size(), 0);
+    std::vector<char> seen(query_links_.size(), 0);
     for (const ClickDelta::Entry& entry : delta.entries) {
-      if (entry.query >= query_counts_.size() ||
+      if (entry.query >= query_links_.size() ||
           entry.entity >= queries_of_.size()) {
         return util::Status::InvalidArgument(util::StringPrintf(
             "delta entry (%u, %u) out of range", entry.query, entry.entity));
@@ -128,9 +120,10 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
   std::sort(dirty_queries.begin(), dirty_queries.end());
   local.dirty_queries = dirty_queries.size();
 
-  std::unordered_map<uint32_t, std::vector<uint32_t>> old_capped;
+  // old_capped[i] is the pre-delta capped set of dirty_queries[i].
+  std::vector<std::vector<uint32_t>> old_capped;
   old_capped.reserve(dirty_queries.size());
-  for (uint32_t q : dirty_queries) old_capped.emplace(q, CappedSetOf(q));
+  for (uint32_t q : dirty_queries) old_capped.push_back(CappedSetOf(q));
 
   // ---- pass 2: apply the count changes ---------------------------------
   std::vector<uint32_t> dirty_entities;  // membership changed
@@ -138,9 +131,12 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
     std::vector<char> entity_seen(queries_of_.size(), 0);
     for (const ClickDelta::Entry& entry : delta.entries) {
       if (entry.delta == 0) continue;
-      auto& counts = query_counts_[entry.query];
-      auto it = counts.find(entry.entity);
-      const int64_t old_count = it == counts.end() ? 0 : it->second;
+      std::vector<Link>& links = query_links_[entry.query];
+      const auto it = std::lower_bound(
+          links.begin(), links.end(), entry.entity,
+          [](const Link& link, uint32_t e) { return link.id < e; });
+      const bool present = it != links.end() && it->id == entry.entity;
+      const int64_t old_count = present ? it->count : 0;
       const int64_t new_count = old_count + entry.delta;
       if (new_count < 0) {
         return util::Status::InvalidArgument(util::StringPrintf(
@@ -148,11 +144,11 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
             entry.entity, static_cast<long long>(new_count)));
       }
       if (new_count == 0) {
-        if (it != counts.end()) counts.erase(it);
-      } else if (it == counts.end()) {
-        counts.emplace(entry.entity, static_cast<uint32_t>(new_count));
+        if (present) links.erase(it);
+      } else if (!present) {
+        links.insert(it, {entry.entity, static_cast<uint32_t>(new_count)});
       } else {
-        it->second = static_cast<uint32_t>(new_count);
+        it->count = static_cast<uint32_t>(new_count);
       }
       // Membership transitions drive the Eq. 1 query sets.
       if (old_count == 0 && new_count > 0) {
@@ -175,8 +171,8 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
   local.dirty_entities = dirty_entities.size();
 
   // ---- pass 3: post-delta capped sets for every query we may touch -----
-  std::vector<std::vector<uint32_t>> capped_cache(query_counts_.size());
-  std::vector<char> capped_valid(query_counts_.size(), 0);
+  std::vector<std::vector<uint32_t>> capped_cache(query_links_.size());
+  std::vector<char> capped_valid(query_links_.size(), 0);
   {
     std::vector<uint32_t> needed = dirty_queries;
     // Witness checks walk the common queries of pair endpoints; every
@@ -188,8 +184,8 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
                     queries_of_[e].end());
     };
     for (uint32_t e : dirty_entities) need_entity(e);
-    for (uint32_t q : dirty_queries) {
-      for (uint32_t e : old_capped[q]) need_entity(e);
+    for (const std::vector<uint32_t>& before : old_capped) {
+      for (uint32_t e : before) need_entity(e);
       // New capped members are part of the post-delta set, computed
       // below once the cache knows it is needed.
     }
@@ -229,9 +225,9 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
 
   // (a) dirty-query diff: pairs with an endpoint in the symmetric
   // difference of the query's old/new capped sets.
-  for (uint32_t q : dirty_queries) {
-    const std::vector<uint32_t>& before = old_capped[q];
-    const std::vector<uint32_t>& after = capped_cache[q];
+  for (size_t i = 0; i < dirty_queries.size(); ++i) {
+    const std::vector<uint32_t>& before = old_capped[i];
+    const std::vector<uint32_t>& after = capped_cache[dirty_queries[i]];
     std::vector<uint32_t> sym_diff;
     std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
                                   after.end(), std::back_inserter(sym_diff));
@@ -256,10 +252,10 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
       }
     }
     // (c) standing edges incident to dirty entities.
-    for (const auto& [key, score] : store_) {
-      const uint32_t u = static_cast<uint32_t>(key >> 32);
-      const uint32_t v = static_cast<uint32_t>(key);
-      if (is_dirty[u] || is_dirty[v]) pairs.push_back(key);
+    for (const core::ScoredEdge& edge : store_) {
+      if (is_dirty[edge.u] || is_dirty[edge.v]) {
+        pairs.push_back(PairKey(edge.u, edge.v));
+      }
     }
   }
 
@@ -292,55 +288,70 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
     for (size_t i = 0; i < pairs.size(); ++i) judge(i);
   }
 
+  // Fold the verdicts into the store in place: a second store-sized
+  // buffer raised the daemon's peak RSS. `pairs` ascends and PairKey
+  // orders as (u, v) does, so one forward pass rewrites or drops each
+  // rescored standing edge, slides the runs between them down over the
+  // dropped ones, and sets new edges aside in (u, v) order; those are
+  // then appended and merged in. The store stays strictly ascending and
+  // is never sorted.
+  const auto key_less = [](const core::ScoredEdge& edge, uint64_t key) {
+    return PairKey(edge.u, edge.v) < key;
+  };
+  std::vector<core::ScoredEdge> added;
+  auto read = store_.begin();
+  auto write = store_.begin();
+  // Moves the standing run [read, end) down to `write`; runs before the
+  // first dropped edge are already in place.
+  const auto slide = [&](std::vector<core::ScoredEdge>::iterator end) {
+    write = write == read ? end : std::move(read, end, write);
+    read = end;
+  };
   for (size_t i = 0; i < pairs.size(); ++i) {
-    auto it = store_.find(pairs[i]);
-    if (verdicts[i].keep) {
-      if (it == store_.end()) {
-        store_.emplace(pairs[i], verdicts[i].score);
-        ++local.edges_added;
-      } else if (it->second != verdicts[i].score) {
-        it->second = verdicts[i].score;
-        ++local.edges_updated;
-      }
-    } else if (it != store_.end()) {
-      store_.erase(it);
-      ++local.edges_removed;
+    slide(std::lower_bound(read, store_.end(), pairs[i], key_less));
+    const bool present =
+        read != store_.end() && PairKey(read->u, read->v) == pairs[i];
+    const double old_score = present ? read->s : 0.0;
+    if (present) ++read;
+    if (!verdicts[i].keep) {
+      local.edges_removed += present;
+      continue;
+    }
+    const core::ScoredEdge edge{static_cast<uint32_t>(pairs[i] >> 32),
+                                static_cast<uint32_t>(pairs[i]),
+                                verdicts[i].score};
+    if (present) {
+      local.edges_updated += old_score != edge.s;
+      *write++ = edge;
+    } else {
+      added.push_back(edge);
     }
   }
+  slide(store_.end());
+  store_.erase(write, store_.end());
+  local.edges_added = added.size();
+  const size_t standing = store_.size();
+  store_.insert(store_.end(), added.begin(), added.end());
+  std::inplace_merge(store_.begin(), store_.begin() + standing, store_.end(),
+                     [](const core::ScoredEdge& a, const core::ScoredEdge& b) {
+                       return PairKey(a.u, a.v) < PairKey(b.u, b.v);
+                     });
 
   if (stats != nullptr) *stats = local;
   return util::Status::OK();
 }
 
-std::vector<core::ScoredEdge> IncrementalEntityGraph::StoreEdges() const {
-  std::vector<core::ScoredEdge> edges;
-  edges.reserve(store_.size());
-  for (const auto& [key, score] : store_) {
-    edges.push_back({static_cast<uint32_t>(key >> 32),
-                     static_cast<uint32_t>(key), score});
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const core::ScoredEdge& a, const core::ScoredEdge& b) {
-              if (a.u != b.u) return a.u < b.u;
-              return a.v < b.v;
-            });
-  return edges;
-}
-
 util::Result<graph::WeightedGraph> IncrementalEntityGraph::Materialize()
     const {
-  return core::ApplyDegreeCap(StoreEdges(), queries_of_.size(),
+  return core::ApplyDegreeCap(store_, queries_of_.size(),
                               options_.entity_graph.max_degree);
 }
 
 graph::BipartiteGraph IncrementalEntityGraph::WindowGraph() const {
-  graph::BipartiteGraph graph(query_counts_.size(), queries_of_.size());
-  std::vector<std::pair<uint32_t, uint32_t>> links;
-  for (uint32_t q = 0; q < query_counts_.size(); ++q) {
-    links.assign(query_counts_[q].begin(), query_counts_[q].end());
-    std::sort(links.begin(), links.end());
-    for (const auto& [entity, count] : links) {
-      auto status = graph.AddInteraction(q, entity, count);
+  graph::BipartiteGraph graph(query_links_.size(), queries_of_.size());
+  for (uint32_t q = 0; q < query_links_.size(); ++q) {
+    for (const Link& link : query_links_[q]) {
+      auto status = graph.AddInteraction(q, link.id, link.count);
       (void)status;  // ids validated on ingest
     }
   }

@@ -2,7 +2,6 @@
 #define SHOAL_DAEMON_INCREMENTAL_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/entity_graph.h"
@@ -59,6 +58,12 @@ struct DeltaStats {
 // returns a WeightedGraph byte-identical to a full rebuild of the same
 // window, at any thread count.
 //
+// State is kept in sorted flat arrays, not hash maps: each query's
+// window counts are (entity, count) links ascending by entity, each
+// entity's query set is an ascending id list, and the store is one
+// ScoredEdge vector strictly ascending by (u, v) — the order
+// ApplyDegreeCap takes, so Materialize() hands it over as is.
+//
 // A pair is a *candidate* when at least one query holds both entities
 // in its capped link set (CappedQueryItems — a pure function of the
 // (entity, count) multiset). ApplyDelta rescans exactly the pairs whose
@@ -76,8 +81,9 @@ struct DeltaStats {
 //     have fallen still need re-checking against the threshold).
 //
 // Pairs outside this set have unchanged candidacy and unchanged scores,
-// which is the whole point: per-cycle work scales with the delta, not
-// the window.
+// which is the whole point: the scoring work scales with the delta, not
+// the window. The rescored pairs come out ascending, so their verdicts
+// fold into the store in linear passes; nothing re-sorts it.
 class IncrementalEntityGraph {
  public:
   // `title_words` / `word_vectors` describe the static catalog; content
@@ -108,13 +114,14 @@ class IncrementalEntityGraph {
     return queries_of_[e];
   }
 
-  size_t num_queries() const { return query_counts_.size(); }
+  size_t num_queries() const { return query_links_.size(); }
   size_t num_entities() const { return queries_of_.size(); }
   size_t store_size() const { return store_.size(); }
 
-  // The standing scored edges, sorted by (u, v). Exposed for snapshot
-  // verification and tests; Materialize() is the serving-path view.
-  std::vector<core::ScoredEdge> StoreEdges() const;
+  // The standing scored edges, strictly ascending by (u, v). Exposed for
+  // snapshot verification and tests; Materialize() is the serving-path
+  // view.
+  const std::vector<core::ScoredEdge>& StoreEdges() const { return store_; }
 
  private:
   IncrementalEntityGraph() = default;
@@ -137,14 +144,14 @@ class IncrementalEntityGraph {
   IncrementalGraphOptions options_;
   std::vector<core::ContentProfile> profiles_;
 
-  // Window state: per-query (entity -> count), and per-entity sorted
-  // query sets (the Eq. 1 inputs).
-  std::vector<std::unordered_map<uint32_t, uint32_t>> query_counts_;
+  // Window state: per-query (entity, count) links ascending by entity,
+  // and per-entity sorted query sets (the Eq. 1 inputs).
+  std::vector<std::vector<graph::BipartiteGraph::Link>> query_links_;
   std::vector<std::vector<uint32_t>> queries_of_;
 
-  // The standing scored edge store: packed (u<<32|v), u < v -> Eq. 3
-  // score.
-  std::unordered_map<uint64_t, double> store_;
+  // The standing scored edge store (u < v, Eq. 3 score), strictly
+  // ascending by (u, v).
+  std::vector<core::ScoredEdge> store_;
 };
 
 }  // namespace shoal::daemon

@@ -46,14 +46,6 @@ util::Result<std::vector<data::ClickEvent>> ReadDayClicks(
         clicks.push_back(click);
         return util::Status::OK();
       }));
-  std::sort(clicks.begin(), clicks.end(),
-            [](const data::ClickEvent& a, const data::ClickEvent& b) {
-              if (a.timestamp_sec != b.timestamp_sec) {
-                return a.timestamp_sec < b.timestamp_sec;
-              }
-              if (a.query != b.query) return a.query < b.query;
-              return a.entity < b.entity;
-            });
   return clicks;
 }
 

@@ -24,7 +24,8 @@ namespace shoal::daemon {
 // writing the file under a temp name and renaming it into the spool —
 // the same atomic-appearance convention the serving index uses.
 
-// One day's clicks, sorted by (timestamp, query, entity); ids are
+// One day's clicks in file order (the daemon counts a day by sorting
+// its (query, entity) keys, so no order is imposed here); ids are
 // validated against the catalog bounds.
 util::Result<std::vector<data::ClickEvent>> ReadDayClicks(
     const std::string& path, size_t num_queries, size_t num_items);

@@ -1,8 +1,9 @@
 // End-to-end TaxonomyDaemon cycles over a planted drift workload: the
 // maintained entity graph must match a from-scratch build of every
 // window, published indexes must be byte-identical at any thread count,
-// and a daemon restored from its snapshot must continue exactly where
-// the original process would have.
+// a daemon restored from its snapshot must continue exactly where the
+// original process would have, and a traced cycle splits into one span
+// per phase.
 
 #include <filesystem>
 #include <string>
@@ -13,6 +14,7 @@
 #include "core/entity_graph.h"
 #include "daemon/daemon.h"
 #include "data/drift_log.h"
+#include "obs/trace.h"
 #include "util/tsv.h"
 
 namespace shoal::daemon {
@@ -243,6 +245,64 @@ TEST_F(DaemonCycleTest, DriftKeepsMostTopicsCarried) {
     EXPECT_GT((*report)->carried_topics, 0u);
     EXPECT_GT((*report)->delta.delta_entries, 0u);
   }
+}
+
+// A traced cycle opens one child span per phase, each one level under
+// daemon.cycle and inside its interval, so the phases never add up to
+// more than the cycle.
+TEST_F(DaemonCycleTest, TracedCycleHasOneSpanPerPhase) {
+  auto log = MakeLog(/*num_days=*/2);
+  const std::string spool = MakeSpool(log, 2, "spool");
+  auto created = TaxonomyDaemon::Create(MakeOptions(spool, "a"));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto& daemon = *created.value();
+  auto first = daemon.RunOnce();
+  ASSERT_TRUE(first.ok() && first->has_value());
+
+  // The tracer is process-wide: leave it off and empty whatever happens.
+  struct TracerReset {
+    ~TracerReset() {
+      obs::Tracer::Global().Disable();
+      obs::Tracer::Global().Clear();
+    }
+  } reset;
+  obs::Tracer::Global().Clear();
+  obs::Tracer::Global().Enable();
+  auto report = daemon.RunOnce();
+  obs::Tracer::Global().Disable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->has_value());
+  EXPECT_FALSE((*report)->full_rebuild);
+  const std::vector<obs::TraceEvent> events =
+      obs::Tracer::Global().CollectEvents();
+
+  const obs::TraceEvent* cycle = nullptr;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name != "daemon.cycle") continue;
+    ASSERT_EQ(cycle, nullptr) << "more than one daemon.cycle span";
+    cycle = &e;
+  }
+  ASSERT_NE(cycle, nullptr);
+  uint64_t phase_us = 0;
+  for (const char* phase : {"daemon.ingest", "daemon.delta",
+                            "daemon.materialize", "daemon.splice",
+                            "daemon.describe", "daemon.publish",
+                            "daemon.snapshot"}) {
+    size_t seen = 0;
+    for (const obs::TraceEvent& e : events) {
+      if (e.name != phase) continue;
+      ++seen;
+      EXPECT_EQ(e.thread_id, cycle->thread_id) << phase;
+      EXPECT_EQ(e.depth, cycle->depth + 1) << phase;
+      EXPECT_GE(e.start_us, cycle->start_us) << phase;
+      EXPECT_LE(e.start_us + e.duration_us,
+                cycle->start_us + cycle->duration_us)
+          << phase;
+      phase_us += e.duration_us;
+    }
+    EXPECT_EQ(seen, 1u) << phase;
+  }
+  EXPECT_LE(phase_us, cycle->duration_us);
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 // window deltas, the standing store must be byte-identical to what
 // BuildEntityGraph computes from scratch over the same window — the
 // invariant everything else in src/daemon leans on. Also covers thread
-// invariance, option validation shared with the builder, and the
-// negative-count guard.
+// invariance, delta entry order, the store's (u, v) order, option
+// validation shared with the builder, and the negative-count guard.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -131,6 +133,17 @@ void ExpectSameGraph(const graph::WeightedGraph& expected,
   }
 }
 
+void ExpectSameStore(const std::vector<core::ScoredEdge>& expected,
+                     const std::vector<core::ScoredEdge>& actual,
+                     const std::string& context) {
+  ASSERT_EQ(expected.size(), actual.size()) << context;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].u, actual[i].u) << context << " edge " << i;
+    EXPECT_EQ(expected[i].v, actual[i].v) << context << " edge " << i;
+    EXPECT_EQ(expected[i].s, actual[i].s) << context << " edge " << i;
+  }
+}
+
 IncrementalGraphOptions TestOptions() {
   IncrementalGraphOptions options;
   options.entity_graph.similarity_threshold = 0.2;
@@ -198,12 +211,107 @@ TEST(IncrementalGraphTest, IdenticalAtEveryThreadCount) {
   for (size_t i = 1; i < graphs.size(); ++i) {
     ExpectSameGraph(graphs[0], graphs[i], "thread variant " +
                                               std::to_string(i));
-    ASSERT_EQ(stores[0].size(), stores[i].size());
-    for (size_t j = 0; j < stores[0].size(); ++j) {
-      EXPECT_EQ(stores[0][j].u, stores[i][j].u);
-      EXPECT_EQ(stores[0][j].v, stores[i][j].v);
-      EXPECT_EQ(stores[0][j].s, stores[i][j].s);
+    ExpectSameStore(stores[0], stores[i],
+                    "thread variant " + std::to_string(i));
+  }
+}
+
+// ApplyDelta takes its entries in any order: a delta whose entries are
+// shuffled leaves the same store as the (query, entity)-sorted one the
+// daemon produces, after every step.
+TEST(IncrementalGraphTest, ShuffledDeltaEntriesGiveTheSameStore) {
+  auto w = MakeWorkload(/*num_queries=*/37, /*num_entities=*/61,
+                        /*vocab=*/17, /*num_days=*/7, /*seed=*/11);
+  const size_t window = 3;
+  auto make = [&] {
+    auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
+                                                  w.vectors, TestOptions());
+    EXPECT_TRUE(created.ok());
+    return std::move(created).value();
+  };
+  IncrementalEntityGraph sorted = make();
+  IncrementalEntityGraph shuffled = make();
+  std::mt19937_64 rng(2024);
+  for (size_t d = 0; d < w.days.size(); ++d) {
+    const DayCounts* retiring = d >= window ? &w.days[d - window] : nullptr;
+    const ClickDelta delta = MakeDelta(&w.days[d], retiring);
+    ClickDelta scrambled = delta;
+    std::shuffle(scrambled.entries.begin(), scrambled.entries.end(), rng);
+    ASSERT_TRUE(sorted.ApplyDelta(delta, nullptr).ok());
+    ASSERT_TRUE(shuffled.ApplyDelta(scrambled, nullptr).ok());
+    ExpectSameStore(sorted.StoreEdges(), shuffled.StoreEdges(),
+                    "step " + std::to_string(d));
+  }
+  EXPECT_GT(sorted.store_size(), 0u);
+}
+
+// The store is the degree cap's input as is, so it must stay strictly
+// ascending by (u, v), with u < v, through additions and removals.
+TEST(IncrementalGraphTest, StoreStaysStrictlyAscendingAfterEveryDelta) {
+  auto w = MakeWorkload(/*num_queries=*/41, /*num_entities=*/67,
+                        /*vocab=*/19, /*num_days=*/8, /*seed=*/29);
+  const size_t window = 2;
+  auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
+                                                w.vectors, TestOptions());
+  ASSERT_TRUE(created.ok());
+  IncrementalEntityGraph graph = std::move(created).value();
+  size_t removed = 0;
+  for (size_t d = 0; d < w.days.size(); ++d) {
+    const DayCounts* retiring = d >= window ? &w.days[d - window] : nullptr;
+    DeltaStats stats;
+    ASSERT_TRUE(graph.ApplyDelta(MakeDelta(&w.days[d], retiring), &stats).ok());
+    removed += stats.edges_removed;
+    const std::vector<core::ScoredEdge>& store = graph.StoreEdges();
+    ASSERT_EQ(store.size(), graph.store_size());
+    for (size_t i = 0; i < store.size(); ++i) {
+      ASSERT_LT(store[i].u, store[i].v) << "step " << d << " edge " << i;
+      if (i == 0) continue;
+      ASSERT_TRUE(store[i - 1].u < store[i].u ||
+                  (store[i - 1].u == store[i].u && store[i - 1].v < store[i].v))
+          << "step " << d << " edges " << i - 1 << ", " << i;
     }
+  }
+  // Retiring days removed edges, so the merge's drop path ran too.
+  EXPECT_GT(removed, 0u);
+}
+
+// A query that loses its last link leaves an empty link list behind;
+// when it regains links a step later, the maintained graph still equals
+// a from-scratch build of each window.
+TEST(IncrementalGraphTest, QueryRegainingItsLastLinkMatchesFromScratch) {
+  auto w = MakeWorkload(/*num_queries=*/23, /*num_entities=*/31,
+                        /*vocab=*/11, /*num_days=*/5, /*seed=*/17);
+  const size_t window = 2;
+  // Query 0 links entities 1-4 on days 0, 3 and 4 only: window {1, 2}
+  // (step 2) holds none of its links, window {2, 3} (step 3) all four.
+  const uint32_t q = 0;
+  for (DayCounts& day : w.days) {
+    std::erase_if(day,
+                  [&](const auto& entry) { return entry.first.first == q; });
+  }
+  for (size_t d : {0u, 3u, 4u}) {
+    for (uint32_t e = 1; e <= 4; ++e) w.days[d][{q, e}] = 5;
+  }
+  IncrementalGraphOptions options = TestOptions();
+  auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
+                                                w.vectors, options);
+  ASSERT_TRUE(created.ok());
+  IncrementalEntityGraph graph = std::move(created).value();
+  for (size_t d = 0; d < w.days.size(); ++d) {
+    const DayCounts* retiring = d >= window ? &w.days[d - window] : nullptr;
+    ASSERT_TRUE(
+        graph.ApplyDelta(MakeDelta(&w.days[d], retiring), nullptr).ok());
+    EXPECT_EQ(graph.WindowGraph().LeftNeighbors(q).size(), d == 2 ? 0u : 4u)
+        << "step " << d;
+
+    const size_t begin = d + 1 >= window ? d + 1 - window : 0;
+    auto reference = core::BuildEntityGraph(AggregateWindow(w, begin, d + 1),
+                                            w.titles, w.vectors,
+                                            options.entity_graph);
+    ASSERT_TRUE(reference.ok());
+    auto materialized = graph.Materialize();
+    ASSERT_TRUE(materialized.ok());
+    ExpectSameGraph(*reference, *materialized, "step " + std::to_string(d));
   }
 }
 
@@ -280,7 +388,7 @@ TEST(IncrementalGraphTest, EmptyDeltaIsANoOp) {
   ASSERT_TRUE(created.ok());
   IncrementalEntityGraph graph = std::move(created).value();
   ASSERT_TRUE(graph.ApplyDelta(MakeDelta(&w.days[0], nullptr), nullptr).ok());
-  const auto before = graph.StoreEdges();
+  const std::vector<core::ScoredEdge> before = graph.StoreEdges();
 
   DeltaStats stats;
   ASSERT_TRUE(graph.ApplyDelta(ClickDelta{}, &stats).ok());
@@ -288,13 +396,7 @@ TEST(IncrementalGraphTest, EmptyDeltaIsANoOp) {
   EXPECT_EQ(stats.dirty_queries, 0u);
   EXPECT_EQ(stats.dirty_entities, 0u);
   EXPECT_EQ(stats.pairs_rescored, 0u);
-  const auto after = graph.StoreEdges();
-  ASSERT_EQ(before.size(), after.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].u, after[i].u);
-    EXPECT_EQ(before[i].v, after[i].v);
-    EXPECT_EQ(before[i].s, after[i].s);
-  }
+  ExpectSameStore(before, graph.StoreEdges(), "after an empty delta");
 }
 
 TEST(IncrementalGraphTest, RetirementBelowZeroFails) {

@@ -136,14 +136,6 @@ util::Result<std::vector<ClickEvent>> ReferenceReadDayClicks(
     }
     clicks.push_back(click);
   }
-  std::sort(clicks.begin(), clicks.end(),
-            [](const ClickEvent& a, const ClickEvent& b) {
-              if (a.timestamp_sec != b.timestamp_sec) {
-                return a.timestamp_sec < b.timestamp_sec;
-              }
-              if (a.query != b.query) return a.query < b.query;
-              return a.entity < b.entity;
-            });
   return clicks;
 }
 
