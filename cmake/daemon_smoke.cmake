@@ -5,6 +5,7 @@
 #      workload (static catalog + one clicks file per day).
 #   2. Days 1-2 are dropped into a spool; `shoal_daemon --once` drains
 #      them (two incremental cycles) and publishes index v2.
+#      A restart on its snapshot with a shorter --window-days exits 1.
 #   3. A real shoal_serve boots on the published index with --poll-sec 1.
 #   4. Day 3 arrives; a SECOND `shoal_daemon --once` process restores
 #      the standing window from the snapshot, runs one cycle, and
@@ -79,6 +80,18 @@ endforeach()
 run_checked("${SHOAL_DAEMON}"
   "--spool=${SPOOL}" "--index=${WORK_DIR}/taxonomy.idx"
   "--snapshot=${WORK_DIR}/daemon.snap" --once --threads=2)
+
+# Restarting on that snapshot under a shorter window is rejected (exit
+# 1) before a cycle runs: its two standing days would never retire one.
+execute_process(COMMAND "${SHOAL_DAEMON}"
+  "--spool=${SPOOL}" "--index=${WORK_DIR}/rejected.idx"
+  "--snapshot=${WORK_DIR}/daemon.snap" --once --window-days=1
+  RESULT_VARIABLE rv OUTPUT_QUIET ERROR_QUIET)
+if(NOT rv EQUAL 1)
+  message(FATAL_ERROR
+    "daemon_smoke: --window-days=1 on a 2-day snapshot exited with ${rv}, "
+    "not 1")
+endif()
 
 # ---- boot the live serving tier --------------------------------------------
 

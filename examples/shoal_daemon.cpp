@@ -138,9 +138,9 @@ int Run(int argc, char** argv) {
                   "restarted daemon resumes from it (empty = off)");
   flags.AddInt64("window-days", 7, "days kept in the sliding window");
   flags.AddInt64("threads", 1,
-                 "worker threads for delta rescoring and HAC "
-                 "(0 = per-stage defaults; results are identical at any "
-                 "setting)");
+                 "worker threads for HAC, the first full clustering and "
+                 "each splice (0 = HAC's default; results are identical "
+                 "at any setting)");
   flags.AddBool("once", false,
                 "drain every pending day file and exit instead of watching");
   flags.AddInt64("poll-sec", 2, "spool poll interval while watching");

@@ -28,39 +28,35 @@ constexpr size_t kRangesPerWorker = 8;
 // Marker value that no entity id takes.
 constexpr uint32_t kNoEntity = std::numeric_limits<uint32_t>::max();
 
-// Scores candidate rows with Eq. 1-3, one instance per worker. Row u is
-// u's ascending partners v > u; Score appends the pairs at or above the
-// threshold to `out` in row order. Eq. 1's |Q(u) ∩ Q(v)| comes from
-// stamping Q(u) into a dense per-query marker once per row and counting
-// the stamps Q(v) hits, so each pair costs one scan of Q(v) instead of a
-// merge of both sets. The Jaccard is the same ratio of integers
-// QueryJaccard returns, so no score moves by a bit.
-struct RowScorer {
-  const std::vector<std::vector<uint32_t>>& queries_of;
-  const std::vector<ContentProfile>& profiles;
-  const EntityGraphOptions& options;
-  std::vector<uint32_t> query_mark;  // query_mark[q] == u once q ∈ Q(u)
+}  // namespace
 
-  void Score(uint32_t u, const std::vector<uint32_t>& row,
-             std::vector<ScoredEdge>* out) {
-    const std::vector<uint32_t>& queries_u = queries_of[u];
-    for (uint32_t q : queries_u) query_mark[q] = u;
-    for (uint32_t v : row) {
-      const std::vector<uint32_t>& queries_v = queries_of[v];
-      size_t shared = 0;
-      for (uint32_t q : queries_v) shared += query_mark[q] == u;
-      // A candidate pair shares a query, so the union is never empty.
-      const double sq =
-          static_cast<double>(shared) /
-          static_cast<double>(queries_u.size() + queries_v.size() - shared);
-      const double sc = ContentSimilarity(profiles[u], profiles[v]);
-      const double s = CombinedSimilarity(sq, sc, options.alpha);
-      if (s >= options.similarity_threshold) out->push_back({u, v, s});
+RowScorer::RowScorer(const std::vector<std::vector<uint32_t>>& queries_of,
+                     const std::vector<ContentProfile>& profiles,
+                     const EntityGraphOptions& options, size_t num_queries)
+    : queries_of_(queries_of),
+      profiles_(profiles),
+      options_(options),
+      query_mark_(num_queries, kNoEntity) {}
+
+void RowScorer::Score(uint32_t u, const std::vector<uint32_t>& row,
+                      std::vector<ScoredEdge>* out) {
+  const std::vector<uint32_t>& queries_u = queries_of_[u];
+  for (uint32_t q : queries_u) query_mark_[q] = u;
+  for (uint32_t v : row) {
+    const std::vector<uint32_t>& queries_v = queries_of_[v];
+    size_t shared = 0;
+    for (uint32_t q : queries_v) shared += query_mark_[q] == u;
+    // A candidate pair shares a query, so the union is never empty.
+    const double sq =
+        static_cast<double>(shared) /
+        static_cast<double>(queries_u.size() + queries_v.size() - shared);
+    const double sc = ContentSimilarity(profiles_[u], profiles_[v]);
+    const double s = CombinedSimilarity(sq, sc, options_.alpha);
+    if (s >= options_.similarity_threshold) {
+      out->push_back({std::min(u, v), std::max(u, v), s});
     }
   }
-};
-
-}  // namespace
+}
 
 std::vector<uint32_t> CappedQueryItems(
     const std::vector<BipartiteGraph::Link>& links, size_t cap,
@@ -271,9 +267,8 @@ util::Result<graph::WeightedGraph> BuildEntityGraph(
   std::vector<size_t> shard_pairs(max_shards, 0);
   for_shards(max_shards, [&](size_t /*begin*/, size_t /*end*/, size_t shard) {
     obs::ScopedSpan shard_span("entity_graph.candidate_shard");
-    RowScorer scorer{queries_of, profiles, options,
-                     std::vector<uint32_t>(query_item_graph.num_left(),
-                                           kNoEntity)};
+    RowScorer scorer(queries_of, profiles, options,
+                     query_item_graph.num_left());
     std::vector<uint32_t> last_seen(num_entities, kNoEntity);
     std::vector<uint32_t> row;
     size_t ranges = 0;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/similarity.h"
 #include "graph/bipartite_graph.h"
 #include "graph/weighted_graph.h"
 #include "text/embedding.h"
@@ -80,6 +81,35 @@ struct ScoredEdge {
 std::vector<uint32_t> CappedQueryItems(
     const std::vector<graph::BipartiteGraph::Link>& links, size_t cap,
     bool* capped);
+
+// Scores candidate rows with Eq. 1-3: BuildEntityGraph runs one per
+// worker over rows of partners v > u, and the daemon's incremental
+// graph one over the rows of the entities a window step affected, so
+// both score through the same loop. Row u lists partners v != u, each
+// once; Score appends the pairs at or above the threshold to `out` as
+// (min(u, v), max(u, v), s), in row order. Eq. 1's |Q(u) ∩ Q(v)| comes
+// from stamping Q(u) into a dense per-query marker once per row and
+// counting the stamps Q(v) hits, so each pair costs one scan of Q(v)
+// instead of a merge of both sets. The Jaccard is the same ratio of
+// integers QueryJaccard returns, and Eq. 2 and 3 are symmetric in u and
+// v, so no score moves by a bit whichever end the row belongs to.
+class RowScorer {
+ public:
+  // `queries_of[e]` is entity e's sorted query set, every id below
+  // `num_queries`. The scorer keeps references to all three inputs.
+  RowScorer(const std::vector<std::vector<uint32_t>>& queries_of,
+            const std::vector<ContentProfile>& profiles,
+            const EntityGraphOptions& options, size_t num_queries);
+
+  void Score(uint32_t u, const std::vector<uint32_t>& row,
+             std::vector<ScoredEdge>* out);
+
+ private:
+  const std::vector<std::vector<uint32_t>>& queries_of_;
+  const std::vector<ContentProfile>& profiles_;
+  const EntityGraphOptions& options_;
+  std::vector<uint32_t> query_mark_;  // query_mark_[q] == u once q ∈ Q(u)
+};
 
 // The last stage of BuildEntityGraph, exposed so the incremental
 // maintenance path can finalize its standing edge store through the

@@ -56,9 +56,8 @@ util::Result<std::unique_ptr<TaxonomyDaemon>> TaxonomyDaemon::Create(
   std::unique_ptr<TaxonomyDaemon> daemon(new TaxonomyDaemon());
   daemon->options_ = options;
   if (options.num_threads > 0) {
-    const size_t threads = std::min<size_t>(options.num_threads, 256);
-    daemon->options_.entity_graph.num_threads = threads;
-    daemon->options_.hac.num_threads = threads;
+    daemon->options_.hac.num_threads =
+        std::min<size_t>(options.num_threads, 256);
   }
 
   SHOAL_ASSIGN_OR_RETURN(daemon->catalog_,
@@ -95,11 +94,9 @@ util::Result<std::unique_ptr<TaxonomyDaemon>> TaxonomyDaemon::Create(
         std::make_unique<text::Word2Vec>(std::move(trained).value());
   }
 
-  IncrementalGraphOptions graph_options;
-  graph_options.entity_graph = daemon->options_.entity_graph;
   auto graph = IncrementalEntityGraph::Create(
       num_queries, daemon->title_words_, daemon->word2vec_->vectors(),
-      graph_options);
+      daemon->options_.entity_graph);
   if (!graph.ok()) return graph.status();
   daemon->graph_ =
       std::make_unique<IncrementalEntityGraph>(std::move(graph).value());
@@ -150,6 +147,20 @@ util::Status TaxonomyDaemon::Restore(const ckpt::DaemonWindowData& data) {
     return util::Status::InvalidArgument(
         "daemon window snapshot dendrogram leaf count does not match the "
         "catalog");
+  }
+  // An uninterrupted run under these options would hold
+  // min(cycles, window_days) days; a window of another length would
+  // never retire a day again, or would keep one that run had retired.
+  const uint64_t expect_days =
+      std::min<uint64_t>(data.cycles_done, options_.window_days);
+  if (data.window.size() != expect_days) {
+    return util::Status::InvalidArgument(util::StringPrintf(
+        "daemon window snapshot holds %zu days after %llu cycles, but a "
+        "%zu-day window would hold %llu; resuming would not reproduce an "
+        "uninterrupted run — remove the snapshot to rebuild from the spool",
+        data.window.size(),
+        static_cast<unsigned long long>(data.cycles_done),
+        options_.window_days, static_cast<unsigned long long>(expect_days)));
   }
 
   // Rebuild the standing store by replaying each window day's

@@ -37,12 +37,12 @@ struct DaemonOptions {
   // cycle retires the oldest day as it ingests the newest.
   size_t window_days = 7;
 
-  // Worker threads for delta rescoring and HAC — both stages produce
-  // identical results at any setting. > 0 overrides
-  // entity_graph.num_threads and hac.num_threads (clamped to 256); 0
-  // keeps those per-stage settings, as ShoalOptions::num_threads does.
-  // Word2vec trains serially, so the standing graph is a deterministic
-  // function of the spool.
+  // Worker threads for HAC: the first cycle's full clustering and every
+  // later splice, which produce identical results at any setting. > 0
+  // overrides hac.num_threads (clamped to 256); 0 keeps that setting.
+  // The graph repair runs on the calling thread and word2vec trains
+  // serially, so the standing graph is a deterministic function of the
+  // spool.
   size_t num_threads = 1;
 
   core::EntityGraphOptions entity_graph;

@@ -27,24 +27,12 @@ struct ClickDelta {
   std::vector<Entry> entries;
 };
 
-struct IncrementalGraphOptions {
-  // The Eq. 1-3 scoring knobs shared with BuildEntityGraph, checked by
-  // the same ValidateEntityGraphOptions. The standing store reproduces
-  // BuildEntityGraph's candidacy rule by construction — that is what
-  // makes the maintained graph byte-identical to a from-scratch build.
-  core::EntityGraphOptions entity_graph;
-};
-
 // Per-ApplyDelta telemetry.
 struct DeltaStats {
   size_t delta_entries = 0;
-  size_t dirty_queries = 0;        // any count change
-  size_t dirty_entities = 0;       // query-set membership change
-  size_t retired_entities = 0;     // non-empty -> empty query set
-  size_t pairs_rescored = 0;
-  size_t edges_added = 0;          // scored-store transitions
-  size_t edges_updated = 0;
-  size_t edges_removed = 0;
+  size_t dirty_queries = 0;   // any count change
+  size_t dirty_entities = 0;  // query-set membership change
+  size_t pairs_rescored = 0;  // pairs in the affected entities' rows
 };
 
 // A standing item entity graph maintained under sliding-window click
@@ -56,7 +44,7 @@ struct DeltaStats {
 // — exactly the pre-degree-cap edge store BuildEntityGraph computes
 // from scratch, so Materialize() (which runs the same ApplyDegreeCap)
 // returns a WeightedGraph byte-identical to a full rebuild of the same
-// window, at any thread count.
+// window.
 //
 // State is kept in sorted flat arrays, not hash maps: each query's
 // window counts are (entity, count) links ascending by entity, each
@@ -66,34 +54,26 @@ struct DeltaStats {
 //
 // A pair is a *candidate* when at least one query holds both entities
 // in its capped link set (CappedQueryItems — a pure function of the
-// (entity, count) multiset). ApplyDelta rescans exactly the pairs whose
-// candidacy or score could have changed:
-//
-//   * dirty-query diff — for each query with changed counts, pairs with
-//     an endpoint in the symmetric difference of its old/new capped
-//     sets (candidacy gained or lost through this query);
-//   * dirty-entity sweep — for each entity whose query-set membership
-//     changed, the full capped enumeration over its queries (scores
-//     move through clean witness queries too: Eq. 1 is over full query
-//     sets, so an entity gaining one query shifts its Jaccard with
-//     every partner);
-//   * standing edges incident to dirty entities (scores that can only
-//     have fallen still need re-checking against the threshold).
-//
-// Pairs outside this set have unchanged candidacy and unchanged scores,
-// which is the whole point: the scoring work scales with the delta, not
-// the window. The rescored pairs come out ascending, so their verdicts
-// fold into the store in linear passes; nothing re-sorts it.
+// (entity, count) multiset). A window step *affects* an entity when its
+// query set changes or when it enters or leaves a changed query's
+// capped set. A pair with no affected end keeps its candidacy (no
+// capped set gained or lost either end) and its score (Eq. 1 reads only
+// the two query sets; Eq. 2 is static), so ApplyDelta drops the
+// standing edges with an affected end and re-derives only the affected
+// entities' rows, scored by the builder's RowScorer. The scoring work
+// scales with the delta, not the window.
 class IncrementalEntityGraph {
  public:
   // `title_words` / `word_vectors` describe the static catalog; content
   // profiles are computed once here (titles do not drift), and neither
-  // is kept. Fails on options ValidateEntityGraphOptions rejects.
+  // is kept. Fails on options ValidateEntityGraphOptions rejects;
+  // `options.num_threads` is not read, as the repair runs on the
+  // calling thread.
   static util::Result<IncrementalEntityGraph> Create(
       size_t num_queries,
       const std::vector<std::vector<uint32_t>>& title_words,
       const text::EmbeddingTable& word_vectors,
-      const IncrementalGraphOptions& options);
+      const core::EntityGraphOptions& options);
 
   // Applies one window step. Fails (leaving the graph unusable) if a
   // count would go negative — the producer fed a retirement that was
@@ -109,11 +89,6 @@ class IncrementalEntityGraph {
   // describer output is identical to the from-scratch path's.
   graph::BipartiteGraph WindowGraph() const;
 
-  // Sorted query ids of entity e under the current window.
-  const std::vector<uint32_t>& QueriesOf(uint32_t e) const {
-    return queries_of_[e];
-  }
-
   size_t num_queries() const { return query_links_.size(); }
   size_t num_entities() const { return queries_of_.size(); }
   size_t store_size() const { return store_.size(); }
@@ -126,22 +101,11 @@ class IncrementalEntityGraph {
  private:
   IncrementalEntityGraph() = default;
 
-  static uint64_t PairKey(uint32_t u, uint32_t v) {
-    return (static_cast<uint64_t>(u) << 32) | v;
-  }
-
   // Capped link set of a query under the current counts, as a sorted
   // vector (empty when the query has no links).
   std::vector<uint32_t> CappedSetOf(uint32_t q) const;
 
-  // True when some query's capped set holds both u and v.
-  bool IsCandidate(uint32_t u, uint32_t v,
-                   const std::vector<std::vector<uint32_t>>& capped_cache,
-                   const std::vector<char>& capped_valid) const;
-
-  double Score(uint32_t u, uint32_t v) const;
-
-  IncrementalGraphOptions options_;
+  core::EntityGraphOptions options_;
   std::vector<core::ContentProfile> profiles_;
 
   // Window state: per-query (entity, count) links ascending by entity,

@@ -206,20 +206,80 @@ TEST_F(DaemonCycleTest, SnapshotRestoreContinuesByteIdentically) {
 }
 
 TEST_F(DaemonCycleTest, OptionsSkewAgainstSnapshotIsRejected) {
-  auto log = MakeLog(/*num_days=*/2);
-  const std::string spool = MakeSpool(log, 2, "spool");
+  auto log = MakeLog(/*num_days=*/4);
+  const std::string spool = MakeSpool(log, 4, "spool");
   DaemonOptions options = MakeOptions(spool, "a");
   auto created = TaxonomyDaemon::Create(options);
   ASSERT_TRUE(created.ok());
-  auto report = (*created)->RunOnce();
-  ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(report->has_value());
+  // Four cycles: the 3-day window has filled and retired a day.
+  for (int i = 0; i < 4; ++i) {
+    auto report = (*created)->RunOnce();
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->has_value());
+  }
 
-  DaemonOptions skewed = options;
-  skewed.entity_graph.similarity_threshold += 0.1;
-  auto rejected = TaxonomyDaemon::Create(skewed);
+  std::vector<DaemonOptions> skewed(3, options);
+  skewed[0].entity_graph.similarity_threshold += 0.1;
+  // Restored as a 2-day window, the 3 standing days would never retire
+  // one; as a 4-day window, it would hold a day an uninterrupted run
+  // had retired.
+  skewed[1].window_days = 2;
+  skewed[2].window_days = 4;
+  for (size_t i = 0; i < skewed.size(); ++i) {
+    auto rejected = TaxonomyDaemon::Create(skewed[i]);
+    ASSERT_FALSE(rejected.ok()) << "case " << i;
+    EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
+}
+
+// A snapshot taken while the window is still filling holds every day
+// consumed so far, so any window at least that long resumes it as an
+// uninterrupted run of that length would go on; a shorter one does not.
+TEST_F(DaemonCycleTest, FillingWindowSnapshotRestoresUnderALongerWindow) {
+  auto log = MakeLog(/*num_days=*/4);
+  const std::string spool = MakeSpool(log, 4, "spool");
+  DaemonOptions first = MakeOptions(spool, "a");  // a 3-day window
+  {
+    auto created = TaxonomyDaemon::Create(first);
+    ASSERT_TRUE(created.ok());
+    for (int i = 0; i < 2; ++i) {
+      auto report = (*created)->RunOnce();
+      ASSERT_TRUE(report.ok());
+      ASSERT_TRUE(report->has_value());
+    }
+  }
+
+  DaemonOptions shorter = MakeOptions(spool, "b");
+  shorter.snapshot_path = first.snapshot_path;
+  shorter.window_days = 1;
+  auto rejected = TaxonomyDaemon::Create(shorter);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+
+  DaemonOptions longer = shorter;
+  longer.window_days = 4;
+  auto restored = TaxonomyDaemon::Create(longer);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE((*restored)->restored_from_snapshot());
+  DaemonOptions fresh = MakeOptions(spool, "c");
+  fresh.window_days = 4;
+  auto uninterrupted = TaxonomyDaemon::Create(fresh);
+  ASSERT_TRUE(uninterrupted.ok());
+  for (int i = 0; i < 2; ++i) {
+    auto report = (*uninterrupted)->RunOnce();
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->has_value());
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto resumed = (*restored)->RunOnce();
+    auto reference = (*uninterrupted)->RunOnce();
+    ASSERT_TRUE(resumed.ok() && reference.ok());
+    ASSERT_TRUE(resumed->has_value() && reference->has_value());
+    EXPECT_EQ((*resumed)->window_days, (*reference)->window_days);
+    EXPECT_EQ(FileBytes(longer.index_path), FileBytes(fresh.index_path))
+        << "cycle " << i;
+  }
 }
 
 TEST_F(DaemonCycleTest, DriftKeepsMostTopicsCarried) {

@@ -1,12 +1,14 @@
 // IncrementalEntityGraph correctness: after any sequence of sliding-
 // window deltas, the standing store must be byte-identical to what
 // BuildEntityGraph computes from scratch over the same window — the
-// invariant everything else in src/daemon leans on. Also covers thread
-// invariance, delta entry order, the store's (u, v) order, option
-// validation shared with the builder, and the negative-count guard.
+// invariant everything else in src/daemon leans on. Also covers moves
+// across a head-query cap, delta entry order, the store's (u, v) order,
+// option validation shared with the builder, and the negative-count
+// guard.
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <random>
@@ -144,10 +146,10 @@ void ExpectSameStore(const std::vector<core::ScoredEdge>& expected,
   }
 }
 
-IncrementalGraphOptions TestOptions() {
-  IncrementalGraphOptions options;
-  options.entity_graph.similarity_threshold = 0.2;
-  options.entity_graph.max_degree = 7;
+core::EntityGraphOptions TestOptions() {
+  core::EntityGraphOptions options;
+  options.similarity_threshold = 0.2;
+  options.max_degree = 7;
   return options;
 }
 
@@ -155,7 +157,7 @@ TEST(IncrementalGraphTest, MatchesFromScratchAcrossSlidingWindow) {
   auto w = MakeWorkload(/*num_queries=*/41, /*num_entities=*/67,
                         /*vocab=*/19, /*num_days=*/6, /*seed=*/2019);
   const size_t window = 3;
-  IncrementalGraphOptions options = TestOptions();
+  core::EntityGraphOptions options = TestOptions();
   auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
                                                 w.vectors, options);
   ASSERT_TRUE(created.ok());
@@ -170,8 +172,7 @@ TEST(IncrementalGraphTest, MatchesFromScratchAcrossSlidingWindow) {
 
     const size_t begin = d + 1 >= window ? d + 1 - window : 0;
     auto reference = core::BuildEntityGraph(AggregateWindow(w, begin, d + 1),
-                                            w.titles, w.vectors,
-                                            options.entity_graph);
+                                            w.titles, w.vectors, options);
     ASSERT_TRUE(reference.ok());
     auto materialized = graph.Materialize();
     ASSERT_TRUE(materialized.ok());
@@ -183,37 +184,6 @@ TEST(IncrementalGraphTest, MatchesFromScratchAcrossSlidingWindow) {
   auto final_graph = graph.Materialize();
   ASSERT_TRUE(final_graph.ok());
   EXPECT_GT(final_graph->num_edges(), 0u);
-}
-
-TEST(IncrementalGraphTest, IdenticalAtEveryThreadCount) {
-  auto w = MakeWorkload(/*num_queries=*/31, /*num_entities=*/53,
-                        /*vocab=*/13, /*num_days=*/5, /*seed=*/7);
-  const size_t window = 2;
-  std::vector<std::vector<core::ScoredEdge>> stores;
-  std::vector<graph::WeightedGraph> graphs;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    IncrementalGraphOptions options = TestOptions();
-    options.entity_graph.num_threads = threads;
-    auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
-                                                  w.vectors, options);
-    ASSERT_TRUE(created.ok());
-    IncrementalEntityGraph graph = std::move(created).value();
-    for (size_t d = 0; d < w.days.size(); ++d) {
-      const DayCounts* retiring = d >= window ? &w.days[d - window] : nullptr;
-      ASSERT_TRUE(
-          graph.ApplyDelta(MakeDelta(&w.days[d], retiring), nullptr).ok());
-    }
-    auto materialized = graph.Materialize();
-    ASSERT_TRUE(materialized.ok());
-    stores.push_back(graph.StoreEdges());
-    graphs.push_back(std::move(materialized).value());
-  }
-  for (size_t i = 1; i < graphs.size(); ++i) {
-    ExpectSameGraph(graphs[0], graphs[i], "thread variant " +
-                                              std::to_string(i));
-    ExpectSameStore(stores[0], stores[i],
-                    "thread variant " + std::to_string(i));
-  }
 }
 
 // ApplyDelta takes its entries in any order: a delta whose entries are
@@ -255,13 +225,23 @@ TEST(IncrementalGraphTest, StoreStaysStrictlyAscendingAfterEveryDelta) {
                                                 w.vectors, TestOptions());
   ASSERT_TRUE(created.ok());
   IncrementalEntityGraph graph = std::move(created).value();
+  const auto pair_less = [](const core::ScoredEdge& a,
+                            const core::ScoredEdge& b) {
+    return a.u < b.u || (a.u == b.u && a.v < b.v);
+  };
   size_t removed = 0;
+  std::vector<core::ScoredEdge> previous;
   for (size_t d = 0; d < w.days.size(); ++d) {
     const DayCounts* retiring = d >= window ? &w.days[d - window] : nullptr;
-    DeltaStats stats;
-    ASSERT_TRUE(graph.ApplyDelta(MakeDelta(&w.days[d], retiring), &stats).ok());
-    removed += stats.edges_removed;
+    ASSERT_TRUE(
+        graph.ApplyDelta(MakeDelta(&w.days[d], retiring), nullptr).ok());
     const std::vector<core::ScoredEdge>& store = graph.StoreEdges();
+    // Pairs of the previous store that this step dropped.
+    std::vector<core::ScoredEdge> dropped;
+    std::set_difference(previous.begin(), previous.end(), store.begin(),
+                        store.end(), std::back_inserter(dropped), pair_less);
+    removed += dropped.size();
+    previous = store;
     ASSERT_EQ(store.size(), graph.store_size());
     for (size_t i = 0; i < store.size(); ++i) {
       ASSERT_LT(store[i].u, store[i].v) << "step " << d << " edge " << i;
@@ -271,7 +251,7 @@ TEST(IncrementalGraphTest, StoreStaysStrictlyAscendingAfterEveryDelta) {
           << "step " << d << " edges " << i - 1 << ", " << i;
     }
   }
-  // Retiring days removed edges, so the merge's drop path ran too.
+  // Retiring days removed edges, so the repair's drop path ran too.
   EXPECT_GT(removed, 0u);
 }
 
@@ -292,7 +272,7 @@ TEST(IncrementalGraphTest, QueryRegainingItsLastLinkMatchesFromScratch) {
   for (size_t d : {0u, 3u, 4u}) {
     for (uint32_t e = 1; e <= 4; ++e) w.days[d][{q, e}] = 5;
   }
-  IncrementalGraphOptions options = TestOptions();
+  core::EntityGraphOptions options = TestOptions();
   auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
                                                 w.vectors, options);
   ASSERT_TRUE(created.ok());
@@ -306,13 +286,78 @@ TEST(IncrementalGraphTest, QueryRegainingItsLastLinkMatchesFromScratch) {
 
     const size_t begin = d + 1 >= window ? d + 1 - window : 0;
     auto reference = core::BuildEntityGraph(AggregateWindow(w, begin, d + 1),
-                                            w.titles, w.vectors,
-                                            options.entity_graph);
+                                            w.titles, w.vectors, options);
     ASSERT_TRUE(reference.ok());
     auto materialized = graph.Materialize();
     ASSERT_TRUE(materialized.ok());
     ExpectSameGraph(*reference, *materialized, "step " + std::to_string(d));
   }
+}
+
+// Sorted capped set of every query of `window`, as the builder takes it.
+std::vector<std::vector<uint32_t>> CappedSets(
+    const graph::BipartiteGraph& window, size_t cap) {
+  std::vector<std::vector<uint32_t>> sets(window.num_left());
+  for (uint32_t q = 0; q < window.num_left(); ++q) {
+    bool capped = false;
+    sets[q] = core::CappedQueryItems(window.LeftNeighbors(q), cap, &capped);
+    std::sort(sets[q].begin(), sets[q].end());
+  }
+  return sets;
+}
+
+// A head-query cap of 4 over 6 busy queries: counts shift which
+// entities make a query's top 4 while those entities keep the same
+// query set, so candidacy moves with no Eq. 1 input changing. The
+// maintained graph must still equal a from-scratch build at every step.
+TEST(IncrementalGraphTest, CappedSetBoundaryMovesMatchFromScratch) {
+  auto w = MakeWorkload(/*num_queries=*/6, /*num_entities=*/40,
+                        /*vocab=*/13, /*num_days=*/9, /*seed=*/23);
+  const size_t window = 3;
+  core::EntityGraphOptions options = TestOptions();
+  options.max_items_per_query = 4;
+  // No entity has more than 6 * 3 candidate partners, so nothing is
+  // degree-capped away and Materialize() shows the whole store.
+  options.max_degree = 64;
+  auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
+                                                w.vectors, options);
+  ASSERT_TRUE(created.ok());
+  IncrementalEntityGraph graph = std::move(created).value();
+
+  size_t boundary_only = 0;  // cap moves of entities with a fixed query set
+  graph::BipartiteGraph previous(w.num_queries, w.num_entities);
+  for (size_t d = 0; d < w.days.size(); ++d) {
+    const DayCounts* retiring = d >= window ? &w.days[d - window] : nullptr;
+    ASSERT_TRUE(
+        graph.ApplyDelta(MakeDelta(&w.days[d], retiring), nullptr).ok());
+
+    const size_t begin = d + 1 >= window ? d + 1 - window : 0;
+    const graph::BipartiteGraph current = AggregateWindow(w, begin, d + 1);
+    core::EntityGraphStats stats;
+    auto reference = core::BuildEntityGraph(current, w.titles, w.vectors,
+                                            options, &stats);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_GT(stats.capped_queries, 0u) << "step " << d;
+    auto materialized = graph.Materialize();
+    ASSERT_TRUE(materialized.ok());
+    ExpectSameGraph(*reference, *materialized, "step " + std::to_string(d));
+
+    const auto before = CappedSets(previous, 4);
+    const auto after = CappedSets(current, 4);
+    for (uint32_t q = 0; q < w.num_queries; ++q) {
+      std::vector<uint32_t> moved;
+      std::set_symmetric_difference(before[q].begin(), before[q].end(),
+                                    after[q].begin(), after[q].end(),
+                                    std::back_inserter(moved));
+      for (uint32_t e : moved) {
+        boundary_only += previous.QueriesOfItem(e) == current.QueriesOfItem(e);
+      }
+    }
+    previous = current;
+  }
+  // The case must exercise what it is named for.
+  EXPECT_GT(boundary_only, 0u);
+  EXPECT_GT(graph.store_size(), 0u);
 }
 
 TEST(IncrementalGraphTest, RejectsOptionsTheBuilderRejects) {
@@ -324,17 +369,17 @@ TEST(IncrementalGraphTest, RejectsOptionsTheBuilderRejects) {
   const graph::BipartiteGraph window = AggregateWindow(w, 0, 1);
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<IncrementalGraphOptions> bad;
+  std::vector<core::EntityGraphOptions> bad;
   for (double alpha : {1.5, -0.1, nan, inf, -inf}) {
     bad.push_back(TestOptions());
-    bad.back().entity_graph.alpha = alpha;
+    bad.back().alpha = alpha;
   }
   for (double threshold : {nan, inf, -inf}) {
     bad.push_back(TestOptions());
-    bad.back().entity_graph.similarity_threshold = threshold;
+    bad.back().similarity_threshold = threshold;
   }
   bad.push_back(TestOptions());
-  bad.back().entity_graph.max_items_per_query = 0;
+  bad.back().max_items_per_query = 0;
   for (size_t i = 0; i < bad.size(); ++i) {
     auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
                                                   w.vectors, bad[i]);
@@ -342,7 +387,7 @@ TEST(IncrementalGraphTest, RejectsOptionsTheBuilderRejects) {
     EXPECT_EQ(created.status().code(), util::StatusCode::kInvalidArgument)
         << "case " << i;
     auto built = core::BuildEntityGraph(window, w.titles, w.vectors,
-                                        bad[i].entity_graph);
+                                        bad[i]);
     ASSERT_FALSE(built.ok()) << "case " << i;
     EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument)
         << "case " << i;
