@@ -116,13 +116,15 @@ int RunGenerate(const util::FlagParser& flags) {
 
 void PrintReport(const daemon::CycleReport& r) {
   std::printf(
-      "cycle %s -> v%llu%s: window=%zud delta=%zu dirty=%.3f "
-      "(%zu subtrees, %zu leaves) topics=%zu touched=%zu carried=%zu\n"
+      "cycle %s -> v%llu%s: window=%zud delta=%zu recap=%zu rows/%zu "
+      "edges dirty=%.3f (%zu subtrees, %zu leaves) topics=%zu touched=%zu "
+      "carried=%zu\n"
       "  %.2fs total: ingest %.2f graph %.2f cluster %.2f describe %.2f "
       "publish %.2f snapshot %.2f\n",
       r.day_file.c_str(), static_cast<unsigned long long>(r.published_version),
       r.full_rebuild ? " (full rebuild)" : "", r.window_days,
-      r.delta.delta_entries, r.dirty_fraction, r.splice.dirty_components,
+      r.delta.delta_entries, r.delta.rows_recapped,
+      r.delta.capped_edges_changed, r.dirty_fraction, r.splice.dirty_components,
       r.splice.dirty_leaves, r.num_topics, r.touched_topics, r.carried_topics,
       r.total_seconds, r.ingest_seconds, r.graph_seconds, r.cluster_seconds,
       r.describe_seconds, r.publish_seconds, r.snapshot_seconds);

@@ -82,6 +82,14 @@ std::vector<uint32_t> CappedQueryItems(
   return items;
 }
 
+CapIncident* SelectCapHead(CapIncident* first, CapIncident* last,
+                           size_t max_degree) {
+  if (static_cast<size_t>(last - first) <= max_degree) return last;
+  if (max_degree == 0) return first;
+  std::nth_element(first, first + (max_degree - 1), last, CapRanksBefore{});
+  return first + max_degree;
+}
+
 util::Result<graph::WeightedGraph> ApplyDegreeCap(
     const std::vector<ScoredEdge>& edges, size_t num_entities,
     size_t max_degree) {
@@ -105,17 +113,8 @@ util::Result<graph::WeightedGraph> ApplyDegreeCap(
   for (size_t x = 0; x < num_entities; ++x) offset[x + 1] += offset[x];
 
   // Entity x's incident edges, seen from x. For a fixed x the greedy's
-  // (s desc, u, v) order is (s desc, other endpoint asc).
-  struct Incident {
-    double s;
-    uint32_t other;
-    uint32_t edge;  // index into `edges`
-  };
-  const auto before = [](const Incident& a, const Incident& b) {
-    if (a.s != b.s) return a.s > b.s;
-    return a.other < b.other;
-  };
-  std::vector<Incident> incident(offset[num_entities]);
+  // (s desc, u, v) order is CapRanksBefore.
+  std::vector<CapIncident> incident(offset[num_entities]);
   {
     std::vector<size_t> fill(offset.begin(), offset.end() - 1);
     for (uint32_t i = 0; i < edges.size(); ++i) {
@@ -131,12 +130,9 @@ util::Result<graph::WeightedGraph> ApplyDegreeCap(
   // endpoints' top k have already been kept.
   std::vector<char> kept(edges.size(), 0);
   for (size_t x = 0; x < num_entities; ++x) {
-    Incident* first = incident.data() + offset[x];
-    Incident* last = incident.data() + offset[x + 1];
-    if (static_cast<size_t>(last - first) > max_degree) {
-      std::nth_element(first, first + max_degree, last, before);
-      last = first + max_degree;
-    }
+    CapIncident* first = incident.data() + offset[x];
+    CapIncident* last =
+        SelectCapHead(first, incident.data() + offset[x + 1], max_degree);
     for (; first != last; ++first) kept[first->edge] = 1;
   }
 
@@ -144,11 +140,11 @@ util::Result<graph::WeightedGraph> ApplyDegreeCap(
   // and weighted degrees equal what AddEdge in that order would build.
   std::vector<std::vector<graph::Edge>> rows(num_entities);
   for (size_t x = 0; x < num_entities; ++x) {
-    Incident* first = incident.data() + offset[x];
-    Incident* last = std::partition(
+    CapIncident* first = incident.data() + offset[x];
+    CapIncident* last = std::partition(
         first, incident.data() + offset[x + 1],
-        [&](const Incident& in) { return kept[in.edge] != 0; });
-    std::sort(first, last, before);
+        [&](const CapIncident& in) { return kept[in.edge] != 0; });
+    std::sort(first, last, CapRanksBefore{});
     std::vector<graph::Edge>& row = rows[x];
     row.reserve(last - first);
     for (; first != last; ++first) row.push_back({first->other, first->s});

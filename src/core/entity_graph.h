@@ -111,15 +111,45 @@ class RowScorer {
   std::vector<uint32_t> query_mark_;  // query_mark_[q] == u once q ∈ Q(u)
 };
 
-// The last stage of BuildEntityGraph, exposed so the incremental
-// maintenance path can finalize its standing edge store through the
-// exact same pass. Keeps an edge iff it ranks within the top
-// `max_degree` edges of either endpoint under (similarity desc, u, v) —
-// exactly the set the greedy "sort by that order, keep an edge while
-// either endpoint is under `max_degree`" keeps — and lists each row in
-// that order, so rows and weighted degrees equal the greedy's AddEdge
-// sequence. `edges` must be strictly ascending by (u, v) with
-// u < v < num_entities (both callers produce them so); self-loops,
+// One edge as the degree cap sees it from an endpoint x: its score,
+// x's partner, and an index the caller chooses (ApplyDegreeCap: the
+// edge's position in its input).
+struct CapIncident {
+  double s = 0.0;
+  uint32_t other = 0;
+  uint32_t edge = 0;
+};
+
+// The degree cap's rank order over one entity's incident edges:
+// similarity descending, then partner id ascending — the greedy's
+// (similarity desc, u, v) order seen from one endpoint. A function
+// object, so the sorts and selections that take it inline the
+// comparison.
+struct CapRanksBefore {
+  bool operator()(const CapIncident& a, const CapIncident& b) const {
+    if (a.s != b.s) return a.s > b.s;
+    return a.other < b.other;
+  }
+};
+
+// Moves the `max_degree` edges of [first, last) that CapRanksBefore
+// ranks first to its front and returns the end of that head; when the
+// range holds more than `max_degree` (> 0) edges, the lowest-ranked edge
+// of the head sits at its end. A range of at most `max_degree` edges is
+// left as it is and returned whole. The rest of the order is
+// unspecified. ApplyDegreeCap and the daemon's re-cap select with it.
+CapIncident* SelectCapHead(CapIncident* first, CapIncident* last,
+                           size_t max_degree);
+
+// The last stage of BuildEntityGraph, exposed so tests can check the
+// daemon's standing capped graph against it. Keeps an edge iff it ranks
+// within the top `max_degree` edges of either endpoint under
+// (similarity desc, u, v) — exactly the set the greedy "sort by that
+// order, keep an edge while either endpoint is under `max_degree`"
+// keeps — and lists each row in that order, so rows and weighted
+// degrees equal the greedy's AddEdge sequence. `edges` must be strictly
+// ascending by (u, v) with u < v < num_entities (the builder and the
+// daemon's store are kept so); self-loops,
 // reversed or out-of-range ids, repeats and out-of-order edges are
 // rejected with an error Status.
 util::Result<graph::WeightedGraph> ApplyDegreeCap(

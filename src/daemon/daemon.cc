@@ -163,22 +163,33 @@ util::Status TaxonomyDaemon::Restore(const ckpt::DaemonWindowData& data) {
         options_.window_days, static_cast<unsigned long long>(expect_days)));
   }
 
-  // Rebuild the standing store by replaying each window day's
-  // aggregates as an all-positive delta — the store is a deterministic
-  // function of the window counts, so this reproduces the killed
-  // daemon's store exactly.
+  // Rebuild the standing store and its cap from the window's summed
+  // counts, as one all-positive delta: both are a deterministic function
+  // of the window counts, so this reproduces the killed daemon's state
+  // exactly, with one repair and one re-cap of every row.
+  std::vector<ClickDelta::Entry> entries;
   for (const auto& day : data.window) {
-    ClickDelta delta;
-    delta.entries.reserve(day.pairs.size());
     for (const auto& pair : day.pairs) {
-      delta.entries.push_back(
+      entries.push_back(
           {pair.query, pair.entity, static_cast<int64_t>(pair.count)});
     }
-    DeltaStats stats;
-    SHOAL_RETURN_IF_ERROR(graph_->ApplyDelta(delta, &stats));
   }
+  std::sort(entries.begin(), entries.end(),
+            [](const ClickDelta::Entry& a, const ClickDelta::Entry& b) {
+              return PairKey(a.query, a.entity) < PairKey(b.query, b.entity);
+            });
+  ClickDelta delta;
+  for (const ClickDelta::Entry& entry : entries) {
+    if (!delta.entries.empty() && delta.entries.back().query == entry.query &&
+        delta.entries.back().entity == entry.entity) {
+      delta.entries.back().delta += entry.delta;
+    } else {
+      delta.entries.push_back(entry);
+    }
+  }
+  DeltaStats stats;
+  SHOAL_RETURN_IF_ERROR(graph_->ApplyDelta(delta, &stats));
   window_ = data.window;
-  SHOAL_ASSIGN_OR_RETURN(last_graph_, graph_->Materialize());
 
   core::Dendrogram dendrogram(data.num_leaves);
   for (size_t i = 0; i < data.merges.size(); ++i) {
@@ -353,15 +364,14 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   report.ingest_seconds = watch.ElapsedSeconds();
   ingest_span.End();
 
-  // ---- graph: apply the delta to the standing store --------------------
+  // ---- graph: repair the store, re-cap the touched rows ----------------
+  // ApplyDelta records the two as the daemon.delta and
+  // daemon.materialize spans; the splice needs the capped edges changed.
   watch.Restart();
-  obs::ScopedSpan delta_span("daemon.delta");
-  SHOAL_RETURN_IF_ERROR(graph_->ApplyDelta(delta, &report.delta));
-  delta_span.End();
-  obs::ScopedSpan materialize_span("daemon.materialize");
-  SHOAL_ASSIGN_OR_RETURN(graph::WeightedGraph new_graph,
-                         graph_->Materialize());
-  materialize_span.End();
+  std::vector<CappedEdgeChange> changes;
+  SHOAL_RETURN_IF_ERROR(graph_->ApplyDelta(delta, &report.delta,
+                                           has_model_ ? &changes : nullptr));
+  const graph::WeightedGraph& new_graph = graph_->CappedGraph();
   report.graph_seconds = watch.ElapsedSeconds();
 
   // ---- cluster: splice the standing dendrogram -------------------------
@@ -379,8 +389,8 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
     report.splice.dirty_leaves = num_entities;
     report.dirty_fraction = 1.0;
   } else {
-    auto spliced = SpliceDendrogram(last_graph_, last_dendrogram_, new_graph,
-                                    options_.hac);
+    auto spliced =
+        SpliceDendrogram(last_dendrogram_, new_graph, changes, options_.hac);
     if (!spliced.ok()) return spliced.status();
     dendrogram = std::move(spliced->dendrogram);
     old_to_new_node = std::move(spliced->old_to_new_node);
@@ -471,7 +481,6 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   if (retire) window_.erase(window_.begin());
   window_.push_back(std::move(day));
   report.window_days = window_.size();
-  last_graph_ = std::move(new_graph);
   last_dendrogram_ = std::move(dendrogram);
   taxonomy_ = std::move(taxonomy);
   rankings_ = std::move(rankings);
@@ -490,6 +499,10 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
 
   cycle_span.AddArg("delta_entries",
                     static_cast<double>(report.delta.delta_entries));
+  cycle_span.AddArg("rows_recapped",
+                    static_cast<double>(report.delta.rows_recapped));
+  cycle_span.AddArg("capped_edges_changed",
+                    static_cast<double>(report.delta.capped_edges_changed));
   cycle_span.AddArg("dirty_fraction", report.dirty_fraction);
   cycle_span.AddArg("reclustered_subtrees",
                     static_cast<double>(report.splice.dirty_components));

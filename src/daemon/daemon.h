@@ -76,7 +76,7 @@ struct CycleReport {
   uint64_t published_version = 0;
 
   double ingest_seconds = 0.0;    // spool read + day aggregation
-  double graph_seconds = 0.0;     // ApplyDelta + Materialize
+  double graph_seconds = 0.0;     // ApplyDelta: store repair + re-cap
   double cluster_seconds = 0.0;   // splice (or full HAC)
   double describe_seconds = 0.0;  // DescribeTopics over touched topics
   double publish_seconds = 0.0;   // compile + atomic write
@@ -157,7 +157,6 @@ class TaxonomyDaemon {
   std::unique_ptr<IncrementalEntityGraph> graph_;
   std::vector<ckpt::DaemonWindowData::WindowDay> window_;  // oldest first
   bool has_model_ = false;
-  graph::WeightedGraph last_graph_;
   core::Dendrogram last_dendrogram_;
   core::Taxonomy taxonomy_;
   std::vector<std::vector<core::ScoredQuery>> rankings_;  // by topic id

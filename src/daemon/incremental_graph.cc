@@ -5,6 +5,8 @@
 #include <limits>
 #include <tuple>
 
+#include "obs/trace.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace shoal::daemon {
@@ -35,6 +37,26 @@ constexpr uint32_t kNoEntity = std::numeric_limits<uint32_t>::max();
 
 using Link = graph::BipartiteGraph::Link;
 
+// Cap heads as the (s, other) of their lowest-ranked edge: an edge
+// (s, other) seen from x is in x's top max_degree iff it ranks no lower
+// than x's cutoff. Stored scores are finite (they pass the finite
+// threshold), so these two never tie with an edge.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr core::CapIncident kKeepAll{-kInf, kNoEntity, 0};
+constexpr core::CapIncident kKeepNone{kInf, 0, 0};
+
+bool InHead(const core::CapIncident& cutoff, double s, uint32_t other) {
+  return !core::CapRanksBefore{}(cutoff, {s, other, 0});
+}
+
+// Rank order of a capped row's entries, as CapRanksBefore.
+struct EdgeRanksBefore {
+  bool operator()(const graph::Edge& a, const graph::Edge& b) const {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    return a.to < b.to;
+  }
+};
+
 }  // namespace
 
 util::Result<IncrementalEntityGraph> IncrementalEntityGraph::Create(
@@ -49,6 +71,7 @@ util::Result<IncrementalEntityGraph> IncrementalEntityGraph::Create(
   graph.queries_of_.resize(title_words.size());
   graph.profiles_ =
       core::BuildContentProfiles(word_vectors, title_words, nullptr);
+  graph.capped_ = graph::WeightedGraph(title_words.size());
   return graph;
 }
 
@@ -62,8 +85,10 @@ std::vector<uint32_t> IncrementalEntityGraph::CappedSetOf(uint32_t q) const {
   return items;
 }
 
-util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
-                                                DeltaStats* stats) {
+util::Status IncrementalEntityGraph::ApplyDelta(
+    const ClickDelta& delta, DeltaStats* stats,
+    std::vector<CappedEdgeChange>* changes) {
+  obs::ScopedSpan repair_span("daemon.delta");
   DeltaStats local;
   local.delta_entries = delta.entries.size();
 
@@ -84,7 +109,6 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
       }
     }
   }
-  local.dirty_queries = dirty_queries.size();
 
   // old_capped[i] is the pre-delta capped set of dirty_queries[i].
   std::vector<std::vector<uint32_t>> old_capped;
@@ -99,6 +123,16 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
     if (affected[e]) return;
     affected[e] = 1;
     affected_entities.push_back(e);
+  };
+  // ... and its capped row is touched, as is the row of every store
+  // partner it has before or after the step (slot[x]: x's index in
+  // `touched`).
+  std::vector<uint32_t> slot(queries_of_.size(), kNoEntity);
+  std::vector<uint32_t> touched;
+  const auto touch = [&](uint32_t e) {
+    if (slot[e] != kNoEntity) return;
+    slot[e] = static_cast<uint32_t>(touched.size());
+    touched.push_back(e);
   };
   for (const ClickDelta::Entry& entry : delta.entries) {
     if (entry.delta == 0) continue;
@@ -130,7 +164,6 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
       affect(entry.entity);
     }
   }
-  local.dirty_entities = affected_entities.size();
 
   // Post-delta capped sets, computed once each on first use.
   std::vector<std::vector<uint32_t>> capped(query_links_.size());
@@ -154,10 +187,16 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
     for (uint32_t e : moved) affect(e);
   }
 
+  for (uint32_t e : affected_entities) touch(e);
+
   // ---- drop every standing edge with an affected end -------------------
   // The edges left keep their candidacy and their scores (class comment).
+  // A dropped edge's ends are touched: their old partners.
   std::erase_if(store_, [&](const core::ScoredEdge& edge) {
-    return affected[edge.u] || affected[edge.v];
+    if (!affected[edge.u] && !affected[edge.v]) return false;
+    touch(edge.u);
+    touch(edge.v);
+    return true;
   });
 
   // ---- re-derive the affected rows -------------------------------------
@@ -181,8 +220,11 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
         row.push_back(v);
       }
     }
-    local.pairs_rescored += row.size();
     scorer.Score(x, row, &fresh);
+  }
+  for (const core::ScoredEdge& edge : fresh) {
+    touch(edge.u);  // one end is affected, the other a new partner
+    touch(edge.v);
   }
 
   // ---- merge the fresh edges into the store ----------------------------
@@ -193,25 +235,129 @@ util::Status IncrementalEntityGraph::ApplyDelta(const ClickDelta& delta,
   store_.insert(store_.end(), fresh.begin(), fresh.end());
   std::inplace_merge(store_.begin(), store_.begin() + standing, store_.end(),
                      PairLess);
+  repair_span.End();
 
+  obs::ScopedSpan recap_span("daemon.materialize");
+  local.rows_recapped = touched.size();
+  local.capped_edges_changed = Recap(touched, slot, changes);
   if (stats != nullptr) *stats = local;
   return util::Status::OK();
 }
 
-util::Result<graph::WeightedGraph> IncrementalEntityGraph::Materialize()
-    const {
-  return core::ApplyDegreeCap(store_, queries_of_.size(), options_.max_degree);
+size_t IncrementalEntityGraph::Recap(const std::vector<uint32_t>& touched,
+                                     const std::vector<uint32_t>& slot,
+                                     std::vector<CappedEdgeChange>* changes) {
+  const size_t max_degree = options_.max_degree;
+
+  // ---- each touched row's incident store edges, in one pass -----------
+  // Counted first, then filled: incident[offset[i], offset[i + 1]) are
+  // touched[i]'s edges, seen from it.
+  std::vector<size_t> offset(touched.size() + 1, 0);
+  for (const core::ScoredEdge& e : store_) {
+    if (slot[e.u] != kNoEntity) ++offset[slot[e.u] + 1];
+    if (slot[e.v] != kNoEntity) ++offset[slot[e.v] + 1];
+  }
+  for (size_t i = 0; i < touched.size(); ++i) offset[i + 1] += offset[i];
+  std::vector<core::CapIncident> incident(offset.back());
+  {
+    std::vector<size_t> fill(offset.begin(), offset.end() - 1);
+    for (const core::ScoredEdge& e : store_) {
+      if (slot[e.u] != kNoEntity) incident[fill[slot[e.u]]++] = {e.s, e.v, 0};
+      if (slot[e.v] != kNoEntity) incident[fill[slot[e.v]]++] = {e.s, e.u, 0};
+    }
+  }
+
+  // ---- each touched row's top max_degree, as its cutoff ---------------
+  std::vector<core::CapIncident> cutoff(touched.size());
+  for (size_t i = 0; i < touched.size(); ++i) {
+    core::CapIncident* first = incident.data() + offset[i];
+    core::CapIncident* last = incident.data() + offset[i + 1];
+    core::CapIncident* head = core::SelectCapHead(first, last, max_degree);
+    cutoff[i] = head == last ? kKeepAll : head == first ? kKeepNone : head[-1];
+  }
+  // An untouched row's store edges did not move, so its top max_degree is
+  // still the head of its standing capped row (which lists its top
+  // max_degree first). Flips below insert or drop only edges ranked
+  // after that head, so the head reads the same before and after them.
+  const auto cutoff_of = [&](uint32_t x) -> core::CapIncident {
+    if (slot[x] != kNoEntity) return cutoff[slot[x]];
+    if (max_degree == 0) return kKeepNone;
+    const std::vector<graph::Edge>& row = capped_.Neighbors(x);
+    if (row.size() < max_degree) return kKeepAll;
+    return {row[max_degree - 1].weight, row[max_degree - 1].to, 0};
+  };
+
+  // ---- new rows, diffed against the standing ones ---------------------
+  // An edge is kept iff it is in the head of either end. A change between
+  // two touched rows is reported by its smaller end; a change at an
+  // untouched row is patched into that row (only a flip can reach it: an
+  // edge with no affected end keeps its score).
+  size_t changed = 0;
+  const auto report = [&](uint32_t x, uint32_t other, bool removed) {
+    if (slot[other] != kNoEntity && other < x) return;
+    ++changed;
+    if (changes != nullptr) {
+      changes->push_back({std::min(x, other), std::max(x, other), removed});
+    }
+  };
+  const auto flip = [&](uint32_t y, graph::Edge edge, bool in) {
+    std::vector<graph::Edge> row = capped_.Neighbors(y);
+    auto at =
+        std::lower_bound(row.begin(), row.end(), edge, EdgeRanksBefore{});
+    if (in) {
+      row.insert(at, edge);
+    } else {
+      // The standing entry: an edge at an untouched row keeps its score.
+      SHOAL_CHECK(at != row.end() && at->to == edge.to);
+      row.erase(at);
+    }
+    capped_.ReplaceRow(y, std::move(row));
+  };
+  std::vector<uint32_t> mark(queries_of_.size(), kNoEntity);
+  std::vector<double> old_weight(queries_of_.size(), 0.0);
+  for (size_t i = 0; i < touched.size(); ++i) {
+    const uint32_t x = touched[i];
+    core::CapIncident* first = incident.data() + offset[i];
+    core::CapIncident* last = std::partition(
+        first, incident.data() + offset[i + 1],
+        [&](const core::CapIncident& in) {
+          return InHead(cutoff[i], in.s, in.other) ||
+                 InHead(cutoff_of(in.other), in.s, x);
+        });
+    std::sort(first, last, core::CapRanksBefore{});
+    std::vector<graph::Edge> row;
+    row.reserve(last - first);
+    for (; first != last; ++first) row.push_back({first->other, first->s});
+    const std::vector<graph::Edge> old_row =
+        capped_.ReplaceRow(x, std::move(row));
+
+    // mark[o] == x: o is in x's old row and not (yet) in its new one.
+    for (const graph::Edge& e : old_row) {
+      mark[e.to] = x;
+      old_weight[e.to] = e.weight;
+    }
+    // Flips patch untouched rows only, so x's new row stays in place.
+    for (const graph::Edge& e : capped_.Neighbors(x)) {
+      if (mark[e.to] == x) {
+        mark[e.to] = kNoEntity;
+        if (old_weight[e.to] != e.weight) report(x, e.to, false);
+        continue;
+      }
+      report(x, e.to, false);
+      if (slot[e.to] == kNoEntity) flip(e.to, {x, e.weight}, true);
+    }
+    for (const graph::Edge& e : old_row) {
+      if (mark[e.to] != x) continue;
+      report(x, e.to, true);
+      if (slot[e.to] == kNoEntity) flip(e.to, {x, e.weight}, false);
+    }
+  }
+  return changed;
 }
 
 graph::BipartiteGraph IncrementalEntityGraph::WindowGraph() const {
-  graph::BipartiteGraph graph(query_links_.size(), queries_of_.size());
-  for (uint32_t q = 0; q < query_links_.size(); ++q) {
-    for (const Link& link : query_links_[q]) {
-      auto status = graph.AddInteraction(q, link.id, link.count);
-      (void)status;  // ids validated on ingest
-    }
-  }
-  return graph;
+  return graph::BipartiteGraph::FromLeftLinks(query_links_,
+                                              queries_of_.size());
 }
 
 }  // namespace shoal::daemon

@@ -30,27 +30,36 @@ struct ClickDelta {
 // Per-ApplyDelta telemetry.
 struct DeltaStats {
   size_t delta_entries = 0;
-  size_t dirty_queries = 0;   // any count change
-  size_t dirty_entities = 0;  // query-set membership change
-  size_t pairs_rescored = 0;  // pairs in the affected entities' rows
+  size_t rows_recapped = 0;         // capped rows derived afresh
+  size_t capped_edges_changed = 0;  // capped edges added/removed/reweighted
+};
+
+// One edge (u < v) that a window step added to, removed from or
+// reweighted in the degree-capped graph.
+struct CappedEdgeChange {
+  uint32_t u = 0;
+  uint32_t v = 0;
+  bool removed = false;  // in the old capped graph only
+
+  bool operator==(const CappedEdgeChange&) const = default;
 };
 
 // A standing item entity graph maintained under sliding-window click
-// deltas (DESIGN.md §13). Invariant after every ApplyDelta:
+// deltas (DESIGN.md §13). Invariants after every ApplyDelta:
 //
 //   store == { (u,v) : (u,v) is a candidate pair under the current
 //              window counts and its Eq. 3 score >= threshold }
+//   capped graph == ApplyDegreeCap(store)
 //
 // — exactly the pre-degree-cap edge store BuildEntityGraph computes
-// from scratch, so Materialize() (which runs the same ApplyDegreeCap)
-// returns a WeightedGraph byte-identical to a full rebuild of the same
-// window.
+// from scratch and the graph it returns, so Materialize() is
+// byte-identical to a full rebuild of the same window, row order and
+// weighted degrees included.
 //
 // State is kept in sorted flat arrays, not hash maps: each query's
 // window counts are (entity, count) links ascending by entity, each
 // entity's query set is an ascending id list, and the store is one
-// ScoredEdge vector strictly ascending by (u, v) — the order
-// ApplyDegreeCap takes, so Materialize() hands it over as is.
+// ScoredEdge vector strictly ascending by (u, v).
 //
 // A pair is a *candidate* when at least one query holds both entities
 // in its capped link set (CappedQueryItems — a pure function of the
@@ -62,6 +71,13 @@ struct DeltaStats {
 // standing edges with an affected end and re-derives only the affected
 // entities' rows, scored by the builder's RowScorer. The scoring work
 // scales with the delta, not the window.
+//
+// The re-cap then touches only the rows whose incident store edges
+// moved: the affected entities and every store partner they had or now
+// have. Each touched row is re-capped from its store edges; an
+// untouched row's top max_degree is the head of its standing capped
+// row, so it changes only where its edge to a touched row flips in or
+// out of the cap.
 class IncrementalEntityGraph {
  public:
   // `title_words` / `word_vectors` describe the static catalog; content
@@ -75,13 +91,22 @@ class IncrementalEntityGraph {
       const text::EmbeddingTable& word_vectors,
       const core::EntityGraphOptions& options);
 
-  // Applies one window step. Fails (leaving the graph unusable) if a
-  // count would go negative — the producer fed a retirement that was
-  // never ingested.
-  util::Status ApplyDelta(const ClickDelta& delta, DeltaStats* stats);
+  // Applies one window step: repairs the store (span `daemon.delta`),
+  // then re-caps the touched rows of the capped graph
+  // (`daemon.materialize`). When `changes` is not null it receives every
+  // capped edge the step added, removed or reweighted, each once, in no
+  // particular order. Fails (leaving the graph unusable) if a count
+  // would go negative — the producer fed a retirement that was never
+  // ingested.
+  util::Status ApplyDelta(const ClickDelta& delta, DeltaStats* stats,
+                          std::vector<CappedEdgeChange>* changes = nullptr);
 
-  // Finalises the standing store through the shared degree-cap pass.
-  util::Result<graph::WeightedGraph> Materialize() const;
+  // The standing degree-capped graph.
+  const graph::WeightedGraph& CappedGraph() const { return capped_; }
+
+  // A copy of CappedGraph(), for callers that compare it with a
+  // from-scratch build.
+  util::Result<graph::WeightedGraph> Materialize() const { return capped_; }
 
   // The current window as a query-item bipartite graph (queries
   // ascending, entities ascending within each query) — input for the
@@ -94,7 +119,7 @@ class IncrementalEntityGraph {
   size_t store_size() const { return store_.size(); }
 
   // The standing scored edges, strictly ascending by (u, v). Exposed for
-  // snapshot verification and tests; Materialize() is the serving-path
+  // snapshot verification and tests; CappedGraph() is the serving-path
   // view.
   const std::vector<core::ScoredEdge>& StoreEdges() const { return store_; }
 
@@ -105,6 +130,15 @@ class IncrementalEntityGraph {
   // vector (empty when the query has no links).
   std::vector<uint32_t> CappedSetOf(uint32_t q) const;
 
+  // Re-caps the rows of `touched` (slot[x] is x's index in it, UINT32_MAX
+  // for an untouched row) from the repaired store, and patches each
+  // untouched row where its edge to a touched row flips in or out of the
+  // cap. Returns the number of capped edges changed, appending them to
+  // `changes` when it is not null.
+  size_t Recap(const std::vector<uint32_t>& touched,
+               const std::vector<uint32_t>& slot,
+               std::vector<CappedEdgeChange>* changes);
+
   core::EntityGraphOptions options_;
   std::vector<core::ContentProfile> profiles_;
 
@@ -114,8 +148,9 @@ class IncrementalEntityGraph {
   std::vector<std::vector<uint32_t>> queries_of_;
 
   // The standing scored edge store (u < v, Eq. 3 score), strictly
-  // ascending by (u, v).
+  // ascending by (u, v), and its degree cap.
   std::vector<core::ScoredEdge> store_;
+  graph::WeightedGraph capped_;
 };
 
 }  // namespace shoal::daemon

@@ -1,115 +1,77 @@
 #include "daemon/splice.h"
 
-#include <algorithm>
-#include <tuple>
+#include <utility>
 
-#include "graph/components.h"
 #include "util/string_util.h"
 
 namespace shoal::daemon {
-namespace {
-
-// The graph's edges (u < v), sorted by (u, v): rows in u order, each
-// row's forward half sorted by v (adjacency rows are in score order).
-std::vector<graph::WeightedGraph::FullEdge> SortedEdges(
-    const graph::WeightedGraph& graph) {
-  std::vector<graph::WeightedGraph::FullEdge> edges;
-  edges.reserve(graph.num_edges());
-  for (uint32_t u = 0; u < graph.num_vertices(); ++u) {
-    const size_t row_begin = edges.size();
-    for (const graph::Edge& e : graph.Neighbors(u)) {
-      if (e.to > u) edges.push_back({u, e.to, e.weight});
-    }
-    std::sort(edges.begin() + row_begin, edges.end(),
-              [](const auto& a, const auto& b) { return a.v < b.v; });
-  }
-  return edges;
-}
-
-}  // namespace
 
 util::Result<SpliceResult> SpliceDendrogram(
-    const graph::WeightedGraph& old_graph,
     const core::Dendrogram& old_dendrogram,
     const graph::WeightedGraph& new_graph,
+    const std::vector<CappedEdgeChange>& changes,
     const core::ParallelHacOptions& options) {
   const size_t n = new_graph.num_vertices();
-  if (old_graph.num_vertices() != n) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "old graph has %zu vertices, new graph has %zu",
-        old_graph.num_vertices(), n));
-  }
   if (old_dendrogram.num_leaves() != n) {
     return util::Status::InvalidArgument(util::StringPrintf(
         "standing dendrogram has %zu leaves for %zu vertices",
         old_dendrogram.num_leaves(), n));
   }
+  for (const CappedEdgeChange& change : changes) {
+    if (change.u >= change.v || change.v >= n) {
+      return util::Status::InvalidArgument(util::StringPrintf(
+          "changed edge (%u, %u) breaks u < v < %zu", change.u, change.v,
+          n));
+    }
+  }
 
   SpliceResult result;
+  result.stats.changed_edges = changes.size();
 
-  // ---- 1. edge diff + dirty-component expansion -----------------------
-  // Components over old ∪ new first, then one merge of the two
-  // (u, v)-sorted edge lists: an edge changed when only one graph has it
-  // or its weight moved, and it dirties its whole union component.
-  const std::vector<graph::WeightedGraph::FullEdge> old_edges =
-      SortedEdges(old_graph);
-  const std::vector<graph::WeightedGraph::FullEdge> new_edges =
-      SortedEdges(new_graph);
-  graph::UnionFind uf(n);
-  for (const auto& e : old_edges) uf.Union(e.u, e.v);
-  for (const auto& e : new_edges) uf.Union(e.u, e.v);
-  std::vector<char> dirty_root(n, 0);
-  const auto mark_changed = [&](const graph::WeightedGraph::FullEdge& e) {
-    dirty_root[uf.Find(e.u)] = 1;
-    ++result.stats.changed_edges;
-  };
-  size_t i = 0;
-  size_t j = 0;
-  while (i < old_edges.size() && j < new_edges.size()) {
-    const auto& a = old_edges[i];
-    const auto& b = new_edges[j];
-    if (a.u == b.u && a.v == b.v) {
-      if (a.weight != b.weight) mark_changed(a);
-      ++i;
-      ++j;
-    } else if (std::tie(a.u, a.v) < std::tie(b.u, b.v)) {
-      mark_changed(a);  // removed
-      ++i;
-    } else {
-      mark_changed(b);  // added
-      ++j;
+  // ---- 1. dirty set: search old ∪ new from the changed edges --------
+  // old ∪ new is the new rows plus the removed edges, which get their
+  // own adjacency: removed_adj[removed_at[v], removed_at[v + 1]).
+  std::vector<size_t> removed_at(n + 1, 0);
+  for (const CappedEdgeChange& change : changes) {
+    if (!change.removed) continue;
+    ++removed_at[change.u + 1];
+    ++removed_at[change.v + 1];
+  }
+  for (size_t v = 0; v < n; ++v) removed_at[v + 1] += removed_at[v];
+  std::vector<uint32_t> removed_adj(removed_at[n]);
+  {
+    std::vector<size_t> fill(removed_at.begin(), removed_at.end() - 1);
+    for (const CappedEdgeChange& change : changes) {
+      if (!change.removed) continue;
+      removed_adj[fill[change.u]++] = change.v;
+      removed_adj[fill[change.v]++] = change.u;
     }
   }
-  for (; i < old_edges.size(); ++i) mark_changed(old_edges[i]);
-  for (; j < new_edges.size(); ++j) mark_changed(new_edges[j]);
-
   result.dirty_leaf.assign(n, false);
   size_t dirty_leaves = 0;
-  for (uint32_t v = 0; v < n; ++v) {
-    if (dirty_root[uf.Find(v)]) {
-      result.dirty_leaf[v] = true;
-      ++dirty_leaves;
-    }
-  }
-  result.stats.dirty_leaves = dirty_leaves;
-  {
-    // Component counts, over the union structure (singletons with no
-    // edges in either graph are uninteresting frozen components; count
-    // only multi-leaf frozen ones so the stat tracks replayed work).
-    std::vector<char> seen_dirty(n, 0), seen_frozen(n, 0);
-    for (uint32_t v = 0; v < n; ++v) {
-      const uint32_t root = uf.Find(v);
-      if (dirty_root[root]) {
-        if (!seen_dirty[root]) {
-          seen_dirty[root] = 1;
-          ++result.stats.dirty_components;
-        }
-      } else if (uf.ComponentSize(root) > 1 && !seen_frozen[root]) {
-        seen_frozen[root] = 1;
-        ++result.stats.frozen_components;
+  std::vector<uint32_t> pending;
+  const auto visit = [&](uint32_t v) {
+    if (result.dirty_leaf[v]) return;
+    result.dirty_leaf[v] = true;
+    ++dirty_leaves;
+    pending.push_back(v);
+  };
+  for (const CappedEdgeChange& change : changes) {
+    // The change's edge joins u and v in old ∪ new, so a search from an
+    // unvisited u discovers one whole dirty component, v included.
+    if (result.dirty_leaf[change.u]) continue;
+    ++result.stats.dirty_components;
+    visit(change.u);
+    while (!pending.empty()) {
+      const uint32_t v = pending.back();
+      pending.pop_back();
+      for (const graph::Edge& e : new_graph.Neighbors(v)) visit(e.to);
+      for (size_t i = removed_at[v]; i < removed_at[v + 1]; ++i) {
+        visit(removed_adj[i]);
       }
     }
   }
+  result.stats.dirty_leaves = dirty_leaves;
 
   // ---- 2. replay frozen merges ----------------------------------------
   core::Dendrogram dendrogram(n);
@@ -142,14 +104,19 @@ util::Result<SpliceResult> SpliceDendrogram(
     for (uint32_t i = 0; i < dirty_list.size(); ++i) {
       local_id[dirty_list[i]] = i;
     }
-    graph::WeightedGraph subgraph(dirty_list.size());
-    for (const graph::WeightedGraph::FullEdge& e : new_graph.AllEdges()) {
-      // Components are closed under both graphs' edges, so an edge
-      // touching a dirty leaf has both endpoints dirty.
-      if (!result.dirty_leaf[e.u]) continue;
-      SHOAL_RETURN_IF_ERROR(
-          subgraph.AddEdge(local_id[e.u], local_id[e.v], e.weight));
+    // Components are closed under both graphs' edges, so every
+    // neighbour of a dirty leaf is dirty: the dirty rows, relabelled,
+    // are the induced subgraph.
+    std::vector<std::vector<graph::Edge>> rows(dirty_list.size());
+    for (uint32_t i = 0; i < dirty_list.size(); ++i) {
+      const std::vector<graph::Edge>& row = new_graph.Neighbors(dirty_list[i]);
+      rows[i].reserve(row.size());
+      for (const graph::Edge& e : row) {
+        rows[i].push_back({local_id[e.to], e.weight});
+      }
     }
+    const graph::WeightedGraph subgraph =
+        graph::WeightedGraph::FromRows(std::move(rows));
     auto sub_dendrogram =
         core::ParallelHac(subgraph, options, &result.stats.hac);
     if (!sub_dendrogram.ok()) return sub_dendrogram.status();

@@ -1,6 +1,7 @@
 #include "graph/bipartite_graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -8,6 +9,29 @@ namespace shoal::graph {
 
 BipartiteGraph::BipartiteGraph(size_t num_left, size_t num_right)
     : left_adj_(num_left), right_adj_(num_right) {}
+
+BipartiteGraph BipartiteGraph::FromLeftLinks(
+    std::vector<std::vector<Link>> left_links, size_t num_right) {
+  BipartiteGraph graph(0, num_right);
+  graph.left_adj_ = std::move(left_links);
+  std::vector<uint32_t> degree(num_right, 0);
+  for (const std::vector<Link>& links : graph.left_adj_) {
+    for (const Link& link : links) {
+      ++degree[link.id];
+      graph.total_interactions_ += link.count;
+    }
+    graph.num_edges_ += links.size();
+  }
+  for (uint32_t right = 0; right < num_right; ++right) {
+    graph.right_adj_[right].reserve(degree[right]);
+  }
+  for (uint32_t left = 0; left < graph.num_left(); ++left) {
+    for (const Link& link : graph.left_adj_[left]) {
+      graph.right_adj_[link.id].push_back(Link{left, link.count});
+    }
+  }
+  return graph;
+}
 
 util::Status BipartiteGraph::AddInteraction(uint32_t left, uint32_t right,
                                             uint32_t count) {

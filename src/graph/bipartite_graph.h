@@ -29,6 +29,16 @@ class BipartiteGraph {
     uint32_t count;     // interaction count
   };
 
+  // Adopts finished per-query links: left_links[q] lists query q's
+  // links, each item at most once, with a count > 0 and an id below
+  // `num_right` (the caller guarantees this; it is not checked). The
+  // item side is filled by a counting transpose in query order, so the
+  // graph equals what AddInteraction over every link, queries ascending
+  // and each query's links in order, would build: every row in the same
+  // order, num_edges() and total_interactions() alike.
+  static BipartiteGraph FromLeftLinks(std::vector<std::vector<Link>> left_links,
+                                      size_t num_right);
+
   const std::vector<Link>& LeftNeighbors(uint32_t left) const {
     return left_adj_[left];
   }

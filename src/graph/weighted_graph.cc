@@ -10,16 +10,35 @@ WeightedGraph WeightedGraph::FromRows(std::vector<std::vector<Edge>> rows) {
   WeightedGraph graph;
   graph.adjacency_ = std::move(rows);
   graph.weighted_degree_.assign(graph.adjacency_.size(), 0.0);
-  size_t entries = 0;
   for (VertexId u = 0; u < graph.num_vertices(); ++u) {
     for (const Edge& e : graph.adjacency_[u]) {
       graph.weighted_degree_[u] += e.weight;
       if (e.to > u) graph.total_weight_ += e.weight;
     }
-    entries += graph.adjacency_[u].size();
+    graph.num_entries_ += graph.adjacency_[u].size();
   }
-  graph.num_edges_ = entries / 2;
   return graph;
+}
+
+std::vector<Edge> WeightedGraph::ReplaceRow(VertexId u, std::vector<Edge> row) {
+  std::swap(adjacency_[u], row);
+  num_entries_ = num_entries_ - row.size() + adjacency_[u].size();
+  weighted_degree_[u] = 0.0;
+  for (const Edge& e : adjacency_[u]) weighted_degree_[u] += e.weight;
+  rows_replaced_ = true;
+  return row;
+}
+
+double WeightedGraph::TotalEdgeWeight() const {
+  if (!rows_replaced_) return total_weight_;
+  // Re-summed in the order FromRows adds the weights in.
+  double total = 0.0;
+  for (VertexId u = 0; u < num_vertices(); ++u) {
+    for (const Edge& e : adjacency_[u]) {
+      if (e.to > u) total += e.weight;
+    }
+  }
+  return total;
 }
 
 void WeightedGraph::Resize(size_t num_vertices) {
@@ -48,7 +67,7 @@ util::Status WeightedGraph::AddEdge(VertexId u, VertexId v, double weight) {
   weighted_degree_[u] += weight;
   weighted_degree_[v] += weight;
   total_weight_ += weight;
-  ++num_edges_;
+  num_entries_ += 2;
   return util::Status::OK();
 }
 
@@ -73,7 +92,7 @@ double WeightedGraph::EdgeWeight(VertexId u, VertexId v) const {
 
 std::vector<WeightedGraph::FullEdge> WeightedGraph::AllEdges() const {
   std::vector<FullEdge> out;
-  out.reserve(num_edges_);
+  out.reserve(num_edges());
   for (VertexId u = 0; u < num_vertices(); ++u) {
     for (const Edge& e : adjacency_[u]) {
       if (e.to > u) out.push_back(FullEdge{u, e.to, e.weight});

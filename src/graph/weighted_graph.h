@@ -37,11 +37,20 @@ class WeightedGraph {
   // this, it is not checked. TotalEdgeWeight() sums rows in u order.
   static WeightedGraph FromRows(std::vector<std::vector<Edge>> rows);
 
+  // Replaces u's row with `row` and returns the old one, leaving the
+  // graph as FromRows of its current rows would build it:
+  // WeightedDegree(u) is re-summed in row order, and once any row has
+  // been replaced TotalEdgeWeight() re-sums every row in u order. The
+  // caller replaces both ends of every edge it adds, drops or reweights,
+  // so the rows are symmetric again before the graph is read, and keeps
+  // FromRows' other preconditions; neither is checked.
+  std::vector<Edge> ReplaceRow(VertexId u, std::vector<Edge> row);
+
   // Grows the vertex set to `num_vertices` (never shrinks).
   void Resize(size_t num_vertices);
 
   size_t num_vertices() const { return adjacency_.size(); }
-  size_t num_edges() const { return num_edges_; }
+  size_t num_edges() const { return num_entries_ / 2; }
 
   // Adds an undirected edge. Self-loops and duplicate edges are rejected.
   util::Status AddEdge(VertexId u, VertexId v, double weight);
@@ -63,7 +72,7 @@ class WeightedGraph {
   double WeightedDegree(VertexId u) const { return weighted_degree_[u]; }
 
   // Sum of all edge weights (each undirected edge counted once).
-  double TotalEdgeWeight() const { return total_weight_; }
+  double TotalEdgeWeight() const;
 
   // All edges, each reported once with to > from.
   struct FullEdge {
@@ -79,8 +88,9 @@ class WeightedGraph {
 
   std::vector<std::vector<Edge>> adjacency_;
   std::vector<double> weighted_degree_;
-  size_t num_edges_ = 0;
+  size_t num_entries_ = 0;  // row entries, two per edge
   double total_weight_ = 0.0;
+  bool rows_replaced_ = false;  // total_weight_ is stale; re-sum rows
 };
 
 }  // namespace shoal::graph

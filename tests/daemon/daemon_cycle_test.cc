@@ -15,6 +15,7 @@
 #include "daemon/daemon.h"
 #include "data/drift_log.h"
 #include "obs/trace.h"
+#include "testutil/graph_compare.h"
 #include "util/tsv.h"
 
 namespace shoal::daemon {
@@ -106,15 +107,8 @@ TEST_F(DaemonCycleTest, MaintainedGraphMatchesFromScratchEveryCycle) {
     ASSERT_TRUE(reference.ok());
     auto maintained = daemon.graph().Materialize();
     ASSERT_TRUE(maintained.ok());
-    ASSERT_EQ(reference->num_edges(), maintained->num_edges()) << "day " << d;
-    auto expected_edges = reference->AllEdges();
-    auto actual_edges = maintained->AllEdges();
-    for (size_t i = 0; i < expected_edges.size(); ++i) {
-      ASSERT_EQ(expected_edges[i].u, actual_edges[i].u) << "day " << d;
-      ASSERT_EQ(expected_edges[i].v, actual_edges[i].v) << "day " << d;
-      ASSERT_EQ(expected_edges[i].weight, actual_edges[i].weight)
-          << "day " << d;
-    }
+    testutil::ExpectSameWeightedGraph(*reference, *maintained,
+                                      "day " + std::to_string(d));
   }
   // Later cycles must ride on the standing state, not rebuild: with the
   // drift workload's stationary background, most topics carry over.

@@ -1,10 +1,11 @@
 // IncrementalEntityGraph correctness: after any sequence of sliding-
-// window deltas, the standing store must be byte-identical to what
-// BuildEntityGraph computes from scratch over the same window — the
-// invariant everything else in src/daemon leans on. Also covers moves
-// across a head-query cap, delta entry order, the store's (u, v) order,
-// option validation shared with the builder, and the negative-count
-// guard.
+// window deltas, the standing store and capped graph must be
+// byte-identical to what BuildEntityGraph computes from scratch over the
+// same window — the invariant everything else in src/daemon leans on.
+// Also covers moves across a head-query cap, degree-cap flips at rows
+// the step did not touch, the re-cap's change list, delta entry order,
+// the store's (u, v) order, option validation shared with the builder,
+// and the negative-count guard.
 
 #include <algorithm>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "core/entity_graph.h"
 #include "daemon/incremental_graph.h"
 #include "graph/bipartite_graph.h"
+#include "testutil/graph_compare.h"
 
 namespace shoal::daemon {
 namespace {
@@ -83,6 +86,32 @@ Workload MakeWorkload(size_t num_queries, size_t num_entities, size_t vocab,
   return w;
 }
 
+// A window that barely moves: every day carries the same background
+// (three of MakeWorkload's days merged), which cancels in every delta
+// once the window is full, plus `drift_pairs` random clicks. A step then
+// touches only the rows its drifting pairs reach, so most rows stay
+// untouched and the degree cap can flip edges at them.
+Workload MakeStationaryWorkload(size_t num_queries, size_t num_entities,
+                                size_t vocab, size_t num_days,
+                                size_t drift_pairs, uint64_t seed) {
+  Workload w = MakeWorkload(num_queries, num_entities, vocab,
+                            /*num_days=*/3, seed);
+  DayCounts background;
+  for (const DayCounts& day : w.days) {
+    for (const auto& [pair, count] : day) background[pair] += count;
+  }
+  std::mt19937_64 rng(seed);
+  w.days.assign(num_days, background);
+  for (DayCounts& day : w.days) {
+    for (size_t i = 0; i < drift_pairs; ++i) {
+      day[{static_cast<uint32_t>(rng() % num_queries),
+           static_cast<uint32_t>(rng() % num_entities)}] +=
+          1 + static_cast<uint32_t>(rng() % 5);
+    }
+  }
+  return w;
+}
+
 // The incoming-minus-retiring delta of one window step, zero entries
 // dropped, sorted by (query, entity) like the daemon produces.
 ClickDelta MakeDelta(const DayCounts* incoming, const DayCounts* retiring) {
@@ -114,25 +143,6 @@ graph::BipartiteGraph AggregateWindow(const Workload& w, size_t begin,
     EXPECT_TRUE(qi.AddInteraction(pair.first, pair.second, count).ok());
   }
   return qi;
-}
-
-void ExpectSameGraph(const graph::WeightedGraph& expected,
-                     const graph::WeightedGraph& actual,
-                     const std::string& context) {
-  ASSERT_EQ(expected.num_vertices(), actual.num_vertices()) << context;
-  ASSERT_EQ(expected.num_edges(), actual.num_edges()) << context;
-  auto expected_edges = expected.AllEdges();
-  auto actual_edges = actual.AllEdges();
-  ASSERT_EQ(expected_edges.size(), actual_edges.size()) << context;
-  for (size_t i = 0; i < expected_edges.size(); ++i) {
-    EXPECT_EQ(expected_edges[i].u, actual_edges[i].u) << context << " edge "
-                                                      << i;
-    EXPECT_EQ(expected_edges[i].v, actual_edges[i].v) << context << " edge "
-                                                      << i;
-    // Bitwise: the incremental path must run the same arithmetic.
-    EXPECT_EQ(expected_edges[i].weight, actual_edges[i].weight)
-        << context << " edge " << i;
-  }
 }
 
 void ExpectSameStore(const std::vector<core::ScoredEdge>& expected,
@@ -176,9 +186,9 @@ TEST(IncrementalGraphTest, MatchesFromScratchAcrossSlidingWindow) {
     ASSERT_TRUE(reference.ok());
     auto materialized = graph.Materialize();
     ASSERT_TRUE(materialized.ok());
-    ExpectSameGraph(*reference, *materialized,
-                    "window [" + std::to_string(begin) + ", " +
-                        std::to_string(d + 1) + ")");
+    testutil::ExpectSameWeightedGraph(*reference, *materialized,
+                                      "window [" + std::to_string(begin) +
+                                          ", " + std::to_string(d + 1) + ")");
   }
   // A non-trivial final graph, or the whole sweep proved nothing.
   auto final_graph = graph.Materialize();
@@ -290,7 +300,8 @@ TEST(IncrementalGraphTest, QueryRegainingItsLastLinkMatchesFromScratch) {
     ASSERT_TRUE(reference.ok());
     auto materialized = graph.Materialize();
     ASSERT_TRUE(materialized.ok());
-    ExpectSameGraph(*reference, *materialized, "step " + std::to_string(d));
+    testutil::ExpectSameWeightedGraph(*reference, *materialized,
+                                      "step " + std::to_string(d));
   }
 }
 
@@ -340,7 +351,8 @@ TEST(IncrementalGraphTest, CappedSetBoundaryMovesMatchFromScratch) {
     EXPECT_GT(stats.capped_queries, 0u) << "step " << d;
     auto materialized = graph.Materialize();
     ASSERT_TRUE(materialized.ok());
-    ExpectSameGraph(*reference, *materialized, "step " + std::to_string(d));
+    testutil::ExpectSameWeightedGraph(*reference, *materialized,
+                                      "step " + std::to_string(d));
 
     const auto before = CappedSets(previous, 4);
     const auto after = CappedSets(current, 4);
@@ -358,6 +370,199 @@ TEST(IncrementalGraphTest, CappedSetBoundaryMovesMatchFromScratch) {
   // The case must exercise what it is named for.
   EXPECT_GT(boundary_only, 0u);
   EXPECT_GT(graph.store_size(), 0u);
+}
+
+// Materialize() against ApplyDegreeCap over the standing store and
+// against a from-scratch build of `window`: rows in order, weighted
+// degrees, edge count and total weight.
+void ExpectCappedGraphMatches(const IncrementalEntityGraph& graph,
+                              const graph::BipartiteGraph& window,
+                              const Workload& w,
+                              const core::EntityGraphOptions& options,
+                              const std::string& context) {
+  auto materialized = graph.Materialize();
+  ASSERT_TRUE(materialized.ok()) << context;
+  auto recapped = core::ApplyDegreeCap(graph.StoreEdges(),
+                                       graph.num_entities(),
+                                       options.max_degree);
+  ASSERT_TRUE(recapped.ok()) << context;
+  testutil::ExpectSameWeightedGraph(*recapped, *materialized,
+                                    context + " vs ApplyDegreeCap");
+  auto reference =
+      core::BuildEntityGraph(window, w.titles, w.vectors, options);
+  ASSERT_TRUE(reference.ok()) << context;
+  testutil::ExpectSameWeightedGraph(*reference, *materialized,
+                                    context + " vs BuildEntityGraph");
+}
+
+std::vector<CappedEdgeChange> SortedChanges(
+    std::vector<CappedEdgeChange> changes) {
+  std::sort(changes.begin(), changes.end(),
+            [](const CappedEdgeChange& a, const CappedEdgeChange& b) {
+              return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+            });
+  return changes;
+}
+
+// Replays `w` through a sliding window of `window` days, calling
+// check(step, graph, stats, changes, window graph) after every step.
+template <typename Check>
+void ReplayWindow(const Workload& w, size_t window,
+                  const core::EntityGraphOptions& options, Check check) {
+  auto created = IncrementalEntityGraph::Create(w.num_queries, w.titles,
+                                                w.vectors, options);
+  ASSERT_TRUE(created.ok());
+  IncrementalEntityGraph graph = std::move(created).value();
+  for (size_t d = 0; d < w.days.size(); ++d) {
+    const DayCounts* retiring = d >= window ? &w.days[d - window] : nullptr;
+    DeltaStats stats;
+    std::vector<CappedEdgeChange> changes;
+    ASSERT_TRUE(
+        graph.ApplyDelta(MakeDelta(&w.days[d], retiring), &stats, &changes)
+            .ok());
+    const size_t begin = d + 1 >= window ? d + 1 - window : 0;
+    check(d, graph, stats, changes, AggregateWindow(w, begin, d + 1));
+  }
+}
+
+// Degree caps of 1-4 with the flip on the untouched side. Entity a comes
+// and goes on alternate days (window 1), and only x shares a query with
+// it, so a step touches the rows of a and x and never y's. y's top
+// max_degree are its partners z_i (Sq 1/2), so the (x, y) edge (Sq
+// 1/(k+2)) is kept only while it is in x's top k — which it is exactly
+// when a (Sq 1/(k+1), tied with x's partners w_j) is away. So (x, y)
+// enters and leaves y's capped row without y's row being re-capped.
+TEST(IncrementalGraphTest, CapFlipsAtAnUntouchedRowMatchFromScratch) {
+  for (size_t k = 1; k <= 4; ++k) {
+    SCOPED_TRACE(testing::Message() << "max_degree " << k);
+    const uint32_t y = 0, x = 1, a = 2;
+    const uint32_t first_z = 3, first_w = 3 + static_cast<uint32_t>(k);
+    const uint32_t q1 = 0, q2 = 1, q3 = 2, first_q4 = 3;
+    Workload w;
+    w.num_entities = 2 * k + 2;
+    w.num_queries = k + 2;
+    w.vectors = text::EmbeddingTable(3, 4);
+    for (size_t v = 0; v < 3; ++v) w.vectors.Row(v)[v] = 1.0f;
+    for (size_t e = 0; e < w.num_entities; ++e) {
+      w.titles.push_back({static_cast<uint32_t>(e % 3)});
+    }
+    w.days.resize(4);
+    for (size_t d = 0; d < w.days.size(); ++d) {
+      DayCounts& day = w.days[d];
+      day[{q1, y}] = 1;
+      day[{q2, y}] = 1;
+      day[{q2, x}] = 1;
+      day[{q3, x}] = 1;
+      for (uint32_t i = 0; i < k; ++i) day[{q1, first_z + i}] = 1;
+      for (uint32_t j = 0; j + 1 < k; ++j) {
+        day[{first_q4 + j, x}] = 1;
+        day[{first_q4 + j, first_w + j}] = 1;
+      }
+      if (d % 2 == 0) day[{q3, a}] = 1;
+    }
+    core::EntityGraphOptions options;
+    options.alpha = 1.0;  // Sq alone, so the ranks above hold exactly
+    options.similarity_threshold = 0.1;
+    options.max_degree = k;
+
+    ReplayWindow(w, /*window=*/1, options,
+                 [&](size_t step, const IncrementalEntityGraph& graph,
+                     const DeltaStats& stats,
+                     const std::vector<CappedEdgeChange>& changes,
+                     const graph::BipartiteGraph& window) {
+                   const std::string context = "step " + std::to_string(step);
+                   ExpectCappedGraphMatches(graph, window, w, options,
+                                            context);
+                   const bool a_away = step % 2 == 1;
+                   EXPECT_EQ(graph.CappedGraph().HasEdge(x, y), a_away)
+                       << context;
+                   if (step == 0) return;
+                   EXPECT_EQ(stats.rows_recapped, 2u) << context;  // a, x
+                   EXPECT_EQ(stats.capped_edges_changed, 2u) << context;
+                   const std::vector<CappedEdgeChange> expected = {
+                       {y, x, /*removed=*/!a_away},
+                       {x, a, /*removed=*/a_away}};
+                   EXPECT_EQ(SortedChanges(changes), expected) << context;
+                 });
+  }
+}
+
+// Seeded sweep over degree caps 1-8 and 64, windows 1-4, with and
+// without a head-query cap, over windows that churn (MakeWorkload) and
+// windows that barely move (MakeStationaryWorkload): after every step
+// the standing capped graph equals ApplyDegreeCap over the store and a
+// from-scratch build.
+TEST(IncrementalGraphTest, RecapMatchesFromScratchAcrossCapsAndWindows) {
+  size_t steps = 0;
+  size_t changed = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const Workload w =
+        seed % 2 == 1
+            ? MakeWorkload(/*num_queries=*/29, /*num_entities=*/47,
+                           /*vocab=*/13, /*num_days=*/7, /*seed=*/100 + seed)
+            : MakeStationaryWorkload(/*num_queries=*/29, /*num_entities=*/47,
+                                     /*vocab=*/13, /*num_days=*/7,
+                                     /*drift_pairs=*/3, /*seed=*/100 + seed);
+    for (size_t cap : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 64u}) {
+      for (size_t window = 1; window <= 4; ++window) {
+        core::EntityGraphOptions options = TestOptions();
+        options.max_degree = cap;
+        options.max_items_per_query = seed % 4 < 2 ? 4 : 256;
+        const std::string config = "seed " + std::to_string(seed) +
+                                   " cap " + std::to_string(cap) +
+                                   " window " + std::to_string(window);
+        ReplayWindow(w, window, options,
+                     [&](size_t step, const IncrementalEntityGraph& graph,
+                         const DeltaStats& stats,
+                         const std::vector<CappedEdgeChange>&,
+                         const graph::BipartiteGraph& window_graph) {
+                       ExpectCappedGraphMatches(
+                           graph, window_graph, w, options,
+                           config + " step " + std::to_string(step));
+                       ++steps;
+                       changed += stats.capped_edges_changed;
+                     });
+      }
+    }
+  }
+  EXPECT_EQ(steps, 20u * 9u * 4u * 7u);
+  EXPECT_GT(changed, 0u);
+}
+
+// The re-cap's change list over a sliding window equals a brute-force
+// diff of consecutive from-scratch capped graphs (the first step against
+// the empty graph), for degree caps that bind and one that does not.
+TEST(IncrementalGraphTest, ChangeListMatchesDiffOfFromScratchGraphs) {
+  const Workload w =
+      MakeWorkload(/*num_queries=*/41, /*num_entities=*/67, /*vocab=*/19,
+                   /*num_days=*/9, /*seed=*/31);
+  for (size_t cap : {2u, 3u, 64u}) {
+    core::EntityGraphOptions options = TestOptions();
+    options.max_degree = cap;
+    graph::WeightedGraph previous(w.num_entities);
+    size_t removed = 0;
+    ReplayWindow(w, /*window=*/3, options,
+                 [&](size_t step, const IncrementalEntityGraph&,
+                     const DeltaStats& stats,
+                     const std::vector<CappedEdgeChange>& changes,
+                     const graph::BipartiteGraph& window) {
+                   const std::string context = "cap " + std::to_string(cap) +
+                                               " step " + std::to_string(step);
+                   auto current = core::BuildEntityGraph(window, w.titles,
+                                                         w.vectors, options);
+                   ASSERT_TRUE(current.ok()) << context;
+                   const std::vector<CappedEdgeChange> expected =
+                       testutil::DiffEdges(previous, *current);
+                   EXPECT_EQ(SortedChanges(changes), expected) << context;
+                   EXPECT_EQ(stats.capped_edges_changed, expected.size())
+                       << context;
+                   for (const CappedEdgeChange& c : expected) {
+                     removed += c.removed;
+                   }
+                   previous = std::move(current).value();
+                 });
+    EXPECT_GT(removed, 0u) << "cap " << cap;
+  }
 }
 
 TEST(IncrementalGraphTest, RejectsOptionsTheBuilderRejects) {
@@ -407,22 +612,11 @@ TEST(IncrementalGraphTest, WindowGraphMatchesAggregate) {
     ASSERT_TRUE(
         graph.ApplyDelta(MakeDelta(&w.days[d], retiring), nullptr).ok());
   }
-  graph::BipartiteGraph expected =
-      AggregateWindow(w, w.days.size() - window, w.days.size());
-  graph::BipartiteGraph actual = graph.WindowGraph();
-  ASSERT_EQ(expected.num_left(), actual.num_left());
-  ASSERT_EQ(expected.num_right(), actual.num_right());
-  ASSERT_EQ(expected.num_edges(), actual.num_edges());
-  ASSERT_EQ(expected.total_interactions(), actual.total_interactions());
-  for (uint32_t q = 0; q < expected.num_left(); ++q) {
-    const auto& e_links = expected.LeftNeighbors(q);
-    const auto& a_links = actual.LeftNeighbors(q);
-    ASSERT_EQ(e_links.size(), a_links.size()) << "query " << q;
-    for (size_t i = 0; i < e_links.size(); ++i) {
-      EXPECT_EQ(e_links[i].id, a_links[i].id) << "query " << q;
-      EXPECT_EQ(e_links[i].count, a_links[i].count) << "query " << q;
-    }
-  }
+  // AggregateWindow adds the links queries ascending, entities ascending
+  // within each query: both sides' rows must come out in that order.
+  testutil::ExpectSameBipartiteGraph(
+      AggregateWindow(w, w.days.size() - window, w.days.size()),
+      graph.WindowGraph(), "final window");
 }
 
 TEST(IncrementalGraphTest, EmptyDeltaIsANoOp) {
@@ -435,13 +629,19 @@ TEST(IncrementalGraphTest, EmptyDeltaIsANoOp) {
   ASSERT_TRUE(graph.ApplyDelta(MakeDelta(&w.days[0], nullptr), nullptr).ok());
   const std::vector<core::ScoredEdge> before = graph.StoreEdges();
 
+  const auto capped_before = graph.Materialize();
+  ASSERT_TRUE(capped_before.ok());
+
   DeltaStats stats;
-  ASSERT_TRUE(graph.ApplyDelta(ClickDelta{}, &stats).ok());
+  std::vector<CappedEdgeChange> changes;
+  ASSERT_TRUE(graph.ApplyDelta(ClickDelta{}, &stats, &changes).ok());
   EXPECT_EQ(stats.delta_entries, 0u);
-  EXPECT_EQ(stats.dirty_queries, 0u);
-  EXPECT_EQ(stats.dirty_entities, 0u);
-  EXPECT_EQ(stats.pairs_rescored, 0u);
+  EXPECT_EQ(stats.rows_recapped, 0u);
+  EXPECT_EQ(stats.capped_edges_changed, 0u);
+  EXPECT_TRUE(changes.empty());
   ExpectSameStore(before, graph.StoreEdges(), "after an empty delta");
+  testutil::ExpectSameWeightedGraph(*capped_before, graph.CappedGraph(),
+                                    "after an empty delta");
 }
 
 TEST(IncrementalGraphTest, RetirementBelowZeroFails) {

@@ -18,6 +18,7 @@
 #include "core/parallel_hac.h"
 #include "daemon/splice.h"
 #include "graph/weighted_graph.h"
+#include "testutil/graph_compare.h"
 
 namespace shoal::daemon {
 namespace {
@@ -76,13 +77,15 @@ void ExpectSameDendrogram(const core::Dendrogram& expected,
   }
 }
 
+using testutil::DiffEdges;
+
 TEST(SpliceTest, UnchangedGraphReplaysBitIdentically) {
   auto g = RandomGraph(/*num_vertices=*/40, /*num_edges=*/70, /*seed=*/2019);
   auto standing = core::ParallelHac(g, TestHac());
   ASSERT_TRUE(standing.ok());
   ASSERT_GT(standing->num_merges(), 0u);
 
-  auto spliced = SpliceDendrogram(g, *standing, g, TestHac());
+  auto spliced = SpliceDendrogram(*standing, g, {}, TestHac());
   ASSERT_TRUE(spliced.ok());
   EXPECT_EQ(spliced->stats.changed_edges, 0u);
   EXPECT_EQ(spliced->stats.dirty_components, 0u);
@@ -120,7 +123,8 @@ TEST(SpliceTest, AgreesWithFromScratchHacOnFlatClusters) {
     (void)new_graph.AddEdge(u, v, weight(rng)).ok();  // dup add is an error
   }
 
-  auto spliced = SpliceDendrogram(old_graph, *standing, new_graph, TestHac());
+  auto spliced = SpliceDendrogram(*standing, new_graph,
+                                  DiffEdges(old_graph, new_graph), TestHac());
   ASSERT_TRUE(spliced.ok());
   EXPECT_GT(spliced->stats.changed_edges, 0u);
   EXPECT_GT(spliced->stats.dirty_leaves, 0u);
@@ -156,7 +160,8 @@ TEST(SpliceTest, FrozenComponentRidesAcrossUntouched) {
     ASSERT_TRUE(new_graph.AddEdge(e.u, e.v, w).ok());
   }
 
-  auto spliced = SpliceDendrogram(old_graph, *standing, new_graph, TestHac());
+  auto spliced = SpliceDendrogram(*standing, new_graph,
+                                  DiffEdges(old_graph, new_graph), TestHac());
   ASSERT_TRUE(spliced.ok());
   EXPECT_EQ(spliced->stats.dirty_components, 1u);
   EXPECT_EQ(spliced->stats.dirty_leaves, 4u);
@@ -202,12 +207,13 @@ TEST(SpliceTest, DeterministicAcrossThreadCounts) {
             .ok());
   }
 
-  auto reference = SpliceDendrogram(old_graph, *standing, new_graph,
-                                    TestHac(/*threads=*/1));
+  const std::vector<CappedEdgeChange> changes = DiffEdges(old_graph, new_graph);
+  auto reference =
+      SpliceDendrogram(*standing, new_graph, changes, TestHac(/*threads=*/1));
   ASSERT_TRUE(reference.ok());
   for (size_t threads : {2u, 4u, 8u}) {
-    auto variant = SpliceDendrogram(old_graph, *standing, new_graph,
-                                    TestHac(threads));
+    auto variant =
+        SpliceDendrogram(*standing, new_graph, changes, TestHac(threads));
     ASSERT_TRUE(variant.ok());
     ExpectSameDendrogram(reference->dendrogram, variant->dendrogram,
                          std::to_string(threads) + " threads");
@@ -270,16 +276,12 @@ TEST(SpliceTest, ChangedEdgesMatchBruteForceDiff) {
       if (u != v) new_edges.emplace(std::minmax(u, v), weight(rng));
     }
 
-    // Brute-force diff over the two maps.
-    std::vector<std::pair<uint32_t, uint32_t>> changed;
-    for (const auto& [pair, w] : old_edges) {
-      auto it = new_edges.find(pair);
-      if (it == new_edges.end() || it->second != w) changed.push_back(pair);
-    }
-    for (const auto& [pair, w] : new_edges) {
-      if (!old_edges.contains(pair)) changed.push_back(pair);
-    }
+    // The brute-force diff, handed over in shuffled order.
+    const graph::WeightedGraph old_graph = ShuffledGraph(n, old_edges, rng);
+    const graph::WeightedGraph new_graph = ShuffledGraph(n, new_edges, rng);
+    std::vector<CappedEdgeChange> changed = DiffEdges(old_graph, new_graph);
     ASSERT_FALSE(changed.empty());
+    std::shuffle(changed.begin(), changed.end(), rng);
     // Components of old ∪ new by label propagation; a component is dirty
     // when it holds a changed edge.
     std::vector<uint32_t> label(n);
@@ -299,20 +301,22 @@ TEST(SpliceTest, ChangedEdgesMatchBruteForceDiff) {
       }
     }
     std::vector<bool> expected_dirty(n, false);
-    for (const auto& [u, v] : changed) {
+    std::vector<bool> dirty_label(n, false);
+    for (const CappedEdgeChange& change : changed) {
       for (uint32_t x = 0; x < n; ++x) {
-        if (label[x] == label[u]) expected_dirty[x] = true;
+        if (label[x] == label[change.u]) expected_dirty[x] = true;
       }
+      dirty_label[label[change.u]] = true;
     }
+    const size_t expected_components = static_cast<size_t>(
+        std::count(dirty_label.begin(), dirty_label.end(), true));
 
-    const graph::WeightedGraph old_graph = ShuffledGraph(n, old_edges, rng);
-    const graph::WeightedGraph new_graph = ShuffledGraph(n, new_edges, rng);
     auto standing = core::ParallelHac(old_graph, TestHac());
     ASSERT_TRUE(standing.ok());
-    auto spliced = SpliceDendrogram(old_graph, *standing, new_graph,
-                                    TestHac());
+    auto spliced = SpliceDendrogram(*standing, new_graph, changed, TestHac());
     ASSERT_TRUE(spliced.ok());
     EXPECT_EQ(spliced->stats.changed_edges, changed.size());
+    EXPECT_EQ(spliced->stats.dirty_components, expected_components);
     EXPECT_EQ(spliced->dirty_leaf, expected_dirty);
   }
 }
@@ -322,8 +326,8 @@ TEST(SpliceTest, EmptyOldGraphIsAFullRebuild) {
   core::Dendrogram standing(10);  // 10 singleton leaves, no merges
   auto new_graph = RandomGraph(/*num_vertices=*/10, /*num_edges=*/16,
                                /*seed=*/3);
-  auto spliced =
-      SpliceDendrogram(old_graph, standing, new_graph, TestHac());
+  auto spliced = SpliceDendrogram(standing, new_graph,
+                                  DiffEdges(old_graph, new_graph), TestHac());
   ASSERT_TRUE(spliced.ok());
   auto scratch = core::ParallelHac(new_graph, TestHac());
   ASSERT_TRUE(scratch.ok());

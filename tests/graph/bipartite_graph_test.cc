@@ -1,6 +1,14 @@
 #include "graph/bipartite_graph.h"
 
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "testutil/graph_compare.h"
 
 namespace shoal::graph {
 namespace {
@@ -70,6 +78,34 @@ TEST(BipartiteGraphTest, MultipleItemsPerQuery) {
   ASSERT_TRUE(g.AddInteraction(0, 2).ok());
   EXPECT_EQ(g.LeftNeighbors(0).size(), 3u);
   EXPECT_EQ(g.num_edges(), 3u);
+}
+
+// FromLeftLinks adopts per-query links and transposes them; the result
+// must equal AddInteraction over the same links, queries ascending, on
+// both sides' rows (order and counts), edges and interactions. Seeded
+// random windows, with empty queries and entities no query reaches.
+TEST(BipartiteGraphTest, FromLeftLinksMatchesAddInteraction) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    std::mt19937_64 rng(seed);
+    const uint32_t num_left = 1 + rng() % 40;
+    const uint32_t num_right = 1 + rng() % 60;
+    std::map<std::pair<uint32_t, uint32_t>, uint32_t> window;
+    const size_t clicks = rng() % 300;
+    for (size_t i = 0; i < clicks; ++i) {
+      window[{static_cast<uint32_t>(rng() % num_left),
+              static_cast<uint32_t>(rng() % num_right)}] +=
+          1 + static_cast<uint32_t>(rng() % 9);
+    }
+    BipartiteGraph expected(num_left, num_right);
+    std::vector<std::vector<BipartiteGraph::Link>> links(num_left);
+    for (const auto& [pair, count] : window) {
+      ASSERT_TRUE(expected.AddInteraction(pair.first, pair.second, count).ok());
+      links[pair.first].push_back({pair.second, count});
+    }
+    testutil::ExpectSameBipartiteGraph(
+        expected, BipartiteGraph::FromLeftLinks(std::move(links), num_right),
+        "seed " + std::to_string(seed));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
 #include "graph/weighted_graph.h"
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "testutil/graph_compare.h"
 
 namespace shoal::graph {
 namespace {
@@ -85,6 +92,53 @@ TEST(WeightedGraphTest, FromRowsKeepsRowOrder) {
   ASSERT_TRUE(g.AddEdge(3, 1, 1.0).ok());
   EXPECT_EQ(g.AddEdge(2, 0, 1.0).code(), util::StatusCode::kAlreadyExists);
   EXPECT_EQ(g.num_edges(), 3u);
+}
+
+// ReplaceRow leaves the graph as FromRows of its current rows would
+// build it: rows, weighted degrees (re-summed in row order), the edge
+// count and the total weight (re-summed in FromRows' order), all
+// compared with ==. Each step adds, drops or reweights one edge and
+// replaces both of its rows, shuffled, as the daemon's re-cap does.
+TEST(WeightedGraphTest, ReplaceRowMatchesFromRows) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> weight(0.0, 1.0);
+    const uint32_t n = 2 + rng() % 30;
+    std::map<std::pair<uint32_t, uint32_t>, double> edges;
+    const auto rows_of = [&] {
+      std::vector<std::vector<Edge>> rows(n);
+      for (const auto& [pair, w] : edges) {
+        rows[pair.first].push_back({pair.second, w});
+        rows[pair.second].push_back({pair.first, w});
+      }
+      for (auto& row : rows) std::shuffle(row.begin(), row.end(), rng);
+      return rows;
+    };
+    for (int i = 0; i < 3 * static_cast<int>(n); ++i) {
+      const uint32_t u = rng() % n, v = rng() % n;
+      if (u != v) edges[std::minmax(u, v)] = weight(rng);
+    }
+    WeightedGraph g = WeightedGraph::FromRows(rows_of());
+    for (int step = 0; step < 40; ++step) {
+      const uint32_t u = rng() % n, v = rng() % n;
+      if (u == v) continue;
+      const auto pair = std::minmax(u, v);
+      if (edges.contains(pair) && rng() % 2 == 0) {
+        edges.erase(pair);
+      } else {
+        edges[pair] = weight(rng);
+      }
+      const std::vector<std::vector<Edge>> rows = rows_of();
+      g.ReplaceRow(u, rows[u]);
+      g.ReplaceRow(v, rows[v]);
+      // Every other row keeps its order from the last FromRows or patch.
+      std::vector<std::vector<Edge>> current(n);
+      for (uint32_t x = 0; x < n; ++x) current[x] = g.Neighbors(x);
+      testutil::ExpectSameWeightedGraph(
+          WeightedGraph::FromRows(std::move(current)), g,
+          "seed " + std::to_string(seed) + " step " + std::to_string(step));
+    }
+  }
 }
 
 TEST(WeightedGraphTest, DegreesTrackEdges) {
