@@ -1,19 +1,22 @@
 // M1: google-benchmark microbenchmarks for the kernels the pipeline
 // spends its time in — similarity computation, BM25 scoring, word2vec
-// training throughput, the entity-graph degree cap, and union-find.
+// training throughput, the entity-graph degree cap, and the daemon's
+// per-cycle serialization (snapshot encoding and CRC-32).
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "ckpt/snapshot.h"
 #include "core/entity_graph.h"
 #include "core/hac_common.h"
 #include "core/similarity.h"
-#include "graph/components.h"
 #include "graph/generators.h"
 #include "text/bm25.h"
 #include "text/word2vec.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace {
@@ -159,21 +162,69 @@ void BM_ApplyDegreeCap(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyDegreeCap)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-void BM_UnionFind(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  util::Rng rng(7);
+// The checksum every snapshot, manifest entry and serving index image
+// carries; 64 KiB and 1 MiB bracket the 4k daemon's 0.73 MB index and
+// 1.38 MB snapshot payload.
+void BM_Crc32(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  util::Rng rng(8);
+  std::string buffer(size, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(256));
   for (auto _ : state) {
-    graph::UnionFind uf(n);
-    for (size_t i = 0; i < n; ++i) {
-      uf.Union(static_cast<uint32_t>(rng.Uniform(n)),
-               static_cast<uint32_t>(rng.Uniform(n)));
-    }
-    benchmark::DoNotOptimize(uf.num_components());
+    benchmark::DoNotOptimize(util::Crc32(buffer));
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(size));
 }
-BENCHMARK(BM_UnionFind)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Crc32)->Arg(64 << 10)->Arg(1 << 20);
+
+// One daemon snapshot payload of the perfbench 4k replay's shape: a
+// 7-day window of ~9k (query, entity) pairs a day, a 4k-leaf merge list,
+// and ~1.7k carried topic rankings holding ~19k ranked queries.
+void BM_EncodeDaemonWindow(benchmark::State& state) {
+  constexpr uint32_t kEntities = 4000;
+  constexpr uint32_t kQueries = 6000;
+  util::Rng rng(9);
+  ckpt::DaemonWindowData data;
+  data.num_queries = kQueries;
+  data.num_entities = kEntities;
+  data.window.resize(7);
+  for (size_t d = 0; d < data.window.size(); ++d) {
+    auto& day = data.window[d];
+    day.name = "day-000" + std::to_string(d) + ".clicks.tsv";
+    for (size_t i = 0; i < 9000; ++i) {
+      day.pairs.push_back({static_cast<uint32_t>(rng.Uniform(kQueries)),
+                           static_cast<uint32_t>(rng.Uniform(kEntities)),
+                           static_cast<uint32_t>(1 + rng.Uniform(20))});
+    }
+  }
+  data.num_leaves = kEntities;
+  for (uint32_t m = 0; m + 1 < kEntities; ++m) {
+    data.merges.push_back({static_cast<uint32_t>(rng.Uniform(kEntities + m)),
+                           static_cast<uint32_t>(rng.Uniform(kEntities + m)),
+                           rng.UniformDouble()});
+  }
+  data.rankings.resize(1700);
+  for (size_t t = 0; t < data.rankings.size(); ++t) {
+    data.rankings[t].dendro_node = static_cast<uint32_t>(kEntities + t);
+    const size_t len = 1 + rng.Uniform(21);  // ~11 queries a topic
+    for (size_t i = 0; i < len; ++i) {
+      data.rankings[t].ranking.push_back(
+          {static_cast<uint32_t>(rng.Uniform(kQueries)), rng.UniformDouble(),
+           rng.UniformDouble(), rng.UniformDouble()});
+    }
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string payload = ckpt::EncodeDaemonWindow(data);
+    bytes = payload.size();
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_EncodeDaemonWindow)->Unit(benchmark::kMillisecond);
 
 void BM_MergedSimilarity(benchmark::State& state) {
   for (auto _ : state) {

@@ -6,30 +6,6 @@
 
 namespace shoal::ckpt {
 
-void BinaryWriter::WriteU32(uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buffer_.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void BinaryWriter::WriteU64(uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buffer_.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void BinaryWriter::WriteF64(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
-
-void BinaryWriter::WriteString(std::string_view s) {
-  WriteU64(s.size());
-  buffer_.append(s.data(), s.size());
-}
-
 util::Result<uint8_t> BinaryReader::ReadU8() {
   if (remaining() < 1) {
     return util::Status::OutOfRange("snapshot truncated reading u8");

@@ -2,6 +2,7 @@
 #define SHOAL_CKPT_BINARY_IO_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -15,20 +16,43 @@ namespace shoal::ckpt {
 // written as their raw IEEE-754 bit pattern — snapshots must restore
 // similarities bit-exactly or a resumed HAC run could tie-break a merge
 // differently and diverge from the uninterrupted dendrogram.
+//
+// The fixed-width writes are inline and append each value's bytes in one
+// call; an encoder that knows its payload size calls Reserve first, so a
+// snapshot is encoded into one allocation.
 class BinaryWriter {
  public:
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
+
   void WriteU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
-  void WriteU32(uint32_t v);
-  void WriteU64(uint64_t v);
-  void WriteF64(double v);
+  void WriteU32(uint32_t v) { AppendLE(v); }
+  void WriteU64(uint64_t v) { AppendLE(v); }
+  void WriteF64(double v) {
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    AppendLE(bits);
+  }
   // u64 byte length followed by the raw bytes.
-  void WriteString(std::string_view s);
+  void WriteString(std::string_view s) {
+    WriteU64(s.size());
+    buffer_.append(s.data(), s.size());
+  }
 
   const std::string& data() const { return buffer_; }
   std::string Take() { return std::move(buffer_); }
   size_t size() const { return buffer_.size(); }
 
  private:
+  template <typename T>
+  void AppendLE(T v) {
+    char bytes[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+    buffer_.append(bytes, sizeof(T));
+  }
+
   std::string buffer_;
 };
 

@@ -1,5 +1,6 @@
 #include "ckpt/snapshot.h"
 
+#include <cassert>
 #include <utility>
 
 #include "ckpt/binary_io.h"
@@ -13,6 +14,15 @@ namespace shoal::ckpt {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'H', 'O', 'A', 'L', 'S', 'N', 'P'};
+
+// Wire sizes, for the encoders' up-front Reserve. Each encoder asserts
+// that it wrote exactly what it reserved (checked in Debug builds).
+constexpr size_t kU8 = 1;
+constexpr size_t kU32 = 4;
+constexpr size_t kU64 = 8;
+constexpr size_t kF64 = 8;
+constexpr size_t kEdgeBytes = 2 * kU32 + kF64;   // (u, v, weight)
+constexpr size_t kMergeBytes = 2 * kU32 + kF64;  // (left, right, similarity)
 
 bool ValidKind(uint32_t kind) {
   return kind == static_cast<uint32_t>(SnapshotKind::kEntityGraph) ||
@@ -36,14 +46,17 @@ const char* SnapshotKindName(SnapshotKind kind) {
 
 std::string EncodeEntityGraph(const graph::WeightedGraph& graph) {
   BinaryWriter writer;
-  writer.WriteU64(graph.num_vertices());
   const auto edges = graph.AllEdges();
+  const size_t bytes = 2 * kU64 + edges.size() * kEdgeBytes;
+  writer.Reserve(bytes);
+  writer.WriteU64(graph.num_vertices());
   writer.WriteU64(edges.size());
   for (const auto& e : edges) {
     writer.WriteU32(e.u);
     writer.WriteU32(e.v);
     writer.WriteF64(e.weight);
   }
+  assert(writer.size() == bytes && "EncodeEntityGraph reserve is off");
   return writer.Take();
 }
 
@@ -77,7 +90,19 @@ util::Result<graph::WeightedGraph> DecodeEntityGraph(
 }
 
 std::string EncodeHacSnapshot(const HacSnapshotData& data) {
+  const core::ClusterGraphState& state = data.clusters;
+  // Progress, stats, options, merge list, node count, frontier.
+  size_t bytes = kU64 + kU8 +
+                 5 * kU64 + data.stats.merges_per_round.size() * kU64 +
+                 kF64 + kU32 + kU64 +
+                 2 * kU64 + data.merges.size() * kMergeBytes +
+                 kU64 +
+                 kU64 + state.frontier.size() * kU32 + kF64;
+  for (const auto& row : state.rows) {
+    bytes += kU8 + 2 * kU32 + kU64 + row.size() * (kU32 + kF64);
+  }
   BinaryWriter writer;
+  writer.Reserve(bytes);
   writer.WriteU64(data.rounds_done);
   writer.WriteU8(data.finished ? 1 : 0);
 
@@ -100,7 +125,6 @@ std::string EncodeHacSnapshot(const HacSnapshotData& data) {
     writer.WriteF64(m.similarity);
   }
 
-  const core::ClusterGraphState& state = data.clusters;
   writer.WriteU64(state.rows.size());
   for (size_t c = 0; c < state.rows.size(); ++c) {
     writer.WriteU8(state.active[c]);
@@ -115,6 +139,7 @@ std::string EncodeHacSnapshot(const HacSnapshotData& data) {
   writer.WriteU64(state.frontier.size());
   for (uint32_t c : state.frontier) writer.WriteU32(c);
   writer.WriteF64(state.track_threshold);
+  assert(writer.size() == bytes && "EncodeHacSnapshot reserve is off");
   return writer.Take();
 }
 
@@ -190,7 +215,19 @@ util::Result<HacSnapshotData> DecodeHacSnapshot(std::string_view payload) {
 }
 
 std::string EncodeDaemonWindow(const DaemonWindowData& data) {
+  // Options fingerprint and counters, day count, merge list, topic count.
+  size_t bytes = 3 * kF64 + kU32 + 7 * kU64 +
+                 kU64 +
+                 2 * kU64 + data.merges.size() * kMergeBytes +
+                 kU64;
+  for (const auto& day : data.window) {
+    bytes += 2 * kU64 + day.name.size() + day.pairs.size() * 3 * kU32;
+  }
+  for (const auto& topic : data.rankings) {
+    bytes += kU32 + kU64 + topic.ranking.size() * (kU32 + 3 * kF64);
+  }
   BinaryWriter writer;
+  writer.Reserve(bytes);
   writer.WriteF64(data.alpha);
   writer.WriteF64(data.similarity_threshold);
   writer.WriteU64(data.max_items_per_query);
@@ -234,6 +271,7 @@ std::string EncodeDaemonWindow(const DaemonWindowData& data) {
       writer.WriteF64(q.concentration);
     }
   }
+  assert(writer.size() == bytes && "EncodeDaemonWindow reserve is off");
   return writer.Take();
 }
 

@@ -266,7 +266,9 @@ util::Result<ServingIndexData> CompileServingIndex(
 // topics/descriptions as-is and inverts `rankings` (one entry per topic;
 // empty entries contribute no postings) into per-query posting lists.
 // `query_texts` is the full query dictionary the ranking query ids index
-// into; only queries with non-empty posting lists are interned.
+// into; only queries with non-empty posting lists are interned. The
+// result is not validated here: EncodeServingIndexFile (under
+// WriteServingIndexFile and Build()) validates every image it encodes.
 util::Result<ServingIndexData> BuildServingIndexData(
     const core::Taxonomy& taxonomy,
     const std::vector<std::vector<core::ScoredQuery>>& rankings,

@@ -2,12 +2,14 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ckpt/binary_io.h"
 #include "core/parallel_hac.h"
 #include "graph/weighted_graph.h"
+#include "util/crc32.h"
 #include "util/tsv.h"
 
 namespace shoal::ckpt {
@@ -79,6 +81,36 @@ TEST_F(SnapshotTest, BinaryIoRoundTrip) {
   EXPECT_EQ(reader.ReadString().value(), "snapshot");
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(reader.ReadU8().status().code(), util::StatusCode::kOutOfRange);
+}
+
+// The wire format byte for byte: a writer that changed byte order,
+// width or padding would still round-trip through its own reader, so
+// pin the bytes themselves.
+TEST_F(SnapshotTest, BinaryWriterEmitsLittleEndianBytes) {
+  const auto bytes = [](const BinaryWriter& writer) {
+    return std::vector<uint8_t>(writer.data().begin(), writer.data().end());
+  };
+  BinaryWriter u32;
+  u32.WriteU32(0xdeadbeef);
+  EXPECT_EQ(bytes(u32), (std::vector<uint8_t>{0xef, 0xbe, 0xad, 0xde}));
+
+  BinaryWriter u64;
+  u64.WriteU64(0x0123456789abcdefull);
+  EXPECT_EQ(bytes(u64), (std::vector<uint8_t>{0xef, 0xcd, 0xab, 0x89, 0x67,
+                                              0x45, 0x23, 0x01}));
+
+  // -0.1 is IEEE-754 binary64 0xBFB999999999999A.
+  BinaryWriter f64;
+  f64.WriteF64(-0.1);
+  EXPECT_EQ(bytes(f64), (std::vector<uint8_t>{0x9a, 0x99, 0x99, 0x99, 0x99,
+                                              0x99, 0xb9, 0xbf}));
+
+  BinaryWriter str;
+  str.Reserve(64);
+  str.WriteU8(7);
+  str.WriteString("ab");
+  EXPECT_EQ(bytes(str), (std::vector<uint8_t>{7, 2, 0, 0, 0, 0, 0, 0, 0,
+                                              'a', 'b'}));
 }
 
 TEST_F(SnapshotTest, EntityGraphRoundTrip) {
@@ -253,6 +285,17 @@ DaemonWindowData SampleDaemonWindow() {
   data.rankings[1].dendro_node = 7;
   data.rankings[1].ranking = {{3, 0.5, 0.5, 0.5}};
   return data;
+}
+
+// Golden checksums of each encoder's payload for this file's fixtures
+// (recorded with a byte-at-a-time writer and CRC): any change to the
+// encoded bytes or to the checksum moves one of them.
+TEST_F(SnapshotTest, EncodedPayloadsMatchGoldenCrc) {
+  EXPECT_EQ(util::Crc32(EncodeEntityGraph(SampleGraph())), 0x4E60E248u);
+  EXPECT_EQ(util::Crc32(EncodeHacSnapshot(SampleHacSnapshot())),
+            0x5A7B6331u);
+  EXPECT_EQ(util::Crc32(EncodeDaemonWindow(SampleDaemonWindow())),
+            0x30670935u);
 }
 
 TEST_F(SnapshotTest, DaemonWindowRoundTrip) {

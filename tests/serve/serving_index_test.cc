@@ -85,6 +85,21 @@ TEST(ServingIndexCompileTest, TopPostingIsOfflineArgmax) {
   }
 }
 
+// The inversion checks every ranked query id against the dictionary
+// itself; it does not lean on the validation at encode time.
+TEST(ServingIndexCompileTest, BuildDataRejectsRankedQueryOutsideDictionary) {
+  ServeFixture f;
+  std::vector<std::vector<core::ScoredQuery>> rankings(
+      f.taxonomy.num_topics());
+  ASSERT_FALSE(rankings.empty());
+  rankings[0].push_back(core::ScoredQuery{
+      static_cast<uint32_t>(f.query_texts.size()), 1.0, 1.0, 1.0});
+  auto data = BuildServingIndexData(f.taxonomy, rankings, f.query_texts,
+                                    &f.categories, CompileOptions());
+  ASSERT_FALSE(data.ok());
+  EXPECT_EQ(data.status().code(), util::StatusCode::kOutOfRange);
+}
+
 TEST(ServingIndexCompileTest, PostingCapKeepsBestFirst) {
   ServeFixture f;
   CompileOptions options;
@@ -269,14 +284,34 @@ TEST_F(ServingIndexFileTest, V1FileFailsWithRecompileError) {
   }
 }
 
+// Encoding is the one validation gate: BuildServingIndexData does not
+// validate its result, so a tampered builder form must be refused by
+// Validate, by Build() (which binds an encoded image), and by
+// WriteServingIndexFile, which must leave nothing behind in the target
+// directory (no index and no temp file).
+void ExpectEveryGateRejects(const ServingIndexData& data) {
+  EXPECT_FALSE(data.Validate().ok());
+  EXPECT_FALSE(data.Build().ok());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      (std::string("shoal_serving_validate_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path path = dir / "tampered.idx";
+  EXPECT_FALSE(WriteServingIndexFile(path.string(), data).ok());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServingIndexValidateTest, RejectsChildBeforeParent) {
   ServeFixture f;
   auto data = f.Compile();
   ASSERT_TRUE(data.ok());
   ASSERT_GE(data->parent.size(), 2u);
   data->parent[0] = 1;  // parent id >= topic id
-  EXPECT_FALSE(data->Validate().ok());
-  EXPECT_FALSE(data->Build().ok());
+  ExpectEveryGateRejects(*data);
 }
 
 TEST(ServingIndexValidateTest, RejectsUnsortedPostings) {
@@ -290,7 +325,7 @@ TEST(ServingIndexValidateTest, RejectsUnsortedPostings) {
   } else {
     std::swap(postings.front(), postings.back());
   }
-  EXPECT_FALSE(data->Validate().ok());
+  ExpectEveryGateRejects(*data);
 }
 
 TEST(ServingIndexValidateTest, RejectsNormalizerSkew) {
@@ -302,7 +337,7 @@ TEST(ServingIndexValidateTest, RejectsNormalizerSkew) {
   ASSERT_TRUE(data.ok());
   ASSERT_GT(data->query_text.size(), 0u);
   data->query_norm[0] = data->query_norm[0] + " skewed";
-  EXPECT_FALSE(data->Validate().ok());
+  ExpectEveryGateRejects(*data);
 }
 
 TEST(ServingIndexValidateTest, RejectsOutOfRangePostingTopic) {
@@ -313,7 +348,7 @@ TEST(ServingIndexValidateTest, RejectsOutOfRangePostingTopic) {
   ASSERT_FALSE(data->posting_list[0].empty());
   data->posting_list[0][0].topic =
       static_cast<uint32_t>(data->parent.size());
-  EXPECT_FALSE(data->Validate().ok());
+  ExpectEveryGateRejects(*data);
 }
 
 TEST(ServingIndexValidateTest, RejectsNonFiniteScore) {
@@ -324,7 +359,7 @@ TEST(ServingIndexValidateTest, RejectsNonFiniteScore) {
   ASSERT_FALSE(data->posting_list[0].empty());
   data->posting_list[0][0].score =
       std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(data->Validate().ok());
+  ExpectEveryGateRejects(*data);
 }
 
 TEST(ServingIndexValidateTest, NormStoredMatchesSharedNormalizer) {
