@@ -48,32 +48,23 @@ int Run(int argc, char** argv) {
           static_cast<size_t>(flags.GetInt64("entities")),
           static_cast<uint64_t>(flags.GetInt64("seed"))),
       core::ShoalOptions{});
-  auto& taxonomy = workload.model.taxonomy();
+  const core::Taxonomy& taxonomy = workload.model.taxonomy();
   auto intents = workload.dataset.EntityIntentLabels();
 
-  // Re-run the describer to get full rankings (the pipeline discarded
-  // them) — const_cast-free: build a fresh taxonomy copy.
-  core::Taxonomy scored_taxonomy = taxonomy;
-  core::DescriberInput input;
-  input.taxonomy = &scored_taxonomy;
-  input.query_item_graph = &workload.bundle.query_item_graph;
-  input.query_words = &workload.bundle.query_words;
-  input.query_texts = &workload.bundle.query_texts;
-  input.entity_title_words = &workload.bundle.entity_title_words;
-  auto rankings = core::TopicDescriber::Describe(scored_taxonomy, input,
-                                                 core::DescriberOptions{});
-  SHOAL_CHECK(rankings.ok()) << rankings.status().ToString();
+  // The full rankings the pipeline's describe pass kept on the taxonomy.
+  SHOAL_CHECK(taxonomy.rankings() != nullptr);
+  const auto& rankings = taxonomy.rankings()->by_topic;
 
   // Score: top-1 by r(q,t) vs top-1 by popularity alone.
   size_t evaluated = 0;
   size_t exact_r = 0;
   size_t same_root_r = 0;
   size_t exact_pop = 0;
-  for (uint32_t t : scored_taxonomy.roots()) {
-    const auto& ranking = (*rankings)[t];
+  for (uint32_t t : taxonomy.roots()) {
+    const auto& ranking = rankings[t];
     if (ranking.empty()) continue;
     ++evaluated;
-    uint32_t majority = MajorityIntent(scored_taxonomy.topic(t), intents);
+    uint32_t majority = MajorityIntent(taxonomy.topic(t), intents);
 
     uint32_t top_r_query = ranking[0].query;
     uint32_t top_r_intent = workload.dataset.queries[top_r_query].intent;
@@ -105,13 +96,13 @@ int Run(int argc, char** argv) {
 
   // Show a few qualitative examples.
   std::printf("\nsample descriptions (largest roots):\n");
-  std::vector<uint32_t> roots = scored_taxonomy.roots();
+  std::vector<uint32_t> roots = taxonomy.roots();
   std::sort(roots.begin(), roots.end(), [&](uint32_t a, uint32_t b) {
-    return scored_taxonomy.topic(a).entities.size() >
-           scored_taxonomy.topic(b).entities.size();
+    return taxonomy.topic(a).entities.size() >
+           taxonomy.topic(b).entities.size();
   });
   for (size_t i = 0; i < roots.size() && i < 5; ++i) {
-    const auto& topic = scored_taxonomy.topic(roots[i]);
+    const auto& topic = taxonomy.topic(roots[i]);
     uint32_t majority = MajorityIntent(topic, intents);
     std::printf("  topic #%u (%zu items, planted intent '%s'):\n",
                 topic.id, topic.entities.size(),

@@ -1,9 +1,10 @@
 # Observability smoke test, run via `cmake -P` from ctest (see
 # examples/CMakeLists.txt): drives shoal_cli generate -> build with
-# --trace-out / --metrics-out / --log-level and validates that both
-# artefacts are well-formed JSON carrying the expected span / metric
-# names, using the json_lint binary (no external JSON tooling needed),
-# then checks that builds with invalid knobs exit 1.
+# --serving-index-out / --trace-out / --metrics-out / --log-level and
+# validates that both artefacts are well-formed JSON carrying the
+# expected span / metric names, using the json_lint binary (no external
+# JSON tooling needed), and that the trace holds exactly one describe
+# pass, then checks that builds with invalid knobs exit 1.
 #
 # Required -D variables: SHOAL_CLI, JSON_LINT, WORK_DIR.
 
@@ -28,19 +29,31 @@ run_checked("${SHOAL_CLI}" generate
 
 run_checked("${SHOAL_CLI}" build
   "--in=${WORK_DIR}/log" "--out=${WORK_DIR}/taxonomy"
+  "--serving-index-out=${WORK_DIR}/taxonomy.idx"
   "--trace-out=${WORK_DIR}/trace.json"
   "--metrics-out=${WORK_DIR}/metrics.json"
   --log-level=debug)
 
 # The trace must contain the import span, at least one span per
-# pipeline stage and the per-round HAC spans; the metrics snapshot must
-# carry the thread-pool gauges and per-round merge counts.
+# pipeline stage, the per-round HAC spans and the serving index's
+# compile and write; the metrics snapshot must carry the thread-pool
+# gauges and per-round merge counts.
 run_checked("${JSON_LINT}"
   --expect=log_io.import
   --expect=shoal.build --expect=shoal.entity_graph --expect=shoal.hac
   --expect=shoal.taxonomy --expect=hac.round --expect=hac.merge
   --expect=hac.delta_update
+  --expect=serving_index.compile --expect=serving_index.write
   "${WORK_DIR}/trace.json")
+# A build describes its topics once: the compile reads the rankings the
+# describe pass kept instead of describing again.
+file(READ "${WORK_DIR}/trace.json" trace)
+string(REGEX MATCHALL "\"name\":\"shoal\\.describe\"" describes "${trace}")
+list(LENGTH describes describe_count)
+if(NOT describe_count EQUAL 1)
+  message(FATAL_ERROR "cli_obs_smoke: the build recorded ${describe_count} "
+    "shoal.describe spans, not 1")
+endif()
 run_checked("${JSON_LINT}"
   --expect=hac.pool.peak_queue_depth --expect=hac.round.merges
   --expect=hac.rounds --expect=merges_per_round

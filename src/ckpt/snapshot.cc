@@ -437,17 +437,14 @@ util::Result<core::HacResumeState> RestoreHacState(
 
 util::Status WriteSnapshotFile(const std::string& path, SnapshotKind kind,
                                std::string_view payload) {
-  BinaryWriter writer;
-  std::string framed;
-  framed.reserve(sizeof(kMagic) + 20 + payload.size());
-  framed.append(kMagic, sizeof(kMagic));
-  writer.WriteU32(kSnapshotVersion);
-  writer.WriteU32(static_cast<uint32_t>(kind));
-  writer.WriteU64(payload.size());
-  writer.WriteU32(util::Crc32(payload.data(), payload.size()));
-  framed += writer.data();
-  framed.append(payload.data(), payload.size());
-  return util::AtomicWriteFile(path, framed);
+  BinaryWriter header;
+  header.WriteU32(kSnapshotVersion);
+  header.WriteU32(static_cast<uint32_t>(kind));
+  header.WriteU64(payload.size());
+  header.WriteU32(util::Crc32(payload.data(), payload.size()));
+  const std::string_view parts[] = {
+      std::string_view(kMagic, sizeof(kMagic)), header.data(), payload};
+  return util::AtomicWriteFile(path, parts);
 }
 
 util::Result<SnapshotFile> ReadSnapshotFile(const std::string& path) {

@@ -184,19 +184,21 @@ util::Result<ShoalModel> BuildShoal(const ShoalInput& input,
   SHOAL_RETURN_IF_ERROR(util::FaultInjector::Global().OnStage("taxonomy"));
 
   // --- topic descriptions (Sec 2.3) ---------------------------------------
+  // Describe records the shoal.describe span and keeps the rankings on
+  // the taxonomy, where CompileServingIndex reads them.
   stopwatch.Restart();
-  obs::ScopedSpan describe_span("shoal.describe");
   DescriberInput describe_input;
   describe_input.taxonomy = &model.taxonomy_;
   describe_input.query_item_graph = &qi;
   describe_input.query_words = input.query_words;
   describe_input.query_texts = input.query_texts;
   describe_input.entity_title_words = input.entity_title_words;
-  auto rankings = TopicDescriber::Describe(model.taxonomy_, describe_input,
-                                           opts.describer);
-  if (!rankings.ok()) return rankings.status();
+  if (auto rankings = TopicDescriber::Describe(model.taxonomy_,
+                                               describe_input, opts.describer);
+      !rankings.ok()) {
+    return rankings.status();
+  }
   model.stats_.describe_seconds = stopwatch.ElapsedSeconds();
-  describe_span.End();
   SHOAL_RETURN_IF_ERROR(util::FaultInjector::Global().OnStage("describe"));
 
   // --- category correlation (Sec 2.4) --------------------------------------

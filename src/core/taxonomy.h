@@ -2,6 +2,7 @@
 #define SHOAL_CORE_TAXONOMY_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +29,10 @@ struct Topic {
   // Representative queries (filled by TopicDescriber), best first.
   std::vector<std::string> description;
 };
+
+// The full rankings of one TopicDescriber::Describe pass and the options
+// it ran with (defined in core/topic_describer.h).
+struct TopicRankings;
 
 struct TaxonomyOptions {
   // Dendrogram nodes smaller than this are folded into their closest
@@ -67,14 +72,25 @@ class Taxonomy {
   // each get a fresh singleton label so metrics remain well defined.
   std::vector<uint32_t> RootLabels() const;
 
+  // The per-topic query rankings that TopicDescriber::Describe computed
+  // when it wrote the descriptions, with the options it ran with; the
+  // serving-index compiler reads them. Copies of the taxonomy share one
+  // immutable block. Null until a full
+  // Describe; a partial DescribeTopics pass clears it, and a loaded
+  // taxonomy has none. Editing topics afterwards does not update it.
+  const TopicRankings* rankings() const { return rankings_.get(); }
+
  private:
   // Reconstruction path for the TSV loader (taxonomy_io.h).
   friend util::Result<Taxonomy> TaxonomyFromTopics(std::vector<Topic>,
                                                    size_t);
+  // Stores and clears the rankings block.
+  friend class TopicDescriber;
 
   std::vector<Topic> topics_;
   std::vector<uint32_t> roots_;
   std::vector<uint32_t> entity_topic_;
+  std::shared_ptr<const TopicRankings> rankings_;
 };
 
 }  // namespace shoal::core

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
+#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace shoal::core {
@@ -187,7 +189,14 @@ std::vector<uint32_t> AllTopicIds(const Taxonomy& taxonomy) {
 util::Result<std::vector<std::vector<ScoredQuery>>> TopicDescriber::Describe(
     Taxonomy& taxonomy, const DescriberInput& input,
     const DescriberOptions& options) {
-  return DescribeImpl(taxonomy, input, options, AllTopicIds(taxonomy));
+  obs::ScopedSpan span("shoal.describe");
+  auto stored = std::make_shared<TopicRankings>();
+  stored->options = options;
+  SHOAL_ASSIGN_OR_RETURN(
+      stored->by_topic,
+      DescribeImpl(taxonomy, input, options, AllTopicIds(taxonomy)));
+  taxonomy.rankings_ = stored;
+  return stored->by_topic;
 }
 
 util::Result<std::vector<std::vector<ScoredQuery>>>
@@ -195,7 +204,9 @@ TopicDescriber::DescribeTopics(Taxonomy& taxonomy,
                                const DescriberInput& input,
                                const DescriberOptions& options,
                                const std::vector<uint32_t>& topics_to_score) {
-  return DescribeImpl(taxonomy, input, options, topics_to_score);
+  auto rankings = DescribeImpl(taxonomy, input, options, topics_to_score);
+  if (rankings.ok()) taxonomy.rankings_.reset();
+  return rankings;
 }
 
 }  // namespace shoal::core

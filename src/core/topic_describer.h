@@ -27,6 +27,8 @@ namespace shoal::core {
 struct DescriberOptions {
   size_t queries_per_topic = 5;
   text::Bm25Index::Options bm25;
+
+  bool operator==(const DescriberOptions&) const = default;
 };
 
 struct DescriberInput {
@@ -45,11 +47,22 @@ struct ScoredQuery {
   double concentration = 0.0;
 };
 
+// What one full Describe pass computed, kept on the taxonomy it
+// described (Taxonomy::rankings()).
+struct TopicRankings {
+  DescriberOptions options;
+  // One entry per topic id: every query linked to the topic's items,
+  // best first.
+  std::vector<std::vector<ScoredQuery>> by_topic;
+};
+
 class TopicDescriber {
  public:
   // Scores queries for every topic and writes the top
   // `queries_per_topic` query texts into taxonomy.topic(t).description.
-  // Returns the full per-topic rankings for inspection / evaluation.
+  // The full per-topic rankings, with `options`, are stored on the
+  // taxonomy (Taxonomy::rankings(), which CompileServingIndex reads), and
+  // a copy is returned for inspection / evaluation.
   static util::Result<std::vector<std::vector<ScoredQuery>>> Describe(
       Taxonomy& taxonomy, const DescriberInput& input,
       const DescriberOptions& options);
@@ -60,7 +73,8 @@ class TopicDescriber {
   // `topics_to_score` are scored and have their descriptions rewritten.
   // Rankings of unscored topics come back empty; their descriptions are
   // left untouched (the daemon carries them over from the previous
-  // cycle). Out-of-range ids are InvalidArgument.
+  // cycle). A partial pass is not a full ranking set, so it clears the
+  // taxonomy's stored rankings. Out-of-range ids are InvalidArgument.
   static util::Result<std::vector<std::vector<ScoredQuery>>> DescribeTopics(
       Taxonomy& taxonomy, const DescriberInput& input,
       const DescriberOptions& options,

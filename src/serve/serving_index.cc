@@ -7,6 +7,7 @@
 #include <new>
 #include <utility>
 
+#include "obs/trace.h"
 #include "text/normalize.h"
 #include "util/atomic_file.h"
 #include "util/crc32.h"
@@ -822,29 +823,22 @@ util::Result<ServingIndexData> CompileServingIndex(
     const core::DescriberOptions& describer_options,
     const std::vector<uint32_t>* entity_categories,
     const CompileOptions& options) {
+  obs::ScopedSpan span("serving_index.compile");
   if (input.query_texts == nullptr) {
     return util::Status::InvalidArgument(
         "CompileServingIndex needs query_texts to intern the dictionary");
   }
-  if (entity_categories != nullptr &&
-      entity_categories->size() != taxonomy.num_entities()) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "entity_categories has %zu entries for %zu entities",
-        entity_categories->size(), taxonomy.num_entities()));
+  const core::TopicRankings* rankings = taxonomy.rankings();
+  if (rankings == nullptr || rankings->options != describer_options) {
+    return util::Status::InvalidArgument(
+        rankings == nullptr
+            ? "the taxonomy carries no rankings; describe it with "
+              "TopicDescriber::Describe before compiling"
+            : "the taxonomy was described with other DescriberOptions; "
+              "describe it with the compile's options first");
   }
-
-  // Describe mutates topic descriptions, so score a private copy; the
-  // scoring is a deterministic function of the taxonomy, so the copy's
-  // descriptions equal the original's when it was already described.
-  core::Taxonomy scored = taxonomy;
-  core::DescriberInput scored_input = input;
-  scored_input.taxonomy = &scored;
-  auto rankings =
-      core::TopicDescriber::Describe(scored, scored_input, describer_options);
-  if (!rankings.ok()) return rankings.status();
-
-  return BuildServingIndexData(scored, *rankings, *input.query_texts,
-                               entity_categories, options);
+  return BuildServingIndexData(taxonomy, rankings->by_topic,
+                               *input.query_texts, entity_categories, options);
 }
 
 util::Result<ServingIndexData> BuildServingIndexData(
@@ -927,6 +921,7 @@ util::Result<ServingIndexData> BuildServingIndexData(
 
 util::Status WriteServingIndexFile(const std::string& path,
                                    const ServingIndexData& data) {
+  obs::ScopedSpan span("serving_index.write");
   SHOAL_ASSIGN_OR_RETURN(std::string image, EncodeServingIndexFile(data));
   return util::AtomicWriteFile(path, image);
 }

@@ -249,11 +249,17 @@ struct CompileOptions {
   size_t max_postings_per_query = 64;
 };
 
-// Compiles a built taxonomy into serving form. Re-runs the Sec 2.3
-// topic-description scoring (TopicDescriber) on a copy of the taxonomy
-// to obtain the full per-topic query rankings, then inverts them into
-// per-query posting lists. `entity_categories` may be null (categories
-// become kNoCategoryId); when present it must have one entry per entity.
+// Compiles a described taxonomy into serving form: inverts the
+// per-topic query rankings that TopicDescriber::Describe stored on it
+// (Taxonomy::rankings()) into per-query posting lists, and takes the
+// topic descriptions as they stand. It never describes. A taxonomy
+// without stored rankings (never described in full, described in part
+// by DescribeTopics, or loaded from disk), or one described with
+// options other than `describer_options`, is InvalidArgument: describe
+// it first. Of `input` only `query_texts` is read, the dictionary the
+// ranked query ids index into. `entity_categories` may be null
+// (categories become kNoCategoryId); when present it must have one
+// entry per entity.
 util::Result<ServingIndexData> CompileServingIndex(
     const core::Taxonomy& taxonomy, const core::DescriberInput& input,
     const core::DescriberOptions& describer_options,

@@ -19,6 +19,8 @@ class Bm25Index {
   struct Options {
     double k1 = 1.2;
     double b = 0.75;
+
+    bool operator==(const Options&) const = default;
   };
 
   // One document's relevance to a query.

@@ -32,14 +32,23 @@ std::string TempPathFor(const std::string& path) {
 }  // namespace
 
 Status AtomicWriteFile(const std::string& path, std::string_view contents) {
+  return AtomicWriteFile(path, std::span<const std::string_view>(&contents, 1));
+}
+
+Status AtomicWriteFile(const std::string& path,
+                       std::span<const std::string_view> parts) {
   const std::string tmp = TempPathFor(path);
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError(
         StringPrintf("cannot open %s for writing", tmp.c_str()));
   }
-  const size_t written =
-      contents.empty() ? 0 : std::fwrite(contents.data(), 1, contents.size(), f);
+  size_t bytes = 0;
+  size_t written = 0;
+  for (std::string_view part : parts) {
+    bytes += part.size();
+    if (!part.empty()) written += std::fwrite(part.data(), 1, part.size(), f);
+  }
   bool flushed = std::fflush(f) == 0;
 #ifdef __unix__
   // The rename is only atomic *and durable* if the data reaches disk
@@ -47,7 +56,7 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
   if (flushed && ::fsync(::fileno(f)) != 0) flushed = false;
 #endif
   const bool closed = std::fclose(f) == 0;
-  if (written != contents.size() || !flushed || !closed) {
+  if (written != bytes || !flushed || !closed) {
     std::remove(tmp.c_str());
     return Status::IoError(StringPrintf("short write to %s", tmp.c_str()));
   }

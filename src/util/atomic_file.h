@@ -1,6 +1,7 @@
 #ifndef SHOAL_UTIL_ATOMIC_FILE_H_
 #define SHOAL_UTIL_ATOMIC_FILE_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -21,6 +22,12 @@ namespace shoal::util {
 // directives: an injected failure discards the temp file and returns
 // IoError with the target untouched, exactly like a crash mid-write.
 Status AtomicWriteFile(const std::string& path, std::string_view contents);
+
+// The same write with the file's bytes given as consecutive parts (say, a
+// header and a payload), so a caller need not join them into one buffer
+// first. The file holds the parts' concatenation.
+Status AtomicWriteFile(const std::string& path,
+                       std::span<const std::string_view> parts);
 
 }  // namespace shoal::util
 

@@ -408,5 +408,55 @@ TEST(TopicDescriberTest, DescribeTopicsMatchesDescribeOnTheSubset) {
   }
 }
 
+// Describe keeps what it returns on the taxonomy, stamped with the
+// options it ran with.
+TEST(TopicDescriberTest, DescribeStoresItsRankingsOnTheTaxonomy) {
+  DescriberFixture f;
+  EXPECT_EQ(f.taxonomy.rankings(), nullptr);
+  DescriberOptions options;
+  options.queries_per_topic = 2;
+  options.bm25.k1 = 1.5;
+  auto rankings = TopicDescriber::Describe(f.taxonomy, f.Input(), options);
+  ASSERT_TRUE(rankings.ok());
+  const TopicRankings* stored = f.taxonomy.rankings();
+  ASSERT_NE(stored, nullptr);
+  EXPECT_TRUE(stored->options == options);
+  EXPECT_FALSE(stored->options == DescriberOptions{});
+  ASSERT_EQ(stored->by_topic.size(), rankings->size());
+  for (uint32_t t = 0; t < rankings->size(); ++t) {
+    ExpectSameRanking(stored->by_topic[t], (*rankings)[t], t);
+  }
+}
+
+TEST(TopicDescriberTest, CopiesShareTheStoredRankings) {
+  DescriberFixture f;
+  ASSERT_TRUE(
+      TopicDescriber::Describe(f.taxonomy, f.Input(), DescriberOptions{})
+          .ok());
+  const Taxonomy copy = f.taxonomy;
+  ASSERT_NE(copy.rankings(), nullptr);
+  EXPECT_EQ(copy.rankings(), f.taxonomy.rankings());
+}
+
+// A partial pass is not a full ranking set: a successful DescribeTopics
+// clears the stored rankings, a rejected one changes nothing.
+TEST(TopicDescriberTest, DescribeTopicsClearsStoredRankings) {
+  DescriberFixture f;
+  ASSERT_TRUE(
+      TopicDescriber::Describe(f.taxonomy, f.Input(), DescriberOptions{})
+          .ok());
+  const Taxonomy described = f.taxonomy;
+  ASSERT_FALSE(TopicDescriber::DescribeTopics(f.taxonomy, f.Input(),
+                                              DescriberOptions{}, {0, 999})
+                   .ok());
+  EXPECT_EQ(f.taxonomy.rankings(), described.rankings());
+
+  ASSERT_TRUE(TopicDescriber::DescribeTopics(f.taxonomy, f.Input(),
+                                             DescriberOptions{}, {0})
+                  .ok());
+  EXPECT_EQ(f.taxonomy.rankings(), nullptr);
+  EXPECT_NE(described.rankings(), nullptr) << "a copy keeps its block";
+}
+
 }  // namespace
 }  // namespace shoal::core

@@ -14,10 +14,11 @@
 
 namespace shoal::serve {
 
-// The topic_describer_test fixture, reused for the serving layer: two
-// root topics with distinct vocabularies and three queries, one of them
-// ("Beach Chair") deliberately unnormalized so raw and normalized
-// dictionary lookups diverge.
+// The topic_describer_test fixture, reused for the serving layer and
+// described with the default options: two root topics with distinct
+// vocabularies and three queries, one of them ("Beach Chair")
+// deliberately unnormalized so raw and normalized dictionary lookups
+// diverge.
 //   topic of {0,1}: titles about words {100,101}; q0 concentrated here
 //   topic of {2,3}: titles about words {200,201}; q1 concentrated here
 //   q2 is diffuse (one click on each side)
@@ -45,6 +46,10 @@ struct ServeFixture {
     EXPECT_TRUE(qi.AddInteraction(1, 3, 4).ok());
     EXPECT_TRUE(qi.AddInteraction(2, 1, 1).ok());
     EXPECT_TRUE(qi.AddInteraction(2, 2, 1).ok());
+    // CompileServingIndex reads the rankings a full describe keeps.
+    EXPECT_TRUE(core::TopicDescriber::Describe(taxonomy, Input(),
+                                               core::DescriberOptions())
+                    .ok());
   }
 
   core::DescriberInput Input() {

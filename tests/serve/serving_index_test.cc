@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/shoal.h"
+#include "core/taxonomy_io.h"
 #include "core/topic_describer.h"
+#include "data/dataset.h"
+#include "data/shoal_adapter.h"
 #include "serve_test_util.h"
 #include "text/normalize.h"
 #include "util/tsv.h"
@@ -98,6 +102,116 @@ TEST(ServingIndexCompileTest, BuildDataRejectsRankedQueryOutsideDictionary) {
                                     &f.categories, CompileOptions());
   ASSERT_FALSE(data.ok());
   EXPECT_EQ(data.status().code(), util::StatusCode::kOutOfRange);
+}
+
+core::DescriberInput DescriberInputOf(const core::ShoalInput& input,
+                                      const core::Taxonomy* taxonomy) {
+  core::DescriberInput describe_input;
+  describe_input.taxonomy = taxonomy;
+  describe_input.query_item_graph = input.query_item_graph;
+  describe_input.query_words = input.query_words;
+  describe_input.query_texts = input.query_texts;
+  describe_input.entity_title_words = input.entity_title_words;
+  return describe_input;
+}
+
+// The compile path before the rankings were stored, kept as the
+// reference: describe a private copy of the taxonomy again and invert
+// that pass's rankings.
+util::Result<std::string> DescribeAgainImage(const core::Taxonomy& taxonomy,
+                                             const core::ShoalInput& input) {
+  core::Taxonomy scored = taxonomy;
+  SHOAL_ASSIGN_OR_RETURN(
+      auto rankings,
+      core::TopicDescriber::Describe(scored, DescriberInputOf(input, &scored),
+                                     core::DescriberOptions()));
+  SHOAL_ASSIGN_OR_RETURN(
+      ServingIndexData data,
+      BuildServingIndexData(scored, rankings, *input.query_texts,
+                            input.entity_categories, CompileOptions()));
+  return EncodeServingIndexFile(data);
+}
+
+// Compiling a built model reads the rankings its describe pass stored,
+// and the image is byte-equal to describing a copy again.
+TEST(ServingIndexCompileTest, StoredRankingsCompileToTheDescribeAgainImage) {
+  data::DatasetOptions data_options;
+  data_options.num_entities = 600;
+  data_options.num_queries = 450;
+  data_options.num_clicks = 30000;
+  data_options.seed = 61;
+  auto dataset = data::GenerateDataset(data_options);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  const data::ShoalInputBundle bundle = data::MakeShoalInput(*dataset);
+  const core::ShoalInput input = bundle.View();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    core::ShoalOptions options;
+    options.num_threads = threads;
+    auto model = core::BuildShoal(input, options);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    const core::Taxonomy& taxonomy = model->taxonomy();
+    auto compiled = CompileServingIndex(
+        taxonomy, DescriberInputOf(input, &taxonomy), core::DescriberOptions(),
+        input.entity_categories, CompileOptions());
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    EXPECT_GT(compiled->query_text.size(), 100u);
+    auto image = EncodeServingIndexFile(*compiled);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    auto reference = DescribeAgainImage(taxonomy, input);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_EQ(image->size(), reference->size());
+    EXPECT_TRUE(*image == *reference) << "compiled image differs";
+  }
+}
+
+// Compile never describes: a taxonomy that carries no rankings, or
+// rankings from other options, is sent back to be described.
+TEST(ServingIndexCompileTest, RejectsTaxonomyWithoutMatchingRankings) {
+  ServeFixture f;
+  auto expect_rejected = [&f](const char* what,
+                              const core::Taxonomy& taxonomy) {
+    SCOPED_TRACE(what);
+    core::DescriberInput input = f.Input();
+    input.taxonomy = &taxonomy;
+    auto data = CompileServingIndex(taxonomy, input, core::DescriberOptions(),
+                                    &f.categories, CompileOptions());
+    ASSERT_FALSE(data.ok());
+    EXPECT_EQ(data.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(data.status().message().find("describe"), std::string::npos)
+        << data.status().ToString();
+  };
+
+  core::TaxonomyOptions taxonomy_options;
+  taxonomy_options.min_topic_size = 2;
+  taxonomy_options.min_root_size = 2;
+  const core::Taxonomy undescribed =
+      core::Taxonomy::Build(f.dendrogram, f.categories, taxonomy_options);
+  expect_rejected("undescribed", undescribed);
+
+  core::DescriberOptions other;
+  other.bm25.k1 = 2.0;
+  core::Taxonomy described_other = f.taxonomy;
+  core::DescriberInput other_input = f.Input();
+  other_input.taxonomy = &described_other;
+  ASSERT_TRUE(
+      core::TopicDescriber::Describe(described_other, other_input, other)
+          .ok());
+  expect_rejected("described with bm25.k1 = 2", described_other);
+  EXPECT_TRUE(CompileServingIndex(described_other, other_input, other,
+                                  &f.categories, CompileOptions())
+                  .ok());
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "shoal_compile_loaded_test";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(core::SaveTaxonomy(f.taxonomy, core::CategoryCorrelation(),
+                                 dir.string())
+                  .ok());
+  auto loaded = core::LoadTaxonomy(dir.string());
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  expect_rejected("saved and loaded", loaded->taxonomy);
 }
 
 TEST(ServingIndexCompileTest, PostingCapKeepsBestFirst) {

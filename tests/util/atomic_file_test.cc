@@ -88,5 +88,33 @@ TEST_F(AtomicFileTest, FailWriteAtFailsExactlyThatWrite) {
   EXPECT_FALSE(std::filesystem::exists(Path("b.txt")));
 }
 
+// A write in parts lays down exactly the bytes of the one-part write of
+// their concatenation, empty and binary parts included.
+TEST_F(AtomicFileTest, PartsWriteTheirConcatenation) {
+  const std::string binary("\x00\xff\n", 3);
+  const std::string_view parts[] = {"SHOALSNP", "", binary, "payload"};
+  std::string joined;
+  for (std::string_view part : parts) joined += part;
+  ASSERT_TRUE(AtomicWriteFile(Path("parts.bin"), parts).ok());
+  ASSERT_TRUE(AtomicWriteFile(Path("whole.bin"), joined).ok());
+  auto from_parts = ReadTextFile(Path("parts.bin"));
+  auto whole = ReadTextFile(Path("whole.bin"));
+  ASSERT_TRUE(from_parts.ok());
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(from_parts.value(), whole.value());
+  EXPECT_EQ(from_parts.value(), joined);
+}
+
+TEST_F(AtomicFileTest, InjectedFailureOfAPartsWriteLeavesNoFile) {
+  const std::string_view parts[] = {"header", "payload"};
+  ASSERT_TRUE(FaultInjector::Global().Configure("fail_write:1.0").ok());
+  EXPECT_EQ(AtomicWriteFile(Path("f.bin"), parts).code(),
+            StatusCode::kIoError);
+  FaultInjector::Global().Reset();
+  EXPECT_FALSE(std::filesystem::exists(Path("f.bin")));
+  EXPECT_EQ(OtherFileCount("f.bin"), 0u)
+      << "failed write must discard its temp file";
+}
+
 }  // namespace
 }  // namespace shoal::util
