@@ -9,14 +9,15 @@
 //       summarise a persisted taxonomy
 //   shoal_cli resume --in log_dir --out taxonomy_dir
 //       --checkpoint-dir ckpt_dir
-//       continue an interrupted build from its checkpoints; the
+//       continue an interrupted build from its checkpoint; the
 //       resulting taxonomy is byte-identical to an uninterrupted build
 //
 // generate -> build -> inspect round-trips entirely through files, so
 // each step can run on a different machine or schedule. `build
-// --checkpoint-dir` snapshots the entity graph once and the HAC state
-// every --checkpoint-every rounds; after a crash (or kill -9), `resume`
-// with the same flags picks up from the newest readable snapshot.
+// --checkpoint-dir` snapshots the entity graph once, as
+// ckpt_dir/entity_graph.snap; after a crash (or kill -9), `resume` with
+// the same flags re-runs HAC and the later stages from that snapshot,
+// or the whole build when the crash came before it was written.
 
 #include <algorithm>
 #include <cmath>
@@ -141,10 +142,6 @@ bool OptionsFromFlags(const util::FlagParser& flags,
     std::fprintf(stderr, "--threads must be >= 0\n");
     return false;
   }
-  if (flags.GetInt64("checkpoint-every") < 1) {
-    std::fprintf(stderr, "--checkpoint-every must be >= 1\n");
-    return false;
-  }
   options.num_threads = static_cast<size_t>(flags.GetInt64("threads"));
   return true;
 }
@@ -234,24 +231,20 @@ int Build(util::FlagParser& flags, bool resume) {
   core::ShoalOptions options;
   if (!OptionsFromFlags(flags, options)) return 1;
   const std::string& ckpt_dir = flags.GetString("checkpoint-dir");
-  const size_t ckpt_every =
-      static_cast<size_t>(flags.GetInt64("checkpoint-every"));
 
   util::Result<core::ShoalModel> model = [&] {
     if (resume) {
-      // ResumeShoal loads the newest readable snapshots, re-attaches
-      // checkpointing, and continues the pipeline.
-      return ckpt::ResumeShoal(bundle.View(), options, ckpt_dir,
-                               ckpt_every);
+      // ResumeShoal restores the entity graph and re-runs the stages
+      // after it, or rebuilds when no readable snapshot is there.
+      return ckpt::ResumeShoal(bundle.View(), options, ckpt_dir);
     }
     if (!ckpt_dir.empty()) {
-      auto attached = ckpt::AttachCheckpointing(ckpt_dir, ckpt_every,
-                                                /*resume=*/false, options);
+      auto attached = ckpt::AttachCheckpointing(ckpt_dir, options);
       if (!attached.ok()) {
         return util::Result<core::ShoalModel>(attached);
       }
-      std::printf("checkpointing to %s every %zu HAC rounds\n",
-                  ckpt_dir.c_str(), ckpt_every);
+      std::printf("checkpointing the entity graph to %s\n",
+                  ckpt_dir.c_str());
     }
     return core::BuildShoal(bundle.View(), options);
   }();
@@ -320,8 +313,6 @@ int Run(int argc, char** argv) {
   flags.AddString("checkpoint-dir", "",
                   "snapshot directory for crash-safe builds (empty = off; "
                   "required by 'resume')");
-  flags.AddInt64("checkpoint-every", 5,
-                 "HAC rounds between checkpoints");
   flags.AddString("serving-index-out", "",
                   "also compile the online serving index (empty = off); "
                   "serve it with shoal_serve --index");

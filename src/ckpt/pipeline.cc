@@ -1,77 +1,102 @@
 #include "ckpt/pipeline.h"
 
-#include <memory>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "ckpt/snapshot.h"
+#include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace shoal::ckpt {
 
-util::Status AttachCheckpointing(const std::string& dir,
-                                 size_t checkpoint_every, bool resume,
-                                 core::ShoalOptions& options,
-                                 const CheckpointOptions& checkpoint) {
-  if (checkpoint_every == 0) {
-    return util::Status::InvalidArgument(
-        "checkpoint_every must be >= 1 when checkpointing is attached");
-  }
-  auto opened = CheckpointWriter::Open(dir, resume, checkpoint);
-  if (!opened.ok()) return opened.status();
-  auto writer =
-      std::make_shared<CheckpointWriter>(std::move(opened).value());
+namespace {
 
-  options.entity_graph_checkpoint_hook =
-      [writer](const graph::WeightedGraph& graph) {
-        return writer->WriteEntityGraph(graph);
-      };
-  // Fingerprint captured by value now; BuildShoal may later override
-  // thread counts, but those are deliberately not part of the
-  // fingerprint (results are thread-count invariant).
-  const core::ParallelHacOptions hac_options = options.hac;
-  options.hac.checkpoint_every = checkpoint_every;
-  options.hac.checkpoint_hook = [writer, hac_options](
-                                    const core::HacProgress& progress) {
-    return writer->WriteHacSnapshot(
-        CaptureHacSnapshot(progress, hac_options));
-  };
+std::string SnapshotPath(const std::string& dir) {
+  return (std::filesystem::path(dir) / "entity_graph.snap").string();
+}
+
+util::Status WriteEntityGraphSnapshot(const std::string& path,
+                                      const graph::WeightedGraph& graph) {
+  util::Stopwatch stopwatch;
+  const std::string payload = EncodeEntityGraph(graph);
+  SHOAL_RETURN_IF_ERROR(
+      WriteSnapshotFile(path, SnapshotKind::kEntityGraph, payload));
+  auto& metrics = obs::MetricsRegistry::Global();
+  if (metrics.enabled()) {
+    metrics.GetCounter("ckpt.writes").Increment();
+    metrics.GetCounter("ckpt.bytes").Increment(payload.size());
+    metrics.GetHistogram("ckpt.write_seconds")
+        .Record(stopwatch.ElapsedSeconds());
+  }
   return util::Status::OK();
 }
 
-util::Result<core::ShoalModel> ResumeShoal(
-    const core::ShoalInput& input, core::ShoalOptions options,
-    const std::string& dir, size_t checkpoint_every,
-    const CheckpointOptions& checkpoint) {
-  SHOAL_ASSIGN_OR_RETURN(LoadedCheckpoint loaded, LoadCheckpoint(dir));
-  if (!loaded.has_entity_graph) {
-    // Nothing usable was persisted before the interruption: the resumed
-    // run is simply a fresh build (still checkpointed).
-    SHOAL_LOG(kWarning)
-        << "checkpoint directory " << dir
-        << " has no readable entity-graph snapshot; rebuilding from scratch";
+util::Result<graph::WeightedGraph> ReadEntityGraphSnapshot(
+    const std::string& path) {
+  SHOAL_ASSIGN_OR_RETURN(SnapshotFile file, ReadSnapshotFile(path));
+  if (file.kind != SnapshotKind::kEntityGraph) {
+    return util::Status::InvalidArgument(
+        path + ": holds a " + SnapshotKindName(file.kind) +
+        " snapshot, not an entity graph");
   }
+  return DecodeEntityGraph(file.payload);
+}
 
-  core::ShoalResumeState resume;
-  resume.has_entity_graph = loaded.has_entity_graph;
-  resume.entity_graph = std::move(loaded.entity_graph);
-  if (loaded.hac.has_value()) {
-    if (!resume.has_entity_graph) {
-      return util::Status::InvalidArgument(
-          "checkpoint has a HAC snapshot but no entity graph; the "
-          "directory is incomplete and cannot be resumed");
-    }
-    auto state = RestoreHacState(*loaded.hac, options.hac);
-    if (!state.ok()) return state.status();
-    resume.hac = std::move(state).value();
-    SHOAL_LOG(kInfo) << "resuming HAC from round "
-                     << resume.hac->rounds_done << " ("
-                     << resume.hac->dendrogram.num_merges()
-                     << " merges replayed)";
+}  // namespace
+
+util::Status AttachCheckpointing(const std::string& dir,
+                                 core::ShoalOptions& options) {
+  if (dir.empty()) {
+    return util::Status::InvalidArgument(
+        "checkpoint directory must not be empty");
   }
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return util::Status::IoError("cannot create checkpoint directory " +
+                                 dir + ": " + ec.message());
+  }
+  const std::string path = SnapshotPath(dir);
+  std::filesystem::remove(path, ec);
+  if (ec) {
+    return util::Status::IoError("cannot remove the old checkpoint " + path +
+                                 ": " + ec.message());
+  }
+  options.entity_graph_checkpoint_hook =
+      [path](const graph::WeightedGraph& graph) {
+        return WriteEntityGraphSnapshot(path, graph);
+      };
+  return util::Status::OK();
+}
 
-  SHOAL_RETURN_IF_ERROR(AttachCheckpointing(dir, checkpoint_every,
-                                            /*resume=*/true, options,
-                                            checkpoint));
+util::Result<core::ShoalModel> ResumeShoal(const core::ShoalInput& input,
+                                           core::ShoalOptions options,
+                                           const std::string& dir) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) {
+    return util::Status::NotFound("no checkpoint directory at " + dir);
+  }
+  util::Stopwatch stopwatch;
+  const std::string path = SnapshotPath(dir);
+  auto graph = ReadEntityGraphSnapshot(path);
+  if (!graph.ok()) {
+    // The build died before its entity graph landed (or the file rotted):
+    // nothing is left to resume, so run the whole build, checkpointed.
+    SHOAL_LOG(kWarning) << "cannot resume from " << path << ": "
+                        << graph.status().ToString()
+                        << "; rebuilding from scratch";
+    SHOAL_RETURN_IF_ERROR(AttachCheckpointing(dir, options));
+    return core::BuildShoal(input, options);
+  }
+  auto& metrics = obs::MetricsRegistry::Global();
+  if (metrics.enabled()) {
+    metrics.GetCounter("ckpt.restores").Increment();
+    metrics.GetHistogram("ckpt.restore_seconds")
+        .Record(stopwatch.ElapsedSeconds());
+  }
+  core::ShoalResumeState resume{std::move(graph).value()};
   return core::BuildShoal(input, options, &resume);
 }
 

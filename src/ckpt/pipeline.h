@@ -1,40 +1,36 @@
 #ifndef SHOAL_CKPT_PIPELINE_H_
 #define SHOAL_CKPT_PIPELINE_H_
 
-#include <cstddef>
 #include <string>
 
-#include "ckpt/checkpoint.h"
 #include "core/shoal.h"
 #include "util/result.h"
 #include "util/status.h"
 
 namespace shoal::ckpt {
 
-// Installs checkpointing hooks into a ShoalOptions: the entity graph is
-// snapshotted once when built, and HAC state every `checkpoint_every`
-// rounds plus once when HAC finishes. Call AFTER every other option
-// field is final — the hooks capture the HAC options fingerprint
-// (threshold, linkage, diffusion iterations) at attach time, and a
-// later change would make resumed runs reject the snapshots.
+// Makes a build resumable: installs an entity-graph hook into `options`
+// that writes `dir`/entity_graph.snap once, right after the entity graph
+// is built. That file is the build's only resume point (DESIGN.md §9).
 //
-// The underlying CheckpointWriter is shared by the installed hooks and
-// kept alive by them; the options struct stays copyable.
+// Creates `dir` when missing and removes any entity_graph.snap already
+// in it, so a build that dies before its own graph lands can never be
+// resumed from another run's graph.
 util::Status AttachCheckpointing(const std::string& dir,
-                                 size_t checkpoint_every, bool resume,
-                                 core::ShoalOptions& options,
-                                 const CheckpointOptions& checkpoint = {});
+                                 core::ShoalOptions& options);
 
-// Resumes an interrupted `shoal_cli build`-style run: loads the best
-// state from `dir` (entity graph plus the newest readable HAC
-// snapshot), re-attaches checkpointing so the continued run keeps
-// writing snapshots, and runs BuildShoal from there. Stages never
-// started are simply run; the result is byte-identical to the
-// uninterrupted build. NotFound when `dir` has no manifest.
-util::Result<core::ShoalModel> ResumeShoal(
-    const core::ShoalInput& input, core::ShoalOptions options,
-    const std::string& dir, size_t checkpoint_every = 5,
-    const CheckpointOptions& checkpoint = {});
+// Resumes an interrupted checkpointed build from `dir`/entity_graph.snap.
+// Word2vec and the entity graph are skipped; HAC and every later stage
+// re-run from the restored graph, so the result is byte-identical to the
+// uninterrupted build's, at any thread count. The snapshot is left in
+// place, so a resumed build that dies resumes again.
+//
+// NotFound when `dir` does not exist. When the snapshot is absent,
+// unreadable or fails its CRC, logs a warning and runs a fresh
+// checkpointed build.
+util::Result<core::ShoalModel> ResumeShoal(const core::ShoalInput& input,
+                                           core::ShoalOptions options,
+                                           const std::string& dir);
 
 }  // namespace shoal::ckpt
 

@@ -17,7 +17,6 @@ constexpr char kMagic[8] = {'S', 'H', 'O', 'A', 'L', 'S', 'N', 'P'};
 
 // Wire sizes, for the encoders' up-front Reserve. Each encoder asserts
 // that it wrote exactly what it reserved (checked in Debug builds).
-constexpr size_t kU8 = 1;
 constexpr size_t kU32 = 4;
 constexpr size_t kU64 = 8;
 constexpr size_t kF64 = 8;
@@ -26,7 +25,6 @@ constexpr size_t kMergeBytes = 2 * kU32 + kF64;  // (left, right, similarity)
 
 bool ValidKind(uint32_t kind) {
   return kind == static_cast<uint32_t>(SnapshotKind::kEntityGraph) ||
-         kind == static_cast<uint32_t>(SnapshotKind::kHacState) ||
          kind == static_cast<uint32_t>(SnapshotKind::kDaemonWindow);
 }
 
@@ -36,8 +34,6 @@ const char* SnapshotKindName(SnapshotKind kind) {
   switch (kind) {
     case SnapshotKind::kEntityGraph:
       return "entity_graph";
-    case SnapshotKind::kHacState:
-      return "hac_state";
     case SnapshotKind::kDaemonWindow:
       return "daemon_window";
   }
@@ -87,131 +83,6 @@ util::Result<graph::WeightedGraph> DecodeEntityGraph(
         "entity graph snapshot has trailing bytes");
   }
   return graph;
-}
-
-std::string EncodeHacSnapshot(const HacSnapshotData& data) {
-  const core::ClusterGraphState& state = data.clusters;
-  // Progress, stats, options, merge list, node count, frontier.
-  size_t bytes = kU64 + kU8 +
-                 5 * kU64 + data.stats.merges_per_round.size() * kU64 +
-                 kF64 + kU32 + kU64 +
-                 2 * kU64 + data.merges.size() * kMergeBytes +
-                 kU64 +
-                 kU64 + state.frontier.size() * kU32 + kF64;
-  for (const auto& row : state.rows) {
-    bytes += kU8 + 2 * kU32 + kU64 + row.size() * (kU32 + kF64);
-  }
-  BinaryWriter writer;
-  writer.Reserve(bytes);
-  writer.WriteU64(data.rounds_done);
-  writer.WriteU8(data.finished ? 1 : 0);
-
-  writer.WriteU64(data.stats.rounds);
-  writer.WriteU64(data.stats.total_merges);
-  writer.WriteU64(data.stats.total_messages);
-  writer.WriteU64(data.stats.total_supersteps);
-  writer.WriteU64(data.stats.merges_per_round.size());
-  for (size_t m : data.stats.merges_per_round) writer.WriteU64(m);
-
-  writer.WriteF64(data.threshold);
-  writer.WriteU32(data.linkage);
-  writer.WriteU64(data.diffusion_iterations);
-
-  writer.WriteU64(data.num_leaves);
-  writer.WriteU64(data.merges.size());
-  for (const auto& m : data.merges) {
-    writer.WriteU32(m.left);
-    writer.WriteU32(m.right);
-    writer.WriteF64(m.similarity);
-  }
-
-  writer.WriteU64(state.rows.size());
-  for (size_t c = 0; c < state.rows.size(); ++c) {
-    writer.WriteU8(state.active[c]);
-    writer.WriteU32(state.sizes[c]);
-    writer.WriteU32(state.mergeable_count[c]);
-    writer.WriteU64(state.rows[c].size());
-    for (const core::ClusterEdge& e : state.rows[c]) {
-      writer.WriteU32(e.id);
-      writer.WriteF64(e.similarity);
-    }
-  }
-  writer.WriteU64(state.frontier.size());
-  for (uint32_t c : state.frontier) writer.WriteU32(c);
-  writer.WriteF64(state.track_threshold);
-  assert(writer.size() == bytes && "EncodeHacSnapshot reserve is off");
-  return writer.Take();
-}
-
-util::Result<HacSnapshotData> DecodeHacSnapshot(std::string_view payload) {
-  BinaryReader reader(payload);
-  HacSnapshotData data;
-  SHOAL_ASSIGN_OR_RETURN(data.rounds_done, reader.ReadU64());
-  SHOAL_ASSIGN_OR_RETURN(uint8_t finished, reader.ReadU8());
-  if (finished > 1) {
-    return util::Status::InvalidArgument(
-        "HAC snapshot has a non-boolean finished flag");
-  }
-  data.finished = finished != 0;
-
-  SHOAL_ASSIGN_OR_RETURN(data.stats.rounds, reader.ReadU64());
-  SHOAL_ASSIGN_OR_RETURN(data.stats.total_merges, reader.ReadU64());
-  SHOAL_ASSIGN_OR_RETURN(data.stats.total_messages, reader.ReadU64());
-  SHOAL_ASSIGN_OR_RETURN(data.stats.total_supersteps, reader.ReadU64());
-  SHOAL_ASSIGN_OR_RETURN(uint64_t num_round_entries, reader.ReadU64());
-  SHOAL_RETURN_IF_ERROR(reader.CheckCount(num_round_entries, 8));
-  data.stats.merges_per_round.resize(num_round_entries);
-  for (uint64_t i = 0; i < num_round_entries; ++i) {
-    SHOAL_ASSIGN_OR_RETURN(uint64_t m, reader.ReadU64());
-    data.stats.merges_per_round[i] = m;
-  }
-
-  SHOAL_ASSIGN_OR_RETURN(data.threshold, reader.ReadF64());
-  SHOAL_ASSIGN_OR_RETURN(data.linkage, reader.ReadU32());
-  SHOAL_ASSIGN_OR_RETURN(data.diffusion_iterations, reader.ReadU64());
-
-  SHOAL_ASSIGN_OR_RETURN(data.num_leaves, reader.ReadU64());
-  SHOAL_ASSIGN_OR_RETURN(uint64_t num_merges, reader.ReadU64());
-  SHOAL_RETURN_IF_ERROR(reader.CheckCount(num_merges, 16));
-  data.merges.resize(num_merges);
-  for (uint64_t i = 0; i < num_merges; ++i) {
-    SHOAL_ASSIGN_OR_RETURN(data.merges[i].left, reader.ReadU32());
-    SHOAL_ASSIGN_OR_RETURN(data.merges[i].right, reader.ReadU32());
-    SHOAL_ASSIGN_OR_RETURN(data.merges[i].similarity, reader.ReadF64());
-  }
-
-  SHOAL_ASSIGN_OR_RETURN(uint64_t num_nodes, reader.ReadU64());
-  // 10 bytes of fixed fields per node before its row entries.
-  SHOAL_RETURN_IF_ERROR(reader.CheckCount(num_nodes, 17));
-  core::ClusterGraphState& state = data.clusters;
-  state.rows.resize(num_nodes);
-  state.sizes.resize(num_nodes);
-  state.active.resize(num_nodes);
-  state.mergeable_count.resize(num_nodes);
-  for (uint64_t c = 0; c < num_nodes; ++c) {
-    SHOAL_ASSIGN_OR_RETURN(state.active[c], reader.ReadU8());
-    SHOAL_ASSIGN_OR_RETURN(state.sizes[c], reader.ReadU32());
-    SHOAL_ASSIGN_OR_RETURN(state.mergeable_count[c], reader.ReadU32());
-    SHOAL_ASSIGN_OR_RETURN(uint64_t row_len, reader.ReadU64());
-    SHOAL_RETURN_IF_ERROR(reader.CheckCount(row_len, 12));
-    state.rows[c].resize(row_len);
-    for (uint64_t e = 0; e < row_len; ++e) {
-      SHOAL_ASSIGN_OR_RETURN(state.rows[c][e].id, reader.ReadU32());
-      SHOAL_ASSIGN_OR_RETURN(state.rows[c][e].similarity, reader.ReadF64());
-    }
-  }
-  SHOAL_ASSIGN_OR_RETURN(uint64_t frontier_len, reader.ReadU64());
-  SHOAL_RETURN_IF_ERROR(reader.CheckCount(frontier_len, 4));
-  state.frontier.resize(frontier_len);
-  for (uint64_t i = 0; i < frontier_len; ++i) {
-    SHOAL_ASSIGN_OR_RETURN(state.frontier[i], reader.ReadU32());
-  }
-  SHOAL_ASSIGN_OR_RETURN(state.track_threshold, reader.ReadF64());
-  if (!reader.AtEnd()) {
-    return util::Status::InvalidArgument(
-        "HAC snapshot has trailing bytes");
-  }
-  return data;
 }
 
 std::string EncodeDaemonWindow(const DaemonWindowData& data) {
@@ -368,71 +239,6 @@ util::Result<DaemonWindowData> DecodeDaemonWindow(std::string_view payload) {
         "daemon window snapshot has trailing bytes");
   }
   return data;
-}
-
-HacSnapshotData CaptureHacSnapshot(const core::HacProgress& progress,
-                                   const core::ParallelHacOptions& options) {
-  HacSnapshotData data;
-  data.rounds_done = progress.rounds_done;
-  data.finished = progress.finished;
-  if (progress.stats != nullptr) data.stats = *progress.stats;
-  data.threshold = options.hac.threshold;
-  data.linkage = static_cast<uint32_t>(options.hac.linkage);
-  data.diffusion_iterations = options.diffusion_iterations;
-
-  const core::Dendrogram& dendrogram = *progress.dendrogram;
-  data.num_leaves = dendrogram.num_leaves();
-  data.merges.reserve(dendrogram.num_merges());
-  for (uint32_t id = dendrogram.num_leaves(); id < dendrogram.num_nodes();
-       ++id) {
-    const auto& node = dendrogram.node(id);
-    data.merges.push_back({node.left, node.right, node.merge_similarity});
-  }
-  data.clusters = progress.clusters->ExportState();
-  return data;
-}
-
-util::Result<core::HacResumeState> RestoreHacState(
-    const HacSnapshotData& data, const core::ParallelHacOptions& options) {
-  if (data.threshold != options.hac.threshold ||
-      data.linkage != static_cast<uint32_t>(options.hac.linkage) ||
-      data.diffusion_iterations != options.diffusion_iterations) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "snapshot was captured under different clustering options "
-        "(threshold %g linkage %u diffusion %llu vs configured %g %u %llu); "
-        "resuming would not reproduce the uninterrupted run",
-        data.threshold, data.linkage,
-        static_cast<unsigned long long>(data.diffusion_iterations),
-        options.hac.threshold, static_cast<uint32_t>(options.hac.linkage),
-        static_cast<unsigned long long>(options.diffusion_iterations)));
-  }
-
-  core::HacResumeState state;
-  state.rounds_done = data.rounds_done;
-  state.stats = data.stats;
-
-  core::Dendrogram dendrogram(data.num_leaves);
-  for (size_t i = 0; i < data.merges.size(); ++i) {
-    const auto& m = data.merges[i];
-    auto merged = dendrogram.Merge(m.left, m.right, m.similarity);
-    if (!merged.ok()) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "snapshot merge %zu (%u, %u) does not replay: %s", i, m.left,
-          m.right, merged.status().message().c_str()));
-    }
-  }
-  state.dendrogram = std::move(dendrogram);
-
-  core::ClusterGraphState cluster_state = data.clusters;
-  SHOAL_ASSIGN_OR_RETURN(state.clusters, core::ClusterGraph::FromState(
-                                             std::move(cluster_state)));
-  if (state.clusters.num_nodes() != state.dendrogram.num_nodes()) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "snapshot is inconsistent: cluster graph has %zu nodes but the "
-        "dendrogram replays to %zu",
-        state.clusters.num_nodes(), state.dendrogram.num_nodes()));
-  }
-  return state;
 }
 
 util::Status WriteSnapshotFile(const std::string& path, SnapshotKind kind,

@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/parallel_hac.h"
 #include "core/topic_describer.h"
 #include "graph/weighted_graph.h"
 #include "util/result.h"
@@ -17,7 +16,9 @@ namespace shoal::ckpt {
 // What a snapshot file contains. Values are part of the wire format.
 enum class SnapshotKind : uint32_t {
   kEntityGraph = 1,   // the Sec 2.1 item entity graph, written once
-  kHacState = 2,      // mid- (or post-) HAC state, written every K rounds
+  // 2 is reserved so that no old file can read as a new kind: it named
+  // mid-HAC cluster state, which nothing writes or reads now, and
+  // ReadSnapshotFile rejects it as unknown.
   kDaemonWindow = 3,  // the daemon's standing sliding-window state
 };
 
@@ -27,33 +28,6 @@ const char* SnapshotKindName(SnapshotKind kind);
 // other value — resuming across format changes silently would risk a
 // wrong-but-plausible restore.
 inline constexpr uint32_t kSnapshotVersion = 1;
-
-// Everything ResumeParallelHac needs, in serializable form, plus a
-// fingerprint of the options the run was started with so a resume under
-// different clustering parameters is rejected instead of producing a
-// taxonomy that matches neither configuration.
-struct HacSnapshotData {
-  uint64_t rounds_done = 0;
-  bool finished = false;
-  core::ParallelHacStats stats;
-
-  // Options fingerprint.
-  double threshold = 0.0;
-  uint32_t linkage = 0;
-  uint64_t diffusion_iterations = 0;
-
-  // Dendrogram as leaf count + ordered merge list; replaying the list
-  // through Dendrogram::Merge reproduces it exactly.
-  uint64_t num_leaves = 0;
-  struct MergeRecord {
-    uint32_t left = 0;
-    uint32_t right = 0;
-    double similarity = 0.0;
-  };
-  std::vector<MergeRecord> merges;
-
-  core::ClusterGraphState clusters;
-};
 
 // The taxonomy daemon's standing state between cycles (DESIGN.md §13):
 // the window's per-day click aggregates (from which the scored edge
@@ -95,9 +69,15 @@ struct DaemonWindowData {
   };
   std::vector<WindowDay> window;
 
-  // Standing dendrogram as leaf count + ordered merge list.
+  // Standing dendrogram as leaf count + ordered merge list; replaying
+  // the list through Dendrogram::Merge reproduces it exactly.
   uint64_t num_leaves = 0;
-  std::vector<HacSnapshotData::MergeRecord> merges;
+  struct MergeRecord {
+    uint32_t left = 0;
+    uint32_t right = 0;
+    double similarity = 0.0;
+  };
+  std::vector<MergeRecord> merges;
 
   // Carried per-topic rankings, ascending by dendro_node. Descriptions
   // are not stored: a topic's description is by construction the top
@@ -115,23 +95,8 @@ std::string EncodeEntityGraph(const graph::WeightedGraph& graph);
 util::Result<graph::WeightedGraph> DecodeEntityGraph(
     std::string_view payload);
 
-std::string EncodeHacSnapshot(const HacSnapshotData& data);
-util::Result<HacSnapshotData> DecodeHacSnapshot(std::string_view payload);
-
 std::string EncodeDaemonWindow(const DaemonWindowData& data);
 util::Result<DaemonWindowData> DecodeDaemonWindow(std::string_view payload);
-
-// Deep-copies a live HAC run's progress view into serializable form,
-// stamping the options fingerprint from `options`.
-HacSnapshotData CaptureHacSnapshot(const core::HacProgress& progress,
-                                   const core::ParallelHacOptions& options);
-
-// Rebuilds the in-memory resume state: replays the merge list into a
-// fresh Dendrogram and revalidates the ClusterGraph invariants. Fails
-// with InvalidArgument when the snapshot's options fingerprint does not
-// match `options` or the snapshot is internally inconsistent.
-util::Result<core::HacResumeState> RestoreHacState(
-    const HacSnapshotData& data, const core::ParallelHacOptions& options);
 
 // --- framed snapshot files ----------------------------------------------
 // Layout: 8-byte magic "SHOALSNP", u32 version, u32 kind, u64 payload

@@ -27,7 +27,7 @@ class Dendrogram {
   };
 
   explicit Dendrogram(size_t num_leaves);
-  // Empty dendrogram; placeholder for resume/checkpoint plumbing.
+  // Empty dendrogram (no leaves), e.g. a member assigned later.
   Dendrogram() : Dendrogram(0) {}
 
   size_t num_leaves() const { return num_leaves_; }

@@ -137,111 +137,6 @@ ClusterGraph::ClusterGraph(const graph::WeightedGraph& base,
   }
 }
 
-ClusterGraphState ClusterGraph::ExportState() const {
-  ClusterGraphState state;
-  state.rows = rows_;
-  state.sizes = sizes_;
-  state.active = active_;
-  state.mergeable_count = mergeable_count_;
-  state.frontier = frontier_;
-  state.track_threshold = track_threshold_;
-  return state;
-}
-
-util::Result<ClusterGraph> ClusterGraph::FromState(ClusterGraphState state) {
-  const size_t n = state.rows.size();
-  if (state.sizes.size() != n || state.active.size() != n ||
-      state.mergeable_count.size() != n) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "cluster state vectors disagree on node count: rows=%zu sizes=%zu "
-        "active=%zu mergeable=%zu",
-        n, state.sizes.size(), state.active.size(),
-        state.mergeable_count.size()));
-  }
-  size_t num_active = 0;
-  for (uint32_t c = 0; c < n; ++c) {
-    if (state.active[c] > 1) {
-      return util::Status::InvalidArgument(
-          util::StringPrintf("cluster %u has non-boolean liveness", c));
-    }
-    if (state.active[c]) {
-      ++num_active;
-    } else if (!state.rows[c].empty()) {
-      return util::Status::InvalidArgument(
-          util::StringPrintf("retired cluster %u has a non-empty row", c));
-    }
-    uint32_t prev = kNoNode;
-    uint32_t strong = 0;
-    for (const ClusterEdge& e : state.rows[c]) {
-      if (e.id >= n || e.id == c) {
-        return util::Status::InvalidArgument(util::StringPrintf(
-            "cluster %u has an edge to invalid cluster %u", c, e.id));
-      }
-      if (prev != kNoNode && e.id <= prev) {
-        return util::Status::InvalidArgument(util::StringPrintf(
-            "cluster %u adjacency row is not id-sorted", c));
-      }
-      prev = e.id;
-      if (state.track_threshold > 0.0 &&
-          e.similarity >= state.track_threshold) {
-        ++strong;
-      }
-    }
-    if (state.track_threshold > 0.0 && state.active[c] &&
-        strong != state.mergeable_count[c]) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "cluster %u mergeable count %u does not match its row (%u strong "
-          "edges)",
-          c, state.mergeable_count[c], strong));
-    }
-  }
-  // The frontier must be ascending and a superset of the mergeable set
-  // (MergeableClusters() relies on both).
-  uint32_t prev = kNoNode;
-  std::vector<uint8_t> in_frontier(n, 0);
-  for (uint32_t c : state.frontier) {
-    if (c >= n) {
-      return util::Status::InvalidArgument(
-          util::StringPrintf("frontier names unknown cluster %u", c));
-    }
-    if (prev != kNoNode && c <= prev) {
-      return util::Status::InvalidArgument(
-          "frontier is not strictly ascending");
-    }
-    prev = c;
-    in_frontier[c] = 1;
-  }
-  for (uint32_t c = 0; c < n; ++c) {
-    if (state.active[c] && state.mergeable_count[c] > 0 && !in_frontier[c]) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "mergeable cluster %u is missing from the frontier", c));
-    }
-  }
-
-  ClusterGraph graph;
-  graph.rows_ = std::move(state.rows);
-  graph.sizes_ = std::move(state.sizes);
-  graph.active_ = std::move(state.active);
-  graph.mergeable_count_ = std::move(state.mergeable_count);
-  graph.frontier_ = std::move(state.frontier);
-  graph.track_threshold_ = state.track_threshold;
-  graph.num_active_ = num_active;
-  // The strong-neighbour lists are derived state: rebuild rather than
-  // serialize, so the snapshot format stays unchanged.
-  graph.strong_.resize(graph.rows_.size());
-  if (graph.track_threshold_ > 0.0) {
-    for (uint32_t c = 0; c < graph.rows_.size(); ++c) {
-      if (!graph.active_[c]) continue;
-      auto& strong = graph.strong_[c];
-      strong.reserve(graph.mergeable_count_[c]);
-      for (const ClusterEdge& e : graph.rows_[c]) {
-        if (e.similarity >= graph.track_threshold_) strong.push_back(e.id);
-      }
-    }
-  }
-  return graph;
-}
-
 std::vector<uint32_t> ClusterGraph::ActiveClusters() const {
   std::vector<uint32_t> out;
   out.reserve(num_active_);

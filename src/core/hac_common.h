@@ -51,20 +51,6 @@ struct ClusterEdge {
   bool operator==(const ClusterEdge&) const = default;
 };
 
-// Complete serializable image of a ClusterGraph, captured mid-HAC by
-// the checkpoint subsystem (src/ckpt) and restored on resume. The
-// frontier vector is part of the image on purpose: restoring it
-// verbatim makes a resumed run's MergeableClusters() sequence — and
-// therefore the dendrogram — bit-identical to the uninterrupted run.
-struct ClusterGraphState {
-  std::vector<std::vector<ClusterEdge>> rows;
-  std::vector<uint32_t> sizes;
-  std::vector<uint8_t> active;
-  std::vector<uint32_t> mergeable_count;
-  std::vector<uint32_t> frontier;
-  double track_threshold = 0.0;
-};
-
 // Mutable cluster-level overlay over the (static) entity graph used
 // while HAC runs. Cluster ids are dendrogram node ids: the original
 // entities are leaves [0, n) and every merge appends a node.
@@ -84,24 +70,6 @@ class ClusterGraph {
   explicit ClusterGraph(const graph::WeightedGraph& base,
                         double track_threshold = 0.0);
 
-  // Empty graph; placeholder for resume plumbing (see FromState).
-  ClusterGraph() = default;
-
-  // Deep-copies the full mutable state (adjacency rows, sizes, liveness,
-  // frontier bookkeeping) into a plain struct the checkpoint subsystem
-  // can serialize. Restoring via FromState yields a graph whose every
-  // subsequent operation is bit-identical to this one's.
-  ClusterGraphState ExportState() const;
-
-  // Rebuilds a graph from an exported (or deserialized) state image.
-  // Validates structural invariants — consistent vector lengths, edge
-  // ids in range, retired clusters with empty rows, the frontier
-  // ascending and covering every mergeable cluster — and returns
-  // InvalidArgument without constructing anything on violation, so a
-  // corrupt snapshot can never produce a half-restored graph.
-  static util::Result<ClusterGraph> FromState(ClusterGraphState state);
-
-  double track_threshold() const { return track_threshold_; }
   size_t num_active() const { return num_active_; }
   size_t num_nodes() const { return rows_.size(); }
   bool IsActive(uint32_t c) const { return active_[c]; }
@@ -197,8 +165,7 @@ class ClusterGraph {
   std::vector<uint8_t> active_;
   std::vector<uint32_t> mergeable_count_;
   // See StrongNeighbors: per-cluster id-sorted mergeable neighbour ids,
-  // maintained only when track_threshold_ > 0 (empty otherwise). Not
-  // serialized — FromState rebuilds it from the rows.
+  // maintained only when track_threshold_ > 0 (empty otherwise).
   std::vector<std::vector<uint32_t>> strong_;
   // Candidate mergeable clusters (ascending); compacted lazily in
   // MergeableClusters(). Superset property: every cluster with

@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace shoal::core {
@@ -37,7 +36,6 @@ void FoldMax(BestEdge& acc, const BestEdge& other) {
   if (Beats(other, acc)) acc = other;
 }
 
-// Validates the option fields shared by fresh and resumed runs.
 util::Status ValidateOptions(const ParallelHacOptions& options) {
   SHOAL_RETURN_IF_ERROR(ValidateHacOptions(options.hac));
   if (options.diffusion_iterations == 0) {
@@ -46,16 +44,11 @@ util::Status ValidateOptions(const ParallelHacOptions& options) {
     return util::Status::InvalidArgument(
         "diffusion_iterations must be >= 1");
   }
-  if (options.checkpoint_every > 0 && !options.checkpoint_hook) {
-    return util::Status::InvalidArgument(
-        "checkpoint_every set without a checkpoint_hook");
-  }
   return util::Status::OK();
 }
 
 // Per-round bookkeeping: apply the round's matching to the cluster graph
-// and dendrogram, accumulate stats, and fire the periodic checkpoint
-// hook.
+// and dendrogram, and accumulate stats.
 util::Status CommitRound(
     const ParallelHacOptions& options, ClusterGraph& clusters,
     Dendrogram& dendrogram, ParallelHacStats& local_stats,
@@ -86,32 +79,6 @@ util::Status CommitRound(
         .Record(static_cast<double>(to_merge.size()));
     metrics.GetHistogram("hac.round.active_clusters")
         .Record(static_cast<double>(active_clusters));
-  }
-  if (options.checkpoint_every > 0 &&
-      local_stats.rounds % options.checkpoint_every == 0) {
-    SHOAL_TRACE_SPAN("hac.checkpoint");
-    SHOAL_RETURN_IF_ERROR(options.checkpoint_hook(
-        HacProgress{&clusters, &dendrogram, local_stats.rounds,
-                    /*finished=*/false, &local_stats}));
-  }
-  return util::Status::OK();
-}
-
-// Final checkpoint-hook invocation and run-level metrics.
-util::Status FinishRun(const ParallelHacOptions& options,
-                       ClusterGraph& clusters, Dendrogram& dendrogram,
-                       ParallelHacStats& local_stats,
-                       const util::ThreadPool& pool) {
-  if (options.checkpoint_hook) {
-    SHOAL_TRACE_SPAN("hac.checkpoint");
-    SHOAL_RETURN_IF_ERROR(options.checkpoint_hook(
-        HacProgress{&clusters, &dendrogram, local_stats.rounds,
-                    /*finished=*/true, &local_stats}));
-  }
-  if (obs::MetricsRegistry::Global().enabled()) {
-    auto& metrics = obs::MetricsRegistry::Global();
-    metrics.GetCounter("hac.runs").Increment();
-    obs::RecordThreadPoolStats("hac.pool", pool.GetStats());
   }
   return util::Status::OK();
 }
@@ -682,7 +649,7 @@ util::Status RunRounds(const ParallelHacOptions& options,
     }
   };
 
-  for (size_t round = local_stats.rounds;; ++round) {
+  for (size_t round = 0;; ++round) {
     SHOAL_RETURN_IF_ERROR(util::FaultInjector::Global().OnHacRound(round));
     obs::ScopedSpan round_span("hac.round");
     round_span.AddArg("round", static_cast<double>(round));
@@ -691,10 +658,9 @@ util::Status RunRounds(const ParallelHacOptions& options,
                       static_cast<double>(clusters.num_active()));
 
     if (!initialized) {
-      // Fresh run or resume: build every frontier row once, in parallel
-      // (each vertex writes only its own slots), and derive the
-      // mutual-pair set with one full scan. Resume takes the same path —
-      // this state is derived from the cluster graph, not checkpointed.
+      // First round: build every frontier row once, in parallel (each
+      // vertex writes only its own slots), and derive the mutual-pair
+      // set with one full scan.
       SHOAL_TRACE_SPAN("hac.delta_init");
       std::vector<uint32_t> active = clusters.MergeableClusters();
       if (active.size() < 2) break;
@@ -884,7 +850,12 @@ util::Status RunRounds(const ParallelHacOptions& options,
     }
   }
 
-  return FinishRun(options, clusters, dendrogram, local_stats, pool);
+  if (obs::MetricsRegistry::Global().enabled()) {
+    auto& metrics = obs::MetricsRegistry::Global();
+    metrics.GetCounter("hac.runs").Increment();
+    obs::RecordThreadPoolStats("hac.pool", pool.GetStats());
+  }
+  return util::Status::OK();
 }
 
 }  // namespace
@@ -900,35 +871,6 @@ util::Result<Dendrogram> ParallelHac(const graph::WeightedGraph& graph,
       RunRounds(options, clusters, dendrogram, local_stats));
   if (stats != nullptr) *stats = local_stats;
   return dendrogram;
-}
-
-util::Result<Dendrogram> ResumeParallelHac(const ParallelHacOptions& options,
-                                           HacResumeState state,
-                                           ParallelHacStats* stats) {
-  SHOAL_RETURN_IF_ERROR(ValidateOptions(options));
-  if (state.clusters.track_threshold() != options.hac.threshold) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "resume state was captured with threshold %g but the run is "
-        "configured with %g; resuming would not reproduce the "
-        "uninterrupted dendrogram",
-        state.clusters.track_threshold(), options.hac.threshold));
-  }
-  if (state.clusters.num_nodes() != state.dendrogram.num_nodes()) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "resume state is inconsistent: cluster graph has %zu nodes, "
-        "dendrogram has %zu",
-        state.clusters.num_nodes(), state.dendrogram.num_nodes()));
-  }
-  if (state.rounds_done != state.stats.rounds) {
-    return util::Status::InvalidArgument(util::StringPrintf(
-        "resume state is inconsistent: rounds_done=%zu but stats record "
-        "%zu rounds",
-        state.rounds_done, state.stats.rounds));
-  }
-  SHOAL_RETURN_IF_ERROR(RunRounds(options, state.clusters, state.dendrogram,
-                                  state.stats));
-  if (stats != nullptr) *stats = state.stats;
-  return std::move(state.dendrogram);
 }
 
 }  // namespace shoal::core

@@ -100,9 +100,7 @@ util::Result<ShoalModel> BuildShoal(const ShoalInput& input,
   util::Stopwatch stopwatch;
   obs::ScopedSpan build_span("shoal.build");
 
-  const bool restore_entity_graph =
-      resume != nullptr && resume->has_entity_graph;
-  if (restore_entity_graph) {
+  if (resume != nullptr) {
     // Word2vec vectors feed only the entity-graph stage, so a restored
     // entity graph lets the resume skip both.
     if (resume->entity_graph.num_vertices() != qi.num_right()) {
@@ -155,10 +153,7 @@ util::Result<ShoalModel> BuildShoal(const ShoalInput& input,
   stopwatch.Restart();
   obs::ScopedSpan hac_span("shoal.hac");
   auto dendrogram =
-      (resume != nullptr && resume->hac.has_value())
-          ? ResumeParallelHac(opts.hac, std::move(*resume->hac),
-                              &model.stats_.hac)
-          : ParallelHac(model.entity_graph_, opts.hac, &model.stats_.hac);
+      ParallelHac(model.entity_graph_, opts.hac, &model.stats_.hac);
   if (!dendrogram.ok()) return dendrogram.status();
   model.dendrogram_ =
       std::make_shared<Dendrogram>(std::move(dendrogram).value());

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,21 +49,16 @@ struct ShoalOptions {
   size_t num_threads = 0;
   // Called once with the freshly built entity graph, before HAC starts.
   // The checkpoint subsystem (src/ckpt) installs a snapshot writer here;
-  // a failing hook aborts the build. HAC-round checkpointing is
-  // configured separately through hac.checkpoint_hook /
-  // hac.checkpoint_every.
+  // a failing hook aborts the build.
   std::function<util::Status(const graph::WeightedGraph&)>
       entity_graph_checkpoint_hook;
 };
 
-// Restored pipeline state handed to BuildShoal to skip already-completed
-// stages. `entity_graph` (when present) replaces the word2vec +
-// entity-graph stages; `hac` (when present) continues or skips HAC.
-// Assembled from on-disk snapshots by ckpt::ResumeShoal.
+// Restored pipeline state handed to BuildShoal: the entity graph that
+// ckpt::ResumeShoal read back from its snapshot. It replaces the
+// word2vec and entity-graph stages; every later stage re-runs from it.
 struct ShoalResumeState {
-  bool has_entity_graph = false;
   graph::WeightedGraph entity_graph;
-  std::optional<HacResumeState> hac;
 };
 
 // Pipeline timings and sizes, one entry per stage.
@@ -122,11 +116,10 @@ class ShoalModel {
 // graph -> Parallel HAC -> taxonomy extraction -> topic description ->
 // category correlation -> search index.
 //
-// When `resume` is non-null, completed stages recorded in it are skipped
-// and HAC continues from the restored round; the restored state is
-// consumed (moved from). The downstream stages are deterministic
-// functions of the dendrogram, so a resumed build's taxonomy is
-// byte-identical to an uninterrupted one's.
+// When `resume` is non-null, word2vec and the entity-graph stage are
+// skipped and its entity graph is consumed (moved from). HAC and the
+// stages after it are deterministic functions of the entity graph, so a
+// resumed build's taxonomy is byte-identical to an uninterrupted one's.
 util::Result<ShoalModel> BuildShoal(const ShoalInput& input,
                                     const ShoalOptions& options,
                                     ShoalResumeState* resume = nullptr);

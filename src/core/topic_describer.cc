@@ -186,7 +186,7 @@ std::vector<uint32_t> AllTopicIds(const Taxonomy& taxonomy) {
 
 }  // namespace
 
-util::Result<std::vector<std::vector<ScoredQuery>>> TopicDescriber::Describe(
+util::Result<const TopicRankings*> TopicDescriber::Describe(
     Taxonomy& taxonomy, const DescriberInput& input,
     const DescriberOptions& options) {
   obs::ScopedSpan span("shoal.describe");
@@ -196,7 +196,7 @@ util::Result<std::vector<std::vector<ScoredQuery>>> TopicDescriber::Describe(
       stored->by_topic,
       DescribeImpl(taxonomy, input, options, AllTopicIds(taxonomy)));
   taxonomy.rankings_ = stored;
-  return stored->by_topic;
+  return stored.get();
 }
 
 util::Result<std::vector<std::vector<ScoredQuery>>>

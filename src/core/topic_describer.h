@@ -61,9 +61,10 @@ class TopicDescriber {
   // Scores queries for every topic and writes the top
   // `queries_per_topic` query texts into taxonomy.topic(t).description.
   // The full per-topic rankings, with `options`, are stored on the
-  // taxonomy (Taxonomy::rankings(), which CompileServingIndex reads), and
-  // a copy is returned for inspection / evaluation.
-  static util::Result<std::vector<std::vector<ScoredQuery>>> Describe(
+  // taxonomy (Taxonomy::rankings(), which CompileServingIndex reads).
+  // The returned pointer is that same block; it lives as long as the
+  // taxonomy, or a copy of it, holds the block.
+  static util::Result<const TopicRankings*> Describe(
       Taxonomy& taxonomy, const DescriberInput& input,
       const DescriberOptions& options);
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "ckpt/binary_io.h"
-#include "core/parallel_hac.h"
 #include "graph/weighted_graph.h"
 #include "util/crc32.h"
 #include "util/tsv.h"
@@ -37,33 +36,6 @@ graph::WeightedGraph SampleGraph() {
   EXPECT_TRUE(graph.AddEdge(2, 3, 0.1).ok());
   EXPECT_TRUE(graph.AddEdge(0, 4, 1.0 / 3.0).ok());
   return graph;
-}
-
-// Captures a real mid-HAC snapshot by running ParallelHac with a
-// checkpoint hook that grabs the first invocation.
-HacSnapshotData SampleHacSnapshot() {
-  graph::WeightedGraph graph(8);
-  for (uint32_t u = 0; u < 8; ++u) {
-    for (uint32_t v = u + 1; v < 8; ++v) {
-      EXPECT_TRUE(graph.AddEdge(u, v, 1.0 / (1.0 + u + v)).ok());
-    }
-  }
-  core::ParallelHacOptions options;
-  options.hac.threshold = 0.05;
-  options.checkpoint_every = 1;
-  HacSnapshotData captured;
-  bool have = false;
-  options.checkpoint_hook = [&](const core::HacProgress& progress) {
-    if (!have) {
-      captured = CaptureHacSnapshot(progress, options);
-      have = true;
-    }
-    return util::Status::OK();
-  };
-  auto result = core::ParallelHac(graph, options);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(have);
-  return captured;
 }
 
 TEST_F(SnapshotTest, BinaryIoRoundTrip) {
@@ -127,40 +99,6 @@ TEST_F(SnapshotTest, EntityGraphRoundTrip) {
   EXPECT_EQ(EncodeEntityGraph(*restored), payload);
 }
 
-TEST_F(SnapshotTest, HacSnapshotRoundTrip) {
-  const HacSnapshotData data = SampleHacSnapshot();
-  const std::string payload = EncodeHacSnapshot(data);
-  auto restored = DecodeHacSnapshot(payload);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->rounds_done, data.rounds_done);
-  EXPECT_EQ(restored->finished, data.finished);
-  EXPECT_EQ(restored->num_leaves, data.num_leaves);
-  EXPECT_EQ(restored->merges.size(), data.merges.size());
-  EXPECT_EQ(restored->stats.merges_per_round, data.stats.merges_per_round);
-  EXPECT_EQ(restored->clusters.rows, data.clusters.rows);
-  EXPECT_EQ(restored->clusters.frontier, data.clusters.frontier);
-  EXPECT_EQ(EncodeHacSnapshot(*restored), payload);
-}
-
-TEST_F(SnapshotTest, RestoreHacStateRejectsOptionSkew) {
-  const HacSnapshotData data = SampleHacSnapshot();
-  core::ParallelHacOptions options;
-  options.hac.threshold = 0.05;
-  ASSERT_TRUE(RestoreHacState(data, options).ok());
-  core::ParallelHacOptions wrong = options;
-  wrong.hac.threshold = 0.06;
-  EXPECT_EQ(RestoreHacState(data, wrong).status().code(),
-            util::StatusCode::kInvalidArgument);
-  wrong = options;
-  wrong.diffusion_iterations = 3;
-  EXPECT_EQ(RestoreHacState(data, wrong).status().code(),
-            util::StatusCode::kInvalidArgument);
-  wrong = options;
-  wrong.hac.linkage = core::LinkageRule::kMax;
-  EXPECT_EQ(RestoreHacState(data, wrong).status().code(),
-            util::StatusCode::kInvalidArgument);
-}
-
 TEST_F(SnapshotTest, FileRoundTrip) {
   const std::string payload = EncodeEntityGraph(SampleGraph());
   const std::string path = Path("eg.snap");
@@ -215,34 +153,27 @@ TEST_F(SnapshotTest, EveryTruncationFailsCleanly) {
   }
 }
 
-TEST_F(SnapshotTest, EveryBitFlipInHacSnapshotIsDetectedOrRejected) {
-  HacSnapshotData data = SampleHacSnapshot();
-  const std::string payload = EncodeHacSnapshot(data);
+// The entity graph is a build's only resume point: every single-bit
+// flip anywhere in its file, header or payload, must fail the read or,
+// for one flip of the kind field (1 -> 3), stop it reading as an
+// entity graph.
+TEST_F(SnapshotTest, EveryBitFlipInEntityGraphSnapshotIsDetected) {
+  const std::string payload = EncodeEntityGraph(SampleGraph());
   const std::string path = Path("flip.snap");
   ASSERT_TRUE(
-      WriteSnapshotFile(path, SnapshotKind::kHacState, payload).ok());
+      WriteSnapshotFile(path, SnapshotKind::kEntityGraph, payload).ok());
   auto bytes = util::ReadTextFile(path);
   ASSERT_TRUE(bytes.ok());
   const std::string& full = bytes.value();
-  // Flip one bit per byte position (stride to keep the test fast on
-  // larger snapshots); the CRC must catch every payload flip and the
-  // header checks every header flip.
-  const size_t stride = full.size() > 512 ? full.size() / 512 : 1;
-  core::ParallelHacOptions options;
-  options.hac.threshold = 0.05;
-  for (size_t i = 0; i < full.size(); i += stride) {
-    std::string tampered = full;
-    tampered[i] = static_cast<char>(tampered[i] ^ 0x10);
-    ASSERT_TRUE(util::WriteTextFile(path, tampered).ok());
-    auto file = ReadSnapshotFile(path);
-    if (!file.ok()) continue;  // caught by header/CRC validation
-    // A flip that survives framing (e.g. in the stored CRC itself is
-    // impossible — it would mismatch; but keep this branch defensive):
-    // decoding plus invariant validation must still reject or produce a
-    // state that fails the restore checks without crashing.
-    auto decoded = DecodeHacSnapshot(file->payload);
-    if (!decoded.ok()) continue;
-    (void)RestoreHacState(*decoded, options);
+  for (size_t i = 0; i < full.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string tampered = full;
+      tampered[i] = static_cast<char>(tampered[i] ^ (1 << bit));
+      ASSERT_TRUE(util::WriteTextFile(path, tampered).ok());
+      auto file = ReadSnapshotFile(path);
+      EXPECT_TRUE(!file.ok() || file->kind != SnapshotKind::kEntityGraph)
+          << "byte " << i << " bit " << bit;
+    }
   }
 }
 
@@ -252,11 +183,26 @@ TEST_F(SnapshotTest, RejectsKindMismatch) {
   // Written under the wrong kind tag: the frame reads fine but decoding
   // as the claimed kind must fail.
   ASSERT_TRUE(
-      WriteSnapshotFile(path, SnapshotKind::kHacState, payload).ok());
+      WriteSnapshotFile(path, SnapshotKind::kDaemonWindow, payload).ok());
   auto file = ReadSnapshotFile(path);
   ASSERT_TRUE(file.ok());
-  EXPECT_EQ(file->kind, SnapshotKind::kHacState);
-  EXPECT_FALSE(DecodeHacSnapshot(file->payload).ok());
+  EXPECT_EQ(file->kind, SnapshotKind::kDaemonWindow);
+  EXPECT_FALSE(DecodeDaemonWindow(file->payload).ok());
+}
+
+// Kind 2 once named mid-HAC cluster state. Nothing writes or reads it
+// now, so a well-framed file of that kind is an unknown kind.
+TEST_F(SnapshotTest, RejectsRetiredKind2) {
+  const std::string path = Path("k2.snap");
+  ASSERT_TRUE(WriteSnapshotFile(path, static_cast<SnapshotKind>(2),
+                                EncodeEntityGraph(SampleGraph()))
+                  .ok());
+  auto file = ReadSnapshotFile(path);
+  ASSERT_FALSE(file.ok());
+  EXPECT_EQ(file.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(file.status().message().find("unknown snapshot kind 2"),
+            std::string::npos)
+      << file.status().ToString();
 }
 
 DaemonWindowData SampleDaemonWindow() {
@@ -292,8 +238,6 @@ DaemonWindowData SampleDaemonWindow() {
 // encoded bytes or to the checksum moves one of them.
 TEST_F(SnapshotTest, EncodedPayloadsMatchGoldenCrc) {
   EXPECT_EQ(util::Crc32(EncodeEntityGraph(SampleGraph())), 0x4E60E248u);
-  EXPECT_EQ(util::Crc32(EncodeHacSnapshot(SampleHacSnapshot())),
-            0x5A7B6331u);
   EXPECT_EQ(util::Crc32(EncodeDaemonWindow(SampleDaemonWindow())),
             0x30670935u);
 }

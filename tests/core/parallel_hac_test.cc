@@ -23,25 +23,14 @@ TEST(ParallelHacTest, ValidatesOptions) {
   options.hac.threshold = 0.0;
   EXPECT_FALSE(ParallelHac(g, options).ok());
   // A NaN threshold would otherwise build an empty dendrogram (it fails
-  // every `>=` test) and make every resume fail its threshold match.
+  // every `>=` test).
   for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
     options.hac.threshold = bad;
     EXPECT_FALSE(ParallelHac(g, options).ok()) << bad;
-    EXPECT_FALSE(ResumeParallelHac(options, HacResumeState{}).ok()) << bad;
   }
   options = FastOptions();
   options.diffusion_iterations = 0;
   EXPECT_FALSE(ParallelHac(g, options).ok());
-}
-
-// The resume entry point shares ValidateOptions with the fresh path: a
-// zero diffusion depth must be rejected before any state is touched.
-TEST(ParallelHacTest, ResumeValidatesDiffusionIterations) {
-  ParallelHacOptions options = FastOptions();
-  options.diffusion_iterations = 0;
-  HacResumeState state;  // contents irrelevant: options fail first
-  auto resumed = ResumeParallelHac(options, std::move(state));
-  EXPECT_FALSE(resumed.ok());
 }
 
 TEST(ParallelHacTest, EmptyGraphNoMerges) {

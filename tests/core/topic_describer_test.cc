@@ -87,10 +87,10 @@ TEST(TopicDescriberTest, ConcentratedQueryDescribesItsTopic) {
   uint32_t topic0 = f.TopicOf(0);
   uint32_t topic1 = f.TopicOf(2);
   // The top query of each topic is the one concentrated on it.
-  ASSERT_FALSE((*rankings)[topic0].empty());
-  EXPECT_EQ((*rankings)[topic0][0].query, 0u);
-  ASSERT_FALSE((*rankings)[topic1].empty());
-  EXPECT_EQ((*rankings)[topic1][0].query, 1u);
+  ASSERT_FALSE((*rankings)->by_topic[topic0].empty());
+  EXPECT_EQ((*rankings)->by_topic[topic0][0].query, 0u);
+  ASSERT_FALSE((*rankings)->by_topic[topic1].empty());
+  EXPECT_EQ((*rankings)->by_topic[topic1][0].query, 1u);
 }
 
 TEST(TopicDescriberTest, DescriptionsWrittenToTopics) {
@@ -113,7 +113,7 @@ TEST(TopicDescriberTest, DiffuseQueryRanksBelowConcentrated) {
   uint32_t topic0 = f.TopicOf(0);
   double r_concentrated = 0.0;
   double r_diffuse = 0.0;
-  for (const auto& scored : (*rankings)[topic0]) {
+  for (const auto& scored : (*rankings)->by_topic[topic0]) {
     if (scored.query == 0) r_concentrated = scored.representativeness;
     if (scored.query == 2) r_diffuse = scored.representativeness;
   }
@@ -125,7 +125,7 @@ TEST(TopicDescriberTest, ScoresWithinExpectedRanges) {
   auto rankings =
       TopicDescriber::Describe(f.taxonomy, f.Input(), DescriberOptions{});
   ASSERT_TRUE(rankings.ok());
-  for (const auto& topic_ranking : *rankings) {
+  for (const auto& topic_ranking : (*rankings)->by_topic) {
     for (const auto& scored : topic_ranking) {
       EXPECT_GE(scored.popularity, 0.0);
       EXPECT_LE(scored.popularity, 1.0);
@@ -142,7 +142,7 @@ TEST(TopicDescriberTest, RepresentativenessIsGeometricMean) {
   auto rankings =
       TopicDescriber::Describe(f.taxonomy, f.Input(), DescriberOptions{});
   ASSERT_TRUE(rankings.ok());
-  for (const auto& topic_ranking : *rankings) {
+  for (const auto& topic_ranking : (*rankings)->by_topic) {
     for (const auto& scored : topic_ranking) {
       EXPECT_NEAR(scored.representativeness,
                   std::sqrt(scored.popularity * scored.concentration),
@@ -343,11 +343,11 @@ TEST(TopicDescriberTest, MatchesDenseReferenceOnRandomInputs) {
         DenseReferenceRankings(f.taxonomy, f.Input(), options);
     auto rankings = TopicDescriber::Describe(f.taxonomy, f.Input(), options);
     ASSERT_TRUE(rankings.ok());
-    ASSERT_EQ(rankings->size(), expected.size());
+    ASSERT_EQ((*rankings)->by_topic.size(), expected.size());
     bool saw_unclicked_topic = false;
     bool saw_empty_document = false;
     for (uint32_t t = 0; t < expected.size(); ++t) {
-      ExpectSameRanking((*rankings)[t], expected[t], t);
+      ExpectSameRanking((*rankings)->by_topic[t], expected[t], t);
       saw_unclicked_topic |= expected[t].empty();
       const auto& members = f.taxonomy.topic(t).entities;
       saw_empty_document |=
@@ -391,10 +391,10 @@ TEST(TopicDescriberTest, DescribeTopicsMatchesDescribeOnTheSubset) {
     auto some = TopicDescriber::DescribeTopics(f.taxonomy, f.Input(),
                                                options, subset);
     ASSERT_TRUE(some.ok());
-    ASSERT_EQ(some->size(), all->size());
+    ASSERT_EQ(some->size(), (*all)->by_topic.size());
     for (uint32_t t = 0; t < f.taxonomy.num_topics(); ++t) {
       if (in_subset[t]) {
-        ExpectSameRanking((*some)[t], (*all)[t], t);
+        ExpectSameRanking((*some)[t], (*all)->by_topic[t], t);
         EXPECT_EQ(f.taxonomy.topic(t).description,
                   full.topic(t).description)
             << "topic " << t;
@@ -408,8 +408,8 @@ TEST(TopicDescriberTest, DescribeTopicsMatchesDescribeOnTheSubset) {
   }
 }
 
-// Describe keeps what it returns on the taxonomy, stamped with the
-// options it ran with.
+// Describe keeps its rankings on the taxonomy, stamped with the options
+// it ran with, and returns that block rather than a copy.
 TEST(TopicDescriberTest, DescribeStoresItsRankingsOnTheTaxonomy) {
   DescriberFixture f;
   EXPECT_EQ(f.taxonomy.rankings(), nullptr);
@@ -422,10 +422,7 @@ TEST(TopicDescriberTest, DescribeStoresItsRankingsOnTheTaxonomy) {
   ASSERT_NE(stored, nullptr);
   EXPECT_TRUE(stored->options == options);
   EXPECT_FALSE(stored->options == DescriberOptions{});
-  ASSERT_EQ(stored->by_topic.size(), rankings->size());
-  for (uint32_t t = 0; t < rankings->size(); ++t) {
-    ExpectSameRanking(stored->by_topic[t], (*rankings)[t], t);
-  }
+  EXPECT_EQ(*rankings, stored) << "Describe returns the stored block";
 }
 
 TEST(TopicDescriberTest, CopiesShareTheStoredRankings) {

@@ -1,7 +1,8 @@
-// Crash-recovery contract (DESIGN.md §9): a run resumed from any
-// checkpoint — in memory or from disk, at any thread count —
-// produces a dendrogram and taxonomy byte-identical to the
-// uninterrupted run's.
+// Crash-recovery contract (DESIGN.md §9): a checkpointed build writes
+// one file, entity_graph.snap, and a build resumed from it — or rebuilt
+// from scratch when the file is missing or corrupt — produces a
+// dendrogram and taxonomy byte-identical to the uninterrupted build's,
+// at any thread count.
 
 #include <filesystem>
 #include <string>
@@ -10,15 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include "ckpt/checkpoint.h"
 #include "ckpt/pipeline.h"
 #include "ckpt/snapshot.h"
-#include "core/parallel_hac.h"
 #include "core/shoal.h"
 #include "core/taxonomy_io.h"
 #include "data/dataset.h"
 #include "data/shoal_adapter.h"
-#include "graph/generators.h"
 #include "util/fault.h"
 #include "util/tsv.h"
 
@@ -41,23 +39,33 @@ DendrogramImage DendrogramBytes(const core::Dendrogram& d) {
   return out;
 }
 
-graph::WeightedGraph TestGraph(uint64_t seed) {
-  graph::PlantedPartitionOptions po;
-  po.num_vertices = 200;
-  po.num_clusters = 10;
-  po.p_in = 0.45;
-  po.p_out = 0.01;
-  po.mu_in = 0.8;
-  po.seed = seed;
-  auto result = graph::GeneratePlantedPartition(po);
-  EXPECT_TRUE(result.ok());
-  return std::move(result->graph);
-}
+// A synthetic catalog and the pipeline input over it (the input borrows
+// the dataset's vocabulary, so the two live together, in place).
+struct Catalog {
+  explicit Catalog(uint64_t seed, size_t entities = 300,
+                   size_t queries = 250) {
+    data::DatasetOptions data_options;
+    data_options.num_entities = entities;
+    data_options.num_queries = queries;
+    data_options.num_clicks = entities * 50;
+    data_options.seed = seed;
+    auto generated = data::GenerateDataset(data_options);
+    EXPECT_TRUE(generated.ok());
+    dataset = std::move(generated).value();
+    bundle = data::MakeShoalInput(dataset);
+  }
+  Catalog(const Catalog&) = delete;
+  Catalog& operator=(const Catalog&) = delete;
 
-core::ParallelHacOptions BaseOptions() {
-  core::ParallelHacOptions options;
-  options.hac.threshold = 0.3;
-  options.num_threads = 2;
+  core::ShoalInput View() const { return bundle.View(); }
+
+  data::Dataset dataset;
+  data::ShoalInputBundle bundle;
+};
+
+core::ShoalOptions BaseOptions() {
+  core::ShoalOptions options;
+  options.correlation.min_strength = 1;
   return options;
 }
 
@@ -68,6 +76,7 @@ class CheckpointResumeTest : public ::testing::Test {
     dir_ = std::filesystem::temp_directory_path() /
            (std::string("shoal_ckpt_resume_test_") +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
@@ -76,168 +85,57 @@ class CheckpointResumeTest : public ::testing::Test {
   }
 
   std::string Dir(const std::string& name) { return (dir_ / name).string(); }
+  std::string Snapshot() { return Dir("ckpt/entity_graph.snap"); }
+
+  // A checkpointed build into Dir("ckpt") that the injected `fault`
+  // stops; the build must fail.
+  void CrashedBuild(const Catalog& catalog, const std::string& fault) {
+    core::ShoalOptions crashing = BaseOptions();
+    ASSERT_TRUE(ckpt::AttachCheckpointing(Dir("ckpt"), crashing).ok());
+    ASSERT_TRUE(util::FaultInjector::Global().Configure(fault).ok());
+    auto crashed = core::BuildShoal(catalog.View(), crashing);
+    util::FaultInjector::Global().Reset();
+    ASSERT_FALSE(crashed.ok()) << fault;
+  }
+
+  // The snapshot on disk holds exactly `graph`.
+  void ExpectSnapshotHolds(const graph::WeightedGraph& graph) {
+    auto file = ckpt::ReadSnapshotFile(Snapshot());
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    EXPECT_EQ(file->kind, ckpt::SnapshotKind::kEntityGraph);
+    EXPECT_EQ(file->payload, ckpt::EncodeEntityGraph(graph));
+  }
 
   std::filesystem::path dir_;
 };
 
-// The tentpole guarantee: resume from EVERY round's snapshot, across a
-// thread sweep, and require the identical dendrogram.
-TEST_F(CheckpointResumeTest, ResumeFromEveryRoundIsByteIdentical) {
-  auto graph = TestGraph(17);
-
-  core::ParallelHacOptions options = BaseOptions();
-  options.checkpoint_every = 1;
-  std::vector<ckpt::HacSnapshotData> snapshots;
-  options.checkpoint_hook = [&](const core::HacProgress& progress) {
-    if (!progress.finished) {
-      snapshots.push_back(ckpt::CaptureHacSnapshot(progress, options));
-    }
-    return util::Status::OK();
-  };
-  core::ParallelHacStats reference_stats;
-  auto reference = core::ParallelHac(graph, options, &reference_stats);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  const DendrogramImage reference_bytes = DendrogramBytes(*reference);
-  ASSERT_GE(snapshots.size(), 3u) << "graph too easy: not enough rounds";
-
-  core::ParallelHacOptions resume_options = BaseOptions();
-  for (const ckpt::HacSnapshotData& snapshot : snapshots) {
-    for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-      resume_options.num_threads = threads;
-      auto state = ckpt::RestoreHacState(snapshot, resume_options);
-      ASSERT_TRUE(state.ok()) << state.status().ToString();
-      core::ParallelHacStats stats;
-      auto resumed = core::ResumeParallelHac(
-          resume_options, std::move(state).value(), &stats);
-      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-      EXPECT_EQ(DendrogramBytes(*resumed), reference_bytes)
-          << "round=" << snapshot.rounds_done << " threads=" << threads;
-      // The resumed run's cumulative stats match the uninterrupted
-      // run's (merge trace included) — they describe the same logical
-      // execution.
-      EXPECT_EQ(stats.rounds, reference_stats.rounds);
-      EXPECT_EQ(stats.total_merges, reference_stats.total_merges);
-      EXPECT_EQ(stats.merges_per_round, reference_stats.merges_per_round);
-    }
-  }
-}
-
-// An injected abort mid-run, snapshots committed to disk, recovery via
-// LoadCheckpoint: the disk round-trip must preserve identity too.
-TEST_F(CheckpointResumeTest, AbortThenDiskResumeIsByteIdentical) {
-  auto graph = TestGraph(29);
-
-  core::ParallelHacOptions options = BaseOptions();
-  auto uninterrupted = core::ParallelHac(graph, options);
-  ASSERT_TRUE(uninterrupted.ok());
-  const DendrogramImage reference_bytes = DendrogramBytes(*uninterrupted);
-
-  const std::string dir = Dir("hac_ckpt");
-  {
-    auto opened = ckpt::CheckpointWriter::Open(dir, /*resume=*/false);
-    ASSERT_TRUE(opened.ok());
-    auto writer = std::make_shared<ckpt::CheckpointWriter>(
-        std::move(opened).value());
-    core::ParallelHacOptions crashing = options;
-    crashing.checkpoint_every = 2;
-    crashing.checkpoint_hook = [writer, &options](
-                                   const core::HacProgress& progress) {
-      return writer->WriteHacSnapshot(
-          ckpt::CaptureHacSnapshot(progress, options));
-    };
-    ASSERT_TRUE(
-        util::FaultInjector::Global().Configure("abort_at_round:5").ok());
-    auto crashed = core::ParallelHac(graph, crashing);
-    util::FaultInjector::Global().Reset();
-    ASSERT_FALSE(crashed.ok());
-    EXPECT_EQ(crashed.status().code(), util::StatusCode::kInternal);
-  }
-
-  auto loaded = ckpt::LoadCheckpoint(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded->hac.has_value());
-  EXPECT_EQ(loaded->hac->rounds_done, 4u);
-  auto state = ckpt::RestoreHacState(*loaded->hac, options);
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
-  auto resumed =
-      core::ResumeParallelHac(options, std::move(state).value());
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(DendrogramBytes(*resumed), reference_bytes);
-}
-
-TEST_F(CheckpointResumeTest, ResumeRejectsMismatchedThreshold) {
-  auto graph = TestGraph(31);
-  core::ParallelHacOptions options = BaseOptions();
-  options.checkpoint_every = 1;
-  std::vector<ckpt::HacSnapshotData> snapshots;
-  options.checkpoint_hook = [&](const core::HacProgress& progress) {
-    snapshots.push_back(ckpt::CaptureHacSnapshot(progress, options));
-    return util::Status::OK();
-  };
-  ASSERT_TRUE(core::ParallelHac(graph, options).ok());
-  ASSERT_FALSE(snapshots.empty());
-
-  core::ParallelHacOptions other = BaseOptions();
-  other.hac.threshold = 0.5;
-  EXPECT_EQ(ckpt::RestoreHacState(snapshots.front(), other).status().code(),
-            util::StatusCode::kInvalidArgument);
-}
-
-TEST_F(CheckpointResumeTest, FailingHookAbortsTheRun) {
-  auto graph = TestGraph(37);
-  core::ParallelHacOptions options = BaseOptions();
-  options.checkpoint_every = 1;
-  options.checkpoint_hook = [](const core::HacProgress&) {
-    return util::Status::IoError("disk full");
-  };
-  auto result = core::ParallelHac(graph, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
-}
-
-// Full pipeline: interrupted checkpointed build -> ResumeShoal -> the
-// persisted taxonomy artefacts are byte-identical to the uninterrupted
-// build's (the same comparison the CI crash-recovery smoke job makes
-// after a real SIGKILL-style _Exit).
+// Full pipeline: a checkpointed build aborted at HAC round 5 ->
+// ResumeShoal at another thread count -> the persisted taxonomy
+// artefacts are byte-identical to the uninterrupted build's (the same
+// comparison the shoal_cli_crash_resume_smoke ctest makes after a real
+// std::_Exit).
 TEST_F(CheckpointResumeTest, PipelineAbortResumeProducesIdenticalArtefacts) {
-  data::DatasetOptions data_options;
-  data_options.num_entities = 400;
-  data_options.num_queries = 350;
-  data_options.num_clicks = 20000;
-  data_options.seed = 99;
-  auto dataset = data::GenerateDataset(data_options);
-  ASSERT_TRUE(dataset.ok());
-  auto bundle = data::MakeShoalInput(*dataset);
+  Catalog catalog(99, 400, 350);
 
-  core::ShoalOptions options;
-  options.correlation.min_strength = 1;
+  core::ShoalOptions options = BaseOptions();
   options.num_threads = 2;
 
-  auto reference = core::BuildShoal(bundle.View(), options);
+  auto reference = core::BuildShoal(catalog.View(), options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   const std::string ref_dir = Dir("tax_ref");
   ASSERT_TRUE(core::SaveTaxonomy(reference->taxonomy(),
                                  reference->correlations(), ref_dir)
                   .ok());
 
-  const std::string ckpt_dir = Dir("ckpt");
-  {
-    core::ShoalOptions crashing = options;
-    ASSERT_TRUE(ckpt::AttachCheckpointing(ckpt_dir, /*checkpoint_every=*/2,
-                                          /*resume=*/false, crashing)
-                    .ok());
-    ASSERT_TRUE(
-        util::FaultInjector::Global().Configure("abort_at_round:5").ok());
-    auto crashed = core::BuildShoal(bundle.View(), crashing);
-    util::FaultInjector::Global().Reset();
-    ASSERT_FALSE(crashed.ok());
-  }
+  CrashedBuild(catalog, "abort_at_round:5");
+  ExpectSnapshotHolds(reference->entity_graph());
 
-  // Resume at a different thread count; downstream stages re-run.
+  // Resume at a different thread count; HAC and every later stage
+  // re-run from the restored graph.
   core::ShoalOptions resume_options = options;
   resume_options.num_threads = 4;
-  auto resumed = ckpt::ResumeShoal(bundle.View(), resume_options, ckpt_dir,
-                                   /*checkpoint_every=*/2);
+  auto resumed =
+      ckpt::ResumeShoal(catalog.View(), resume_options, Dir("ckpt"));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(DendrogramBytes(resumed->dendrogram()),
             DendrogramBytes(reference->dendrogram()));
@@ -257,50 +155,109 @@ TEST_F(CheckpointResumeTest, PipelineAbortResumeProducesIdenticalArtefacts) {
   }
 }
 
-// A crash after HAC finished resumes without redoing HAC (the finished
-// snapshot short-circuits the round loop) and still matches.
-TEST_F(CheckpointResumeTest, ResumeAfterHacFinishedSkipsRecomputation) {
-  data::DatasetOptions data_options;
-  data_options.num_entities = 300;
-  data_options.num_queries = 250;
-  data_options.num_clicks = 15000;
-  data_options.seed = 7;
-  auto dataset = data::GenerateDataset(data_options);
-  ASSERT_TRUE(dataset.ok());
-  auto bundle = data::MakeShoalInput(*dataset);
-
-  core::ShoalOptions options;
-  options.correlation.min_strength = 1;
-  auto reference = core::BuildShoal(bundle.View(), options);
+// A crash after HAC finished loses that HAC run: the resume restores the
+// entity graph, skips word2vec and the graph build, and runs HAC again,
+// which reproduces the same dendrogram in the same number of rounds.
+TEST_F(CheckpointResumeTest, AbortAfterTaxonomyResumeRerunsHac) {
+  Catalog catalog(7);
+  auto reference = core::BuildShoal(catalog.View(), BaseOptions());
   ASSERT_TRUE(reference.ok());
 
-  const std::string ckpt_dir = Dir("ckpt");
-  {
-    core::ShoalOptions crashing = options;
-    ASSERT_TRUE(ckpt::AttachCheckpointing(ckpt_dir, 50, false, crashing)
-                    .ok());
-    // Fail right after the taxonomy stage: HAC state is already
-    // committed with finished=true.
-    ASSERT_TRUE(util::FaultInjector::Global()
-                    .Configure("abort_at_stage:taxonomy")
-                    .ok());
-    auto crashed = core::BuildShoal(bundle.View(), crashing);
-    util::FaultInjector::Global().Reset();
-    ASSERT_FALSE(crashed.ok());
-  }
+  CrashedBuild(catalog, "abort_at_stage:taxonomy");
 
-  auto loaded = ckpt::LoadCheckpoint(ckpt_dir);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(loaded->hac.has_value());
-  EXPECT_TRUE(loaded->hac->finished);
-
-  auto resumed = ckpt::ResumeShoal(bundle.View(), options, ckpt_dir, 50);
+  auto resumed =
+      ckpt::ResumeShoal(catalog.View(), BaseOptions(), Dir("ckpt"));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(DendrogramBytes(resumed->dendrogram()),
             DendrogramBytes(reference->dendrogram()));
-  // No rounds were re-run: the resumed stats still record the full
-  // original trace, not a re-execution.
   EXPECT_EQ(resumed->stats().hac.rounds, reference->stats().hac.rounds);
+  EXPECT_GT(resumed->stats().hac.rounds, 0u);
+  // Restored, not rebuilt: the entity-graph stage recorded nothing.
+  EXPECT_EQ(resumed->stats().entity_graph.kept_edges, 0u);
+  EXPECT_GT(reference->stats().entity_graph.kept_edges, 0u);
+}
+
+// Attach removes another run's snapshot. Without that, this build's
+// crash before its own graph landed would resume dataset 8's graph,
+// which has the same entity count.
+TEST_F(CheckpointResumeTest, StaleSnapshotIsRemovedAtAttach) {
+  Catalog other(8);
+  core::ShoalOptions other_options = BaseOptions();
+  ASSERT_TRUE(ckpt::AttachCheckpointing(Dir("ckpt"), other_options).ok());
+  auto other_model = core::BuildShoal(other.View(), other_options);
+  ASSERT_TRUE(other_model.ok());
+  ASSERT_TRUE(std::filesystem::exists(Snapshot()));
+
+  Catalog catalog(7);
+  auto reference = core::BuildShoal(catalog.View(), BaseOptions());
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(other_model->entity_graph().num_vertices(),
+            reference->entity_graph().num_vertices());
+  ASSERT_NE(ckpt::EncodeEntityGraph(other_model->entity_graph()),
+            ckpt::EncodeEntityGraph(reference->entity_graph()));
+
+  CrashedBuild(catalog, "abort_at_stage:word2vec");
+  EXPECT_FALSE(std::filesystem::exists(Snapshot()));
+
+  auto resumed =
+      ckpt::ResumeShoal(catalog.View(), BaseOptions(), Dir("ckpt"));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(DendrogramBytes(resumed->dendrogram()),
+            DendrogramBytes(reference->dendrogram()));
+  // Built from scratch, and checkpointed as it went.
+  EXPECT_GT(resumed->stats().entity_graph.kept_edges, 0u);
+  ExpectSnapshotHolds(reference->entity_graph());
+}
+
+// A snapshot that fails its CRC is not resumed from: the resume runs a
+// fresh checkpointed build, which rewrites the file.
+TEST_F(CheckpointResumeTest, BitFlippedSnapshotResumesAsFreshBuild) {
+  Catalog catalog(7);
+  auto reference = core::BuildShoal(catalog.View(), BaseOptions());
+  ASSERT_TRUE(reference.ok());
+
+  CrashedBuild(catalog, "abort_at_stage:entity_graph");
+  auto bytes = util::ReadTextFile(Snapshot());
+  ASSERT_TRUE(bytes.ok());
+  std::string tampered = bytes.value();
+  tampered[tampered.size() / 2] ^= 0x01;
+  ASSERT_TRUE(util::WriteTextFile(Snapshot(), tampered).ok());
+  ASSERT_FALSE(ckpt::ReadSnapshotFile(Snapshot()).ok());
+
+  auto resumed =
+      ckpt::ResumeShoal(catalog.View(), BaseOptions(), Dir("ckpt"));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(DendrogramBytes(resumed->dendrogram()),
+            DendrogramBytes(reference->dendrogram()));
+  EXPECT_GT(resumed->stats().entity_graph.kept_edges, 0u);
+  ExpectSnapshotHolds(reference->entity_graph());
+}
+
+// The snapshot write is the build's first atomic write; when it fails
+// the build stops with that write's Status and leaves no file behind.
+TEST_F(CheckpointResumeTest, FailedSnapshotWriteAbortsTheBuild) {
+  Catalog catalog(7);
+  core::ShoalOptions options = BaseOptions();
+  ASSERT_TRUE(ckpt::AttachCheckpointing(Dir("ckpt"), options).ok());
+  ASSERT_TRUE(
+      util::FaultInjector::Global().Configure("fail_write_at:1").ok());
+  auto result = core::BuildShoal(catalog.View(), options);
+  util::FaultInjector::Global().Reset();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("entity_graph.snap"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(Snapshot()));
+}
+
+TEST_F(CheckpointResumeTest, MissingDirectoryIsNotFound) {
+  Catalog catalog(7);
+  auto resumed =
+      ckpt::ResumeShoal(catalog.View(), BaseOptions(), Dir("no_such_dir"));
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), util::StatusCode::kNotFound);
+  EXPECT_FALSE(std::filesystem::exists(Dir("no_such_dir")));
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(ServingIndexCompileTest, TopPostingIsOfflineArgmax) {
     double best_score = -1.0;
     uint32_t best_topic = core::kNoTopic;
     for (uint32_t t = 0; t < scored.num_topics(); ++t) {
-      for (const auto& entry : (*rankings)[t]) {
+      for (const auto& entry : (*rankings)->by_topic[t]) {
         if (entry.query != original) continue;
         if (entry.representativeness > best_score ||
             (entry.representativeness == best_score && t < best_topic)) {
@@ -127,7 +127,7 @@ util::Result<std::string> DescribeAgainImage(const core::Taxonomy& taxonomy,
                                      core::DescriberOptions()));
   SHOAL_ASSIGN_OR_RETURN(
       ServingIndexData data,
-      BuildServingIndexData(scored, rankings, *input.query_texts,
+      BuildServingIndexData(scored, rankings->by_topic, *input.query_texts,
                             input.entity_categories, CompileOptions()));
   return EncodeServingIndexFile(data);
 }
