@@ -13,8 +13,7 @@
 #include "core/shoal.h"
 #include "data/dataset.h"
 #include "data/shoal_adapter.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/cli_flags.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -22,48 +21,6 @@
 #include "util/timer.h"
 
 namespace shoal::bench {
-
-// Observability plumbing shared by the experiment binaries: every bench
-// accepts --trace-out / --metrics-out / --log-level so a run can be
-// profiled (Perfetto) or its metrics snapshot archived next to the
-// printed table.
-inline void AddObsFlags(util::FlagParser& flags) {
-  flags.AddString("trace-out", "",
-                  "write a Chrome trace-event JSON file (Perfetto loadable)");
-  flags.AddString("metrics-out", "",
-                  "write a metrics-registry JSON snapshot");
-  flags.AddString("log-level", "info",
-                  "log verbosity: debug, info, warning, error");
-}
-
-inline void InitObsFromFlags(const util::FlagParser& flags) {
-  util::LogLevel level = util::LogLevel::kInfo;
-  SHOAL_CHECK(util::ParseLogLevel(flags.GetString("log-level"), &level))
-      << "unknown --log-level '" << flags.GetString("log-level") << "'";
-  util::SetLogLevel(level);
-  if (!flags.GetString("trace-out").empty()) obs::Tracer::Global().Enable();
-  if (!flags.GetString("metrics-out").empty()) {
-    obs::MetricsRegistry::Global().Enable();
-  }
-}
-
-// Writes the artefacts requested via flags at the end of a bench run.
-inline void FinishObs(const util::FlagParser& flags) {
-  const std::string& trace_path = flags.GetString("trace-out");
-  if (!trace_path.empty()) {
-    auto status = obs::Tracer::Global().WriteChromeJson(trace_path);
-    SHOAL_CHECK(status.ok()) << status.ToString();
-    std::printf("wrote Chrome trace to %s\n", trace_path.c_str());
-  }
-  const std::string& metrics_path = flags.GetString("metrics-out");
-  if (!metrics_path.empty()) {
-    util::JsonValue out = util::JsonValue::Object();
-    out.Set("metrics", obs::MetricsRegistry::Global().ToJson());
-    auto status = util::WriteJsonFile(metrics_path, out);
-    SHOAL_CHECK(status.ok()) << status.ToString();
-    std::printf("wrote metrics snapshot to %s\n", metrics_path.c_str());
-  }
-}
 
 // A generated workload plus the built SHOAL model and ground truth.
 struct Workload {

@@ -90,8 +90,8 @@ struct TopicImage {
 };
 
 std::map<std::vector<uint32_t>, TopicImage> CaptureTopics(
-    const core::Taxonomy& taxonomy,
-    const std::vector<std::vector<core::ScoredQuery>>& rankings) {
+    const core::Taxonomy& taxonomy) {
+  const auto& rankings = taxonomy.rankings()->by_topic;
   std::map<std::vector<uint32_t>, TopicImage> images;
   for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
     TopicImage image;
@@ -188,7 +188,7 @@ struct TierResult {
   double stability = 1.0;
   double incremental_seconds = 0.0;
   double full_rebuild_seconds = 0.0;
-  double rebuild_describe_seconds = 0.0;  // the rebuild's DescribeTopics
+  double rebuild_describe_seconds = 0.0;  // the rebuild's Describe
   double speedup = 0.0;
   bool graph_identical = false;
   bool thread_identical = true;
@@ -252,7 +252,7 @@ TierResult RunTier(size_t entities, size_t window_days, size_t measure_days,
   const size_t num_days = log->days.size();
   for (size_t d = window_days; d < num_days; ++d) {
     auto store_before = live.graph().StoreEdges();
-    auto topics_before = CaptureTopics(live.taxonomy(), live.rankings());
+    auto topics_before = CaptureTopics(live.taxonomy());
 
     CycleResult cycle;
     cycle.day = d;
@@ -273,7 +273,7 @@ TierResult RunTier(size_t entities, size_t window_days, size_t measure_days,
     cycle.store_edges = store_after.size();
     auto dirty = StoreDirtyEntities(store_before, store_after);
     cycle.dirty_entities = dirty.size();
-    auto topics_after = CaptureTopics(live.taxonomy(), live.rankings());
+    auto topics_after = CaptureTopics(live.taxonomy());
     for (const auto& [members, image] : topics_before) {
       bool untouched = true;
       for (uint32_t e : members) {
@@ -339,20 +339,19 @@ TierResult RunTier(size_t entities, size_t window_days, size_t measure_days,
   describe_input.query_words = &query_words;
   describe_input.query_texts = &query_texts;
   describe_input.entity_title_words = &live.title_words();
-  std::vector<uint32_t> all_topics(scratch_taxonomy.num_topics());
-  for (uint32_t t = 0; t < all_topics.size(); ++t) all_topics[t] = t;
   const double pre_describe_seconds = rebuild_watch.ElapsedSeconds();
-  auto scratch_rankings = core::TopicDescriber::DescribeTopics(
-      scratch_taxonomy, describe_input, options.describer, all_topics);
-  SHOAL_CHECK(scratch_rankings.ok()) << scratch_rankings.status().ToString();
+  auto described = core::TopicDescriber::Describe(
+      scratch_taxonomy, describe_input, options.describer);
+  SHOAL_CHECK(described.ok()) << described.status().ToString();
   result.rebuild_describe_seconds =
       rebuild_watch.ElapsedSeconds() - pre_describe_seconds;
   serve::CompileOptions compile_options;
   compile_options.version = result.cycles.back().report.published_version;
   compile_options.max_postings_per_query = options.max_postings_per_query;
   auto scratch_index =
-      serve::BuildServingIndexData(scratch_taxonomy, *scratch_rankings,
-                                   query_texts, &categories, compile_options);
+      serve::CompileServingIndex(scratch_taxonomy, describe_input,
+                                 options.describer, &categories,
+                                 compile_options);
   SHOAL_CHECK(scratch_index.ok()) << scratch_index.status().ToString();
   SHOAL_CHECK(serve::WriteServingIndexFile(tier_dir + "/scratch.idx",
                                            scratch_index.value())
@@ -398,11 +397,11 @@ int Run(int argc, char** argv) {
   flags.AddString("det_threads", "2,4,8",
                   "extra thread counts for the byte-identity sweep");
   flags.AddString("json_out", "", "write machine-readable results here");
-  AddObsFlags(flags);
+  obs::AddObservabilityFlags(flags);
   auto parsed = flags.Parse(argc, argv);
   SHOAL_CHECK(parsed.ok()) << parsed.ToString();
   if (flags.help_requested()) return 0;
-  InitObsFromFlags(flags);
+  if (!obs::EnableObservability(flags)) return 1;
 
   PrintHeader("bench_incremental — daemon cycle vs full rebuild",
               "incremental window maintenance amortizes the rebuild: one "
@@ -507,7 +506,8 @@ int Run(int argc, char** argv) {
     SHOAL_CHECK(status.ok()) << status.ToString();
     std::printf("wrote %s\n", flags.GetString("json_out").c_str());
   }
-  FinishObs(flags);
+  const util::Status written = obs::WriteObservability(flags);
+  SHOAL_CHECK(written.ok()) << written.ToString();
   return all_identical ? 0 : 1;
 }
 

@@ -36,11 +36,11 @@ int Run(int argc, char** argv) {
   flags.AddString("json_out", "",
                   "write HAC perf metrics (sizes table + thread sweep) to "
                   "this JSON file, e.g. BENCH_hac.json");
-  bench::AddObsFlags(flags);
+  obs::AddObservabilityFlags(flags);
   auto status = flags.Parse(argc, argv);
   SHOAL_CHECK(status.ok()) << status.ToString();
   if (flags.help_requested()) return 0;
-  bench::InitObsFromFlags(flags);
+  if (!obs::EnableObservability(flags)) return 1;
 
   // The one place --sizes is parsed: the sizes table, its JSON rows, and
   // the stage-scaling section below all iterate this vector.
@@ -244,7 +244,8 @@ int Run(int argc, char** argv) {
       "      strictly-serial heap operation per merge, while Parallel\n"
       "      HAC's is one round for *many* merges — the quantity\n"
       "      that distribution divides by machine count.\n");
-  bench::FinishObs(flags);
+  const util::Status written = obs::WriteObservability(flags);
+  SHOAL_CHECK(written.ok()) << written.ToString();
   return 0;
 }
 

@@ -376,11 +376,11 @@ int Run(int argc, char** argv) {
   flags.AddString("json_out", "",
                   "append machine-readable results to this JSON file, "
                   "e.g. BENCH_serving.json");
-  bench::AddObsFlags(flags);
+  obs::AddObservabilityFlags(flags);
   auto status = flags.Parse(argc, argv);
   SHOAL_CHECK(status.ok()) << status.ToString();
   if (flags.help_requested()) return 0;
-  bench::InitObsFromFlags(flags);
+  if (!obs::EnableObservability(flags)) return 1;
 
   const size_t entities = static_cast<size_t>(flags.GetInt64("entities"));
   const size_t threads =
@@ -675,7 +675,8 @@ int Run(int argc, char** argv) {
     SHOAL_CHECK(written.ok()) << written.ToString();
     std::printf("wrote %s\n", json_path.c_str());
   }
-  bench::FinishObs(flags);
+  const util::Status written = obs::WriteObservability(flags);
+  SHOAL_CHECK(written.ok()) << written.ToString();
   return 0;
 }
 

@@ -9,10 +9,8 @@
 #include "core/shoal.h"
 #include "data/dataset.h"
 #include "data/shoal_adapter.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/cli_flags.h"
 #include "util/flags.h"
-#include "util/json.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -30,32 +28,14 @@ int Run(int argc, char** argv) {
   flags.AddDouble("threshold", 0.35, "HAC merge threshold");
   flags.AddInt64("threads", 0,
                  "pipeline worker threads (0 = per-stage defaults)");
-  flags.AddString("trace-out", "",
-                  "write a Chrome trace-event JSON file (Perfetto loadable)");
-  flags.AddString("metrics-out", "",
-                  "write a metrics + build-stats JSON snapshot");
-  flags.AddString("log-level", "info",
-                  "log verbosity: debug, info, warning, error");
+  shoal::obs::AddObservabilityFlags(flags);
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   if (flags.help_requested()) return 0;
-
-  shoal::util::LogLevel level = shoal::util::LogLevel::kInfo;
-  if (!shoal::util::ParseLogLevel(flags.GetString("log-level"), &level)) {
-    std::fprintf(stderr, "unknown --log-level '%s'\n",
-                 flags.GetString("log-level").c_str());
-    return 1;
-  }
-  shoal::util::SetLogLevel(level);
-  if (!flags.GetString("trace-out").empty()) {
-    shoal::obs::Tracer::Global().Enable();
-  }
-  if (!flags.GetString("metrics-out").empty()) {
-    shoal::obs::MetricsRegistry::Global().Enable();
-  }
+  if (!shoal::obs::EnableObservability(flags)) return 1;
 
   // 1. Synthetic workload with planted intents (stand-in for the
   //    proprietary Taobao query log).
@@ -147,21 +127,9 @@ int Run(int argc, char** argv) {
   std::printf("\n");
 
   // 6. Observability artefacts, when requested.
-  const std::string& trace_path = flags.GetString("trace-out");
-  if (!trace_path.empty()) {
-    auto write = shoal::obs::Tracer::Global().WriteChromeJson(trace_path);
-    SHOAL_CHECK(write.ok()) << write.ToString();
-    std::printf("wrote Chrome trace to %s\n", trace_path.c_str());
-  }
-  const std::string& metrics_path = flags.GetString("metrics-out");
-  if (!metrics_path.empty()) {
-    shoal::util::JsonValue out = shoal::util::JsonValue::Object();
-    out.Set("metrics", shoal::obs::MetricsRegistry::Global().ToJson());
-    out.Set("build_stats", stats.ToJson());
-    auto write = shoal::util::WriteJsonFile(metrics_path, out);
-    SHOAL_CHECK(write.ok()) << write.ToString();
-    std::printf("wrote metrics snapshot to %s\n", metrics_path.c_str());
-  }
+  auto written =
+      shoal::obs::WriteObservability(flags, "build_stats", stats.ToJson());
+  SHOAL_CHECK(written.ok()) << written.ToString();
   return 0;
 }
 

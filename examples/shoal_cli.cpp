@@ -30,83 +30,16 @@
 #include "core/taxonomy_io.h"
 #include "data/dataset.h"
 #include "data/log_io.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/cli_flags.h"
 #include "serve/serving_index.h"
 #include "util/fault.h"
 #include "util/flags.h"
-#include "util/json.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace {
 
 using namespace shoal;
-
-// Registers the observability flags shared by subcommands.
-void AddObservabilityFlags(util::FlagParser& flags) {
-  flags.AddString("trace-out", "",
-                  "write a Chrome trace-event JSON file (Perfetto loadable)");
-  flags.AddString("metrics-out", "",
-                  "write a metrics + build-stats JSON snapshot");
-  flags.AddString("log-level", "info",
-                  "log verbosity: debug, info, warning, error");
-}
-
-// Applies --log-level and turns on the tracer/metrics registry per
-// --trace-out / --metrics-out before the pipeline runs. Returns false on
-// an unrecognised level.
-bool EnableObservability(const util::FlagParser& flags) {
-  util::LogLevel level = util::LogLevel::kInfo;
-  if (!util::ParseLogLevel(flags.GetString("log-level"), &level)) {
-    std::fprintf(stderr, "unknown --log-level '%s'\n",
-                 flags.GetString("log-level").c_str());
-    return false;
-  }
-  util::SetLogLevel(level);
-  if (!flags.GetString("trace-out").empty()) {
-    obs::Tracer::Global().Enable();
-  }
-  if (!flags.GetString("metrics-out").empty()) {
-    obs::MetricsRegistry::Global().Enable();
-  }
-  return true;
-}
-
-// Writes the trace / metrics files requested by flags; the metrics file
-// bundles the registry snapshot with the per-build stats (including the
-// per-round HAC merge trace) under one object.
-int WriteObservability(const util::FlagParser& flags,
-                       const core::ShoalBuildStats* build_stats) {
-  const std::string& trace_path = flags.GetString("trace-out");
-  if (!trace_path.empty()) {
-    auto status = obs::Tracer::Global().WriteChromeJson(trace_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "cannot write trace: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote Chrome trace to %s (load in chrome://tracing or "
-                "https://ui.perfetto.dev)\n",
-                trace_path.c_str());
-  }
-  const std::string& metrics_path = flags.GetString("metrics-out");
-  if (!metrics_path.empty()) {
-    util::JsonValue out = util::JsonValue::Object();
-    out.Set("metrics", obs::MetricsRegistry::Global().ToJson());
-    if (build_stats != nullptr) {
-      out.Set("build_stats", build_stats->ToJson());
-    }
-    auto status = util::WriteJsonFile(metrics_path, out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "cannot write metrics: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote metrics snapshot to %s\n", metrics_path.c_str());
-  }
-  return 0;
-}
 
 int Generate(util::FlagParser& flags) {
   data::DatasetOptions options;
@@ -206,7 +139,14 @@ int FinishBuild(const util::FlagParser& flags,
   if (int rc = MaybeWriteServingIndex(flags, input, model); rc != 0) {
     return rc;
   }
-  return WriteObservability(flags, &model.stats());
+  auto written =
+      obs::WriteObservability(flags, "build_stats", model.stats().ToJson());
+  if (!written.ok()) {
+    std::fprintf(stderr, "cannot write observability artefacts: %s\n",
+                 written.ToString().c_str());
+    return 1;
+  }
+  return 0;
 }
 
 int Build(util::FlagParser& flags, bool resume) {
@@ -318,14 +258,14 @@ int Run(int argc, char** argv) {
                   "serve it with shoal_serve --index");
   flags.AddInt64("serving-index-version", 1,
                  "version stamped into --serving-index-out");
-  AddObservabilityFlags(flags);
+  obs::AddObservabilityFlags(flags);
   auto status = flags.Parse(argc - 1, argv + 1);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   if (flags.help_requested()) return 0;
-  if (!EnableObservability(flags)) return 1;
+  if (!obs::EnableObservability(flags)) return 1;
   // Arm fault injection from SHOAL_FAULT (CI crash-recovery smoke and
   // local kill-and-resume testing); unset means zero overhead.
   auto fault = util::FaultInjector::Global().ConfigureFromEnv();

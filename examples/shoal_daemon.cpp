@@ -30,9 +30,9 @@
 
 #include "daemon/daemon.h"
 #include "data/drift_log.h"
+#include "obs/cli_flags.h"
 #include "obs/metrics.h"
 #include "util/flags.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/tsv.h"
 
@@ -148,8 +148,7 @@ int Run(int argc, char** argv) {
   flags.AddInt64("poll-sec", 2, "spool poll interval while watching");
   flags.AddInt64("max-cycles", 0,
                  "stop after this many cycles in this run (0 = unlimited)");
-  flags.AddString("log-level", "info",
-                  "log verbosity: debug, info, warning, error");
+  obs::AddLogLevelFlag(flags);
   // Workload generator mode (ignores the daemon flags above).
   flags.AddString("generate-out", "",
                   "write a multi-day drift workload spool into this "
@@ -168,13 +167,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
   if (flags.help_requested()) return 0;
-  util::LogLevel level = util::LogLevel::kInfo;
-  if (!util::ParseLogLevel(flags.GetString("log-level"), &level)) {
-    std::fprintf(stderr, "unknown --log-level '%s'\n",
-                 flags.GetString("log-level").c_str());
-    return 1;
-  }
-  util::SetLogLevel(level);
+  if (!obs::ApplyLogLevelFlag(flags)) return 1;
 
   if (!flags.GetString("generate-out").empty()) return RunGenerate(flags);
 

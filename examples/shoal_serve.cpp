@@ -27,6 +27,7 @@
 #include <system_error>
 #include <thread>
 
+#include "obs/cli_flags.h"
 #include "obs/metrics.h"
 #include "serve/http_server.h"
 #include "serve/service.h"
@@ -200,21 +201,14 @@ int Run(int argc, char** argv) {
   flags.AddString("selftest-out", "",
                   "run the endpoint selftest, write response bodies into "
                   "this directory, and exit (uses an ephemeral port)");
-  flags.AddString("log-level", "info",
-                  "log verbosity: debug, info, warning, error");
+  obs::AddLogLevelFlag(flags);
   auto status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   if (flags.help_requested()) return 0;
-  util::LogLevel level = util::LogLevel::kInfo;
-  if (!util::ParseLogLevel(flags.GetString("log-level"), &level)) {
-    std::fprintf(stderr, "unknown --log-level '%s'\n",
-                 flags.GetString("log-level").c_str());
-    return 1;
-  }
-  util::SetLogLevel(level);
+  if (!obs::ApplyLogLevelFlag(flags)) return 1;
   obs::MetricsRegistry::Global().Enable();
 
   const std::string& index_path = flags.GetString("index");

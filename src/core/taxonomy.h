@@ -30,8 +30,8 @@ struct Topic {
   std::vector<std::string> description;
 };
 
-// The full rankings of one TopicDescriber::Describe pass and the options
-// it ran with (defined in core/topic_describer.h).
+// The full per-topic rankings a taxonomy was described from and the
+// options they ran with (defined in core/topic_describer.h).
 struct TopicRankings;
 
 struct TaxonomyOptions {
@@ -72,12 +72,13 @@ class Taxonomy {
   // each get a fresh singleton label so metrics remain well defined.
   std::vector<uint32_t> RootLabels() const;
 
-  // The per-topic query rankings that TopicDescriber::Describe computed
-  // when it wrote the descriptions, with the options it ran with; the
-  // serving-index compiler reads them. Copies of the taxonomy share one
-  // immutable block. Null until a full
-  // Describe; a partial DescribeTopics pass clears it, and a loaded
-  // taxonomy has none. Editing topics afterwards does not update it.
+  // The per-topic query rankings the descriptions were written from,
+  // with the DescriberOptions they were written under; the serving-index
+  // compiler reads them. Only TopicDescriber sets it (Describe,
+  // DescribeTopics with the caller's rankings for unscored topics, and
+  // ApplyRankings), always for every topic. Copies of the taxonomy share
+  // one immutable block. Null until then; a loaded taxonomy has none.
+  // Editing topics afterwards does not update it.
   const TopicRankings* rankings() const { return rankings_.get(); }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/string_util.h"
@@ -41,13 +42,22 @@ Softmax QuerySoftmax(const text::Bm25Index& bm25,
   return softmax;
 }
 
-// Shared body of Describe / DescribeTopics. Every topic's pseudo-document
-// enters the BM25 corpus (doc id == topic id); only `score_topics` are
-// scored and rewritten.
-util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
-    Taxonomy& taxonomy, const DescriberInput& input,
-    const DescriberOptions& options,
-    const std::vector<uint32_t>& score_topics) {
+util::Status CheckRankingCount(
+    const Taxonomy& taxonomy,
+    const std::vector<std::vector<ScoredQuery>>& rankings) {
+  if (rankings.size() == taxonomy.num_topics()) return util::Status::OK();
+  return util::Status::InvalidArgument(
+      util::StringPrintf("%zu rankings for %zu topics", rankings.size(),
+                         taxonomy.num_topics()));
+}
+
+// Shared scoring body of Describe / DescribeTopics. Every topic's
+// pseudo-document enters the BM25 corpus (doc id == topic id); only
+// `score_topics` are scored, each replacing its entry of `rankings`.
+util::Status ScoreTopics(const Taxonomy& taxonomy, const DescriberInput& input,
+                         const DescriberOptions& options,
+                         const std::vector<uint32_t>& score_topics,
+                         std::vector<std::vector<ScoredQuery>>& rankings) {
   if (input.taxonomy != nullptr && input.taxonomy != &taxonomy) {
     return util::Status::InvalidArgument(
         "DescriberInput.taxonomy must match the taxonomy argument");
@@ -70,7 +80,8 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
         "entity titles do not match bipartite graph");
   }
 
-  // Reject a bad id before any description is rewritten.
+  SHOAL_RETURN_IF_ERROR(CheckRankingCount(taxonomy, rankings));
+  // Reject a bad id before any ranking is replaced.
   for (uint32_t t : score_topics) {
     if (t >= taxonomy.num_topics()) {
       return util::Status::InvalidArgument(util::StringPrintf(
@@ -112,11 +123,11 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
   std::vector<uint32_t> topic_queries;            // queries with tf_q > 0
   std::vector<uint32_t> doc_tf(word_span, 0);     // word -> tf(w, D_t)
   std::vector<uint32_t> doc_words;                // words with doc_tf > 0
-  std::vector<std::vector<ScoredQuery>> rankings(taxonomy.num_topics());
   for (uint32_t t : score_topics) {
-    Topic& topic = taxonomy.topic(t);
-    // A scored topic without clicks ends with an empty description.
-    topic.description.clear();
+    const Topic& topic = taxonomy.topic(t);
+    // A scored topic without clicks ends with an empty ranking.
+    auto& ranking = rankings[t];
+    ranking.clear();
     uint64_t tf_total = 0;
     for (uint32_t e : topic.entities) {
       // Every link count is > 0 (BipartiteGraph rejects 0), so a zero
@@ -136,7 +147,6 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
       }
     }
 
-    auto& ranking = rankings[t];
     ranking.reserve(topic_queries.size());
     for (uint32_t q : topic_queries) {
       const uint64_t tf = tf_q[q];
@@ -169,13 +179,8 @@ util::Result<std::vector<std::vector<ScoredQuery>>> DescribeImpl(
                 }
                 return a.query < b.query;
               });
-
-    for (size_t i = 0;
-         i < std::min(options.queries_per_topic, ranking.size()); ++i) {
-      topic.description.push_back(query_texts[ranking[i].query]);
-    }
   }
-  return rankings;
+  return util::Status::OK();
 }
 
 std::vector<uint32_t> AllTopicIds(const Taxonomy& taxonomy) {
@@ -190,23 +195,50 @@ util::Result<const TopicRankings*> TopicDescriber::Describe(
     Taxonomy& taxonomy, const DescriberInput& input,
     const DescriberOptions& options) {
   obs::ScopedSpan span("shoal.describe");
-  auto stored = std::make_shared<TopicRankings>();
-  stored->options = options;
-  SHOAL_ASSIGN_OR_RETURN(
-      stored->by_topic,
-      DescribeImpl(taxonomy, input, options, AllTopicIds(taxonomy)));
-  taxonomy.rankings_ = stored;
-  return stored.get();
+  return DescribeTopics(
+      taxonomy, input, options, AllTopicIds(taxonomy),
+      std::vector<std::vector<ScoredQuery>>(taxonomy.num_topics()));
 }
 
-util::Result<std::vector<std::vector<ScoredQuery>>>
-TopicDescriber::DescribeTopics(Taxonomy& taxonomy,
-                               const DescriberInput& input,
-                               const DescriberOptions& options,
-                               const std::vector<uint32_t>& topics_to_score) {
-  auto rankings = DescribeImpl(taxonomy, input, options, topics_to_score);
-  if (rankings.ok()) taxonomy.rankings_.reset();
-  return rankings;
+util::Result<const TopicRankings*> TopicDescriber::DescribeTopics(
+    Taxonomy& taxonomy, const DescriberInput& input,
+    const DescriberOptions& options,
+    const std::vector<uint32_t>& topics_to_score,
+    std::vector<std::vector<ScoredQuery>> rankings) {
+  SHOAL_RETURN_IF_ERROR(
+      ScoreTopics(taxonomy, input, options, topics_to_score, rankings));
+  return ApplyRankings(taxonomy, *input.query_texts, options,
+                       std::move(rankings));
+}
+
+util::Result<const TopicRankings*> TopicDescriber::ApplyRankings(
+    Taxonomy& taxonomy, const std::vector<std::string>& query_texts,
+    const DescriberOptions& options,
+    std::vector<std::vector<ScoredQuery>> rankings) {
+  SHOAL_RETURN_IF_ERROR(CheckRankingCount(taxonomy, rankings));
+  for (uint32_t t = 0; t < rankings.size(); ++t) {
+    for (const ScoredQuery& scored : rankings[t]) {
+      if (scored.query >= query_texts.size()) {
+        return util::Status::InvalidArgument(util::StringPrintf(
+            "topic %u ranks query %u but the dictionary has %zu queries", t,
+            scored.query, query_texts.size()));
+      }
+    }
+  }
+  for (uint32_t t = 0; t < rankings.size(); ++t) {
+    const auto& ranking = rankings[t];
+    auto& description = taxonomy.topic(t).description;
+    description.clear();
+    for (size_t i = 0; i < std::min(options.queries_per_topic, ranking.size());
+         ++i) {
+      description.push_back(query_texts[ranking[i].query]);
+    }
+  }
+  auto stored = std::make_shared<TopicRankings>();
+  stored->options = options;
+  stored->by_topic = std::move(rankings);
+  taxonomy.rankings_ = stored;
+  return stored.get();
 }
 
 }  // namespace shoal::core

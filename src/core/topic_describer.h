@@ -47,8 +47,8 @@ struct ScoredQuery {
   double concentration = 0.0;
 };
 
-// What one full Describe pass computed, kept on the taxonomy it
-// described (Taxonomy::rankings()).
+// The full per-topic rankings a taxonomy's descriptions were written
+// from, kept on that taxonomy (Taxonomy::rankings()).
 struct TopicRankings {
   DescriberOptions options;
   // One entry per topic id: every query linked to the topic's items,
@@ -58,12 +58,12 @@ struct TopicRankings {
 
 class TopicDescriber {
  public:
-  // Scores queries for every topic and writes the top
-  // `queries_per_topic` query texts into taxonomy.topic(t).description.
-  // The full per-topic rankings, with `options`, are stored on the
-  // taxonomy (Taxonomy::rankings(), which CompileServingIndex reads).
-  // The returned pointer is that same block; it lives as long as the
-  // taxonomy, or a copy of it, holds the block.
+  // Scores queries for every topic, then ends in ApplyRankings: the full
+  // per-topic rankings, with `options`, become the taxonomy's
+  // TopicRankings block (Taxonomy::rankings(), which
+  // CompileServingIndex reads) and every description is written from
+  // its ranking. The returned pointer is that block; it lives as long
+  // as the taxonomy, or a copy of it, holds the block.
   static util::Result<const TopicRankings*> Describe(
       Taxonomy& taxonomy, const DescriberInput& input,
       const DescriberOptions& options);
@@ -71,15 +71,29 @@ class TopicDescriber {
   // Incremental form: every topic's pseudo-document still enters the
   // BM25 corpus (the Sec 2.3 concentration softmax is global — con of a
   // scored topic is exact under the full corpus), but only
-  // `topics_to_score` are scored and have their descriptions rewritten.
-  // Rankings of unscored topics come back empty; their descriptions are
-  // left untouched (the daemon carries them over from the previous
-  // cycle). A partial pass is not a full ranking set, so it clears the
-  // taxonomy's stored rankings. Out-of-range ids are InvalidArgument.
-  static util::Result<std::vector<std::vector<ScoredQuery>>> DescribeTopics(
+  // `topics_to_score` are scored. `rankings` holds one entry per topic:
+  // the caller's rankings for the topics it does not score (the daemon
+  // carries them over from the previous cycle); the entries of scored
+  // topics are replaced. Ends in ApplyRankings with the full set.
+  // Out-of-range ids or a ranking count other than the topic count are
+  // InvalidArgument, and nothing changes.
+  static util::Result<const TopicRankings*> DescribeTopics(
       Taxonomy& taxonomy, const DescriberInput& input,
       const DescriberOptions& options,
-      const std::vector<uint32_t>& topics_to_score);
+      const std::vector<uint32_t>& topics_to_score,
+      std::vector<std::vector<ScoredQuery>> rankings);
+
+  // Stores `rankings` (one entry per topic, best first) with `options`
+  // as the taxonomy's TopicRankings block and writes every topic's
+  // description: the texts of its top `queries_per_topic` queries in
+  // `query_texts`. A ranking count other than the topic count, or a
+  // ranked query outside `query_texts`, is InvalidArgument, and nothing
+  // changes. The daemon's snapshot restore calls it directly: it has
+  // nothing to score.
+  static util::Result<const TopicRankings*> ApplyRankings(
+      Taxonomy& taxonomy, const std::vector<std::string>& query_texts,
+      const DescriberOptions& options,
+      std::vector<std::vector<ScoredQuery>> rankings);
 };
 
 }  // namespace shoal::core

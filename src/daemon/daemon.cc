@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -205,52 +204,40 @@ util::Status TaxonomyDaemon::Restore(const ckpt::DaemonWindowData& data) {
 
   taxonomy_ = core::Taxonomy::Build(last_dendrogram_, entity_categories_,
                                     options_.taxonomy);
-  std::unordered_map<uint32_t, uint32_t> topic_of_node;
-  topic_of_node.reserve(taxonomy_.num_topics());
-  for (uint32_t t = 0; t < taxonomy_.num_topics(); ++t) {
-    topic_of_node[taxonomy_.topic(t).dendro_node] = t;
-  }
   if (data.rankings.size() != taxonomy_.num_topics()) {
     return util::Status::InvalidArgument(util::StringPrintf(
         "daemon window snapshot carries %zu topic rankings but the "
         "restored taxonomy has %zu topics",
         data.rankings.size(), taxonomy_.num_topics()));
   }
-  rankings_.assign(taxonomy_.num_topics(), {});
-  std::vector<uint32_t> all_topics;
-  all_topics.reserve(taxonomy_.num_topics());
+  std::vector<uint32_t> topic_of_node(last_dendrogram_.num_nodes(),
+                                      core::kNoTopic);
+  for (uint32_t t = 0; t < taxonomy_.num_topics(); ++t) {
+    topic_of_node[taxonomy_.topic(t).dendro_node] = t;
+  }
+  std::vector<std::vector<core::ScoredQuery>> rankings(
+      taxonomy_.num_topics());
   for (const auto& entry : data.rankings) {
-    auto it = topic_of_node.find(entry.dendro_node);
-    if (it == topic_of_node.end()) {
+    if (entry.dendro_node >= topic_of_node.size() ||
+        topic_of_node[entry.dendro_node] == core::kNoTopic) {
       return util::Status::InvalidArgument(util::StringPrintf(
           "daemon window snapshot ranks dendrogram node %u, which is not "
           "a topic of the restored taxonomy",
           entry.dendro_node));
     }
-    rankings_[it->second] = entry.ranking;
-    all_topics.push_back(it->second);
+    rankings[topic_of_node[entry.dendro_node]] = entry.ranking;
   }
-  ApplyDescriptions(all_topics);
+  // Nothing to score: the descriptions are written from the rankings.
+  SHOAL_RETURN_IF_ERROR(core::TopicDescriber::ApplyRankings(
+                            taxonomy_, query_texts_, options_.describer,
+                            std::move(rankings))
+                            .status());
 
   cycles_done_ = data.cycles_done;
   published_version_ = data.published_version;
   has_model_ = true;
   restored_ = true;
   return util::Status::OK();
-}
-
-void TaxonomyDaemon::ApplyDescriptions(const std::vector<uint32_t>& topics) {
-  for (uint32_t t : topics) {
-    core::Topic& topic = taxonomy_.topic(t);
-    topic.description.clear();
-    const auto& ranking = rankings_[t];
-    const size_t k =
-        std::min(options_.describer.queries_per_topic, ranking.size());
-    topic.description.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      topic.description.push_back(query_texts_[ranking[i].query]);
-    }
-  }
 }
 
 util::Status TaxonomyDaemon::SaveSnapshot() const {
@@ -267,9 +254,10 @@ util::Status TaxonomyDaemon::SaveSnapshot() const {
     const auto& node = last_dendrogram_.node(id);
     data.merges.push_back({node.left, node.right, node.merge_similarity});
   }
+  const auto& rankings = taxonomy_.rankings()->by_topic;
   data.rankings.reserve(taxonomy_.num_topics());
   for (uint32_t t = 0; t < taxonomy_.num_topics(); ++t) {
-    data.rankings.push_back({taxonomy_.topic(t).dendro_node, rankings_[t]});
+    data.rankings.push_back({taxonomy_.topic(t).dendro_node, rankings[t]});
   }
   std::sort(data.rankings.begin(), data.rankings.end(),
             [](const auto& a, const auto& b) {
@@ -412,31 +400,32 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
 
   // A new topic is carried when its backing node is the image of an old
   // topic's node under the frozen replay — the subtree (members and
-  // structure) is then identical, so the previous cycle's ranking and
-  // description still describe it. Everything else is touched.
-  std::unordered_map<uint32_t, uint32_t> old_topic_of_new_node;
-  if (!report.full_rebuild) {
-    old_topic_of_new_node.reserve(taxonomy_.num_topics());
-    for (uint32_t t = 0; t < taxonomy_.num_topics(); ++t) {
-      const uint32_t old_node = taxonomy_.topic(t).dendro_node;
-      const uint32_t new_node = old_node < old_to_new_node.size()
-                                    ? old_to_new_node[old_node]
-                                    : core::kNoNode;
-      if (new_node != core::kNoNode) old_topic_of_new_node[new_node] = t;
+  // structure) is then identical, so the previous cycle's ranking still
+  // describes it. Everything else is touched. (A full rebuild maps no
+  // old node.)
+  std::vector<uint32_t> old_topic_of_new_node(dendrogram.num_nodes(),
+                                              core::kNoTopic);
+  for (uint32_t t = 0; t < taxonomy_.num_topics(); ++t) {
+    const uint32_t old_node = taxonomy_.topic(t).dendro_node;
+    if (old_node >= old_to_new_node.size()) continue;
+    const uint32_t new_node = old_to_new_node[old_node];
+    if (new_node < old_topic_of_new_node.size()) {
+      old_topic_of_new_node[new_node] = t;
     }
   }
   std::vector<uint32_t> touched;
-  std::vector<std::pair<uint32_t, uint32_t>> carried;  // (new, old)
+  std::vector<std::vector<core::ScoredQuery>> rankings(taxonomy.num_topics());
   for (uint32_t t = 0; t < taxonomy.num_topics(); ++t) {
-    auto it = old_topic_of_new_node.find(taxonomy.topic(t).dendro_node);
-    if (it == old_topic_of_new_node.end()) {
+    const uint32_t old_topic =
+        old_topic_of_new_node[taxonomy.topic(t).dendro_node];
+    if (old_topic == core::kNoTopic) {
       touched.push_back(t);
     } else {
-      carried.push_back({t, it->second});
+      rankings[t] = taxonomy_.rankings()->by_topic[old_topic];
     }
   }
   report.touched_topics = touched.size();
-  report.carried_topics = carried.size();
+  report.carried_topics = taxonomy.num_topics() - touched.size();
 
   graph::BipartiteGraph window_graph = graph_->WindowGraph();
   core::DescriberInput describe_input;
@@ -445,16 +434,10 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   describe_input.query_words = &query_words_;
   describe_input.query_texts = &query_texts_;
   describe_input.entity_title_words = &title_words_;
-  auto scored = core::TopicDescriber::DescribeTopics(
-      taxonomy, describe_input, options_.describer, touched);
-  if (!scored.ok()) return scored.status();
-  std::vector<std::vector<core::ScoredQuery>> rankings =
-      std::move(scored).value();
-  for (const auto& [new_topic, old_topic] : carried) {
-    rankings[new_topic] = rankings_[old_topic];
-    taxonomy.topic(new_topic).description =
-        taxonomy_.topic(old_topic).description;
-  }
+  SHOAL_RETURN_IF_ERROR(core::TopicDescriber::DescribeTopics(
+                            taxonomy, describe_input, options_.describer,
+                            touched, std::move(rankings))
+                            .status());
   report.describe_seconds = watch.ElapsedSeconds();
   describe_span.End();
 
@@ -467,9 +450,9 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   serve::CompileOptions compile_options;
   compile_options.version = version;
   compile_options.max_postings_per_query = options_.max_postings_per_query;
-  auto index_data = serve::BuildServingIndexData(
-      taxonomy, rankings, query_texts_, &entity_categories_,
-      compile_options);
+  auto index_data =
+      serve::CompileServingIndex(taxonomy, describe_input, options_.describer,
+                                 &entity_categories_, compile_options);
   if (!index_data.ok()) return index_data.status();
   SHOAL_RETURN_IF_ERROR(
       serve::WriteServingIndexFile(options_.index_path, index_data.value()));
@@ -483,7 +466,6 @@ util::Result<std::optional<CycleReport>> TaxonomyDaemon::RunOnce() {
   report.window_days = window_.size();
   last_dendrogram_ = std::move(dendrogram);
   taxonomy_ = std::move(taxonomy);
-  rankings_ = std::move(rankings);
   published_version_ = version;
   ++cycles_done_;
   has_model_ = true;

@@ -127,21 +127,17 @@ class TaxonomyDaemon {
     return word2vec_->vectors();
   }
   const IncrementalEntityGraph& graph() const { return *graph_; }
-  // Valid after at least one cycle (or a restore).
+  // Valid after at least one cycle (or a restore). The taxonomy carries
+  // the rankings its descriptions were written from
+  // (Taxonomy::rankings()); the published index is its compile.
   const core::Dendrogram& dendrogram() const { return last_dendrogram_; }
   const core::Taxonomy& taxonomy() const { return taxonomy_; }
-  const std::vector<std::vector<core::ScoredQuery>>& rankings() const {
-    return rankings_;
-  }
 
  private:
   TaxonomyDaemon() = default;
 
   util::Status Restore(const ckpt::DaemonWindowData& data);
   util::Status SaveSnapshot() const;
-  // Regenerates topic descriptions from `rankings_` (a description is
-  // by construction the top query texts of its topic's ranking).
-  void ApplyDescriptions(const std::vector<uint32_t>& topics);
 
   DaemonOptions options_;
 
@@ -159,7 +155,6 @@ class TaxonomyDaemon {
   bool has_model_ = false;
   core::Dendrogram last_dendrogram_;
   core::Taxonomy taxonomy_;
-  std::vector<std::vector<core::ScoredQuery>> rankings_;  // by topic id
   uint64_t cycles_done_ = 0;
   uint64_t published_version_ = 0;
   bool restored_ = false;

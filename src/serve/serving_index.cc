@@ -194,69 +194,12 @@ uint8_t* AllocateAligned(size_t bytes) {
       ::operator new[](bytes, std::align_val_t(kSectionAlign)));
 }
 
-void FreeAligned(uint8_t* at) {
-  ::operator delete[](at, std::align_val_t(kSectionAlign));
-}
-
 }  // namespace
 
 // ---- flat index -----------------------------------------------------------
 
-ServingIndex::~ServingIndex() { Release(); }
-
-void ServingIndex::Release() {
-  if (owned_ != nullptr) {
-    FreeAligned(owned_);
-    owned_ = nullptr;
-  }
-  mapped_ = util::MmapFile();
-  base_ = nullptr;
-  size_ = 0;
-}
-
-void ServingIndex::StealFrom(ServingIndex& other) {
-  mapped_ = std::move(other.mapped_);
-  owned_ = std::exchange(other.owned_, nullptr);
-  mmap_backed_ = other.mmap_backed_;
-  base_ = std::exchange(other.base_, nullptr);
-  size_ = std::exchange(other.size_, 0);
-  version_ = other.version_;
-  num_topics_ = other.num_topics_;
-  num_entities_ = other.num_entities_;
-  num_queries_ = other.num_queries_;
-  num_roots_ = other.num_roots_;
-  parent_ = other.parent_;
-  level_ = other.level_;
-  topic_size_ = other.topic_size_;
-  desc_offsets_ = other.desc_offsets_;
-  desc_bounds_ = other.desc_bounds_;
-  desc_arena_ = other.desc_arena_;
-  entity_topic_ = other.entity_topic_;
-  entity_category_ = other.entity_category_;
-  text_bounds_ = other.text_bounds_;
-  text_arena_ = other.text_arena_;
-  norm_bounds_ = other.norm_bounds_;
-  norm_arena_ = other.norm_arena_;
-  post_offsets_ = other.post_offsets_;
-  post_topics_ = other.post_topics_;
-  post_scores_ = other.post_scores_;
-  child_offsets_ = other.child_offsets_;
-  child_ids_ = other.child_ids_;
-  roots_ = other.roots_;
-  exact_order_ = other.exact_order_;
-  norm_order_ = other.norm_order_;
-}
-
-ServingIndex::ServingIndex(ServingIndex&& other) noexcept {
-  StealFrom(other);
-}
-
-ServingIndex& ServingIndex::operator=(ServingIndex&& other) noexcept {
-  if (this != &other) {
-    Release();
-    StealFrom(other);
-  }
-  return *this;
+void ServingIndex::FreeAligned::operator()(uint8_t* at) const {
+  ::operator delete[](at, std::align_val_t(kSectionAlign));
 }
 
 util::Status ServingIndex::Bind(const LoadOptions& options,
@@ -368,9 +311,11 @@ util::Status ServingIndex::Bind(const LoadOptions& options,
   exact_order_ = reinterpret_cast<const uint32_t*>(section(kSecExactOrder));
   norm_order_ = reinterpret_cast<const uint32_t*>(section(kSecNormOrder));
 
-  // Structural sweep: after this, every accessor is provably in bounds
-  // and every parent walk terminates, even on an image whose CRC was
-  // skipped or forged. Streaming reads, no allocation.
+  // Structural sweep, on every image written or loaded: after this,
+  // every accessor is provably in bounds, every parent walk terminates,
+  // and the derived sections (children CSR, root list, dictionary
+  // orders) agree with what they were derived from, even on an image
+  // whose CRC was skipped or forged. Streaming reads, no allocation.
   const uint64_t num_children = hdr[kHdrNumChildren];
   const uint64_t num_postings = hdr[kHdrNumPostings];
   const uint64_t num_descriptions = hdr[kHdrNumDescriptions];
@@ -482,29 +427,25 @@ util::Status ServingIndex::Bind(const LoadOptions& options,
         "binary serves with — recompile the index");
   }
 
-  if (options.deep_validate) {
-    // Re-derive what the compiler wrote; an intact CRC already implies
-    // all of this, so it is off the install path by default.
-    for (uint32_t t = 0; t < num_topics_; ++t) {
-      auto [first, last] = children(t);
-      for (const uint32_t* child = first; child != last; ++child) {
-        if (parent_[*child] != t) {
-          return fail("children CSR disagrees with the parent array");
-        }
+  for (uint32_t t = 0; t < num_topics_; ++t) {
+    auto [first, last] = children(t);
+    for (const uint32_t* child = first; child != last; ++child) {
+      if (parent_[*child] != t) {
+        return fail("children CSR disagrees with the parent array");
       }
     }
-    size_t root_at = 0;
-    for (uint32_t t = 0; t < num_topics_; ++t) {
-      if (parent_[t] != core::kNoTopic) continue;
-      if (root_at >= num_roots_ || roots_[root_at++] != t) {
-        return fail("root list disagrees with the parent array");
-      }
+  }
+  size_t root_at = 0;
+  for (uint32_t t = 0; t < num_topics_; ++t) {
+    if (parent_[t] != core::kNoTopic) continue;
+    if (root_at >= num_roots_ || roots_[root_at++] != t) {
+      return fail("root list disagrees with the parent array");
     }
-    for (uint32_t q = 0; q + 1 < num_queries_; ++q) {
-      if (query_text(exact_order_[q]) > query_text(exact_order_[q + 1]) ||
-          query_norm(norm_order_[q]) > query_norm(norm_order_[q + 1])) {
-        return fail("dictionary sort orders are not sorted");
-      }
+  }
+  for (uint32_t q = 0; q + 1 < num_queries_; ++q) {
+    if (query_text(exact_order_[q]) > query_text(exact_order_[q + 1]) ||
+        query_norm(norm_order_[q]) > query_norm(norm_order_[q + 1])) {
+      return fail("dictionary sort orders are not sorted");
     }
   }
   return util::Status::OK();
@@ -553,90 +494,6 @@ ServingIndex::Lookup ServingIndex::Find(const std::string& raw_query) const {
 
 // ---- builder --------------------------------------------------------------
 
-util::Status ServingIndexData::Validate() const {
-  const size_t num_topics = parent.size();
-  if (level.size() != num_topics || topic_size.size() != num_topics ||
-      descriptions.size() != num_topics) {
-    return util::Status::InvalidArgument(
-        "serving index topic arrays disagree on the topic count");
-  }
-  for (uint32_t t = 0; t < num_topics; ++t) {
-    if (parent[t] == core::kNoTopic) {
-      if (level[t] != 0) {
-        return util::Status::InvalidArgument(util::StringPrintf(
-            "serving index root topic %u has level %u", t, level[t]));
-      }
-    } else {
-      if (parent[t] >= t) {
-        return util::Status::InvalidArgument(util::StringPrintf(
-            "serving index topic %u does not follow its parent %u", t,
-            parent[t]));
-      }
-      if (level[t] != level[parent[t]] + 1) {
-        return util::Status::InvalidArgument(util::StringPrintf(
-            "serving index topic %u level %u is not parent level %u + 1", t,
-            level[t], level[parent[t]]));
-      }
-    }
-  }
-  if (entity_category.size() != entity_topic.size()) {
-    return util::Status::InvalidArgument(
-        "serving index entity arrays disagree on the entity count");
-  }
-  for (size_t e = 0; e < entity_topic.size(); ++e) {
-    if (entity_topic[e] != core::kNoTopic && entity_topic[e] >= num_topics) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "serving index entity %zu names topic %u of %zu", e,
-          entity_topic[e], num_topics));
-    }
-  }
-  if (query_norm.size() != query_text.size() ||
-      posting_list.size() != query_text.size()) {
-    return util::Status::InvalidArgument(
-        "serving index query arrays disagree on the query count");
-  }
-  for (size_t q = 0; q < query_text.size(); ++q) {
-    // The stored normalized form must match what the serve-time
-    // normalizer produces NOW — a compiler/server normalization skew
-    // would otherwise turn into silent lookup misses.
-    if (query_norm[q] != text::NormalizeQuery(query_text[q])) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "serving index query %zu: stored normalized form '%s' does not "
-          "match NormalizeQuery('%s') — index was compiled with a "
-          "different normalizer",
-          q, query_norm[q].c_str(), query_text[q].c_str()));
-    }
-    const auto& postings = posting_list[q];
-    for (size_t i = 0; i < postings.size(); ++i) {
-      if (postings[i].topic >= num_topics) {
-        return util::Status::InvalidArgument(util::StringPrintf(
-            "serving index query %zu posting %zu names topic %u of %zu", q,
-            i, postings[i].topic, num_topics));
-      }
-      if (!std::isfinite(postings[i].score) || postings[i].score < 0.0) {
-        return util::Status::InvalidArgument(util::StringPrintf(
-            "serving index query %zu posting %zu has a non-finite or "
-            "negative score",
-            q, i));
-      }
-      if (i > 0) {
-        const Posting& prev = postings[i - 1];
-        const bool ordered =
-            prev.score > postings[i].score ||
-            (prev.score == postings[i].score &&
-             prev.topic < postings[i].topic);
-        if (!ordered) {
-          return util::Status::InvalidArgument(util::StringPrintf(
-              "serving index query %zu posting list is not sorted by "
-              "(score desc, topic asc) at entry %zu",
-              q, i));
-        }
-      }
-    }
-  }
-  return util::Status::OK();
-}
-
 // Factory shared by Build() and the file loaders: takes ownership of
 // whichever backing store is live, binds + validates, and returns the
 // ready index.
@@ -651,9 +508,9 @@ util::Result<ServingIndex> BindServingImage(util::MmapFile mapped,
     index.size_ = index.mapped_.size();
     index.mmap_backed_ = true;
   } else {
-    index.owned_ = AllocateAligned(owned.size());
-    std::memcpy(index.owned_, owned.data(), owned.size());
-    index.base_ = index.owned_;
+    index.owned_.reset(AllocateAligned(owned.size()));
+    std::memcpy(index.owned_.get(), owned.data(), owned.size());
+    index.base_ = index.owned_.get();
     index.size_ = owned.size();
     index.mmap_backed_ = false;
   }
@@ -661,12 +518,28 @@ util::Result<ServingIndex> BindServingImage(util::MmapFile mapped,
   return index;
 }
 
-util::Result<std::string> EncodeServingIndexFile(const ServingIndexData& data) {
-  SHOAL_RETURN_IF_ERROR(data.Validate());
+namespace {
 
+// Lays `data` out as a v2 image. It checks only what the layout indexes
+// by; the sweep checks the image it produces.
+util::Result<std::string> EncodeImage(const ServingIndexData& data) {
   const uint64_t T = data.parent.size();
   const uint64_t E = data.entity_topic.size();
   const uint64_t Q = data.query_text.size();
+  if (data.level.size() != T || data.topic_size.size() != T ||
+      data.descriptions.size() != T || data.entity_category.size() != E ||
+      data.posting_list.size() != Q) {
+    return util::Status::InvalidArgument(
+        "serving index arrays disagree on the topic, entity or query count");
+  }
+  // Parent ids index the children CSR built below.
+  for (uint32_t t = 0; t < T; ++t) {
+    if (data.parent[t] != core::kNoTopic && data.parent[t] >= T) {
+      return util::Status::InvalidArgument(util::StringPrintf(
+          "serving index topic %u names parent %u of %llu", t, data.parent[t],
+          static_cast<unsigned long long>(T)));
+    }
+  }
 
   // Derived structures are computed once here and persisted, so loading
   // never rebuilds them: children CSR + roots from the parent array,
@@ -689,8 +562,13 @@ util::Result<std::string> EncodeServingIndexFile(const ServingIndexData& data) {
       child_ids[cursor[data.parent[t]]++] = t;  // ascending t => ascending ids
     }
   }
+  std::vector<std::string> query_norm;
+  query_norm.reserve(Q);
+  for (const std::string& text : data.query_text) {
+    query_norm.push_back(text::NormalizeQuery(text));
+  }
   const std::vector<uint32_t> exact_order = OrderByText(data.query_text);
-  const std::vector<uint32_t> norm_order = OrderByText(data.query_norm);
+  const std::vector<uint32_t> norm_order = OrderByText(query_norm);
 
   uint64_t hdr[kNumHeaderFields] = {0};
   hdr[kHdrIndexVersion] = data.version;
@@ -718,7 +596,7 @@ util::Result<std::string> EncodeServingIndexFile(const ServingIndexData& data) {
   for (const std::string& text : data.query_text) {
     hdr[kHdrTextArenaBytes] += text.size();
   }
-  for (const std::string& norm : data.query_norm) {
+  for (const std::string& norm : query_norm) {
     hdr[kHdrNormArenaBytes] += norm.size();
   }
 
@@ -776,7 +654,7 @@ util::Result<std::string> EncodeServingIndexFile(const ServingIndexData& data) {
     fill(arena_id, arena.data(), arena.size());
   };
   fill_strings(kSecTextBounds, kSecTextArena, data.query_text);
-  fill_strings(kSecNormBounds, kSecNormArena, data.query_norm);
+  fill_strings(kSecNormBounds, kSecNormArena, query_norm);
   {
     std::vector<uint64_t> post_offsets(Q + 1, 0);
     std::vector<uint32_t> post_topics(num_postings);
@@ -807,12 +685,27 @@ util::Result<std::string> EncodeServingIndexFile(const ServingIndexData& data) {
   return image;
 }
 
+}  // namespace
+
+util::Result<std::string> EncodeServingIndexFile(const ServingIndexData& data) {
+  SHOAL_ASSIGN_OR_RETURN(std::string image, EncodeImage(data));
+  // The reader's sweep over the image in place; its CRC was just
+  // computed. The string's buffer comes from operator new, so the
+  // 64-byte-aligned sections are at least 16-byte aligned, enough for
+  // every array the sweep reads.
+  ServingIndex view;
+  view.base_ = reinterpret_cast<const uint8_t*>(image.data());
+  view.size_ = image.size();
+  SHOAL_RETURN_IF_ERROR(
+      view.Bind(LoadOptions{.verify_crc = false}, "<encoded serving index>"));
+  return image;
+}
+
 util::Result<ServingIndex> ServingIndexData::Build() const {
-  SHOAL_ASSIGN_OR_RETURN(std::string image, EncodeServingIndexFile(*this));
-  LoadOptions options;
-  options.use_mmap = false;
-  options.verify_crc = false;  // just computed
-  return BindServingImage(util::MmapFile(), std::move(image), options,
+  SHOAL_ASSIGN_OR_RETURN(std::string image, EncodeImage(*this));
+  // Binding sweeps the image; its CRC was just computed.
+  return BindServingImage(util::MmapFile(), std::move(image),
+                          LoadOptions{.verify_crc = false},
                           "<built serving index>");
 }
 
@@ -837,27 +730,14 @@ util::Result<ServingIndexData> CompileServingIndex(
             : "the taxonomy was described with other DescriberOptions; "
               "describe it with the compile's options first");
   }
-  return BuildServingIndexData(taxonomy, rankings->by_topic,
-                               *input.query_texts, entity_categories, options);
-}
-
-util::Result<ServingIndexData> BuildServingIndexData(
-    const core::Taxonomy& taxonomy,
-    const std::vector<std::vector<core::ScoredQuery>>& rankings,
-    const std::vector<std::string>& query_texts,
-    const std::vector<uint32_t>* entity_categories,
-    const CompileOptions& options) {
   if (entity_categories != nullptr &&
       entity_categories->size() != taxonomy.num_entities()) {
     return util::Status::InvalidArgument(util::StringPrintf(
         "entity_categories has %zu entries for %zu entities",
         entity_categories->size(), taxonomy.num_entities()));
   }
-  if (rankings.size() != taxonomy.num_topics()) {
-    return util::Status::InvalidArgument(
-        util::StringPrintf("rankings has %zu entries for %zu topics",
-                           rankings.size(), taxonomy.num_topics()));
-  }
+  const auto& by_topic = rankings->by_topic;
+  const std::vector<std::string>& query_texts = *input.query_texts;
 
   ServingIndexData data;
   data.version = options.version;
@@ -886,8 +766,8 @@ util::Result<ServingIndexData> BuildServingIndexData(
 
   // Invert the per-topic rankings into per-query posting lists.
   std::vector<std::vector<Posting>> by_query(query_texts.size());
-  for (uint32_t t = 0; t < rankings.size(); ++t) {
-    for (const core::ScoredQuery& sq : rankings[t]) {
+  for (uint32_t t = 0; t < by_topic.size(); ++t) {
+    for (const core::ScoredQuery& sq : by_topic[t]) {
       if (sq.query >= by_query.size()) {
         return util::Status::OutOfRange(util::StringPrintf(
             "describer ranked query %u but only %zu query texts exist",
@@ -909,11 +789,8 @@ util::Result<ServingIndexData> BuildServingIndexData(
       postings.resize(options.max_postings_per_query);
     }
     data.query_text.push_back(query_texts[q]);
-    data.query_norm.push_back(text::NormalizeQuery(query_texts[q]));
     data.posting_list.push_back(std::move(postings));
   }
-  // Not validated here: EncodeServingIndexFile validates before any
-  // image is written or bound, so a publish validates once.
   return data;
 }
 

@@ -2,6 +2,7 @@
 #define SHOAL_SERVE_SERVING_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,14 +42,11 @@ struct LoadOptions {
   // accessors, private copy.
   bool use_mmap = true;
   // Checksum the whole image before serving from it. One streaming CRC
-  // pass; turning it off makes install strictly O(1) but leaves
-  // bit-flips to the structural bounds sweep alone.
+  // pass; turning it off leaves bit-flips to the structural sweep alone.
   bool verify_crc = true;
-  // Additionally re-verify the semantic invariants the compiler already
-  // enforced (posting sort order, dictionary orderings, children CSR vs
-  // parents). Redundant behind an intact CRC; for forensics.
-  bool deep_validate = false;
 };
+
+struct ServingIndexData;
 
 // The immutable artefact the online tier serves from. Since format v2
 // this is a *flat* index: one contiguous, pointer-free, 64-byte-aligned
@@ -69,8 +67,8 @@ struct LoadOptions {
 //     out as parallel topic/score arrays.
 //
 // Build one offline with CompileServingIndex(...).Build() and load it
-// online with ReadServingIndexFile. Mutate-and-revalidate workflows
-// (tests, tools) go through ServingIndexData.
+// online with ReadServingIndexFile. Every image, encoded or loaded,
+// passes the same structural sweep before anything serves from it.
 class ServingIndex {
  public:
   struct Lookup {
@@ -94,12 +92,9 @@ class ServingIndex {
     Posting operator[](size_t i) const { return Posting{topics[i], scores[i]}; }
   };
 
+  // Move-only. A move hands over the backing storage, whose address
+  // does not change, so the section pointers stay valid.
   ServingIndex() = default;
-  ServingIndex(ServingIndex&& other) noexcept;
-  ServingIndex& operator=(ServingIndex&& other) noexcept;
-  ServingIndex(const ServingIndex&) = delete;
-  ServingIndex& operator=(const ServingIndex&) = delete;
-  ~ServingIndex();
 
   // --- scalar header -----------------------------------------------------
   uint64_t version() const { return version_; }
@@ -165,15 +160,21 @@ class ServingIndex {
                                                      std::string owned,
                                                      const LoadOptions& options,
                                                      const std::string& origin);
+  friend util::Result<std::string> EncodeServingIndexFile(
+      const ServingIndexData& data);
 
+  // Checks the image at base_/size_ and points the accessors into it:
+  // the sweep every image passes, on write and on read.
   util::Status Bind(const LoadOptions& options, const std::string& origin);
-  void Release();
-  void StealFrom(ServingIndex& other);
+
+  struct FreeAligned {
+    void operator()(uint8_t* at) const;
+  };
 
   // Backing storage: exactly one of the two is live (or neither, for a
   // default-constructed empty index).
   util::MmapFile mapped_;
-  uint8_t* owned_ = nullptr;  // 64-byte-aligned private image
+  std::unique_ptr<uint8_t[], FreeAligned> owned_;  // 64-byte aligned
   bool mmap_backed_ = false;
 
   const uint8_t* base_ = nullptr;
@@ -207,9 +208,9 @@ class ServingIndex {
   const uint32_t* norm_order_ = nullptr;
 };
 
-// The mutable builder form: plain vectors, free to edit, validated as a
-// whole. CompileServingIndex produces one; Build() freezes it into the
-// flat image a ServingIndex serves from.
+// The mutable builder form: plain vectors, free to edit.
+// CompileServingIndex produces one; Build() and WriteServingIndexFile
+// encode it into the flat image, which must pass the reader's sweep.
 struct ServingIndexData {
   uint64_t version = 0;  // compiler-stamped artefact version
 
@@ -223,20 +224,13 @@ struct ServingIndexData {
   std::vector<uint32_t> entity_topic;     // deepest topic or kNoTopic
   std::vector<uint32_t> entity_category;  // ontology leaf or kNoCategoryId
 
-  // Interned queries, ascending original query id (deterministic).
+  // Interned queries, ascending original query id (deterministic). The
+  // encoder derives each normalized form (text::NormalizeQuery).
   std::vector<std::string> query_text;             // raw form
-  std::vector<std::string> query_norm;             // NormalizeQuery(raw)
   std::vector<std::vector<Posting>> posting_list;  // per query, score desc
 
-  // Validates every structural invariant (parent ordering, level
-  // consistency, range checks, posting sortedness, stored
-  // normalizations matching the live normalizer). Any violation is a
-  // clean InvalidArgument — the last line of defence behind the file
-  // CRC.
-  util::Status Validate() const;
-
-  // Validate + freeze into the flat serving form (one aligned
-  // allocation holding the same image WriteServingIndexFile persists).
+  // Freezes into the flat serving form: one aligned allocation holding
+  // the image WriteServingIndexFile persists, bound through the sweep.
   util::Result<ServingIndex> Build() const;
 };
 
@@ -250,35 +244,20 @@ struct CompileOptions {
 };
 
 // Compiles a described taxonomy into serving form: inverts the
-// per-topic query rankings that TopicDescriber::Describe stored on it
+// per-topic query rankings its descriptions were written from
 // (Taxonomy::rankings()) into per-query posting lists, and takes the
-// topic descriptions as they stand. It never describes. A taxonomy
-// without stored rankings (never described in full, described in part
-// by DescribeTopics, or loaded from disk), or one described with
+// topic descriptions as they stand. It never describes; the build and
+// the daemon both publish through it. A taxonomy without rankings
+// (never described, or loaded from disk), or one described with
 // options other than `describer_options`, is InvalidArgument: describe
 // it first. Of `input` only `query_texts` is read, the dictionary the
-// ranked query ids index into. `entity_categories` may be null
-// (categories become kNoCategoryId); when present it must have one
-// entry per entity.
+// ranked query ids index into; only queries with postings are
+// interned. `entity_categories` may be null (categories become
+// kNoCategoryId); when present it must have one entry per entity. The
+// result is checked when it is encoded.
 util::Result<ServingIndexData> CompileServingIndex(
     const core::Taxonomy& taxonomy, const core::DescriberInput& input,
     const core::DescriberOptions& describer_options,
-    const std::vector<uint32_t>* entity_categories,
-    const CompileOptions& options);
-
-// The second half of CompileServingIndex, for callers that already hold
-// per-topic rankings (the incremental daemon scores only dirty topics
-// and carries the rest forward): fills the data arrays from `taxonomy`'s
-// topics/descriptions as-is and inverts `rankings` (one entry per topic;
-// empty entries contribute no postings) into per-query posting lists.
-// `query_texts` is the full query dictionary the ranking query ids index
-// into; only queries with non-empty posting lists are interned. The
-// result is not validated here: EncodeServingIndexFile (under
-// WriteServingIndexFile and Build()) validates every image it encodes.
-util::Result<ServingIndexData> BuildServingIndexData(
-    const core::Taxonomy& taxonomy,
-    const std::vector<std::vector<core::ScoredQuery>>& rankings,
-    const std::vector<std::string>& query_texts,
     const std::vector<uint32_t>* entity_categories,
     const CompileOptions& options);
 
@@ -299,9 +278,14 @@ util::Result<ServingIndexData> BuildServingIndexData(
 inline constexpr uint32_t kServingIndexFormatVersion = 2;
 
 // The complete file image for `data` (magic through last section).
+// Before encoding it checks only what the layout indexes by: the
+// arrays agree in length and every parent is kNoTopic or a topic id.
+// The image then passes the sweep ReadServingIndexFile runs (CRC aside),
+// so every other invariant is refused here as InvalidArgument.
 util::Result<std::string> EncodeServingIndexFile(const ServingIndexData& data);
 
-// Writes the file atomically.
+// Encodes and writes the file atomically; nothing is written for data
+// the encoder refuses.
 util::Status WriteServingIndexFile(const std::string& path,
                                    const ServingIndexData& data);
 

@@ -168,9 +168,11 @@ TEST(TopicDescriberTest, OutOfRangeTopicLeavesDescriptionsUntouched) {
     f.taxonomy.topic(t).description = {"kept"};
   }
   auto rankings = TopicDescriber::DescribeTopics(
-      f.taxonomy, f.Input(), DescriberOptions{}, {0, 999});
+      f.taxonomy, f.Input(), DescriberOptions{}, {0, 999},
+      std::vector<std::vector<ScoredQuery>>(f.taxonomy.num_topics()));
   ASSERT_FALSE(rankings.ok());
   EXPECT_EQ(rankings.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(f.taxonomy.rankings(), nullptr);
   for (uint32_t t = 0; t < f.taxonomy.num_topics(); ++t) {
     EXPECT_EQ(f.taxonomy.topic(t).description,
               std::vector<std::string>{"kept"})
@@ -366,6 +368,9 @@ TEST(TopicDescriberTest, MatchesDenseReferenceOnRandomInputs) {
   }
 }
 
+// Scored topics rank as a full describe ranks them; every other topic
+// takes the caller's ranking, and each description is written from the
+// ranking it ends up with.
 TEST(TopicDescriberTest, DescribeTopicsMatchesDescribeOnTheSubset) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE(seed);
@@ -385,25 +390,33 @@ TEST(TopicDescriberTest, DescribeTopicsMatchesDescribeOnTheSubset) {
       }
     }
     rng.Shuffle(subset);
-    for (uint32_t t = 0; t < f.taxonomy.num_topics(); ++t) {
-      f.taxonomy.topic(t).description = {"carried"};
-    }
-    auto some = TopicDescriber::DescribeTopics(f.taxonomy, f.Input(),
-                                               options, subset);
+    // Carried rankings unlike the full pass's: each one reversed, so a
+    // description written from it differs from the full describe's.
+    std::vector<std::vector<ScoredQuery>> carried = (*all)->by_topic;
+    for (auto& ranking : carried) std::reverse(ranking.begin(), ranking.end());
+    auto some = TopicDescriber::DescribeTopics(f.taxonomy, f.Input(), options,
+                                               subset, carried);
     ASSERT_TRUE(some.ok());
-    ASSERT_EQ(some->size(), (*all)->by_topic.size());
+    ASSERT_EQ(*some, f.taxonomy.rankings());
+    EXPECT_TRUE((*some)->options == options);
+    ASSERT_EQ((*some)->by_topic.size(), (*all)->by_topic.size());
     for (uint32_t t = 0; t < f.taxonomy.num_topics(); ++t) {
+      const auto& ranking = (*some)->by_topic[t];
       if (in_subset[t]) {
-        ExpectSameRanking((*some)[t], (*all)->by_topic[t], t);
+        ExpectSameRanking(ranking, (*all)->by_topic[t], t);
         EXPECT_EQ(f.taxonomy.topic(t).description,
                   full.topic(t).description)
             << "topic " << t;
       } else {
-        EXPECT_TRUE((*some)[t].empty()) << "topic " << t;
-        EXPECT_EQ(f.taxonomy.topic(t).description,
-                  std::vector<std::string>{"carried"})
-            << "topic " << t;
+        ExpectSameRanking(ranking, carried[t], t);
       }
+      std::vector<std::string> description;
+      for (size_t i = 0;
+           i < std::min(options.queries_per_topic, ranking.size()); ++i) {
+        description.push_back(f.query_texts[ranking[i].query]);
+      }
+      EXPECT_EQ(f.taxonomy.topic(t).description, description)
+          << "topic " << t;
     }
   }
 }
@@ -435,24 +448,62 @@ TEST(TopicDescriberTest, CopiesShareTheStoredRankings) {
   EXPECT_EQ(copy.rankings(), f.taxonomy.rankings());
 }
 
-// A partial pass is not a full ranking set: a successful DescribeTopics
-// clears the stored rankings, a rejected one changes nothing.
-TEST(TopicDescriberTest, DescribeTopicsClearsStoredRankings) {
+// DescribeTopics stores the full set, scored and carried, as a new
+// block; a call with a ranking count other than the topic count changes
+// nothing.
+TEST(TopicDescriberTest, DescribeTopicsStoresCarriedRankings) {
   DescriberFixture f;
   ASSERT_TRUE(
       TopicDescriber::Describe(f.taxonomy, f.Input(), DescriberOptions{})
           .ok());
   const Taxonomy described = f.taxonomy;
-  ASSERT_FALSE(TopicDescriber::DescribeTopics(f.taxonomy, f.Input(),
-                                              DescriberOptions{}, {0, 999})
-                   .ok());
-  EXPECT_EQ(f.taxonomy.rankings(), described.rankings());
+  const TopicRankings* before = described.rankings();
+  ASSERT_NE(before, nullptr);
+  ASSERT_FALSE(TopicDescriber::DescribeTopics(
+                   f.taxonomy, f.Input(), DescriberOptions{}, {0},
+                   std::vector<std::vector<ScoredQuery>>(1))
+                   .ok())
+      << "one ranking for two topics";
+  EXPECT_EQ(f.taxonomy.rankings(), before);
 
-  ASSERT_TRUE(TopicDescriber::DescribeTopics(f.taxonomy, f.Input(),
-                                             DescriberOptions{}, {0})
-                  .ok());
-  EXPECT_EQ(f.taxonomy.rankings(), nullptr);
-  EXPECT_NE(described.rankings(), nullptr) << "a copy keeps its block";
+  auto stored = TopicDescriber::DescribeTopics(
+      f.taxonomy, f.Input(), DescriberOptions{}, {0}, before->by_topic);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_EQ(*stored, f.taxonomy.rankings());
+  EXPECT_NE(*stored, before) << "a new block";
+  ASSERT_EQ((*stored)->by_topic.size(), before->by_topic.size());
+  for (uint32_t t = 0; t < before->by_topic.size(); ++t) {
+    ExpectSameRanking((*stored)->by_topic[t], before->by_topic[t], t);
+    EXPECT_EQ(f.taxonomy.topic(t).description, described.topic(t).description);
+  }
+  EXPECT_EQ(described.rankings(), before) << "a copy keeps its block";
+}
+
+// ApplyRankings writes every description from its ranking and refuses a
+// ranking that names a query outside the dictionary, changing nothing.
+TEST(TopicDescriberTest, ApplyRankingsRejectsQueryOutsideDictionary) {
+  DescriberFixture f;
+  DescriberOptions options;
+  options.queries_per_topic = 1;
+  std::vector<std::vector<ScoredQuery>> rankings(f.taxonomy.num_topics());
+  rankings[0] = {{2, 0.9, 0.9, 0.9}, {0, 0.5, 0.5, 0.5}};
+  auto applied =
+      TopicDescriber::ApplyRankings(f.taxonomy, f.query_texts, options,
+                                    rankings);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(f.taxonomy.topic(0).description,
+            std::vector<std::string>{"misc"});
+  EXPECT_TRUE(f.taxonomy.topic(1).description.empty());
+
+  rankings[1] = {{static_cast<uint32_t>(f.query_texts.size()), 1, 1, 1}};
+  auto rejected =
+      TopicDescriber::ApplyRankings(f.taxonomy, f.query_texts, options,
+                                    rankings);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(f.taxonomy.rankings(), *applied);
+  EXPECT_EQ(f.taxonomy.topic(0).description,
+            std::vector<std::string>{"misc"});
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "daemon/daemon.h"
 #include "data/drift_log.h"
 #include "obs/trace.h"
+#include "serve/serving_index.h"
 #include "testutil/graph_compare.h"
 #include "util/tsv.h"
 
@@ -35,14 +36,15 @@ class DaemonCycleTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  static data::DriftLog MakeLog(size_t num_days) {
+  static data::DriftLog MakeLog(size_t num_days,
+                                size_t drift_clicks_per_day = 600) {
     data::DriftOptions options;
     options.catalog.num_entities = 220;
     options.catalog.num_queries = 160;
     options.catalog.seed = 2019;
     options.num_days = num_days;
     options.background_pairs = 1500;
-    options.drift_clicks_per_day = 600;
+    options.drift_clicks_per_day = drift_clicks_per_day;
     auto generated = data::GenerateDriftLog(options);
     EXPECT_TRUE(generated.ok());
     return std::move(generated).value();
@@ -299,6 +301,61 @@ TEST_F(DaemonCycleTest, DriftKeepsMostTopicsCarried) {
     EXPECT_GT((*report)->carried_topics, 0u);
     EXPECT_GT((*report)->delta.delta_entries, 0u);
   }
+}
+
+// The daemon publishes the compile of the taxonomy it keeps: after every
+// cycle and after a restore, the taxonomy carries the rankings its
+// descriptions were written from, and compiling it reproduces the
+// published file byte for byte. The low-churn log carries topics, so
+// carried rankings reach the compile.
+TEST_F(DaemonCycleTest, PublishesTheCompileOfItsTaxonomy) {
+  auto log = MakeLog(/*num_days=*/5, /*drift_clicks_per_day=*/100);
+  const std::string spool = MakeSpool(log, 5, "spool");
+  DaemonOptions options = MakeOptions(spool, "a");
+  auto created = TaxonomyDaemon::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto& daemon = *created.value();
+  std::vector<std::string> query_texts;
+  for (const auto& query : daemon.catalog().queries) {
+    query_texts.push_back(query.text);
+  }
+  std::vector<uint32_t> categories;
+  for (const auto& item : daemon.catalog().items) {
+    categories.push_back(item.category);
+  }
+  auto expect_published_compile = [&](const TaxonomyDaemon& live) {
+    ASSERT_NE(live.taxonomy().rankings(), nullptr);
+    core::DescriberInput input;
+    input.query_texts = &query_texts;
+    serve::CompileOptions compile_options;
+    compile_options.version = live.published_version();
+    compile_options.max_postings_per_query = options.max_postings_per_query;
+    auto data = serve::CompileServingIndex(live.taxonomy(), input,
+                                           options.describer, &categories,
+                                           compile_options);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    auto image = serve::EncodeServingIndexFile(*data);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    EXPECT_TRUE(*image == FileBytes(options.index_path));
+  };
+
+  size_t carrying_cycles = 0;
+  for (size_t d = 0; d < 5; ++d) {
+    SCOPED_TRACE(d);
+    auto report = daemon.RunOnce();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->has_value());
+    expect_published_compile(daemon);
+    if ((*report)->carried_topics > 0) ++carrying_cycles;
+  }
+  EXPECT_GT(carrying_cycles, 0u);
+
+  DaemonOptions restart = MakeOptions(spool, "b");
+  restart.snapshot_path = options.snapshot_path;
+  auto restored = TaxonomyDaemon::Create(restart);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE((*restored)->restored_from_snapshot());
+  expect_published_compile(**restored);
 }
 
 // A traced cycle opens one child span per phase, each one level under

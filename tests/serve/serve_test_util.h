@@ -62,7 +62,7 @@ struct ServeFixture {
     return input;
   }
 
-  // The mutable builder form (field access, tamper-then-Validate tests).
+  // The mutable builder form (field access, tamper-then-encode tests).
   util::Result<ServingIndexData> Compile(CompileOptions options = {}) {
     return CompileServingIndex(taxonomy, Input(), core::DescriberOptions(),
                                &categories, options);

@@ -1,8 +1,11 @@
 #include "serve/serving_index.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,13 +57,8 @@ TEST(ServingIndexCompileTest, TopPostingIsOfflineArgmax) {
   ServeFixture f;
   auto data = f.Compile();
   ASSERT_TRUE(data.ok());
-
-  core::Taxonomy scored = f.taxonomy;
-  auto input = f.Input();
-  input.taxonomy = &scored;
-  auto rankings = core::TopicDescriber::Describe(scored, input,
-                                                 core::DescriberOptions());
-  ASSERT_TRUE(rankings.ok());
+  const core::TopicRankings* rankings = f.taxonomy.rankings();
+  ASSERT_NE(rankings, nullptr);
 
   for (size_t q = 0; q < data->query_text.size(); ++q) {
     ASSERT_FALSE(data->posting_list[q].empty());
@@ -73,8 +71,8 @@ TEST(ServingIndexCompileTest, TopPostingIsOfflineArgmax) {
         static_cast<uint32_t>(it - f.query_texts.begin());
     double best_score = -1.0;
     uint32_t best_topic = core::kNoTopic;
-    for (uint32_t t = 0; t < scored.num_topics(); ++t) {
-      for (const auto& entry : (*rankings)->by_topic[t]) {
+    for (uint32_t t = 0; t < f.taxonomy.num_topics(); ++t) {
+      for (const auto& entry : rankings->by_topic[t]) {
         if (entry.query != original) continue;
         if (entry.representativeness > best_score ||
             (entry.representativeness == best_score && t < best_topic)) {
@@ -89,17 +87,17 @@ TEST(ServingIndexCompileTest, TopPostingIsOfflineArgmax) {
   }
 }
 
-// The inversion checks every ranked query id against the dictionary
-// itself; it does not lean on the validation at encode time.
-TEST(ServingIndexCompileTest, BuildDataRejectsRankedQueryOutsideDictionary) {
+// The inversion checks every ranked query id against the dictionary it
+// is handed, which need not be the one the taxonomy was described with;
+// it does not lean on the checks at encode time.
+TEST(ServingIndexCompileTest, CompileRejectsRankedQueryOutsideDictionary) {
   ServeFixture f;
-  std::vector<std::vector<core::ScoredQuery>> rankings(
-      f.taxonomy.num_topics());
-  ASSERT_FALSE(rankings.empty());
-  rankings[0].push_back(core::ScoredQuery{
-      static_cast<uint32_t>(f.query_texts.size()), 1.0, 1.0, 1.0});
-  auto data = BuildServingIndexData(f.taxonomy, rankings, f.query_texts,
-                                    &f.categories, CompileOptions());
+  std::vector<std::string> short_dictionary = f.query_texts;
+  short_dictionary.pop_back();
+  core::DescriberInput input = f.Input();
+  input.query_texts = &short_dictionary;
+  auto data = CompileServingIndex(f.taxonomy, input, core::DescriberOptions(),
+                                  &f.categories, CompileOptions());
   ASSERT_FALSE(data.ok());
   EXPECT_EQ(data.status().code(), util::StatusCode::kOutOfRange);
 }
@@ -116,19 +114,19 @@ core::DescriberInput DescriberInputOf(const core::ShoalInput& input,
 }
 
 // The compile path before the rankings were stored, kept as the
-// reference: describe a private copy of the taxonomy again and invert
-// that pass's rankings.
+// reference: describe a private copy of the taxonomy again and compile
+// the copy, whose rankings are that second pass's.
 util::Result<std::string> DescribeAgainImage(const core::Taxonomy& taxonomy,
                                              const core::ShoalInput& input) {
   core::Taxonomy scored = taxonomy;
-  SHOAL_ASSIGN_OR_RETURN(
-      auto rankings,
-      core::TopicDescriber::Describe(scored, DescriberInputOf(input, &scored),
-                                     core::DescriberOptions()));
+  const core::DescriberInput describe_input = DescriberInputOf(input, &scored);
+  SHOAL_RETURN_IF_ERROR(core::TopicDescriber::Describe(
+                            scored, describe_input, core::DescriberOptions())
+                            .status());
   SHOAL_ASSIGN_OR_RETURN(
       ServingIndexData data,
-      BuildServingIndexData(scored, rankings->by_topic, *input.query_texts,
-                            input.entity_categories, CompileOptions()));
+      CompileServingIndex(scored, describe_input, core::DescriberOptions(),
+                          input.entity_categories, CompileOptions()));
   return EncodeServingIndexFile(data);
 }
 
@@ -296,7 +294,8 @@ TEST(ServingIndexBuildTest, FlatImageMatchesBuilderData) {
   ASSERT_EQ(index->num_queries(), data->query_text.size());
   for (uint32_t q = 0; q < index->num_queries(); ++q) {
     EXPECT_EQ(index->query_text(q), data->query_text[q]);
-    EXPECT_EQ(index->query_norm(q), data->query_norm[q]);
+    // The encoder derives the normalized form with the live normalizer.
+    EXPECT_EQ(index->query_norm(q), text::NormalizeQuery(data->query_text[q]));
     const auto span = index->postings(q);
     ASSERT_EQ(span.size(), data->posting_list[q].size());
     for (size_t i = 0; i < span.size(); ++i) {
@@ -358,6 +357,11 @@ TEST_F(ServingIndexFileTest, V2FileRoundtripsViaCopy) {
   ExpectSameContent(*loaded, *data);
 }
 
+// The deep checks (children CSR against parents, root list, dictionary
+// order) run in every sweep, with no option to turn them on: a written
+// file passes them with the CRC off, and one whose root list or
+// exact-text order was permuted is refused. Permuting keeps every id in
+// range, so only the deep checks can catch it.
 TEST_F(ServingIndexFileTest, DeepValidationPassesOnGoodFile) {
   ServeFixture f;
   auto data = f.Compile();
@@ -365,9 +369,31 @@ TEST_F(ServingIndexFileTest, DeepValidationPassesOnGoodFile) {
   const std::string path = Path("deep.idx");
   ASSERT_TRUE(WriteServingIndexFile(path, *data).ok());
   LoadOptions options;
-  options.deep_validate = true;
+  options.verify_crc = false;
   auto loaded = ReadServingIndexFile(path, options);
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  auto full = util::ReadTextFile(path);
+  ASSERT_TRUE(full.ok());
+  // Section table entries are { u64 offset, u64 bytes } from byte 120;
+  // sections 17 and 18 are the root list and the exact-text order.
+  const std::pair<size_t, const char*> cases[] = {{17, "root list"},
+                                                   {18, "dictionary"}};
+  for (const auto& [section, refusal] : cases) {
+    SCOPED_TRACE(refusal);
+    uint64_t at = 0;
+    std::memcpy(&at, full->data() + 120 + 16 * section, sizeof(at));
+    std::string tampered = *full;
+    // Swap the section's first two u32 entries.
+    std::swap_ranges(tampered.begin() + at, tampered.begin() + at + 4,
+                     tampered.begin() + at + 4);
+    ASSERT_NE(tampered, *full) << "the fixture needs two distinct entries";
+    ASSERT_TRUE(util::WriteTextFile(path, tampered).ok());
+    auto refused = ReadServingIndexFile(path, options);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.status().message().find(refusal), std::string::npos)
+        << refused.status().message();
+  }
 }
 
 // A file of the retired v1 format (magic | u32 1 | u64 payload size |
@@ -398,13 +424,15 @@ TEST_F(ServingIndexFileTest, V1FileFailsWithRecompileError) {
   }
 }
 
-// Encoding is the one validation gate: BuildServingIndexData does not
-// validate its result, so a tampered builder form must be refused by
-// Validate, by Build() (which binds an encoded image), and by
-// WriteServingIndexFile, which must leave nothing behind in the target
-// directory (no index and no temp file).
+// Encoding is the one gate: the compile does not check its result, so a
+// tampered builder form must be refused by EncodeServingIndexFile, by
+// Build() (which binds an encoded image) and by WriteServingIndexFile,
+// which must leave nothing behind in the target directory (no index and
+// no temp file).
 void ExpectEveryGateRejects(const ServingIndexData& data) {
-  EXPECT_FALSE(data.Validate().ok());
+  auto image = EncodeServingIndexFile(data);
+  ASSERT_FALSE(image.ok());
+  EXPECT_EQ(image.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_FALSE(data.Build().ok());
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
@@ -442,16 +470,44 @@ TEST(ServingIndexValidateTest, RejectsUnsortedPostings) {
   ExpectEveryGateRejects(*data);
 }
 
-TEST(ServingIndexValidateTest, RejectsNormalizerSkew) {
-  // A stored normalized form that today's NormalizeQuery would not
-  // produce means the artefact was built by a different normalizer —
-  // serving it would silently miss lookups, so loading must fail.
+// Parent ids index the children CSR the encoder builds, so one out of
+// range is refused before the encoder touches it (ASan holds this).
+TEST(ServingIndexValidateTest, RejectsParentOutOfRange) {
   ServeFixture f;
-  auto data = f.Compile();
-  ASSERT_TRUE(data.ok());
-  ASSERT_GT(data->query_text.size(), 0u);
-  data->query_norm[0] = data->query_norm[0] + " skewed";
-  ExpectEveryGateRejects(*data);
+  auto compiled = f.Compile();
+  ASSERT_TRUE(compiled.ok());
+  ASSERT_FALSE(compiled->parent.empty());
+  const uint32_t num_topics = static_cast<uint32_t>(compiled->parent.size());
+  for (uint32_t bad : {num_topics + 5, uint32_t{0xFFFFFFFE}}) {
+    SCOPED_TRACE(bad);
+    ServingIndexData data = *compiled;
+    data.parent.back() = bad;
+    ExpectEveryGateRejects(data);
+  }
+}
+
+// Arrays that disagree on the topic, entity or query count are refused
+// before any of them is laid out.
+TEST(ServingIndexValidateTest, RejectsMismatchedArraySizes) {
+  ServeFixture f;
+  auto compiled = f.Compile();
+  ASSERT_TRUE(compiled.ok());
+  const std::vector<std::pair<const char*, void (*)(ServingIndexData&)>>
+      shorten = {
+          {"level", [](ServingIndexData& d) { d.level.pop_back(); }},
+          {"descriptions",
+           [](ServingIndexData& d) { d.descriptions.pop_back(); }},
+          {"entity_category",
+           [](ServingIndexData& d) { d.entity_category.pop_back(); }},
+          {"posting_list",
+           [](ServingIndexData& d) { d.posting_list.pop_back(); }},
+      };
+  for (const auto& [what, cut] : shorten) {
+    SCOPED_TRACE(what);
+    ServingIndexData data = *compiled;
+    cut(data);
+    ExpectEveryGateRejects(data);
+  }
 }
 
 TEST(ServingIndexValidateTest, RejectsOutOfRangePostingTopic) {
@@ -474,16 +530,6 @@ TEST(ServingIndexValidateTest, RejectsNonFiniteScore) {
   data->posting_list[0][0].score =
       std::numeric_limits<double>::quiet_NaN();
   ExpectEveryGateRejects(*data);
-}
-
-TEST(ServingIndexValidateTest, NormStoredMatchesSharedNormalizer) {
-  ServeFixture f;
-  auto data = f.Compile();
-  ASSERT_TRUE(data.ok());
-  for (size_t q = 0; q < data->query_text.size(); ++q) {
-    EXPECT_EQ(data->query_norm[q],
-              text::NormalizeQuery(data->query_text[q]));
-  }
 }
 
 }  // namespace
