@@ -1,7 +1,8 @@
 // M1: google-benchmark microbenchmarks for the kernels the pipeline
 // spends its time in — similarity computation, BM25 scoring, word2vec
-// training throughput, the entity-graph degree cap, and the daemon's
-// per-cycle serialization (snapshot encoding and CRC-32).
+// training throughput, the entity-graph degree cap, HAC on a fixed 3k
+// entity graph, and the daemon's per-cycle serialization (snapshot
+// encoding and CRC-32).
 
 #include <algorithm>
 #include <string>
@@ -9,9 +10,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "ckpt/snapshot.h"
 #include "core/entity_graph.h"
 #include "core/hac_common.h"
+#include "core/parallel_hac.h"
 #include "core/similarity.h"
 #include "graph/generators.h"
 #include "text/bm25.h"
@@ -161,6 +164,45 @@ void BM_ApplyDegreeCap(benchmark::State& state) {
                           static_cast<int64_t>(edges.size()));
 }
 BENCHMARK(BM_ApplyDegreeCap)->Arg(10000)->Unit(benchmark::kMillisecond);
+
+// The entity graph of perfbench's build workload catalog (3,000
+// entities, ScaledDataset(3000, 7): 92,548 edges), built once per
+// process by one BuildShoal run outside every timed loop.
+const graph::WeightedGraph& EntityGraph3k() {
+  static const bench::Workload workload = [] {
+    core::ShoalOptions options;
+    options.num_threads = 1;
+    return bench::BuildWorkload(bench::ScaledDataset(3000, 7), options);
+  }();
+  return workload.model.entity_graph();
+}
+
+// ClusterGraph construction with ParallelHac's tracking threshold: the
+// id-sorted rows, strong lists and mergeable frontier.
+void BM_ClusterGraphBuild(benchmark::State& state) {
+  const graph::WeightedGraph& graph = EntityGraph3k();
+  const double threshold = core::HacOptions().threshold;
+  for (auto _ : state) {
+    core::ClusterGraph clusters(graph, threshold);
+    benchmark::DoNotOptimize(clusters.num_nodes());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(graph.num_edges()));
+}
+BENCHMARK(BM_ClusterGraphBuild)->Unit(benchmark::kMillisecond);
+
+// One whole ParallelHac run with the build's options (Eq. 4, k = 2) on
+// one thread: 234 rounds, 2,933 merges.
+void BM_ParallelHac(benchmark::State& state) {
+  const graph::WeightedGraph& graph = EntityGraph3k();
+  core::ParallelHacOptions options;
+  options.num_threads = 1;
+  for (auto _ : state) {
+    auto dendrogram = core::ParallelHac(graph, options);
+    benchmark::DoNotOptimize(dendrogram);
+  }
+}
+BENCHMARK(BM_ParallelHac)->Unit(benchmark::kMillisecond);
 
 // The checksum every snapshot, manifest entry and serving index image
 // carries; 64 KiB and 1 MiB bracket the 4k daemon's 0.73 MB index and

@@ -4,7 +4,9 @@
 #   1. shoal_daemon --generate-out writes a reproducible 3-day drift
 #      workload (static catalog + one clicks file per day).
 #   2. Days 1-2 are dropped into a spool; `shoal_daemon --once` drains
-#      them (two incremental cycles) and publishes index v2.
+#      them (two incremental cycles) and publishes index v2, writing
+#      --trace-out and --metrics-out, which json_lint checks for the
+#      cycle, splice and HAC spans and the daemon metrics.
 #      A restart on its snapshot with a shorter --window-days exits 1.
 #   3. A real shoal_serve boots on the published index with --poll-sec 1.
 #   4. Day 3 arrives; a SECOND `shoal_daemon --once` process restores
@@ -22,9 +24,9 @@
 #      the two drains must match.
 #
 # Required -D variables: SHOAL_DAEMON, SHOAL_SERVE, HTTP_PROBE,
-# WORK_DIR. Optional: PORT (default 18973).
+# JSON_LINT, WORK_DIR. Optional: PORT (default 18973).
 
-foreach(var SHOAL_DAEMON SHOAL_SERVE HTTP_PROBE WORK_DIR)
+foreach(var SHOAL_DAEMON SHOAL_SERVE HTTP_PROBE JSON_LINT WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "daemon_smoke: -D${var}=... is required")
   endif()
@@ -85,7 +87,19 @@ endforeach()
 
 run_checked("${SHOAL_DAEMON}"
   "--spool=${SPOOL}" "--index=${WORK_DIR}/taxonomy.idx"
-  "--snapshot=${WORK_DIR}/daemon.snap" --once --threads=2)
+  "--snapshot=${WORK_DIR}/daemon.snap" --once --threads=2
+  "--trace-out=${WORK_DIR}/daemon_trace.json"
+  "--metrics-out=${WORK_DIR}/daemon_metrics.json")
+
+# The drain's trace holds a span per cycle and phase, with HAC rounds
+# under the first cycle's full clustering and the second's splice; its
+# metrics hold the daemon's counters.
+run_checked("${JSON_LINT}"
+  --expect=daemon.cycle --expect=daemon.splice --expect=hac.round
+  "${WORK_DIR}/daemon_trace.json")
+run_checked("${JSON_LINT}"
+  --expect=daemon.cycles --expect=daemon.cycle.seconds
+  "${WORK_DIR}/daemon_metrics.json")
 
 # Restarting on that snapshot under a shorter window is rejected (exit
 # 1) before a cycle runs: its two standing days would never retire one.

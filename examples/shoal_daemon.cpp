@@ -18,6 +18,14 @@
 // With --snapshot, the standing window state is checkpointed after
 // every cycle; a restarted daemon restores it and resumes at the first
 // unconsumed day file instead of rebuilding the window from scratch.
+//
+// --trace-out and --metrics-out (obs/cli_flags.h, as in shoal_cli) are
+// written when the daemon exits: the trace holds every span of the run
+// (daemon.word2vec at start-up, then one daemon.cycle span per cycle
+// with a child per phase; the first cycle's full clustering and every
+// splice add hac.* spans), the metrics file the daemon.*, hac.* and
+// pool metrics. The trace buffers in memory until then, so use it with
+// --once or --max-cycles rather than on a long watch.
 
 #include <atomic>
 #include <chrono>
@@ -148,7 +156,7 @@ int Run(int argc, char** argv) {
   flags.AddInt64("poll-sec", 2, "spool poll interval while watching");
   flags.AddInt64("max-cycles", 0,
                  "stop after this many cycles in this run (0 = unlimited)");
-  obs::AddLogLevelFlag(flags);
+  obs::AddObservabilityFlags(flags);
   // Workload generator mode (ignores the daemon flags above).
   flags.AddString("generate-out", "",
                   "write a multi-day drift workload spool into this "
@@ -167,7 +175,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
   if (flags.help_requested()) return 0;
-  if (!obs::ApplyLogLevelFlag(flags)) return 1;
+  if (!obs::EnableObservability(flags)) return 1;
 
   if (!flags.GetString("generate-out").empty()) return RunGenerate(flags);
 
@@ -217,12 +225,22 @@ int Run(int argc, char** argv) {
   const bool once = flags.GetBool("once");
   const int64_t poll_sec = flags.GetInt64("poll-sec");
   const int64_t max_cycles = flags.GetInt64("max-cycles");
+  // The trace and metrics of the run, also after a failed cycle.
+  const auto write_observability = [&flags] {
+    auto wrote = obs::WriteObservability(flags);
+    if (!wrote.ok()) {
+      std::fprintf(stderr, "cannot write observability output: %s\n",
+                   wrote.ToString().c_str());
+    }
+    return wrote.ok();
+  };
   int64_t cycles_this_run = 0;
   while (!g_shutdown.load()) {
     auto ran = daemon->RunOnce();
     if (!ran.ok()) {
       std::fprintf(stderr, "cycle failed: %s\n",
                    ran.status().ToString().c_str());
+      write_observability();
       return 1;
     }
     if (ran->has_value()) {
@@ -244,7 +262,7 @@ int Run(int argc, char** argv) {
   std::printf("daemon exiting: %lld cycle(s) this run, v%llu published\n",
               static_cast<long long>(cycles_this_run),
               static_cast<unsigned long long>(daemon->published_version()));
-  return 0;
+  return write_observability() ? 0 : 1;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "ckpt/pipeline.h"
 
 #include <filesystem>
+#include <string>
 #include <system_error>
 #include <utility>
 
@@ -35,13 +36,9 @@ util::Status WriteEntityGraphSnapshot(const std::string& path,
 
 util::Result<graph::WeightedGraph> ReadEntityGraphSnapshot(
     const std::string& path) {
-  SHOAL_ASSIGN_OR_RETURN(SnapshotFile file, ReadSnapshotFile(path));
-  if (file.kind != SnapshotKind::kEntityGraph) {
-    return util::Status::InvalidArgument(
-        path + ": holds a " + SnapshotKindName(file.kind) +
-        " snapshot, not an entity graph");
-  }
-  return DecodeEntityGraph(file.payload);
+  SHOAL_ASSIGN_OR_RETURN(std::string payload,
+                         ReadSnapshotFile(path, SnapshotKind::kEntityGraph));
+  return DecodeEntityGraph(payload);
 }
 
 }  // namespace

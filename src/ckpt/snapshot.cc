@@ -253,7 +253,8 @@ util::Status WriteSnapshotFile(const std::string& path, SnapshotKind kind,
   return util::AtomicWriteFile(path, parts);
 }
 
-util::Result<SnapshotFile> ReadSnapshotFile(const std::string& path) {
+util::Result<std::string> ReadSnapshotFile(const std::string& path,
+                                           SnapshotKind expected) {
   SHOAL_ASSIGN_OR_RETURN(std::string bytes, util::ReadTextFile(path));
   if (bytes.size() < sizeof(kMagic) ||
       bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
@@ -274,6 +275,12 @@ util::Result<SnapshotFile> ReadSnapshotFile(const std::string& path) {
         util::StringPrintf("%s: unknown snapshot kind %u", path.c_str(),
                            kind));
   }
+  if (static_cast<SnapshotKind>(kind) != expected) {
+    return util::Status::InvalidArgument(util::StringPrintf(
+        "%s: holds a %s snapshot, expected %s", path.c_str(),
+        SnapshotKindName(static_cast<SnapshotKind>(kind)),
+        SnapshotKindName(expected)));
+  }
   SHOAL_ASSIGN_OR_RETURN(uint64_t payload_size, reader.ReadU64());
   SHOAL_ASSIGN_OR_RETURN(uint32_t expected_crc, reader.ReadU32());
   if (payload_size != reader.remaining()) {
@@ -282,18 +289,15 @@ util::Result<SnapshotFile> ReadSnapshotFile(const std::string& path) {
         path.c_str(), static_cast<unsigned long long>(payload_size),
         reader.remaining()));
   }
-  SnapshotFile file;
-  file.kind = static_cast<SnapshotKind>(kind);
-  file.payload.assign(bytes, bytes.size() - payload_size, payload_size);
-  const uint32_t actual_crc =
-      util::Crc32(file.payload.data(), file.payload.size());
+  std::string payload(bytes, bytes.size() - payload_size, payload_size);
+  const uint32_t actual_crc = util::Crc32(payload.data(), payload.size());
   if (actual_crc != expected_crc) {
     return util::Status::InvalidArgument(util::StringPrintf(
         "%s: payload CRC mismatch (stored %08x, computed %08x) — the "
         "snapshot is corrupt",
         path.c_str(), expected_crc, actual_crc));
   }
-  return file;
+  return payload;
 }
 
 }  // namespace shoal::ckpt

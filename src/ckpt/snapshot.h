@@ -107,15 +107,14 @@ util::Result<DaemonWindowData> DecodeDaemonWindow(std::string_view payload);
 util::Status WriteSnapshotFile(const std::string& path, SnapshotKind kind,
                                std::string_view payload);
 
-struct SnapshotFile {
-  SnapshotKind kind = SnapshotKind::kEntityGraph;
-  std::string payload;
-};
-
-// Reads and verifies a snapshot file: magic, version, kind validity,
-// payload size vs file size, and CRC. Any mismatch is a clean
-// InvalidArgument/OutOfRange Status — never undefined behaviour.
-util::Result<SnapshotFile> ReadSnapshotFile(const std::string& path);
+// Reads and verifies a snapshot file and returns its payload: magic,
+// version, kind validity, kind == `expected`, payload size vs file size,
+// and CRC. The CRC covers only the payload, so checking the kind here
+// is what stops a flipped kind field from passing a well-framed file of
+// another kind. Any mismatch is a clean InvalidArgument/OutOfRange
+// Status — never undefined behaviour.
+util::Result<std::string> ReadSnapshotFile(const std::string& path,
+                                           SnapshotKind expected);
 
 }  // namespace shoal::ckpt
 

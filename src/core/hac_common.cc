@@ -100,39 +100,55 @@ void MergeRows(const std::vector<ClusterEdge>& ra,
   }
 }
 
+// Orders a row entry before an id: lower_bound over an id-sorted row.
+constexpr auto kIdLess = [](const ClusterEdge& e, uint32_t id) {
+  return e.id < id;
+};
+
+// Erases the elements at `lo` and `hi` (lo before hi; either may be
+// v.end() for "absent") in one pass over the tail.
+template <typename T>
+void EraseAt(std::vector<T>& v, typename std::vector<T>::iterator lo,
+             typename std::vector<T>::iterator hi) {
+  if (lo == v.end()) std::swap(lo, hi);
+  if (lo == v.end()) return;
+  auto out = hi == v.end()
+                 ? std::move(lo + 1, v.end(), lo)
+                 : std::move(hi + 1, v.end(), std::move(lo + 1, hi, lo));
+  v.erase(out, v.end());
+}
+
 }  // namespace
 
 ClusterGraph::ClusterGraph(const graph::WeightedGraph& base,
                            double track_threshold)
     : track_threshold_(track_threshold) {
   const size_t n = base.num_vertices();
+  const bool track = track_threshold_ > 0.0;
   rows_.resize(n);
   sizes_.assign(n, 1);
   active_.assign(n, 1);
   mergeable_count_.assign(n, 0);
   strong_.resize(n);
   num_active_ = n;
+  // Size every row from its own base row (symmetric rows: u's row and
+  // the transpose's row u hold the same neighbours and weights).
   for (graph::VertexId u = 0; u < n; ++u) {
     const auto& neighbors = base.Neighbors(u);
-    auto& row = rows_[u];
-    row.reserve(neighbors.size());
+    rows_[u].reserve(neighbors.size());
+    if (!track) continue;
     for (const graph::Edge& e : neighbors) {
-      row.push_back(ClusterEdge{e.to, e.weight});
-      if (track_threshold_ > 0.0 && e.weight >= track_threshold_) {
-        ++mergeable_count_[u];
-      }
+      if (e.weight >= track_threshold_) ++mergeable_count_[u];
     }
-    std::sort(row.begin(), row.end(),
-              [](const ClusterEdge& x, const ClusterEdge& y) {
-                return x.id < y.id;
-              });
-    if (track_threshold_ > 0.0) {
-      auto& strong = strong_[u];
-      strong.reserve(mergeable_count_[u]);
-      for (const ClusterEdge& e : row) {
-        if (e.similarity >= track_threshold_) strong.push_back(e.id);
-      }
-      if (mergeable_count_[u] > 0) frontier_.push_back(u);
+    strong_[u].reserve(mergeable_count_[u]);
+    if (mergeable_count_[u] > 0) frontier_.push_back(u);
+  }
+  // Fill by transpose: visiting u ascending and appending u to each
+  // neighbour's row emits every row id-sorted, with no per-row sort.
+  for (graph::VertexId u = 0; u < n; ++u) {
+    for (const graph::Edge& e : base.Neighbors(u)) {
+      rows_[e.to].push_back(ClusterEdge{u, e.weight});
+      if (track && e.weight >= track_threshold_) strong_[e.to].push_back(u);
     }
   }
 }
@@ -157,10 +173,7 @@ std::vector<uint32_t> ClusterGraph::MergeableClusters() {
 
 const ClusterEdge* ClusterGraph::FindEdge(uint32_t a, uint32_t b) const {
   const auto& row = rows_[a];
-  auto it = std::lower_bound(row.begin(), row.end(), b,
-                             [](const ClusterEdge& e, uint32_t id) {
-                               return e.id < id;
-                             });
+  auto it = std::lower_bound(row.begin(), row.end(), b, kIdLess);
   if (it == row.end() || it->id != b) return nullptr;
   return &*it;
 }
@@ -170,6 +183,38 @@ void ClusterGraph::RetireCluster(uint32_t c) {
   std::vector<uint32_t>().swap(strong_[c]);
   active_[c] = 0;
   mergeable_count_[c] = 0;
+}
+
+void ClusterGraph::RewireNeighbor(uint32_t c, uint32_t a, uint32_t b,
+                                  uint32_t new_id, double similarity) {
+  const uint32_t lo = std::min(a, b);
+  const uint32_t hi = std::max(a, b);
+  auto& row = rows_[c];
+  auto lo_it = std::lower_bound(row.begin(), row.end(), lo, kIdLess);
+  auto hi_it = std::lower_bound(lo_it, row.end(), hi, kIdLess);
+  if (lo_it != row.end() && lo_it->id != lo) lo_it = row.end();
+  if (hi_it != row.end() && hi_it->id != hi) hi_it = row.end();
+  if (track_threshold_ > 0.0) {
+    const bool strong_lo =
+        lo_it != row.end() && lo_it->similarity >= track_threshold_;
+    const bool strong_hi =
+        hi_it != row.end() && hi_it->similarity >= track_threshold_;
+    auto& strong = strong_[c];
+    auto s_lo = strong_lo
+                    ? std::lower_bound(strong.begin(), strong.end(), lo)
+                    : strong.end();
+    auto s_hi = strong_hi
+                    ? std::lower_bound(strong.begin(), strong.end(), hi)
+                    : strong.end();
+    EraseAt(strong, s_lo, s_hi);
+    mergeable_count_[c] -= strong_lo + strong_hi;
+    if (similarity >= track_threshold_) {
+      strong.push_back(new_id);
+      ++mergeable_count_[c];
+    }
+  }
+  EraseAt(row, lo_it, hi_it);
+  row.push_back(ClusterEdge{new_id, similarity});
 }
 
 util::Status ClusterGraph::Merge(uint32_t a, uint32_t b, uint32_t new_id,
@@ -196,37 +241,12 @@ util::Status ClusterGraph::Merge(uint32_t a, uint32_t b, uint32_t new_id,
               merged.push_back(ClusterEdge{c, s});
             });
 
-  // Rewire neighbours from a/b to the new cluster, keeping the
-  // mergeable-edge counts in sync (old edges to a/b leave, the new edge
-  // to the merged cluster arrives at the sorted row's tail because
-  // new_id is the largest id).
+  // Rewire every neighbour from a/b to the new cluster.
   const bool track = track_threshold_ > 0.0;
   uint32_t new_count = 0;
   for (const ClusterEdge& e : merged) {
-    auto& row = rows_[e.id];
-    auto dead = std::remove_if(
-        row.begin(), row.end(), [&](const ClusterEdge& re) {
-          if (re.id != a && re.id != b) return false;
-          if (track && re.similarity >= track_threshold_) {
-            --mergeable_count_[e.id];
-          }
-          return true;
-        });
-    row.erase(dead, row.end());
-    row.push_back(ClusterEdge{new_id, e.similarity});
-    if (track) {
-      auto& strong = strong_[e.id];
-      strong.erase(std::remove_if(strong.begin(), strong.end(),
-                                  [&](uint32_t id) {
-                                    return id == a || id == b;
-                                  }),
-                   strong.end());
-    }
-    if (track && e.similarity >= track_threshold_) {
-      strong_[e.id].push_back(new_id);
-      ++mergeable_count_[e.id];
-      ++new_count;
-    }
+    RewireNeighbor(e.id, a, b, new_id, e.similarity);
+    if (track && e.similarity >= track_threshold_) ++new_count;
   }
 
   if (track) {
@@ -375,115 +395,19 @@ util::Status ClusterGraph::MergeBatch(
     }
   }
 
-  // Phase 3 — neighbour patches as a deterministic cluster-id-ordered
-  // reduction: every (neighbour, pair, similarity) triple, stably sorted
-  // by neighbour id (pairs stay ascending within a neighbour, so the
-  // appended entries keep rows id-sorted). Groups touch disjoint rows.
-  struct Patch {
-    uint32_t c;
-    uint32_t pair;
-    double similarity;
-  };
-  std::vector<Patch> patches;
+  // Phase 3 — neighbour patches, pair by pair in pair order. Rows are
+  // symmetric, so a surviving row holds an entry of pair m's endpoints
+  // only if it is a union neighbour of the pair, and pair m's merged row
+  // names it: two binary searches retire those entries and the new id
+  // lands at the tail. Ascending m appends ascending ids, so every row
+  // stays id-sorted and ends exactly as serial Merge calls leave it.
   for (uint32_t m = 0; m < num_merges; ++m) {
+    const auto [a, b] = pairs[m];
     for (const ClusterEdge& e : merged_rows[m]) {
       if (e.id >= first_new_id) break;  // cross entries live at the tail
-      patches.push_back(Patch{e.id, m, e.similarity});
+      RewireNeighbor(e.id, a, b, first_new_id + m, e.similarity);
     }
   }
-  std::stable_sort(patches.begin(), patches.end(),
-                   [](const Patch& x, const Patch& y) { return x.c < y.c; });
-  std::vector<size_t> group_starts;
-  for (size_t i = 0; i < patches.size(); ++i) {
-    if (i == 0 || patches[i].c != patches[i - 1].c) group_starts.push_back(i);
-  }
-  group_starts.push_back(patches.size());
-  auto apply_group = [&](size_t g) {
-    const size_t begin = group_starts[g];
-    const size_t end = group_starts[g + 1];
-    const uint32_t c = patches[begin].c;
-    auto& row = rows_[c];
-    // The only entries the batch can retire in a surviving row are
-    // endpoints of the pairs that patch it (every merged row emits a
-    // patch for each surviving union neighbour, so a row adjacent to a
-    // pair is always in that pair's group). Rows are id-sorted: locate
-    // the few dead entries by binary search and compact once from the
-    // first hit, instead of running a predicate over the whole row.
-    constexpr size_t kMaxGroupSearch = 32;  // beyond this, a scan is cheaper
-    uint32_t dead_pos[2 * kMaxGroupSearch];
-    uint32_t dead_strong[2 * kMaxGroupSearch];
-    size_t num_dead = 0;
-    size_t num_dead_strong = 0;
-    const bool overflow = end - begin > kMaxGroupSearch;
-    if (!overflow) {
-      for (size_t i = begin; i < end; ++i) {
-        for (const uint32_t id : {pairs[patches[i].pair].first,
-                                  pairs[patches[i].pair].second}) {
-          const auto it = std::lower_bound(
-              row.begin(), row.end(), id,
-              [](const ClusterEdge& e, uint32_t key) { return e.id < key; });
-          if (it != row.end() && it->id == id) {
-            dead_pos[num_dead++] = static_cast<uint32_t>(it - row.begin());
-            if (track && it->similarity >= track_threshold_) {
-              dead_strong[num_dead_strong++] = id;
-            }
-          }
-        }
-      }
-    }
-    if (overflow) {
-      auto dead = std::remove_if(
-          row.begin(), row.end(), [&](const ClusterEdge& re) {
-            if (match_slot_[re.id] == kUnmatched) return false;
-            if (track && re.similarity >= track_threshold_) {
-              --mergeable_count_[c];
-            }
-            return true;
-          });
-      row.erase(dead, row.end());
-      if (track) {
-        auto& strong = strong_[c];
-        strong.erase(std::remove_if(strong.begin(), strong.end(),
-                                    [&](uint32_t id) {
-                                      return match_slot_[id] != kUnmatched;
-                                    }),
-                     strong.end());
-      }
-    } else if (num_dead > 0) {
-      std::sort(dead_pos, dead_pos + num_dead);
-      size_t w = dead_pos[0];
-      size_t d = 0;
-      for (size_t r = dead_pos[0]; r < row.size(); ++r) {
-        if (d < num_dead && r == dead_pos[d]) {
-          if (track && row[r].similarity >= track_threshold_) {
-            --mergeable_count_[c];
-          }
-          ++d;
-          continue;
-        }
-        row[w++] = row[r];
-      }
-      row.resize(w);
-      if (num_dead_strong > 0) {
-        auto& strong = strong_[c];
-        for (size_t d2 = 0; d2 < num_dead_strong; ++d2) {
-          const auto it = std::lower_bound(strong.begin(), strong.end(),
-                                           dead_strong[d2]);
-          strong.erase(it);  // guaranteed present: the row entry was strong
-        }
-      }
-    }
-    for (size_t i = begin; i < end; ++i) {
-      row.push_back(
-          ClusterEdge{first_new_id + patches[i].pair, patches[i].similarity});
-      if (track && patches[i].similarity >= track_threshold_) {
-        strong_[c].push_back(first_new_id + patches[i].pair);
-        ++mergeable_count_[c];
-      }
-    }
-  };
-  const size_t num_groups = group_starts.size() - 1;
-  for (size_t g = 0; g < num_groups; ++g) apply_group(g);
 
   // Phase 4 — commit the new clusters and retire the merged ones.
   for (uint32_t m = 0; m < num_merges; ++m) {

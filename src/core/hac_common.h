@@ -59,10 +59,17 @@ struct ClusterEdge {
 // vector<ClusterEdge> per cluster) rather than hash maps, so the Eq. 4
 // linkage update is a two-pointer sorted merge and row scans are
 // sequential reads. Merged clusters always receive the next node id —
-// larger than every existing id — so rewiring a neighbour appends at the
-// row tail and sortedness is preserved without re-sorting.
+// larger than every existing id — so rewiring a neighbour removes the
+// merged pair's entries by binary search and appends at the row tail,
+// and sortedness is preserved without re-sorting.
 class ClusterGraph {
  public:
+  // `base` must have symmetric rows: v appears in u's row with weight w
+  // exactly when u appears in v's row with weight w (bit for bit), as
+  // WeightedGraph::FromRows requires and AddEdge guarantees. The rows
+  // are built as the transpose of `base`, which under that precondition
+  // is `base` itself with every row id-sorted.
+  //
   // When `track_threshold` > 0 the graph additionally maintains, per
   // cluster, the number of incident edges with similarity >=
   // track_threshold, so callers can iterate only the clusters that can
@@ -134,8 +141,8 @@ class ClusterGraph {
   // `first_new_id + m`. Produces state bit-identical to calling Merge()
   // on each pair in order: each merged row depends only on the pre-round
   // rows plus a deterministic cross-pair combination (matched pairs are
-  // vertex-disjoint), and neighbour patches apply in a cluster-id-ordered
-  // reduction. Runs on the calling thread (DESIGN.md §8 has the
+  // vertex-disjoint), and neighbour patches apply pair by pair in pair
+  // order. Runs on the calling thread (DESIGN.md §8 has the
   // measurements against a pooled batch). The full matching is validated
   // before any mutation: on error the graph is untouched, so a failed
   // round cannot leave this graph and the dendrogram divergent.
@@ -157,8 +164,14 @@ class ClusterGraph {
  private:
   static constexpr uint32_t kUnmatched = static_cast<uint32_t>(-1);
 
-  // Row-tail append plus bookkeeping shared by Merge and MergeBatch.
+  // Drops a merged cluster's row and bookkeeping (Merge, MergeBatch).
   void RetireCluster(uint32_t c);
+  // Rewires surviving neighbour c from the merged pair (a, b) to
+  // `new_id`: removes c's entries for a and b (either may be absent) by
+  // binary search and appends the new edge at the row tail, keeping
+  // strong_ and mergeable_count_ exact. Shared by Merge and MergeBatch.
+  void RewireNeighbor(uint32_t c, uint32_t a, uint32_t b, uint32_t new_id,
+                      double similarity);
 
   std::vector<std::vector<ClusterEdge>> rows_;  // id-sorted adjacency
   std::vector<uint32_t> sizes_;

@@ -1,6 +1,8 @@
 #include "core/parallel_hac.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -111,17 +113,27 @@ util::Status CommitRound(
 // smaller-endpoint order, so the dendrogram is byte-identical to the
 // brute-force statement of the round (DESIGN.md §8) at every k.
 
-// A cached strongest-neighbour slot of a row: the neighbour and the edge
-// similarity (kept so rebuilds can re-rank).
+// A row's cached strongest mergeable neighbour and the edge similarity
+// (kept so inserts can re-rank); nbr == kNoNode when the slot is empty.
+// One slot per row keeps repair cheapest: a row whose slot died is
+// patched from its floor or rebuilt from its adjacency, and exactness
+// does not depend on how many neighbours a row caches.
 struct RowSlot {
   uint32_t nbr = kNoNode;
   double similarity = 0.0;
 };
 
-// How many of its strongest mergeable neighbours each row caches. One
-// keeps repair cheapest; a row whose cached slots all died is rebuilt
-// from its adjacency, and exactness does not depend on the count.
-constexpr size_t kRowSlots = 1;
+// An edge as one integer that orders as Beats does: similarity bits
+// (a positive double's bit pattern orders as its value), then ~u and ~v
+// so the smaller id pair wins a tie; an invalid edge is 0 and never
+// beats. Valid lbs are >= the threshold > 0, so their keys are > 0.
+using EdgeKey = unsigned __int128;
+
+EdgeKey KeyOf(const BestEdge& e) {
+  if (!e.valid()) return 0;
+  return (static_cast<EdgeKey>(std::bit_cast<uint64_t>(e.similarity)) << 64) |
+         (static_cast<EdgeKey>(~e.u) << 32) | static_cast<EdgeKey>(~e.v);
+}
 
 // Cached refutation of a candidate pair: `blocker` is an edge that beats
 // `pair` and was reachable through the live `witness` chain (anchor
@@ -175,10 +187,10 @@ class DeltaFrontier {
 
   const BestEdge& lb(uint32_t v) const { return lb_[v]; }
 
-  // Rebuilds lb(v) and the cached slots from v's current adjacency row.
+  // Rebuilds lb(v) and the cached slot from v's current adjacency row.
   // Thread-safe across distinct vertices: only v's own state is touched.
   void RebuildRow(uint32_t v) {
-    slots_[v].clear();
+    slots_[v] = RowSlot{};
     floor_[v] = -1.0;
     BestEdge lb;
     // Rows keep sub-threshold edges (the linkage rule needs them), but
@@ -201,48 +213,26 @@ class DeltaFrontier {
   // Exact only when v's cached row is otherwise current — i.e. the
   // caller already repaired the batch's deaths via PatchRowForDeaths
   // (or RebuildRow). New ids are allocated above every existing id, so
-  // the stable insertion keeps the (similarity desc, id asc) slot order
-  // a full rebuild would produce.
+  // the no-swap-on-tie insert seats the edge a full rebuild would.
   void AddMergeableEdge(uint32_t v, uint32_t c, double sim) {
     FoldMax(lb_[v], BestEdge{std::min(v, c), std::max(v, c), sim});
     if (InsertSlot(v, c, sim)) holders_[c].push_back(v);
   }
 
   // Surgical repair of v's cached row after a merge batch retired some
-  // of its neighbours, in O(slots) with no adjacency scan. Every mergeable
-  // edge of v outside the slots has similarity <= floor_[v] (the
-  // strongest edge ever evicted from or refused a slot), and merges
-  // never touch similarities between surviving clusters; so when the
-  // best surviving slot strictly beats the floor it is the exact row
-  // maximum, and the shrunken slot list remains a valid — merely
-  // smaller — top-k (exactness never depends on the slot count). A dead lb
-  // always names a dead slot (the best edge is always slot material),
-  // so the no-deaths case needs no lb repair. When the floor is in
-  // reach — the survivors no longer provably dominate the dominated
-  // remainder — returns false and the caller falls back to RebuildRow.
+  // of its neighbours, in O(1) with no adjacency scan. The slot holds
+  // v's lb edge (the best edge is always slot material), so a live slot
+  // means nothing v's lb depends on died. A dead slot with no floor
+  // (no mergeable edge was ever evicted from or refused the slot) means
+  // v has no other mergeable edge: its lb is gone. When the floor is
+  // set, dominated edges may survive and the caller falls back to
+  // RebuildRow (returns false).
   bool PatchRowForDeaths(uint32_t v) {
-    auto& slots = slots_[v];
-    const size_t before = slots.size();
-    size_t w = 0;
-    for (size_t i = 0; i < before; ++i) {
-      if (clusters_.IsActive(slots[i].nbr)) {
-        if (w != i) slots[w] = slots[i];
-        ++w;
-      }
-    }
-    if (w == before) return true;  // nothing died; lb is a slot, so alive
-    slots.resize(w);
-    if (w == 0) {
-      if (floor_[v] >= 0.0) return false;  // dominated edges may survive
-      lb_[v] = BestEdge{};
-      return true;
-    }
-    // Slots are (similarity desc, pair asc): the front is the Beats-max
-    // of the survivors. Strict: an outside edge tying the floor could
-    // still win on pair order.
-    if (slots[0].similarity <= floor_[v]) return false;
-    lb_[v] = BestEdge{std::min(v, slots[0].nbr), std::max(v, slots[0].nbr),
-                      slots[0].similarity};
+    RowSlot& slot = slots_[v];
+    if (slot.nbr == kNoNode || clusters_.IsActive(slot.nbr)) return true;
+    slot = RowSlot{};
+    if (floor_[v] >= 0.0) return false;
+    lb_[v] = BestEdge{};
     return true;
   }
 
@@ -507,58 +497,58 @@ class DeltaFrontier {
   // edge-disjoint runner-up is the one that survives the death of the
   // top edge and makes the O(1) promotion in M1() fire. Ties resolve to
   // the first holder in ascending row order (v itself first), matching
-  // what the incremental folds produce.
+  // what the incremental folds produce. Both running entries are
+  // carried as keys (KeyOf), each neighbour's computed once, so the
+  // scan compares integers; the edges are read back from their holders'
+  // lbs at the end.
   void RescanM1(uint32_t v) {
-    BestEdge e1 = lb_[v];
-    BestEdge e2;
+    EdgeKey k1 = KeyOf(lb_[v]);
+    EdgeKey k2 = 0;
     uint32_t s1 = v;
     uint32_t s2 = kNoNode;
     for (const uint32_t y : clusters_.StrongNeighbors(v)) {
-      const BestEdge& cand = lb_[y];
-      if (Beats(cand, e1)) {
+      const EdgeKey k = KeyOf(lb_[y]);
+      if (k > k1) {
         // A strict beat is a different edge, so the displaced maximum
         // is runner-up eligible — and beats the old runner-up.
-        e2 = e1;
+        k2 = k1;
         s2 = s1;
-        e1 = cand;
+        k1 = k;
         s1 = y;
-      } else if (!(cand == e1) && Beats(cand, e2)) {
-        e2 = cand;
+      } else if (k != k1 && k > k2) {
+        k2 = k;
         s2 = y;
       }
     }
-    m1_[v] = e1;
+    m1_[v] = lb_[s1];
     m1_src_[v] = s1;
-    m2_[v] = e2;
-    m2_src_[v] = e2.valid() ? s2 : kNoNode;
+    m2_[v] = k2 != 0 ? lb_[s2] : BestEdge{};
+    m2_src_[v] = k2 != 0 ? s2 : kNoNode;
     m1_stale_[v] = kM1Full;
   }
 
-  // Keeps v's slots sorted by (similarity desc, id asc) and capped at
-  // kRowSlots. Rows are scanned in ascending id order, so the stable "no
-  // swap on equal similarity" rule realises the ties-to-smaller-id
-  // order. An edge that is refused a slot or evicted by the cap raises
-  // the row's floor: it still exists in the graph, and PatchRowForDeaths
-  // may only trust the surviving slots while they strictly beat
-  // everything pushed out.
+  // Seats (id, sim) in v's slot when it strictly beats the occupant.
+  // Rows are scanned in ascending id order and new ids are the largest,
+  // so "no swap on equal similarity" realises the ties-to-smaller-id
+  // order. An edge that is refused the slot or evicted from it raises
+  // the row's floor: it still exists in the graph, and
+  // PatchRowForDeaths may only trust the slot while nothing pushed out
+  // can take its place.
   bool InsertSlot(uint32_t v, uint32_t id, double sim) {
-    auto& slots = slots_[v];
-    size_t pos = slots.size();
-    while (pos > 0 && slots[pos - 1].similarity < sim) --pos;
-    if (slots.size() == kRowSlots) {
-      if (pos == slots.size()) {
+    RowSlot& slot = slots_[v];
+    if (slot.nbr != kNoNode) {
+      if (!(slot.similarity < sim)) {
         floor_[v] = std::max(floor_[v], sim);
         return false;
       }
-      floor_[v] = std::max(floor_[v], slots.back().similarity);
-      slots.pop_back();
+      floor_[v] = std::max(floor_[v], slot.similarity);
     }
-    slots.insert(slots.begin() + pos, RowSlot{id, sim});
+    slot = RowSlot{id, sim};
     return true;
   }
 
   // Reverse slot index: holders_[c] lists every vertex that has (or
-  // once had) c seated in its slots — a small superset of the
+  // once had) c seated in its slot — a small superset of the
   // rows a death of c can invalidate, so post-merge repair visits slot
   // holders instead of whole adjacency rows. Entries are appended on
   // seat and never removed on eviction (PatchRowForDeaths on a row that
@@ -566,7 +556,7 @@ class DeltaFrontier {
   // is drained once and freed.
  public:
   void RecordHolders(uint32_t v) {
-    for (const RowSlot& s : slots_[v]) holders_[s.nbr].push_back(v);
+    if (slots_[v].nbr != kNoNode) holders_[slots_[v].nbr].push_back(v);
   }
   void DrainHolders(uint32_t dead, std::vector<uint32_t>& out) {
     auto& h = holders_[dead];
@@ -578,7 +568,7 @@ class DeltaFrontier {
   ClusterGraph& clusters_;
   const double threshold_;
   std::vector<BestEdge> lb_;
-  std::vector<std::vector<RowSlot>> slots_;
+  std::vector<RowSlot> slots_;
   std::vector<BestEdge> m1_;
   std::vector<uint32_t> m1_src_;
   std::vector<BestEdge> m2_;
@@ -587,10 +577,10 @@ class DeltaFrontier {
   std::vector<RejectionCache> blocked_;
   std::vector<uint8_t> parked_;
   std::vector<std::vector<uint32_t>> watch_;
-  // Max similarity ever pushed out of (or refused) v's slots: an upper
-  // bound on every mergeable edge of v not currently holding a slot.
+  // Max similarity ever pushed out of (or refused) v's slot: an upper
+  // bound on every mergeable edge of v not currently holding it.
   std::vector<double> floor_;
-  // See RecordHolders: who seats (or seated) each id in their slots.
+  // See RecordHolders: who seats (or seated) each id in their slot.
   std::vector<std::vector<uint32_t>> holders_;
   std::vector<uint32_t> bfs_stamp_;
   uint32_t bfs_round_ = 0;
@@ -659,7 +649,7 @@ util::Status RunRounds(const ParallelHacOptions& options,
 
     if (!initialized) {
       // First round: build every frontier row once, in parallel (each
-      // vertex writes only its own slots), and derive the mutual-pair
+      // vertex writes only its own slot), and derive the mutual-pair
       // set with one full scan.
       SHOAL_TRACE_SPAN("hac.delta_init");
       std::vector<uint32_t> active = clusters.MergeableClusters();
@@ -670,8 +660,8 @@ util::Status RunRounds(const ParallelHacOptions& options,
               frontier.RebuildRow(active[i]);
             }
           });
-      // Holder registration is serial: a row's slots name other vertices'
-      // lists, which the parallel rebuild above must not touch.
+      // Holder registration is serial: a row's slot names another
+      // vertex, whose list the parallel rebuild above must not touch.
       for (uint32_t v : active) frontier.RecordHolders(v);
       candidates.clear();
       for (uint32_t v : active) {
@@ -742,7 +732,7 @@ util::Status RunRounds(const ParallelHacOptions& options,
     }
     if (to_merge.empty()) break;
 
-    // Every vertex whose cached lb/slots might reference a dying
+    // Every vertex whose cached lb/slot might reference a dying
     // cluster seated that cluster in a slot at some point, so the
     // reverse slot index names them all directly — no adjacency-row
     // scans of the retiring endpoints.
@@ -769,9 +759,9 @@ util::Status RunRounds(const ParallelHacOptions& options,
       SHOAL_TRACE_SPAN("hac.delta_update");
       const uint32_t end_id = static_cast<uint32_t>(dendrogram.num_nodes());
       lb_changes.clear();
-      // Repair every survivor adjacent to a retired endpoint in
-      // O(kRowSlots); only the rare undecidable row (its cached slots
-      // wiped out whole) falls back to an adjacency rescan.
+      // Repair every survivor adjacent to a retired endpoint in O(1);
+      // only the undecidable row (its slot died with a floor set) falls
+      // back to an adjacency rescan.
       dirty.clear();
       for (uint32_t v : rebuild_cands) {
         if (!clusters.IsActive(v)) continue;
@@ -797,7 +787,7 @@ util::Status RunRounds(const ParallelHacOptions& options,
       // One pass over each new cluster's mergeable edges builds its own
       // row (the same fold + stable insert a rebuild would run) and
       // hands the reverse edge to each surviving old neighbour, whose
-      // just-repaired row takes the O(kRowSlots) incremental insert — unless
+      // just-repaired row takes the O(1) incremental insert — unless
       // it fell back to a full rescan above, which already saw the edge.
       // An edge between two new clusters is registered once from each
       // side as their rows are built.

@@ -102,15 +102,12 @@ util::Result<std::unique_ptr<TaxonomyDaemon>> TaxonomyDaemon::Create(
 
   if (!options.snapshot_path.empty() &&
       std::filesystem::exists(options.snapshot_path)) {
-    SHOAL_ASSIGN_OR_RETURN(ckpt::SnapshotFile file,
-                           ckpt::ReadSnapshotFile(options.snapshot_path));
-    if (file.kind != ckpt::SnapshotKind::kDaemonWindow) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "%s holds a %s snapshot, not daemon window state",
-          options.snapshot_path.c_str(), ckpt::SnapshotKindName(file.kind)));
-    }
+    SHOAL_ASSIGN_OR_RETURN(
+        std::string payload,
+        ckpt::ReadSnapshotFile(options.snapshot_path,
+                               ckpt::SnapshotKind::kDaemonWindow));
     SHOAL_ASSIGN_OR_RETURN(ckpt::DaemonWindowData data,
-                           ckpt::DecodeDaemonWindow(file.payload));
+                           ckpt::DecodeDaemonWindow(payload));
     SHOAL_RETURN_IF_ERROR(daemon->Restore(data));
   }
   return daemon;

@@ -104,21 +104,21 @@ TEST_F(SnapshotTest, FileRoundTrip) {
   const std::string path = Path("eg.snap");
   ASSERT_TRUE(
       WriteSnapshotFile(path, SnapshotKind::kEntityGraph, payload).ok());
-  auto file = ReadSnapshotFile(path);
+  auto file = ReadSnapshotFile(path, SnapshotKind::kEntityGraph);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
-  EXPECT_EQ(file->kind, SnapshotKind::kEntityGraph);
-  EXPECT_EQ(file->payload, payload);
+  EXPECT_EQ(*file, payload);
 }
 
 TEST_F(SnapshotTest, MissingFileIsCleanError) {
-  auto file = ReadSnapshotFile(Path("nope.snap"));
+  auto file =
+      ReadSnapshotFile(Path("nope.snap"), SnapshotKind::kEntityGraph);
   EXPECT_FALSE(file.ok());
 }
 
 TEST_F(SnapshotTest, RejectsWrongMagic) {
   const std::string path = Path("bad.snap");
   ASSERT_TRUE(util::WriteTextFile(path, "NOTASNAPxxxxxxxxxxxx").ok());
-  auto file = ReadSnapshotFile(path);
+  auto file = ReadSnapshotFile(path, SnapshotKind::kEntityGraph);
   EXPECT_EQ(file.status().code(), util::StatusCode::kInvalidArgument);
 }
 
@@ -132,7 +132,7 @@ TEST_F(SnapshotTest, RejectsVersionSkew) {
   std::string tampered = bytes.value();
   tampered[8] = static_cast<char>(kSnapshotVersion + 1);  // version field
   ASSERT_TRUE(util::WriteTextFile(path, tampered).ok());
-  auto file = ReadSnapshotFile(path);
+  auto file = ReadSnapshotFile(path, SnapshotKind::kEntityGraph);
   ASSERT_FALSE(file.ok());
   EXPECT_NE(file.status().message().find("version"), std::string::npos);
 }
@@ -148,15 +148,16 @@ TEST_F(SnapshotTest, EveryTruncationFailsCleanly) {
   for (size_t len = 0; len < full.size(); ++len) {
     const std::string trunc_path = Path("trunc.snap");
     ASSERT_TRUE(util::WriteTextFile(trunc_path, full.substr(0, len)).ok());
-    auto file = ReadSnapshotFile(trunc_path);
+    auto file = ReadSnapshotFile(trunc_path, SnapshotKind::kEntityGraph);
     ASSERT_FALSE(file.ok()) << "truncated to " << len << " bytes";
   }
 }
 
 // The entity graph is a build's only resume point: every single-bit
-// flip anywhere in its file, header or payload, must fail the read or,
-// for one flip of the kind field (1 -> 3), stop it reading as an
-// entity graph.
+// flip anywhere in its file, header or payload, must fail the read. The
+// CRC covers the payload; the header fields are checked one by one, and
+// the kind flip 1 -> 3 (a well-framed daemon-window file) fails because
+// the reader names the kind it expects.
 TEST_F(SnapshotTest, EveryBitFlipInEntityGraphSnapshotIsDetected) {
   const std::string payload = EncodeEntityGraph(SampleGraph());
   const std::string path = Path("flip.snap");
@@ -170,8 +171,7 @@ TEST_F(SnapshotTest, EveryBitFlipInEntityGraphSnapshotIsDetected) {
       std::string tampered = full;
       tampered[i] = static_cast<char>(tampered[i] ^ (1 << bit));
       ASSERT_TRUE(util::WriteTextFile(path, tampered).ok());
-      auto file = ReadSnapshotFile(path);
-      EXPECT_TRUE(!file.ok() || file->kind != SnapshotKind::kEntityGraph)
+      EXPECT_FALSE(ReadSnapshotFile(path, SnapshotKind::kEntityGraph).ok())
           << "byte " << i << " bit " << bit;
     }
   }
@@ -180,14 +180,21 @@ TEST_F(SnapshotTest, EveryBitFlipInEntityGraphSnapshotIsDetected) {
 TEST_F(SnapshotTest, RejectsKindMismatch) {
   const std::string payload = EncodeEntityGraph(SampleGraph());
   const std::string path = Path("k.snap");
-  // Written under the wrong kind tag: the frame reads fine but decoding
-  // as the claimed kind must fail.
+  // Written under the wrong kind tag: a reader expecting an entity
+  // graph rejects the frame, and one expecting the claimed kind reads
+  // it but cannot decode the payload as that kind.
   ASSERT_TRUE(
       WriteSnapshotFile(path, SnapshotKind::kDaemonWindow, payload).ok());
-  auto file = ReadSnapshotFile(path);
+  auto as_graph = ReadSnapshotFile(path, SnapshotKind::kEntityGraph);
+  ASSERT_FALSE(as_graph.ok());
+  EXPECT_EQ(as_graph.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(as_graph.status().message().find(
+                "holds a daemon_window snapshot, expected entity_graph"),
+            std::string::npos)
+      << as_graph.status().ToString();
+  auto file = ReadSnapshotFile(path, SnapshotKind::kDaemonWindow);
   ASSERT_TRUE(file.ok());
-  EXPECT_EQ(file->kind, SnapshotKind::kDaemonWindow);
-  EXPECT_FALSE(DecodeDaemonWindow(file->payload).ok());
+  EXPECT_FALSE(DecodeDaemonWindow(*file).ok());
 }
 
 // Kind 2 once named mid-HAC cluster state. Nothing writes or reads it
@@ -197,7 +204,7 @@ TEST_F(SnapshotTest, RejectsRetiredKind2) {
   ASSERT_TRUE(WriteSnapshotFile(path, static_cast<SnapshotKind>(2),
                                 EncodeEntityGraph(SampleGraph()))
                   .ok());
-  auto file = ReadSnapshotFile(path);
+  auto file = ReadSnapshotFile(path, SnapshotKind::kEntityGraph);
   ASSERT_FALSE(file.ok());
   EXPECT_EQ(file.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(file.status().message().find("unknown snapshot kind 2"),
@@ -268,10 +275,9 @@ TEST_F(SnapshotTest, DaemonWindowFileRoundTripUnderKind3) {
   const std::string path = Path("dw.snap");
   ASSERT_TRUE(
       WriteSnapshotFile(path, SnapshotKind::kDaemonWindow, payload).ok());
-  auto file = ReadSnapshotFile(path);
+  auto file = ReadSnapshotFile(path, SnapshotKind::kDaemonWindow);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
-  EXPECT_EQ(file->kind, SnapshotKind::kDaemonWindow);
-  EXPECT_EQ(file->payload, payload);
+  EXPECT_EQ(*file, payload);
 }
 
 TEST_F(SnapshotTest, DaemonWindowRejectsStructuralCorruption) {
@@ -318,7 +324,7 @@ TEST_F(SnapshotTest, DaemonWindowEveryTruncationFailsCleanly) {
   for (size_t len = 0; len < full.size(); ++len) {
     const std::string trunc_path = Path("dw_trunc.snap");
     ASSERT_TRUE(util::WriteTextFile(trunc_path, full.substr(0, len)).ok());
-    auto file = ReadSnapshotFile(trunc_path);
+    auto file = ReadSnapshotFile(trunc_path, SnapshotKind::kDaemonWindow);
     ASSERT_FALSE(file.ok()) << "truncated to " << len << " bytes";
   }
 }
@@ -336,9 +342,9 @@ TEST_F(SnapshotTest, DaemonWindowEveryBitFlipIsDetectedOrRejected) {
     std::string tampered = full;
     tampered[i] = static_cast<char>(tampered[i] ^ 0x10);
     ASSERT_TRUE(util::WriteTextFile(path, tampered).ok());
-    auto file = ReadSnapshotFile(path);
+    auto file = ReadSnapshotFile(path, SnapshotKind::kDaemonWindow);
     if (!file.ok()) continue;  // caught by header/CRC validation
-    (void)DecodeDaemonWindow(file->payload);
+    (void)DecodeDaemonWindow(*file);
   }
 }
 

@@ -1,9 +1,15 @@
 #include "core/hac_common.h"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/random.h"
 
 namespace shoal::core {
 namespace {
@@ -314,6 +320,297 @@ TEST(ClusterGraphTest, MergeBatchEmptyIsNoOp) {
   EXPECT_TRUE(clusters.MergeBatch({}, 4, LinkageRule::kMax).ok());
   EXPECT_EQ(clusters.num_active(), 4u);
   EXPECT_EQ(clusters.num_nodes(), 4u);
+}
+
+// --- Randomized oracles for the constructor and MergeBatch --------------
+
+// A seeded random symmetric graph. Vertices are isolated with
+// probability 1/6; when `hub` is set, vertex n/2 is adjacent to every
+// other vertex (no vertex is isolated then). Weights sit on a 1/16 grid
+// so thresholds and ties are common.
+struct RandomGraphSpec {
+  uint32_t n = 0;
+  std::vector<graph::WeightedGraph::FullEdge> edges;  // u < v, shuffled
+};
+
+RandomGraphSpec RandomSymmetricGraph(uint64_t seed, bool hub) {
+  util::Rng rng(seed);
+  RandomGraphSpec spec;
+  spec.n = 1 + static_cast<uint32_t>(rng.Uniform(80));
+  const uint32_t center = spec.n / 2;
+  std::vector<bool> isolated(spec.n, false);
+  if (!hub) {
+    for (uint32_t v = 0; v < spec.n; ++v) isolated[v] = rng.Uniform(6) == 0;
+  }
+  const double density = 0.05 + 0.3 * rng.UniformDouble();
+  for (uint32_t u = 0; u < spec.n; ++u) {
+    for (uint32_t v = u + 1; v < spec.n; ++v) {
+      if (isolated[u] || isolated[v]) continue;
+      const bool at_hub = hub && (u == center || v == center);
+      if (!at_hub && !rng.Bernoulli(density)) continue;
+      spec.edges.push_back(
+          {u, v, static_cast<double>(1 + rng.Uniform(16)) / 16.0});
+    }
+  }
+  for (size_t i = spec.edges.size(); i > 1; --i) {
+    std::swap(spec.edges[i - 1], spec.edges[rng.Uniform(i)]);
+  }
+  return spec;
+}
+
+graph::WeightedGraph ViaAddEdge(const RandomGraphSpec& spec) {
+  graph::WeightedGraph g(spec.n);
+  for (const auto& e : spec.edges) {
+    EXPECT_TRUE(g.AddEdge(e.u, e.v, e.weight).ok());
+  }
+  return g;
+}
+
+// The same graph adopted through FromRows, each row in shuffled order.
+graph::WeightedGraph ViaShuffledRows(const RandomGraphSpec& spec,
+                                     uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<graph::Edge>> rows(spec.n);
+  for (const auto& e : spec.edges) {
+    rows[e.u].push_back({e.v, e.weight});
+    rows[e.v].push_back({e.u, e.weight});
+  }
+  for (auto& row : rows) {
+    for (size_t i = row.size(); i > 1; --i) {
+      std::swap(row[i - 1], row[rng.Uniform(i)]);
+    }
+  }
+  return graph::WeightedGraph::FromRows(std::move(rows));
+}
+
+// Reference construction, row by row: copy each base row and sort it
+// by id. It needs no symmetric-rows precondition.
+struct ReferenceRows {
+  std::vector<std::vector<ClusterEdge>> rows;
+  std::vector<std::vector<uint32_t>> strong;
+  std::vector<uint32_t> counts;
+  std::vector<uint32_t> mergeable;
+};
+
+ReferenceRows SortedRowCopy(const graph::WeightedGraph& base,
+                            double track_threshold) {
+  ReferenceRows ref;
+  const uint32_t n = static_cast<uint32_t>(base.num_vertices());
+  ref.rows.resize(n);
+  ref.strong.resize(n);
+  ref.counts.assign(n, 0);
+  for (uint32_t u = 0; u < n; ++u) {
+    for (const graph::Edge& e : base.Neighbors(u)) {
+      ref.rows[u].push_back(ClusterEdge{e.to, e.weight});
+    }
+    std::sort(ref.rows[u].begin(), ref.rows[u].end(),
+              [](const ClusterEdge& x, const ClusterEdge& y) {
+                return x.id < y.id;
+              });
+    if (track_threshold <= 0.0) continue;
+    for (const ClusterEdge& e : ref.rows[u]) {
+      if (e.similarity < track_threshold) continue;
+      ref.strong[u].push_back(e.id);
+      ++ref.counts[u];
+    }
+    if (ref.counts[u] > 0) ref.mergeable.push_back(u);
+  }
+  return ref;
+}
+
+void ExpectMatchesReference(ClusterGraph& clusters,
+                            const ReferenceRows& ref, bool track,
+                            const std::string& label) {
+  ASSERT_EQ(clusters.num_nodes(), ref.rows.size()) << label;
+  for (uint32_t u = 0; u < ref.rows.size(); ++u) {
+    EXPECT_EQ(clusters.Neighbors(u), ref.rows[u]) << label << " row " << u;
+    EXPECT_EQ(clusters.MergeableEdgeCount(u), ref.counts[u])
+        << label << " row " << u;
+    EXPECT_EQ(clusters.StrongNeighbors(u), ref.strong[u])
+        << label << " row " << u;
+  }
+  if (track) {
+    EXPECT_EQ(clusters.MergeableClusters(), ref.mergeable) << label;
+  }
+}
+
+// The transpose construction equals an id-sorted copy of every row, for
+// graphs built by AddEdge and for FromRows with rows in any order.
+TEST(ClusterGraphTest, ConstructorMatchesSortedRowCopyOnRandomGraphs) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const RandomGraphSpec spec = RandomSymmetricGraph(seed, seed % 3 == 0);
+    for (const double threshold : {0.0, 0.5}) {
+      const bool track = threshold > 0.0;
+      const graph::WeightedGraph added = ViaAddEdge(spec);
+      const graph::WeightedGraph adopted = ViaShuffledRows(spec, seed + 99);
+      const ReferenceRows ref = SortedRowCopy(added, threshold);
+      ClusterGraph from_added(added, threshold);
+      ClusterGraph from_adopted(adopted, threshold);
+      const std::string label = "seed " + std::to_string(seed) +
+                                " threshold " + std::to_string(threshold);
+      ExpectMatchesReference(from_added, ref, track, label + " AddEdge");
+      ExpectMatchesReference(from_adopted, ref, track, label + " FromRows");
+    }
+  }
+}
+
+// Everything MergeBatch maintains, compared field by field.
+void ExpectSameState(ClusterGraph& batched, ClusterGraph& serial,
+                     const std::string& label) {
+  ASSERT_EQ(batched.num_nodes(), serial.num_nodes()) << label;
+  EXPECT_EQ(batched.num_active(), serial.num_active()) << label;
+  for (uint32_t c = 0; c < serial.num_nodes(); ++c) {
+    ASSERT_EQ(batched.IsActive(c), serial.IsActive(c)) << label << " " << c;
+    if (!serial.IsActive(c)) continue;
+    EXPECT_EQ(batched.ClusterSize(c), serial.ClusterSize(c))
+        << label << " " << c;
+    EXPECT_EQ(batched.Neighbors(c), serial.Neighbors(c))
+        << label << " row " << c;
+    EXPECT_EQ(batched.MergeableEdgeCount(c), serial.MergeableEdgeCount(c))
+        << label << " row " << c;
+    EXPECT_EQ(batched.StrongNeighbors(c), serial.StrongNeighbors(c))
+        << label << " row " << c;
+  }
+  EXPECT_EQ(batched.MergeableClusters(), serial.MergeableClusters())
+      << label;
+}
+
+// Serial Eq. 4 merges over ordered maps, with none of ClusterGraph's
+// row code: Merge and MergeBatch share the neighbour rewiring, so the
+// batch-vs-serial comparison alone could not see a fault in it.
+struct MapModel {
+  std::vector<std::map<uint32_t, double>> rows;
+  std::vector<uint32_t> sizes;
+  std::vector<bool> active;
+
+  explicit MapModel(const graph::WeightedGraph& g)
+      : rows(g.num_vertices()),
+        sizes(g.num_vertices(), 1),
+        active(g.num_vertices(), true) {
+    for (uint32_t u = 0; u < g.num_vertices(); ++u) {
+      for (const graph::Edge& e : g.Neighbors(u)) rows[u][e.to] = e.weight;
+    }
+  }
+
+  void Merge(uint32_t a, uint32_t b, LinkageRule rule) {
+    const uint32_t new_id = static_cast<uint32_t>(rows.size());
+    std::map<uint32_t, double> merged;
+    for (const uint32_t side : {a, b}) {
+      for (const auto& [c, s] : rows[side]) {
+        if (c == a || c == b || merged.count(c)) continue;
+        const double s_ac = rows[a].count(c) ? rows[a].at(c) : 0.0;
+        const double s_bc = rows[b].count(c) ? rows[b].at(c) : 0.0;
+        merged[c] = MergedSimilarity(rule, s_ac, s_bc, sizes[a], sizes[b]);
+      }
+    }
+    for (const auto& [c, s] : merged) {
+      rows[c].erase(a);
+      rows[c].erase(b);
+      rows[c][new_id] = s;
+    }
+    rows.push_back(std::move(merged));
+    sizes.push_back(sizes[a] + sizes[b]);
+    active.push_back(true);
+    rows[a].clear();
+    rows[b].clear();
+    active[a] = false;
+    active[b] = false;
+  }
+};
+
+void ExpectMatchesModel(ClusterGraph& clusters, const MapModel& model,
+                        double threshold, const std::string& label) {
+  ASSERT_EQ(clusters.num_nodes(), model.rows.size()) << label;
+  std::vector<uint32_t> mergeable;
+  for (uint32_t c = 0; c < model.rows.size(); ++c) {
+    ASSERT_EQ(clusters.IsActive(c), model.active[c]) << label << " " << c;
+    if (!model.active[c]) continue;
+    EXPECT_EQ(clusters.ClusterSize(c), model.sizes[c]) << label << " " << c;
+    std::vector<ClusterEdge> row;
+    std::vector<uint32_t> strong;
+    for (const auto& [id, s] : model.rows[c]) {
+      row.push_back(ClusterEdge{id, s});
+      if (s >= threshold) strong.push_back(id);
+    }
+    EXPECT_EQ(clusters.Neighbors(c), row) << label << " row " << c;
+    EXPECT_EQ(clusters.StrongNeighbors(c), strong) << label << " row " << c;
+    EXPECT_EQ(clusters.MergeableEdgeCount(c), strong.size())
+        << label << " row " << c;
+    if (!strong.empty()) mergeable.push_back(c);
+  }
+  EXPECT_EQ(clusters.MergeableClusters(), mergeable) << label;
+}
+
+// MergeBatch equals serial Merge calls, and both equal the map model,
+// strong lists and counts included, on seeded random matchings of 1-30
+// pairs over three successive batches (so later batches patch rows
+// whose tails already hold merged ids). Every graph has a hub that
+// stays unmatched, so its row neighbours every pair and holds both
+// endpoints of each; the loop counts both row shapes to show they were
+// exercised.
+TEST(ClusterGraphTest, MergeBatchMatchesSerialMergesOnRandomMatchings) {
+  const LinkageRule rules[] = {
+      LinkageRule::kSqrtNormalized, LinkageRule::kArithmeticMean,
+      LinkageRule::kMax, LinkageRule::kMin};
+  constexpr double kThreshold = 0.5;
+  size_t rows_near_several_pairs = 0;
+  size_t rows_holding_both_endpoints = 0;
+  for (uint64_t seed = 1; seed <= 80; ++seed) {
+    const RandomGraphSpec spec = RandomSymmetricGraph(seed, /*hub=*/true);
+    if (spec.n < 3) continue;
+    const uint32_t hub = spec.n / 2;
+    const LinkageRule rule = rules[seed % 4];
+    const graph::WeightedGraph g = ViaAddEdge(spec);
+    ClusterGraph batched(g, kThreshold);
+    ClusterGraph serial(g, kThreshold);
+    MapModel model(g);
+    util::Rng rng(seed * 7919);
+    for (int batch = 0; batch < 3; ++batch) {
+      std::vector<uint32_t> pool;
+      for (uint32_t c : serial.ActiveClusters()) {
+        if (c != hub) pool.push_back(c);
+      }
+      for (size_t i = pool.size(); i > 1; --i) {
+        std::swap(pool[i - 1], pool[rng.Uniform(i)]);
+      }
+      const size_t want = 1 + rng.Uniform(30);
+      std::vector<std::pair<uint32_t, uint32_t>> pairs;
+      for (size_t i = 0; i + 1 < pool.size() && pairs.size() < want; i += 2) {
+        pairs.emplace_back(pool[i], pool[i + 1]);
+      }
+      if (pairs.empty()) break;
+
+      // Coverage of the two row shapes the patch has to get right.
+      for (uint32_t c : serial.ActiveClusters()) {
+        size_t near = 0;
+        for (const auto& [a, b] : pairs) {
+          const bool has_a = serial.HasNeighbor(c, a);
+          const bool has_b = serial.HasNeighbor(c, b);
+          if (c == a || c == b) continue;
+          near += has_a || has_b;
+          rows_holding_both_endpoints += has_a && has_b;
+        }
+        rows_near_several_pairs += near >= 2;
+      }
+
+      const uint32_t first_new_id = static_cast<uint32_t>(serial.num_nodes());
+      for (uint32_t m = 0; m < pairs.size(); ++m) {
+        ASSERT_TRUE(serial
+                        .Merge(pairs[m].first, pairs[m].second,
+                               first_new_id + m, rule)
+                        .ok());
+        model.Merge(pairs[m].first, pairs[m].second, rule);
+      }
+      ASSERT_TRUE(batched.MergeBatch(pairs, first_new_id, rule).ok());
+      const std::string label = "seed " + std::to_string(seed) + " batch " +
+                                std::to_string(batch) + " rule " +
+                                LinkageRuleName(rule);
+      ExpectSameState(batched, serial, label);
+      ExpectMatchesModel(serial, model, kThreshold, label);
+    }
+  }
+  EXPECT_GT(rows_near_several_pairs, 0u);
+  EXPECT_GT(rows_holding_both_endpoints, 0u);
 }
 
 }  // namespace

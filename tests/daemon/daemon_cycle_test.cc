@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/snapshot.h"
 #include "core/entity_graph.h"
 #include "daemon/daemon.h"
 #include "data/drift_log.h"
@@ -227,6 +228,26 @@ TEST_F(DaemonCycleTest, OptionsSkewAgainstSnapshotIsRejected) {
     EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument)
         << "case " << i;
   }
+}
+
+// A well-framed snapshot of another kind at the snapshot path is
+// refused by the frame reader before any restore runs.
+TEST_F(DaemonCycleTest, SnapshotOfAnotherKindIsRejected) {
+  auto log = MakeLog(/*num_days=*/1);
+  const std::string spool = MakeSpool(log, 1, "spool");
+  DaemonOptions options = MakeOptions(spool, "a");
+  graph::WeightedGraph graph(2);
+  ASSERT_TRUE(graph.AddEdge(0, 1, 0.5).ok());
+  ASSERT_TRUE(ckpt::WriteSnapshotFile(options.snapshot_path,
+                                      ckpt::SnapshotKind::kEntityGraph,
+                                      ckpt::EncodeEntityGraph(graph))
+                  .ok());
+  auto rejected = TaxonomyDaemon::Create(options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("expected daemon_window"),
+            std::string::npos)
+      << rejected.status().ToString();
 }
 
 // A snapshot taken while the window is still filling holds every day

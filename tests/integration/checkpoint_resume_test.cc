@@ -100,10 +100,10 @@ class CheckpointResumeTest : public ::testing::Test {
 
   // The snapshot on disk holds exactly `graph`.
   void ExpectSnapshotHolds(const graph::WeightedGraph& graph) {
-    auto file = ckpt::ReadSnapshotFile(Snapshot());
-    ASSERT_TRUE(file.ok()) << file.status().ToString();
-    EXPECT_EQ(file->kind, ckpt::SnapshotKind::kEntityGraph);
-    EXPECT_EQ(file->payload, ckpt::EncodeEntityGraph(graph));
+    auto payload =
+        ckpt::ReadSnapshotFile(Snapshot(), ckpt::SnapshotKind::kEntityGraph);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    EXPECT_EQ(*payload, ckpt::EncodeEntityGraph(graph));
   }
 
   std::filesystem::path dir_;
@@ -222,7 +222,9 @@ TEST_F(CheckpointResumeTest, BitFlippedSnapshotResumesAsFreshBuild) {
   std::string tampered = bytes.value();
   tampered[tampered.size() / 2] ^= 0x01;
   ASSERT_TRUE(util::WriteTextFile(Snapshot(), tampered).ok());
-  ASSERT_FALSE(ckpt::ReadSnapshotFile(Snapshot()).ok());
+  ASSERT_FALSE(
+      ckpt::ReadSnapshotFile(Snapshot(), ckpt::SnapshotKind::kEntityGraph)
+          .ok());
 
   auto resumed =
       ckpt::ResumeShoal(catalog.View(), BaseOptions(), Dir("ckpt"));
