@@ -190,13 +190,22 @@ class PerfDiffExitCodes(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stdout)
 
     def test_message_economy_fields_are_identity(self):
-        # crossover_entities joins the hard gate: it is a deterministic
-        # function of the run, so any drift is an identity failure in
-        # the default CI comparison.
+        # crossover_entities compares one timed call of each HAC engine,
+        # so it moves with the host: its drift passes the identity gate
+        # and shows in the timing diff.
         crossed = _with(_BASELINE, **{"crossover_entities": 500.0})
         result = self._run(_BASELINE, crossed, "--mode", "identity")
-        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        result = self._run(_BASELINE, crossed, "--mode", "timing")
+        self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("crossover_entities", result.stdout)
+        # The HAC and graph counters stay identity leaves.
+        for key, value in (("hac.rounds", 13), ("hac.merges", 341),
+                           ("sweep.0.edges", 9001)):
+            drifted = _with(_BASELINE, **{key: value})
+            result = self._run(_BASELINE, drifted, "--mode", "identity")
+            self.assertEqual(result.returncode, 1, key + result.stdout)
+            self.assertIn(key.rsplit(".", 1)[-1], result.stdout)
 
     def test_latency_mode_values_are_informational(self):
         # Hardware-dependent quantile drift passes without a bound...

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 
 #include "util/string_util.h"
 
@@ -66,12 +65,12 @@ namespace {
 
 // Union of two id-sorted rows with the linkage rule applied per entry:
 // the Eq. 4 update as a two-pointer sorted merge (missing side = 0).
-// `visit(c, value)` is called in ascending id order for every neighbour
-// of a or b except the pair itself.
-template <typename Visit>
+// Appends every neighbour of a or b except the pair itself to `out`, in
+// ascending id order.
 void MergeRows(const std::vector<ClusterEdge>& ra,
                const std::vector<ClusterEdge>& rb, uint32_t a, uint32_t b,
-               uint32_t n_a, uint32_t n_b, LinkageRule rule, Visit&& visit) {
+               uint32_t n_a, uint32_t n_b, LinkageRule rule,
+               std::vector<ClusterEdge>& out) {
   size_t i = 0;
   size_t j = 0;
   const size_t na = ra.size();
@@ -96,7 +95,8 @@ void MergeRows(const std::vector<ClusterEdge>& ra,
       ++j;
     }
     if (c == a || c == b) continue;
-    visit(c, MergedSimilarity(rule, s_ac, s_bc, n_a, n_b));
+    out.push_back(
+        ClusterEdge{c, MergedSimilarity(rule, s_ac, s_bc, n_a, n_b)});
   }
 }
 
@@ -236,10 +236,7 @@ util::Status ClusterGraph::Merge(uint32_t a, uint32_t b, uint32_t new_id,
   const uint32_t n_b = sizes_[b];
   std::vector<ClusterEdge> merged;
   merged.reserve(rows_[a].size() + rows_[b].size());
-  MergeRows(rows_[a], rows_[b], a, b, n_a, n_b, rule,
-            [&merged](uint32_t c, double s) {
-              merged.push_back(ClusterEdge{c, s});
-            });
+  MergeRows(rows_[a], rows_[b], a, b, n_a, n_b, rule, merged);
 
   // Rewire every neighbour from a/b to the new cluster.
   const bool track = track_threshold_ > 0.0;
@@ -278,11 +275,10 @@ util::Status ClusterGraph::ValidateMatching(
         "first_new_id %u must be the next node id %zu", first_new_id,
         rows_.size()));
   }
-  match_slot_.resize(rows_.size(), kUnmatched);
+  matched_.resize(rows_.size(), 0);
   util::Status status = util::Status::OK();
   size_t marked = 0;
-  for (uint32_t m = 0; m < pairs.size(); ++m) {
-    const auto [a, b] = pairs[m];
+  for (const auto& [a, b] : pairs) {
     if (a >= active_.size() || b >= active_.size() || !active_[a] ||
         !active_[b]) {
       status = util::Status::FailedPrecondition(
@@ -294,20 +290,20 @@ util::Status ClusterGraph::ValidateMatching(
           util::Status::InvalidArgument("cannot merge cluster with itself");
       break;
     }
-    if (match_slot_[a] != kUnmatched || match_slot_[b] != kUnmatched) {
+    if (matched_[a] || matched_[b]) {
       status = util::Status::FailedPrecondition(util::StringPrintf(
           "edge (%u,%u) shares an endpoint with another matched edge — "
           "local maximal edges must form a matching",
           a, b));
       break;
     }
-    match_slot_[a] = m;
-    match_slot_[b] = m;
-    marked = m + 1;
+    matched_[a] = 1;
+    matched_[b] = 1;
+    ++marked;
   }
-  for (uint32_t m = 0; m < marked; ++m) {
-    match_slot_[pairs[m].first] = kUnmatched;
-    match_slot_[pairs[m].second] = kUnmatched;
+  for (size_t m = 0; m < marked; ++m) {
+    matched_[pairs[m].first] = 0;
+    matched_[pairs[m].second] = 0;
   }
   return status;
 }
@@ -317,131 +313,13 @@ util::Status ClusterGraph::MergeBatch(
     uint32_t first_new_id, LinkageRule rule) {
   if (pairs.empty()) return util::Status::OK();
   // Everything is validated before any mutation so a bad matching leaves
-  // the graph (and therefore the caller's dendrogram) untouched.
+  // the graph (and therefore the caller's dendrogram) untouched; after
+  // that no Merge below can fail.
   SHOAL_RETURN_IF_ERROR(ValidateMatching(pairs, first_new_id));
-  const size_t num_merges = pairs.size();
-  for (uint32_t m = 0; m < num_merges; ++m) {
-    match_slot_[pairs[m].first] = m;
-    match_slot_[pairs[m].second] = m;
+  for (uint32_t m = 0; m < pairs.size(); ++m) {
+    SHOAL_RETURN_IF_ERROR(
+        Merge(pairs[m].first, pairs[m].second, first_new_id + m, rule));
   }
-  const bool track = track_threshold_ > 0.0;
-
-  // Phase 1 — merged rows, computed against the pre-round state.
-  // Neighbours that are themselves endpoints of a *later* pair k > m are
-  // recorded as cross contributions: the serial ordering applies pair
-  // m's linkage weights first and pair k's second, so the earlier pair
-  // owns the inner MergedSimilarity application.
-  struct CrossContrib {
-    uint32_t pair;   // the other (later) pair index
-    uint8_t side;    // 0: neighbour is pairs[pair].first, 1: .second
-    double value;    // inner linkage value, this pair's sizes
-  };
-  std::vector<std::vector<ClusterEdge>> merged_rows(num_merges);
-  std::vector<std::vector<CrossContrib>> contribs(num_merges);
-  auto scan_pair = [&](size_t m) {
-    const auto [a, b] = pairs[m];
-    auto& out = merged_rows[m];
-    out.reserve(rows_[a].size() + rows_[b].size());
-    auto& cx = contribs[m];
-    MergeRows(rows_[a], rows_[b], a, b, sizes_[a], sizes_[b], rule,
-              [&](uint32_t c, double s) {
-                const uint32_t k = match_slot_[c];
-                if (k == kUnmatched) {
-                  out.push_back(ClusterEdge{c, s});
-                } else if (k > m) {
-                  cx.push_back(CrossContrib{
-                      k, static_cast<uint8_t>(c == pairs[k].first ? 0 : 1),
-                      s});
-                }
-                // k == m is the partner (excluded); k < m is owned by
-                // pair k's scan.
-              });
-  };
-  for (size_t m = 0; m < num_merges; ++m) scan_pair(m);
-
-  // Phase 2 — resolve cross-pair similarities. For pairs m < k the
-  // serial result is MergedSimilarity over the two inner values with
-  // pair k's sizes, first argument on pairs[k].first's side.
-  std::vector<std::vector<ClusterEdge>> cross(num_merges);
-  for (uint32_t m = 0; m < num_merges; ++m) {
-    auto& cx = contribs[m];
-    std::sort(cx.begin(), cx.end(),
-              [](const CrossContrib& x, const CrossContrib& y) {
-                return std::tie(x.pair, x.side) < std::tie(y.pair, y.side);
-              });
-    for (size_t i = 0; i < cx.size();) {
-      const uint32_t k = cx[i].pair;
-      double first_side = 0.0;
-      double second_side = 0.0;
-      for (; i < cx.size() && cx[i].pair == k; ++i) {
-        (cx[i].side == 0 ? first_side : second_side) = cx[i].value;
-      }
-      const double s = MergedSimilarity(rule, first_side, second_side,
-                                        sizes_[pairs[k].first],
-                                        sizes_[pairs[k].second]);
-      cross[m].push_back(ClusterEdge{k, s});
-      cross[k].push_back(ClusterEdge{m, s});
-    }
-  }
-  for (uint32_t m = 0; m < num_merges; ++m) {
-    auto& cr = cross[m];
-    std::sort(cr.begin(), cr.end(),
-              [](const ClusterEdge& x, const ClusterEdge& y) {
-                return x.id < y.id;
-              });
-    for (const ClusterEdge& e : cr) {
-      merged_rows[m].push_back(ClusterEdge{first_new_id + e.id,
-                                           e.similarity});
-    }
-  }
-
-  // Phase 3 — neighbour patches, pair by pair in pair order. Rows are
-  // symmetric, so a surviving row holds an entry of pair m's endpoints
-  // only if it is a union neighbour of the pair, and pair m's merged row
-  // names it: two binary searches retire those entries and the new id
-  // lands at the tail. Ascending m appends ascending ids, so every row
-  // stays id-sorted and ends exactly as serial Merge calls leave it.
-  for (uint32_t m = 0; m < num_merges; ++m) {
-    const auto [a, b] = pairs[m];
-    for (const ClusterEdge& e : merged_rows[m]) {
-      if (e.id >= first_new_id) break;  // cross entries live at the tail
-      RewireNeighbor(e.id, a, b, first_new_id + m, e.similarity);
-    }
-  }
-
-  // Phase 4 — commit the new clusters and retire the merged ones.
-  for (uint32_t m = 0; m < num_merges; ++m) {
-    const auto [a, b] = pairs[m];
-    uint32_t new_count = 0;
-    if (track) {
-      for (const ClusterEdge& e : merged_rows[m]) {
-        if (e.similarity >= track_threshold_) ++new_count;
-      }
-      std::vector<uint32_t> strong;
-      strong.reserve(new_count);
-      for (const ClusterEdge& e : merged_rows[m]) {
-        if (e.similarity >= track_threshold_) strong.push_back(e.id);
-      }
-      strong_.push_back(std::move(strong));
-    } else {
-      strong_.emplace_back();
-    }
-    rows_.push_back(std::move(merged_rows[m]));
-    sizes_.push_back(sizes_[a] + sizes_[b]);
-    active_.push_back(1);
-    mergeable_count_.push_back(new_count);
-    if (track && new_count > 0) {
-      frontier_.push_back(first_new_id + m);
-    }
-  }
-  for (const auto& [a, b] : pairs) {
-    match_slot_[a] = kUnmatched;
-    match_slot_[b] = kUnmatched;
-    RetireCluster(a);
-    RetireCluster(b);
-  }
-  match_slot_.resize(rows_.size(), kUnmatched);
-  num_active_ -= num_merges;
   return util::Status::OK();
 }
 

@@ -62,6 +62,14 @@ struct ClusterEdge {
 // larger than every existing id — so rewiring a neighbour removes the
 // merged pair's entries by binary search and appends at the row tail,
 // and sortedness is preserved without re-sorting.
+//
+// In exact arithmetic every linkage rule is reducible: S(AB, C) never
+// exceeds max(S(A, C), S(B, C)). In doubles an Eq. 4 update can round
+// one ulp above both of its inputs (S(A, C) = S(B, C) = 0.8 with
+// |A| = 1 and |B| = 2 gives 0.80000000000000016), so a merge can create
+// an edge that beats every edge it replaced. Callers that cache maxima
+// over the rows (ParallelHac's lbs and neighbourhood maxima) must
+// therefore fold each new edge in, not only react to deaths.
 class ClusterGraph {
  public:
   // `base` must have symmetric rows: v appears in u's row with weight w
@@ -87,10 +95,13 @@ class ClusterGraph {
 
   // Active clusters with at least one edge >= track_threshold, ascending.
   // Requires track_threshold > 0 at construction. Maintained as an
-  // incrementally-compacted frontier: the linkage rules never push a
-  // similarity above the max of their inputs, so a cluster whose strong
-  // edges are gone can never re-enter — each call costs O(frontier), not
-  // O(nodes).
+  // incrementally-compacted frontier: each call costs O(frontier), not
+  // O(nodes), because a cluster whose strong edges are gone is dropped
+  // for good and only new clusters are added. That is exact while no
+  // merge raises an edge above both of its inputs (see the class
+  // comment): in doubles an old cluster could regain a strong edge only
+  // when both inputs lay within an ulp below track_threshold, and
+  // ParallelHac reads the frontier only before its first merge.
   std::vector<uint32_t> MergeableClusters();
   size_t MergeableEdgeCount(uint32_t c) const {
     return mergeable_count_[c];
@@ -137,15 +148,11 @@ class ClusterGraph {
       const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
       uint32_t first_new_id);
 
-  // Applies a whole round's matching at once: pair m receives id
-  // `first_new_id + m`. Produces state bit-identical to calling Merge()
-  // on each pair in order: each merged row depends only on the pre-round
-  // rows plus a deterministic cross-pair combination (matched pairs are
-  // vertex-disjoint), and neighbour patches apply pair by pair in pair
-  // order. Runs on the calling thread (DESIGN.md §8 has the
-  // measurements against a pooled batch). The full matching is validated
-  // before any mutation: on error the graph is untouched, so a failed
-  // round cannot leave this graph and the dendrogram divergent.
+  // Applies a whole round's matching: pair m receives id
+  // `first_new_id + m`. The full matching is validated first, then each
+  // pair is merged with Merge() in pair order, so on error the graph is
+  // untouched and a failed round cannot leave this graph and the
+  // dendrogram divergent.
   util::Status MergeBatch(
       const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
       uint32_t first_new_id, LinkageRule rule);
@@ -162,14 +169,12 @@ class ClusterGraph {
   BestEdge GlobalBestEdge() const;
 
  private:
-  static constexpr uint32_t kUnmatched = static_cast<uint32_t>(-1);
-
-  // Drops a merged cluster's row and bookkeeping (Merge, MergeBatch).
+  // Drops a merged cluster's row and bookkeeping.
   void RetireCluster(uint32_t c);
   // Rewires surviving neighbour c from the merged pair (a, b) to
   // `new_id`: removes c's entries for a and b (either may be absent) by
   // binary search and appends the new edge at the row tail, keeping
-  // strong_ and mergeable_count_ exact. Shared by Merge and MergeBatch.
+  // strong_ and mergeable_count_ exact.
   void RewireNeighbor(uint32_t c, uint32_t a, uint32_t b, uint32_t new_id,
                       double similarity);
 
@@ -184,9 +189,9 @@ class ClusterGraph {
   // MergeableClusters(). Superset property: every cluster with
   // mergeable_count_ > 0 is present.
   std::vector<uint32_t> frontier_;
-  // Scratch for MergeBatch: cluster id -> pair index (kUnmatched when
-  // not an endpoint). Entries are reset after every batch.
-  std::vector<uint32_t> match_slot_;
+  // Scratch for ValidateMatching: 1 for an endpoint of a pair already
+  // seen. Entries are reset before it returns.
+  std::vector<uint8_t> matched_;
   double track_threshold_ = 0.0;
   size_t num_active_ = 0;
 };

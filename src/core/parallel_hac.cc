@@ -103,8 +103,8 @@ util::Status CommitRound(
 //      died, so each round folds just the last merge batch's events
 //      into it.
 //   2. Verification. FindBlocker applies the exact ball-k condition to
-//      each candidate. A rejected pair caches its refutation and parks
-//      until a vertex the refutation depends on dies.
+//      each candidate. A rejected pair stays a candidate and caches its
+//      refutation, which later rounds re-check in O(|witness|).
 //   3. Maintenance. After a merge batch only the cached rows that
 //      seated a retired cluster are repaired, and each new cluster's
 //      row is built once.
@@ -137,12 +137,14 @@ EdgeKey KeyOf(const BestEdge& e) {
 
 // Cached refutation of a candidate pair: `blocker` is an edge that beats
 // `pair` and was reachable through the live `witness` chain (anchor
-// endpoint -> ... -> vertex whose lb the blocker was). Mergeable edges
-// between live clusters are immutable and a linkage update never raises
-// a similarity above the max of its inputs, so while every witness
-// vertex and both blocker endpoints stay alive the refutation remains
-// valid — re-rejecting a persistent spurious candidate is O(|witness|)
-// instead of a fresh neighbourhood scan.
+// endpoint -> ... -> vertex whose lb the blocker was). An edge between
+// two live clusters never changes, so while every witness vertex and
+// both blocker endpoints stay alive, the chain's mergeable edges and the
+// blocker are still there: a live, unchanged edge within k hops beats
+// the pair. That needs no appeal to reducibility (which doubles do not
+// keep exactly, see ClusterGraph), and re-rejecting a persistent
+// spurious candidate is O(|witness|) instead of a fresh neighbourhood
+// scan.
 struct RejectionCache {
   BestEdge pair;
   BestEdge blocker;
@@ -153,9 +155,6 @@ struct RejectionCache {
 // (dendrogram node id). Allocated once per run.
 class DeltaFrontier {
  public:
-  // Trust states of the cached closed-neighbourhood top-2 (see M1()).
-  enum : uint8_t { kM1Full = 0, kM1Stale = 1, kM1Top = 2 };
-
   DeltaFrontier(size_t num_ids, ClusterGraph& clusters, double threshold)
       : clusters_(clusters),
         threshold_(threshold),
@@ -163,26 +162,13 @@ class DeltaFrontier {
         slots_(num_ids),
         m1_(num_ids),
         m1_src_(num_ids, kNoNode),
-        m2_(num_ids),
-        m2_src_(num_ids, kNoNode),
-        m1_stale_(num_ids, kM1Stale),
         blocked_(num_ids),
-        parked_(num_ids, 0),
-        watch_(num_ids),
         floor_(num_ids, -1.0),
         holders_(num_ids),
         bfs_stamp_(num_ids, 0) {}
 
   bool Alive(const BestEdge& e) const {
     return e.valid() && clusters_.IsActive(e.u) && clusters_.IsActive(e.v);
-  }
-
-  // True when w is a mergeable neighbour of x (a member of the M1
-  // closed neighbourhood besides x itself). O(log deg) on the id-sorted
-  // adjacency row.
-  bool IsMergeableMember(uint32_t x, uint32_t w) const {
-    const ClusterEdge* e = clusters_.FindEdge(x, w);
-    return e != nullptr && e->similarity >= threshold_;
   }
 
   const BestEdge& lb(uint32_t v) const { return lb_[v]; }
@@ -236,112 +222,19 @@ class DeltaFrontier {
     return true;
   }
 
-  // Folds a finalized lb change of v into the cached closed-
-  // neighbourhood top-2 entries that could have derived from it, in
-  // place. Each case keeps the invariants stated at M1(): the top entry
-  // stays the exact live maximum, and the runner-up stays exact
-  // whenever the state says it is; any transition whose ordering cannot
-  // be proven from the cached values degrades conservatively (to kM1Top
-  // when only the runner-up is lost, to kM1Stale when the top itself
-  // is). Exact as long as every lb mutation of a round flows through
-  // here in record order (later folds for the same vertex carry its
-  // newer lb).
+  // Folds v's finalized new lb into the cached closed-neighbourhood
+  // maxima that can hold it — v's own and each strong neighbour's —
+  // replacing a maximum only when the new lb beats it. A drop needs no
+  // fold: an lb drops only when its edge dies, and M1() rescans a dead
+  // maximum. A rise does: in exact arithmetic no merge raises an edge
+  // above its inputs, but in doubles one can round an ulp above both
+  // (ClusterGraph), and the new edge may then beat a live maximum.
   void OnLbChange(uint32_t v) {
-    const BestEdge after = lb_[v];
+    const BestEdge& after = lb_[v];
     const auto fold = [&](uint32_t x) {
-      uint8_t& st = m1_stale_[x];
-      if (st == kM1Stale) return;  // already due a full rescan
-      if (m1_src_[x] == v) {
-        if (m1_[x] == after) return;
-        if (!Beats(m1_[x], after)) {
-          // The max rose — always onto a *different* edge. The old
-          // edge's other endpoint w is pinned while that edge lives:
-          // lb(w) >= the edge it is incident to, and lb(w) <= the old
-          // max when w is a member — so if w is a live member, lb(w)
-          // *equals* the old max and (old max, w) is the exact new
-          // runner-up. Otherwise no member holds the old edge and the
-          // existing runner-up is still exact. Either way the entry
-          // stays full.
-          const BestEdge old = m1_[x];
-          m1_[x] = after;
-          if (old.valid()) {
-            const uint32_t w = (old.u == v) ? old.v : old.u;
-            if (w == x || (clusters_.IsActive(w) && IsMergeableMember(x, w))) {
-              m2_[x] = old;
-              m2_src_[x] = w;
-              st = kM1Full;
-            }
-          }
-          return;
-        }
-        // The argmax dropped, which (similarities being immutable) means
-        // its old lb edge died: no live member still holds that edge.
-        // The runner-up — when exact and alive — bounds every surviving
-        // member, so it either stays behind the new value or takes over
-        // the top; v's new value is not a proven runner-up in the latter
-        // case, so it is dropped rather than kept as an unordered hint.
-        if (st == kM1Full && (!m2_[x].valid() || Alive(m2_[x]))) {
-          if (Beats(m2_[x], after)) {
-            m1_[x] = m2_[x];
-            m1_src_[x] = m2_src_[x];
-            m2_[x] = BestEdge{};
-            m2_src_[x] = kNoNode;
-            st = kM1Top;
-          } else if (m2_[x] == after) {
-            // Same edge seen through its other endpoint: it cannot be
-            // its own runner-up.
-            m1_[x] = after;
-            m1_src_[x] = v;
-            m2_[x] = BestEdge{};
-            m2_src_[x] = kNoNode;
-            st = kM1Top;
-          } else {
-            m1_[x] = after;  // still >= runner-up >= every other member
-          }
-        } else {
-          st = kM1Stale;  // no trustworthy runner-up to compare against
-        }
-        return;
-      }
-      if (st == kM1Full && m2_src_[x] == v) {
-        if (m2_[x] == after) return;
-        if (Beats(after, m1_[x])) {  // runner-up overtook the top
-          m2_[x] = m1_[x];
-          m2_src_[x] = m1_src_[x];
-          m1_[x] = after;
-          m1_src_[x] = v;
-          if (!m2_[x].valid() || !Alive(m2_[x])) {
-            m2_[x] = BestEdge{};  // a dead edge cannot vouch for the rest
-            m2_src_[x] = kNoNode;
-            st = kM1Top;
-          }
-        } else if (!Beats(m2_[x], after)) {
-          m2_[x] = after;  // rose within the gap: still >= the others
-        } else {
-          m2_[x] = BestEdge{};  // dropped below its old self: rank unknown
-          m2_src_[x] = kNoNode;
-          st = kM1Top;
-        }
-        return;
-      }
-      // v holds neither entry.
-      if (Beats(after, m1_[x])) {
-        // The displaced top bounds every member, so while it is alive it
-        // is the exact runner-up (a strict beat is a different edge) —
-        // this also repairs kM1Top entries back to full. A dead
-        // displaced top says nothing about the survivors: keep whatever
-        // runner-up knowledge the entry already had.
-        if (!m1_[x].valid() || Alive(m1_[x])) {
-          m2_[x] = m1_[x];
-          m2_src_[x] = m1_[x].valid() ? m1_src_[x] : kNoNode;
-          st = kM1Full;
-        }
+      if (m1_src_[x] != kNoNode && Beats(after, m1_[x])) {
         m1_[x] = after;
         m1_src_[x] = v;
-      } else if (st == kM1Full && !(after == m1_[x]) &&
-                 Beats(after, m2_[x])) {
-        m2_[x] = after;
-        m2_src_[x] = v;
       }
     };
     fold(v);
@@ -403,50 +296,6 @@ class DeltaFrontier {
 
   RejectionCache& blocked(uint32_t v) { return blocked_[v]; }
 
-  // --- parking -----------------------------------------------------------
-  // A pair whose rejection cache is alive stays blocked until one of the
-  // watched vertices (witness chain or blocker endpoint) dies — edges
-  // between live clusters are immutable, so nothing else can re-enable
-  // it. Parking takes such pairs out of the per-round work list
-  // entirely; the watch lists wake them on exactly the deaths that can
-  // invalidate the refutation. A parked pair can never merge away in
-  // the meantime: its endpoints' only mutual pair is the parked one.
-
-  // True while v's parked state refers to its current pair, i.e. the
-  // pair must stay out of the evaluation list.
-  bool ParkedFor(uint32_t v) const {
-    return parked_[v] && blocked_[v].pair == lb_[v];
-  }
-
-  // Parks the pair keyed by its smaller endpoint `a`. Watchers are
-  // registered only for a freshly computed cache; a still-valid old
-  // cache re-parks without re-registering (its entries are still in the
-  // watch lists — they are cleared only when a watched vertex dies).
-  void Park(uint32_t a, bool register_watchers) {
-    parked_[a] = 1;
-    if (!register_watchers) return;
-    const RejectionCache& cache = blocked_[a];
-    for (uint32_t w : cache.witness) watch_[w].push_back(a);
-    watch_[cache.blocker.u].push_back(a);
-    watch_[cache.blocker.v].push_back(a);
-  }
-
-  // Called for every cluster retired by a merge batch: wakes the parked
-  // pairs watching it (their refutation may no longer hold) and appends
-  // their keys to `out` for re-evaluation. Stale entries — pairs that
-  // were already unparked or re-parked under a different cache — cost
-  // one spurious re-check at most.
-  void WakeWatchers(uint32_t dead, std::vector<uint32_t>& out) {
-    for (uint32_t a : watch_[dead]) {
-      if (parked_[a]) {
-        parked_[a] = 0;
-        out.push_back(a);
-      }
-    }
-    watch_[dead].clear();
-    watch_[dead].shrink_to_fit();
-  }
-
  private:
   struct BfsNode {
     uint32_t v;
@@ -454,77 +303,35 @@ class DeltaFrontier {
     size_t depth;
   };
 
-  // Closed-neighbourhood maximum: max lb over v and its mergeable
-  // neighbours, with the exact runner-up alongside. States:
-  //   kM1Full  — m1_ is the exact live maximum and m2_ the exact
-  //              runner-up over the remaining members (invalid when
-  //              there is none);
-  //   kM1Top   — m1_ is still the exact maximum but the runner-up has
-  //              been consumed or invalidated;
-  //   kM1Stale — nothing is trusted; the next consult rescans.
-  // Every cached value is some member's lb and therefore incident to
-  // that member, so a member's death self-invalidates the entry it
-  // sourced. That was by far the dominant rescan trigger (merges kill
-  // two vertices whose lbs seed most of their neighbourhoods' maxima);
-  // keeping the runner-up turns the common case into an O(1) promotion:
-  // an exact runner-up that is still alive bounds every other live
-  // member and is current (all lb changes fold eagerly), so it *is* the
-  // new maximum.
+  // Closed-neighbourhood maximum: the best lb over v and its mergeable
+  // neighbours. Once rescanned, an entry bounds every member's lb and is
+  // either the exact live maximum or dead: every lb rise folds in
+  // (OnLbChange), and the entry is some member's lb and so incident to
+  // that member, so a drop or a death of its holder kills it and the
+  // next consult rescans.
   const BestEdge& M1(uint32_t v) {
-    for (;;) {
-      if (m1_stale_[v] == kM1Stale) {
-        RescanM1(v);
-        return m1_[v];
-      }
-      if (!m1_[v].valid() || Alive(m1_[v])) return m1_[v];
-      if (m1_stale_[v] == kM1Full && m2_[v].valid() && Alive(m2_[v])) {
-        m1_[v] = m2_[v];
-        m1_src_[v] = m2_src_[v];
-        m2_[v] = BestEdge{};
-        m2_src_[v] = kNoNode;
-        m1_stale_[v] = kM1Top;
-        return m1_[v];
-      }
-      m1_stale_[v] = kM1Stale;
+    if (m1_src_[v] == kNoNode || (m1_[v].valid() && !Alive(m1_[v]))) {
+      RescanM1(v);
     }
+    return m1_[v];
   }
 
-  // Exact top-2 recomputation over v's live closed neighbourhood, with
-  // the runner-up restricted to members whose lb is a *different edge*
-  // than the maximum's. Two members often share one edge — its two
-  // endpoints — and merges retire exactly such pairs, so a value-ranked
-  // runner-up would usually die together with the maximum; the
-  // edge-disjoint runner-up is the one that survives the death of the
-  // top edge and makes the O(1) promotion in M1() fire. Ties resolve to
-  // the first holder in ascending row order (v itself first), matching
-  // what the incremental folds produce. Both running entries are
-  // carried as keys (KeyOf), each neighbour's computed once, so the
-  // scan compares integers; the edges are read back from their holders'
-  // lbs at the end.
+  // Exact recomputation over v's live closed neighbourhood; ties resolve
+  // to the first holder in ascending row order (v itself first). The
+  // running maximum is carried as a key (KeyOf), each neighbour's
+  // computed once, so the scan compares integers.
   void RescanM1(uint32_t v) {
-    EdgeKey k1 = KeyOf(lb_[v]);
-    EdgeKey k2 = 0;
-    uint32_t s1 = v;
-    uint32_t s2 = kNoNode;
+    EdgeKey best = KeyOf(lb_[v]);
+    uint32_t src = v;
     for (const uint32_t y : clusters_.StrongNeighbors(v)) {
       const EdgeKey k = KeyOf(lb_[y]);
-      if (k > k1) {
-        // A strict beat is a different edge, so the displaced maximum
-        // is runner-up eligible — and beats the old runner-up.
-        k2 = k1;
-        s2 = s1;
-        k1 = k;
-        s1 = y;
-      } else if (k != k1 && k > k2) {
-        k2 = k;
-        s2 = y;
+      if (k > best) {
+        best = k;
+        src = y;
       }
     }
-    m1_[v] = lb_[s1];
-    m1_src_[v] = s1;
-    m2_[v] = k2 != 0 ? lb_[s2] : BestEdge{};
-    m2_src_[v] = k2 != 0 ? s2 : kNoNode;
-    m1_stale_[v] = kM1Full;
+    m1_[v] = lb_[src];
+    m1_src_[v] = src;
   }
 
   // Seats (id, sim) in v's slot when it strictly beats the occupant.
@@ -570,13 +377,10 @@ class DeltaFrontier {
   std::vector<BestEdge> lb_;
   std::vector<RowSlot> slots_;
   std::vector<BestEdge> m1_;
+  // The member whose lb m1_ holds; kNoNode until the first RescanM1, and
+  // folds skip an entry that was never scanned.
   std::vector<uint32_t> m1_src_;
-  std::vector<BestEdge> m2_;
-  std::vector<uint32_t> m2_src_;
-  std::vector<uint8_t> m1_stale_;
   std::vector<RejectionCache> blocked_;
-  std::vector<uint8_t> parked_;
-  std::vector<std::vector<uint32_t>> watch_;
   // Max similarity ever pushed out of (or refused) v's slot: an upper
   // bound on every mergeable edge of v not currently holding it.
   std::vector<double> floor_;
@@ -619,17 +423,10 @@ util::Status RunRounds(const ParallelHacOptions& options,
   std::vector<uint32_t> rebuild_cands;
   std::vector<uint32_t> scratch_ids;
 
-  std::vector<uint32_t> parked_events;
-
   auto mutual = [&](uint32_t v) {
     if (!clusters.IsActive(v)) return false;
     const BestEdge& e = frontier.lb(v);
     return e.valid() && e.u == v && frontier.lb(e.v) == e;
-  };
-  // Belongs in the per-round evaluation list: mutual and not parked
-  // behind a still-valid refutation.
-  auto evaluable = [&](uint32_t v) {
-    return mutual(v) && !frontier.ParkedFor(v);
   };
   const auto push_endpoints = [](std::vector<uint32_t>& out,
                                  const BestEdge& e) {
@@ -665,10 +462,9 @@ util::Status RunRounds(const ParallelHacOptions& options,
       for (uint32_t v : active) frontier.RecordHolders(v);
       candidates.clear();
       for (uint32_t v : active) {
-        if (evaluable(v)) candidates.push_back(v);
+        if (mutual(v)) candidates.push_back(v);
       }
       dirty.clear();
-      parked_events.clear();
       initialized = true;
     } else {
       // Fold last round's lb flips and merge deaths into the mutual
@@ -684,7 +480,7 @@ util::Status RunRounds(const ParallelHacOptions& options,
           scratch_ids.push_back(candidates[ci++]);
         }
         if (ci < candidates.size() && candidates[ci] == v) ++ci;
-        if (evaluable(v)) scratch_ids.push_back(v);
+        if (mutual(v)) scratch_ids.push_back(v);
       }
       while (ci < candidates.size()) {
         scratch_ids.push_back(candidates[ci++]);
@@ -699,32 +495,17 @@ util::Status RunRounds(const ParallelHacOptions& options,
     // either endpoint beats it. The ball-k check (or a still-live cached
     // refutation) decides that exactly — it is the serial equivalent of
     // the diffusion veto, which delivers precisely the ball-k maximum to
-    // each endpoint. Every rejected pair parks behind its refutation:
-    // nothing can re-enable it until a watched vertex dies, so it costs
-    // nothing per round while it waits.
+    // each endpoint. A rejected pair stays in the list; while its cached
+    // refutation holds, each round re-rejects it in O(|witness|).
     to_merge.clear();
     merge_similarity.clear();
     for (uint32_t a : candidates) {
       const BestEdge pair = frontier.lb(a);
       ++local_stats.total_candidates;
       RejectionCache& cache = frontier.blocked(a);
-      if (frontier.StillBlocked(cache, pair)) {
+      if (frontier.StillBlocked(cache, pair) ||
+          frontier.FindBlocker(a, pair.v, pair, k, cache)) {
         ++local_stats.total_rejected;
-        // The cached refutation is still live, so the pair stays blocked
-        // until one of its witnesses dies; the watchers registered when
-        // the cache was filled are still in place.
-        frontier.Park(a, /*register_watchers=*/false);
-        parked_events.push_back(a);
-        continue;
-      }
-      if (frontier.FindBlocker(a, pair.v, pair, k, cache)) {
-        ++local_stats.total_rejected;
-        // Blocked pairs cannot change state while blocker and witness
-        // chain stay alive (edges between live clusters are immutable,
-        // linkage never raises a similarity): park the pair and skip it
-        // until a watched vertex is retired by a merge.
-        frontier.Park(a, /*register_watchers=*/true);
-        parked_events.push_back(a);
         continue;
       }
       to_merge.emplace_back(pair.u, pair.v);
@@ -810,27 +591,16 @@ util::Status RunRounds(const ParallelHacOptions& options,
           lb_changes.push_back({c, BestEdge{}, frontier.lb(c)});
         }
       }
-      // A changed lb invalidates the cached closed-neighbourhood maxima
-      // that may have folded it (deaths need no marking: an M1 sourced
-      // from a dead vertex is incident to it and self-invalidates), and
-      // names every vertex whose pair mutuality can have flipped — the
-      // event set the next round folds into the candidate list.
+      // A changed lb folds into the cached closed-neighbourhood maxima
+      // that can hold it (deaths need no marking: an M1 sourced from a
+      // dead vertex is incident to it and self-invalidates), and names
+      // every vertex whose pair mutuality can have flipped — the event
+      // set the next round folds into the candidate list.
       affected.clear();
       for (const auto& [a, b] : to_merge) {
         affected.push_back(a);
         affected.push_back(b);
-        // A retired watched vertex voids its parked refutations; the
-        // woken pairs rejoin the affected walk and are re-verified.
-        frontier.WakeWatchers(a, affected);
-        frontier.WakeWatchers(b, affected);
       }
-      // Freshly parked pairs must pass through the next round's walk so
-      // the merged candidate scan drops them (evaluable() is false while
-      // parked). Losing this on the zero-merge break is fine — the run
-      // has ended.
-      affected.insert(affected.end(), parked_events.begin(),
-                      parked_events.end());
-      parked_events.clear();
       for (const LbChange& ch : lb_changes) {
         frontier.OnLbChange(ch.v);
         affected.push_back(ch.v);

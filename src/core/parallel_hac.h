@@ -25,8 +25,9 @@ namespace shoal::core {
 //      the other), kept up to date from what each merge batch changed,
 //      and an exact serial k-hop check decides each one (DESIGN.md §8).
 //   2. All local maximal edges (a matching, hence conflict-free) are
-//      merged in parallel; similarities to the merged cluster follow the
-//      linkage rule (Eq. 4 by default).
+//      merged as one batch — in parallel in the paper, here as serial
+//      merges in pair order; similarities to the merged cluster follow
+//      the linkage rule (Eq. 4 by default).
 //
 // Rounds repeat until no remaining similarity reaches the threshold.
 // Fewer diffusion iterations -> more local maxima -> more merges per
@@ -50,9 +51,9 @@ struct ParallelHacStats {
   std::vector<size_t> merges_per_round;
   // Mutually-best pairs evaluated across all rounds, and how many of
   // those were rejected — by the exact ball-k verification or by a
-  // still-live cached refutation. A rejected pair parks until a watched
-  // vertex dies and is only re-counted when it is re-evaluated, so these
-  // count *evaluations*, not pair-rounds; total_candidates -
+  // still-live cached refutation. Every round evaluates every current
+  // mutually-best pair, so a pair that stays blocked for r rounds counts
+  // r times in both: these count pair-rounds, and total_candidates -
   // total_rejected == total_merges.
   uint64_t total_candidates = 0;
   uint64_t total_rejected = 0;

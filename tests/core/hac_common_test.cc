@@ -543,7 +543,7 @@ void ExpectMatchesModel(ClusterGraph& clusters, const MapModel& model,
 
 // MergeBatch equals serial Merge calls, and both equal the map model,
 // strong lists and counts included, on seeded random matchings of 1-30
-// pairs over three successive batches (so later batches patch rows
+// pairs over three successive batches (so later batches rewire rows
 // whose tails already hold merged ids). Every graph has a hub that
 // stays unmatched, so its row neighbours every pair and holds both
 // endpoints of each; the loop counts both row shapes to show they were
@@ -580,7 +580,7 @@ TEST(ClusterGraphTest, MergeBatchMatchesSerialMergesOnRandomMatchings) {
       }
       if (pairs.empty()) break;
 
-      // Coverage of the two row shapes the patch has to get right.
+      // Coverage of the two row shapes RewireNeighbor has to get right.
       for (uint32_t c : serial.ActiveClusters()) {
         size_t near = 0;
         for (const auto& [a, b] : pairs) {

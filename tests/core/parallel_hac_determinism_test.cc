@@ -73,14 +73,15 @@ graph::WeightedGraph RoundedToGrid(const graph::WeightedGraph& g,
 // incremental state: every mergeable cluster takes its best mergeable
 // edge under EdgeBeats, then the best such edge within k mergeable hops,
 // and the pairs whose two endpoints hold the same edge merge, in
-// ascending smaller-endpoint order, through serial ClusterGraph::Merge.
+// ascending smaller-endpoint order, through serial ClusterGraph::Merge
+// under `rule`.
 struct ReferenceRun {
   Dendrogram dendrogram;
   std::vector<size_t> merges_per_round;
 };
 
 ReferenceRun ReferenceHac(const graph::WeightedGraph& graph,
-                          double threshold, size_t k) {
+                          double threshold, size_t k, LinkageRule rule) {
   using Best = ClusterGraph::BestEdge;  // similarity < 0: none
   const auto beats = [](const Best& x, const Best& y) {
     if (x.similarity < 0.0) return false;
@@ -126,10 +127,7 @@ ReferenceRun ReferenceHac(const graph::WeightedGraph& graph,
       }
       auto id = run.dendrogram.Merge(e.u, e.v, e.similarity);
       EXPECT_TRUE(id.ok());
-      EXPECT_TRUE(clusters
-                      .Merge(e.u, e.v, id.value(),
-                             LinkageRule::kSqrtNormalized)
-                      .ok());
+      EXPECT_TRUE(clusters.Merge(e.u, e.v, id.value(), rule).ok());
       ++merges;
     }
     if (merges == 0) break;
@@ -180,28 +178,38 @@ TEST_P(HacDeterminismTest, ByteIdenticalAcrossThreadsAndPartitions) {
 
 // ParallelHac finds each round's local maximal edges from mutual-best
 // candidates plus an exact ball-k check, not by diffusion. At every
-// depth and thread count it must reproduce the brute-force round's
-// dendrogram and merge schedule byte for byte. Some candidates must be
-// rejected by the check — otherwise it would not be exercised.
+// linkage rule (bench_linkage_ablation runs all four), depth and thread
+// count it must reproduce the brute-force round's dendrogram and merge
+// schedule byte for byte. Some candidates must be rejected by the check
+// — otherwise it would not be exercised.
 TEST_P(HacDeterminismTest, MatchesRoundReferenceAtEveryDepth) {
   auto graph = MatrixGraph(GetParam());
-  for (size_t k : {1u, 2u, 3u}) {
-    const ReferenceRun reference = ReferenceHac(graph, 0.3, k);
-    for (size_t threads : {1u, 4u}) {
-      ParallelHacOptions options;
-      options.hac.threshold = 0.3;
-      options.diffusion_iterations = k;
-      options.num_threads = threads;
-      ParallelHacStats stats;
-      auto d = ParallelHac(graph, options, &stats);
-      ASSERT_TRUE(d.ok()) << d.status().message();
-      EXPECT_EQ(DendrogramBytes(d.value()),
-                DendrogramBytes(reference.dendrogram))
-          << "k=" << k << " threads=" << threads;
-      EXPECT_EQ(stats.merges_per_round, reference.merges_per_round)
-          << "k=" << k << " threads=" << threads;
-      if (k == 2) {
-        EXPECT_GT(stats.total_rejected, 0u) << "threads=" << threads;
+  for (LinkageRule rule :
+       {LinkageRule::kSqrtNormalized, LinkageRule::kArithmeticMean,
+        LinkageRule::kMax, LinkageRule::kMin}) {
+    for (size_t k : {1u, 2u, 3u}) {
+      const ReferenceRun reference = ReferenceHac(graph, 0.3, k, rule);
+      for (size_t threads : {1u, 4u}) {
+        ParallelHacOptions options;
+        options.hac.threshold = 0.3;
+        options.hac.linkage = rule;
+        options.diffusion_iterations = k;
+        options.num_threads = threads;
+        ParallelHacStats stats;
+        auto d = ParallelHac(graph, options, &stats);
+        ASSERT_TRUE(d.ok()) << d.status().message();
+        const std::string where = std::string("rule=") +
+                                  LinkageRuleName(rule) +
+                                  " k=" + std::to_string(k) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(DendrogramBytes(d.value()),
+                  DendrogramBytes(reference.dendrogram))
+            << where;
+        EXPECT_EQ(stats.merges_per_round, reference.merges_per_round)
+            << where;
+        if (k == 2) {
+          EXPECT_GT(stats.total_rejected, 0u) << where;
+        }
       }
     }
   }
@@ -218,7 +226,14 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{.planted = false, .grid_percent = 10, .seed = 11},
                       MatrixCase{.planted = false, .grid_percent = 5, .seed = 29},
                       MatrixCase{.planted = true, .grid_percent = 10, .seed = 11},
-                      MatrixCase{.planted = true, .grid_percent = 5, .seed = 29}),
+                      MatrixCase{.planted = true, .grid_percent = 5, .seed = 29},
+                      // Tied graphs where a merge rounds above both of
+                      // its inputs and the new edge beats a live cached
+                      // maximum: without OnLbChange's fold these fail.
+                      MatrixCase{.planted = true, .grid_percent = 10, .seed = 8},
+                      MatrixCase{.planted = true, .grid_percent = 10, .seed = 37},
+                      MatrixCase{.planted = true, .grid_percent = 10, .seed = 48},
+                      MatrixCase{.planted = true, .grid_percent = 5, .seed = 13}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
       std::string name = std::string(info.param.planted ? "planted" : "er") +
                          "_s" + std::to_string(info.param.seed);
