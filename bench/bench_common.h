@@ -6,6 +6,8 @@
 // experiment index) and prints self-describing rows so the output can be
 // pasted into EXPERIMENTS.md.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -57,6 +59,51 @@ inline Workload BuildWorkload(const data::DatasetOptions& data_options,
   w.model = std::move(model).value();
   w.build_seconds = timer.ElapsedSeconds();
   return w;
+}
+
+// HAC rows time each engine run as the median of this many calls, so
+// one call slowed by the host does not decide a row.
+inline constexpr int kHacTimedCalls = 3;
+
+// The median wall seconds of kHacTimedCalls calls of `call(i)`, i = 0, 1,
+// ... in order.
+template <typename Call>
+double MedianSeconds(Call&& call) {
+  std::array<double, kHacTimedCalls> seconds{};
+  for (int i = 0; i < kHacTimedCalls; ++i) {
+    util::Stopwatch timer;
+    call(i);
+    seconds[i] = timer.ElapsedSeconds();
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[kHacTimedCalls / 2];
+}
+
+// ParallelHac on `graph`, timed by MedianSeconds. Keeps the first call's
+// dendrogram and stats, and aborts when a repeat's counts (rounds,
+// merges per round and in all, candidates and rejections), which are
+// functions of the graph and the options, differ from them.
+inline double TimeParallelHac(const graph::WeightedGraph& graph,
+                              const core::ParallelHacOptions& options,
+                              core::Dendrogram* dendrogram,
+                              core::ParallelHacStats* stats) {
+  return MedianSeconds([&](int call) {
+    core::ParallelHacStats call_stats;
+    auto d = core::ParallelHac(graph, options, &call_stats);
+    SHOAL_CHECK(d.ok()) << d.status().ToString();
+    if (call == 0) {
+      *dendrogram = std::move(d).value();
+      *stats = std::move(call_stats);
+      return;
+    }
+    SHOAL_CHECK(call_stats.rounds == stats->rounds &&
+                call_stats.total_merges == stats->total_merges &&
+                call_stats.merges_per_round == stats->merges_per_round &&
+                call_stats.total_candidates == stats->total_candidates &&
+                call_stats.total_rejected == stats->total_rejected)
+        << "ParallelHac call " << call << " on " << graph.num_vertices()
+        << " vertices diverged from call 0";
+  });
 }
 
 inline void PrintHeader(const std::string& experiment,

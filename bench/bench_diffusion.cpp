@@ -6,7 +6,8 @@
 // candidates the exact k-hop check evaluated and rejected, and resulting
 // quality. ParallelHac finds each round's local maximal edges without
 // running the diffusion (DESIGN.md §8), so the merge schedule is the
-// paper's while no message cost exists to measure.
+// paper's while no message cost exists to measure. time_s is the median
+// of three calls; every call must give the same counts.
 
 #include "bench_common.h"
 #include "eval/cluster_metrics.h"
@@ -50,13 +51,12 @@ int Run(int argc, char** argv) {
     options.diffusion_iterations = k;
     options.num_threads = 2;
     core::ParallelHacStats stats;
-    util::Stopwatch timer;
-    auto d = core::ParallelHac(graph, options, &stats);
-    double seconds = timer.ElapsedSeconds();
-    SHOAL_CHECK(d.ok()) << d.status().ToString();
-    auto modularity = graph::Modularity(graph, d->FlatClusters());
+    core::Dendrogram dendrogram;
+    const double seconds =
+        bench::TimeParallelHac(graph, options, &dendrogram, &stats);
+    auto modularity = graph::Modularity(graph, dendrogram.FlatClusters());
     auto nmi = eval::NormalizedMutualInformation(
-        d->FlatClusters(), workload.dataset.EntityIntentLabels());
+        dendrogram.FlatClusters(), workload.dataset.EntityIntentLabels());
     SHOAL_CHECK(modularity.ok() && nmi.ok());
     std::printf("%-6zu %-16zu %-10zu %-12llu %-12llu %-10.3f %-12.4f %-8.4f\n",
                 k, stats.merges_per_round.empty()

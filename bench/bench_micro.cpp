@@ -1,8 +1,8 @@
 // M1: google-benchmark microbenchmarks for the kernels the pipeline
 // spends its time in — similarity computation, BM25 scoring, word2vec
-// training throughput, the entity-graph degree cap, HAC on fixed 3k
-// and 20k entity graphs, and the daemon's per-cycle serialization
-// (snapshot encoding and CRC-32).
+// training throughput, the entity-graph degree cap, HAC and word2vec on
+// the fixed 3k and 20k catalogs, and the daemon's per-cycle
+// serialization (snapshot encoding and CRC-32).
 
 #include <algorithm>
 #include <map>
@@ -102,7 +102,7 @@ void BM_Bm25ScoreMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_Bm25ScoreMatching)->Arg(64)->Arg(512);
 
-// One Train call: negative-table and embedding setup plus one SGD epoch
+// One Train call: negative-sampler and embedding setup plus one SGD epoch
 // over `sentences` sentences. Arg(0) keeps the vocabulary and trains on
 // no sentences, so it times the setup alone; SGD is the difference
 // between the two rows.
@@ -166,18 +166,24 @@ void BM_ApplyDegreeCap(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyDegreeCap)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-// The entity graph of ScaledDataset(entities, 7), built once per tier
-// and process by one BuildShoal run outside every timed loop. The 3k
-// tier is perfbench's build workload catalog (92,548 edges).
-const graph::WeightedGraph& EntityGraph(size_t entities) {
-  static std::map<size_t, graph::WeightedGraph> graphs;
-  auto it = graphs.find(entities);
-  if (it == graphs.end()) {
+// ScaledDataset(entities, 7) and its BuildShoal model on one thread,
+// built once per tier and process outside every timed loop, so the HAC
+// and word2vec rows of one tier share one catalog. The 3k tier is
+// perfbench's build workload catalog (92,548 edges).
+const bench::Workload& CachedWorkload(size_t entities) {
+  static std::map<size_t, bench::Workload> workloads;
+  auto it = workloads.find(entities);
+  if (it == workloads.end()) {
     core::ShoalOptions options;
     options.num_threads = 1;
-    const bench::Workload workload =
-        bench::BuildWorkload(bench::ScaledDataset(entities, 7), options);
-    it = graphs.emplace(entities, workload.model.entity_graph()).first;
+    it = workloads
+             .emplace(entities, bench::BuildWorkload(
+                                    bench::ScaledDataset(entities, 7),
+                                    options))
+             .first;
+    // The bundle borrows the dataset's vocabulary, which the move into
+    // the map relocated.
+    it->second.bundle.vocab = &it->second.dataset.lexicon.vocab();
   }
   return it->second;
 }
@@ -185,7 +191,8 @@ const graph::WeightedGraph& EntityGraph(size_t entities) {
 // ClusterGraph construction with ParallelHac's tracking threshold: the
 // id-sorted rows, strong lists and mergeable frontier.
 void BM_ClusterGraphBuild(benchmark::State& state) {
-  const graph::WeightedGraph& graph = EntityGraph(3000);
+  const graph::WeightedGraph& graph =
+      CachedWorkload(3000).model.entity_graph();
   const double threshold = core::HacOptions().threshold;
   for (auto _ : state) {
     core::ClusterGraph clusters(graph, threshold);
@@ -200,7 +207,7 @@ BENCHMARK(BM_ClusterGraphBuild)->Unit(benchmark::kMillisecond);
 // one thread, at the 3k tier (234 rounds, 2,933 merges) and at 20k.
 void BM_ParallelHac(benchmark::State& state) {
   const graph::WeightedGraph& graph =
-      EntityGraph(static_cast<size_t>(state.range(0)));
+      CachedWorkload(static_cast<size_t>(state.range(0))).model.entity_graph();
   core::ParallelHacOptions options;
   options.num_threads = 1;
   for (auto _ : state) {
@@ -209,6 +216,25 @@ void BM_ParallelHac(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelHac)
+    ->Arg(3000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
+
+// One Train call with default Word2VecOptions on the build's corpus at
+// the 3k and 20k tiers: the catalog's titles, then its queries, as
+// BuildShoal trains them.
+void BM_Word2VecTrain(benchmark::State& state) {
+  const bench::Workload& workload =
+      CachedWorkload(static_cast<size_t>(state.range(0)));
+  const std::vector<std::vector<uint32_t>> corpus =
+      data::BuildTrainingCorpus(workload.dataset);
+  for (auto _ : state) {
+    auto model = text::Word2Vec::Train(*workload.bundle.vocab, corpus,
+                                       text::Word2VecOptions{});
+    benchmark::DoNotOptimize(model);
+  }
+}
+BENCHMARK(BM_Word2VecTrain)
     ->Arg(3000)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);

@@ -3,7 +3,8 @@
 // naive HAC cannot scale (Challenge 2). This bench measures, at laptop
 // scale, Parallel HAC vs the exact sequential baseline on the same
 // entity graphs: wall-clock, rounds vs merges, and throughput; plus the
-// effect of worker threads on Parallel HAC.
+// effect of worker threads on Parallel HAC. Each HAC time is the median
+// of three calls, and every call must give the same counts.
 
 #include <algorithm>
 #include <cstdint>
@@ -77,22 +78,31 @@ int Run(int argc, char** argv) {
     core::ParallelHacOptions par_options;
     par_options.num_threads = 2;
     core::ParallelHacStats par_stats;
-    util::Stopwatch par_timer;
-    auto par = core::ParallelHac(graph, par_options, &par_stats);
-    double par_seconds = par_timer.ElapsedSeconds();
-    SHOAL_CHECK(par.ok()) << par.status().ToString();
+    core::Dendrogram par;
+    const double par_seconds =
+        bench::TimeParallelHac(graph, par_options, &par, &par_stats);
 
     // Exact sequential baseline.
     core::SequentialHacStats seq_stats;
-    util::Stopwatch seq_timer;
-    auto seq = core::SequentialHac(graph, core::HacOptions{}, &seq_stats);
-    double seq_seconds = seq_timer.ElapsedSeconds();
-    SHOAL_CHECK(seq.ok()) << seq.status().ToString();
+    core::Dendrogram seq;
+    const double seq_seconds = bench::MedianSeconds([&](int call) {
+      core::SequentialHacStats stats;
+      auto d = core::SequentialHac(graph, core::HacOptions{}, &stats);
+      SHOAL_CHECK(d.ok()) << d.status().ToString();
+      if (call == 0) {
+        seq_stats = stats;
+        seq = std::move(d).value();
+      } else {
+        SHOAL_CHECK(stats.merges == seq_stats.merges)
+            << entities << " entities: sequential call " << call
+            << " diverged from call 0";
+      }
+    });
 
     auto nmi_par = eval::NormalizedMutualInformation(
-        par->FlatClusters(), workload.dataset.EntityIntentLabels());
+        par.FlatClusters(), workload.dataset.EntityIntentLabels());
     auto nmi_seq = eval::NormalizedMutualInformation(
-        seq->FlatClusters(), workload.dataset.EntityIntentLabels());
+        seq.FlatClusters(), workload.dataset.EntityIntentLabels());
     SHOAL_CHECK(nmi_par.ok() && nmi_seq.ok());
 
     if (crossover_entities < 0.0 && par_seconds <= seq_seconds) {
@@ -136,12 +146,10 @@ int Run(int argc, char** argv) {
       size_t threads = std::strtoull(thread_text.c_str(), nullptr, 10);
       core::ParallelHacOptions options;
       options.num_threads = threads;
+      core::Dendrogram dendrogram;
       core::ParallelHacStats stats;
-      util::Stopwatch timer;
-      auto d = core::ParallelHac(workload.model.entity_graph(), options,
-                                 &stats);
-      SHOAL_CHECK(d.ok()) << d.status().ToString();
-      double seconds = timer.ElapsedSeconds();
+      const double seconds = bench::TimeParallelHac(
+          workload.model.entity_graph(), options, &dendrogram, &stats);
       std::printf("%-10zu %-12.3f %-12zu\n", threads, seconds, stats.rounds);
       util::JsonValue row = util::JsonValue::Object();
       row.Set("threads",

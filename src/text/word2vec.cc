@@ -38,9 +38,6 @@ const SigmoidTable& Sigmoid() {
   return *table;
 }
 
-// A power of two, so drawing a slot (`Next() % size`) needs no division.
-constexpr size_t kNegativeTableSize = size_t{1} << 20;
-
 // dots[k] = Dot(in, rows[k], dim) for each of N rows, bit for bit: every
 // sum runs over d ascending in its own accumulator, and the N independent
 // chains share one pass over `in`.
@@ -75,33 +72,36 @@ void ApplySample(float g, const float* __restrict in, float* __restrict out,
   }
 }
 
-// Negative-sampling table over the unigram distribution raised to 3/4.
-std::vector<uint32_t> BuildNegativeTable(const Vocabulary& vocab,
-                                         size_t table_size) {
-  std::vector<uint32_t> table;
-  table.reserve(table_size);
+}  // namespace
+
+NegativeSampler::NegativeSampler(const Vocabulary& vocab)
+    : first_slot_(vocab.size() + 1,
+                  static_cast<uint32_t>(kNegativeTableSize)),
+      bucket_word_(kNegativeTableSize >> kBucketBits) {
   double total = 0.0;
   for (uint32_t id = 0; id < vocab.size(); ++id) {
     total += std::pow(static_cast<double>(vocab.CountOf(id)), 0.75);
   }
-  if (total <= 0.0) return table;
+  // The table's fill loop, in the same double arithmetic: slot i holds
+  // `id`, and the word after it starts at slot i + 1 (at the end of the
+  // table when i is its last slot).
+  constexpr size_t kBucketMask = (size_t{1} << kBucketBits) - 1;
   double acc = 0.0;
   uint32_t id = 0;
   double share =
       std::pow(static_cast<double>(vocab.CountOf(0)), 0.75) / total;
-  for (size_t i = 0; i < table_size; ++i) {
-    table.push_back(id);
-    double progress = static_cast<double>(i + 1) / table_size;
+  first_slot_[0] = 0;
+  for (size_t i = 0; i < kNegativeTableSize; ++i) {
+    if ((i & kBucketMask) == 0) bucket_word_[i >> kBucketBits] = id;
+    double progress = static_cast<double>(i + 1) / kNegativeTableSize;
     if (progress > acc + share && id + 1 < vocab.size()) {
       acc += share;
       ++id;
       share = std::pow(static_cast<double>(vocab.CountOf(id)), 0.75) / total;
+      first_slot_[id] = static_cast<uint32_t>(i + 1);
     }
   }
-  return table;
 }
-
-}  // namespace
 
 util::Result<Word2Vec> Word2Vec::Train(
     const Vocabulary& vocab,
@@ -109,6 +109,10 @@ util::Result<Word2Vec> Word2Vec::Train(
     const Word2VecOptions& options) {
   if (vocab.size() == 0) {
     return util::Status::InvalidArgument("empty vocabulary");
+  }
+  if (vocab.total_count() == 0) {
+    return util::Status::InvalidArgument(
+        "no vocabulary word has a positive count to draw negatives from");
   }
   if (options.dim == 0) {
     return util::Status::InvalidArgument("embedding dim must be > 0");
@@ -141,11 +145,7 @@ util::Result<Word2Vec> Word2Vec::Train(
     }
   }
 
-  const std::vector<uint32_t> negative_table =
-      BuildNegativeTable(vocab, kNegativeTableSize);
-  if (negative_table.empty()) {
-    return util::Status::Internal("failed to build negative-sampling table");
-  }
+  const NegativeSampler sampler(vocab);
 
   // Frequent-word subsampling keep-probability (Mikolov et al. 2013).
   std::vector<float> keep_prob(vocab_size, 1.0f);
@@ -203,7 +203,7 @@ util::Result<Word2Vec> Word2Vec::Train(
           bool distinct = true;
           rows[num_samples++] = output_vectors.Row(target);
           for (size_t n = 0; n < options.negative_samples; ++n) {
-            uint32_t sample = negative_table[rng.Uniform(kNegativeTableSize)];
+            uint32_t sample = sampler.WordAt(rng.Uniform(kNegativeTableSize));
             if (sample == target) continue;
             float* row = output_vectors.Row(sample);
             for (size_t k = 1; k < num_samples; ++k) {

@@ -1,6 +1,7 @@
 #ifndef SHOAL_TEXT_WORD2VEC_H_
 #define SHOAL_TEXT_WORD2VEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,42 @@ struct Word2VecOptions {
   double subsample_threshold = 1e-3;  // frequent-word subsampling `t`
   uint64_t min_count = 1;             // drop words rarer than this
   uint64_t seed = 7;
+};
+
+// Slots of the negative-sampling table. A power of two, so drawing a
+// slot (`rng.Uniform(kNegativeTableSize)`) is `Next()` under a mask.
+inline constexpr size_t kNegativeTableSize = size_t{1} << 20;
+
+// Negative sampling over the unigram distribution raised to 3/4.
+// word2vec's reference implementation materialises a
+// kNegativeTableSize-slot table (4 MB) in one pass that advances at most
+// one word per slot; WordAt(s) returns the word that table holds at slot
+// s without building it. The pass runs unchanged, but records only where
+// each word starts and which word owns the first slot of every 256-slot
+// bucket: (V + 1) * 4 bytes plus 16 KB, small enough to stay in cache
+// while Train draws from it.
+class NegativeSampler {
+ public:
+  // At least one word of `vocab` must have a positive count.
+  explicit NegativeSampler(const Vocabulary& vocab);
+
+  // `slot` < kNegativeTableSize. Walks forward from the bucket's first
+  // word past every word that starts at or before `slot`.
+  uint32_t WordAt(uint64_t slot) const {
+    uint32_t word = bucket_word_[slot >> kBucketBits];
+    while (first_slot_[word + 1] <= slot) ++word;
+    return word;
+  }
+
+ private:
+  static constexpr int kBucketBits = 8;
+
+  // first_slot_[w] is the first slot holding word w, or
+  // kNegativeTableSize when the pass never reaches w; the entry after
+  // the last word is kNegativeTableSize, so every walk stops.
+  std::vector<uint32_t> first_slot_;
+  // bucket_word_[b] is the word at slot b << kBucketBits.
+  std::vector<uint32_t> bucket_word_;
 };
 
 class Word2Vec {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -54,7 +55,8 @@ Word2VecOptions FastOptions() {
 }
 
 // The sigmoid lookup and negative-sampling tables of the reference
-// trainer below, built as Train builds its own.
+// trainer below. Train builds the same sigmoid table and draws from a
+// NegativeSampler, which must return this table's word at every slot.
 class ReferenceSigmoid {
  public:
   ReferenceSigmoid() {
@@ -305,6 +307,89 @@ TEST(Word2VecTest, TrainMatchesReferenceBitForBit) {
         0u)
         << "long training, dim " << dim;
   }
+}
+
+// Compares NegativeSampler::WordAt with the materialised table at every
+// slot. Returns the number of slots that differ and the table.
+size_t CountSamplerMismatches(const Vocabulary& vocab,
+                              std::vector<uint32_t>* table) {
+  *table = ReferenceNegativeTable(vocab);
+  EXPECT_EQ(table->size(), kNegativeTableSize);
+  const NegativeSampler sampler(vocab);
+  size_t mismatches = 0;
+  for (size_t slot = 0; slot < table->size(); ++slot) {
+    if (sampler.WordAt(slot) != (*table)[slot]) {
+      if (mismatches == 0) {
+        ADD_FAILURE() << "first mismatch at slot " << slot << ": sampler "
+                      << sampler.WordAt(slot) << ", table "
+                      << (*table)[slot];
+      }
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(Word2VecTest, NegativeSamplerMatchesTableAtEverySlot) {
+  std::vector<uint32_t> table;
+
+  Vocabulary one_word;
+  one_word.AddWord("only", 5);
+  EXPECT_EQ(CountSamplerMismatches(one_word, &table), 0u) << "one word";
+
+  EXPECT_EQ(CountSamplerMismatches(MakeSkewedCorpus(3, 40, 6).vocab, &table),
+            0u)
+      << "3-word corpus";
+  EXPECT_EQ(
+      CountSamplerMismatches(MakeSkewedCorpus(60, 120, 5).vocab, &table), 0u)
+      << "60-word corpus";
+
+  // Count-0 words, as data::Lexicon registers words before counting
+  // them, at the start, in a run and at the end. A zero share still takes
+  // one slot: the fill loop advances at most one word per slot.
+  Vocabulary with_zeros;
+  const uint64_t counts[] = {0, 9, 0, 0, 3, 40, 0, 1, 0};
+  for (size_t w = 0; w < std::size(counts); ++w) {
+    with_zeros.AddWord(std::to_string(w), counts[w]);
+  }
+  EXPECT_EQ(CountSamplerMismatches(with_zeros, &table), 0u) << "count-0 words";
+  for (uint32_t w : {0u, 2u, 3u, 6u}) {
+    EXPECT_EQ(std::count(table.begin(), table.end(), w), 1) << "word " << w;
+  }
+
+  // One dominant word, then 5,000 count-1 words whose shares are each
+  // below one slot: past the dominant word the table holds a new word at
+  // every slot, so whole buckets need a 255-step walk, and the table
+  // ends before the last ids.
+  Vocabulary dominant;
+  dominant.AddWord("head", 400000000);
+  for (size_t w = 0; w < 5000; ++w) {
+    dominant.AddWord(std::to_string(w), 1);
+  }
+  EXPECT_EQ(CountSamplerMismatches(dominant, &table), 0u) << "dominant word";
+  const size_t tail_slots = static_cast<size_t>(
+      table.end() - std::find(table.begin(), table.end(), 1u));
+  EXPECT_GT(tail_slots, 2 * 256u);
+  EXPECT_EQ(table.back(), tail_slots);  // a new word at every tail slot
+  EXPECT_LT(table.back() + 1, dominant.size());
+
+  // A Zipf vocabulary the size of the 20k catalog's (5,645 words).
+  Vocabulary zipf;
+  for (size_t w = 0; w < 5645; ++w) {
+    zipf.AddWord(std::to_string(w), 1 + 50000 / (w + 1));
+  }
+  EXPECT_EQ(CountSamplerMismatches(zipf, &table), 0u) << "Zipf vocabulary";
+}
+
+TEST(Word2VecTest, RejectsVocabularyWithoutCounts) {
+  Vocabulary vocab;
+  vocab.AddWord("x", 0);
+  vocab.AddWord("y", 0);
+  Word2VecOptions options = FastOptions();
+  options.subsample_threshold = 0.0;
+  auto model = Word2Vec::Train(vocab, {{0, 1, 0, 1}}, options);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(Word2VecTest, RejectsEmptyVocabulary) {
